@@ -27,7 +27,8 @@ from .logdomain import log_sum
 from .lp import l1_unboundedness_witness
 from .measures import AtomicMeasure, atomic_from_logs
 from .sequences import LambdaSequence, classify
-from .spectral import EmbeddingProblem, analyze, riesz_sequence_check
+from .spectral import (EmbeddingProblem, analyze, measure_gram,
+                       riesz_sequence_check)
 
 MAX_DOUBLINGS = 10 ** 6
 EXAMPLE1_N_CAP = 12
@@ -136,8 +137,7 @@ def verify_example1(build: Example1Build, c_fit: float | None = None,
     lams = seq.values
     log_a, log_c = mu.log_positions, mu.log_weights
 
-    g_sq = np.array([math.exp(math.log(lams[i]) + log_sum(log_c + 2.0 * lams[i] * log_a))
-                     for i in range(n_max)])
+    g_sq = lams * np.exp(mu.log_moments(2.0 * lams))
     ratios = np.array([g_sq[i] * (i + 1) ** 2 / math.log(i + 1)
                        for i in range(1, n_max)])
     fitted = float(ratios.max())
@@ -150,8 +150,7 @@ def verify_example1(build: Example1Build, c_fit: float | None = None,
                 n=i + 1, residual=g_sq[i] - bound)
 
     witnesses = np.array([v for _, v in l1_unboundedness_witness(seq, mu)])
-    own = np.array([math.exp(log_c[i] + math.log(lams[i]) + lams[i] * log_a[i])
-                    for i in range(n_max)])
+    own = np.exp(log_c + np.log(lams) + lams * log_a)
     for i in range(n_max):
         if witnesses[i] < own[i] * (1.0 - tol):
             raise ConstructionBugError(
@@ -332,14 +331,10 @@ def verify_example2(build: Example2Build, *, tol: float = 1e-12) -> Example2Repo
     l^q / l^r partial-sum dichotomy with an analyze() cross-check."""
     seq, mu = build.sequence, build.measure
     n_max = build.n_max
-    lams = seq.values
-    log_a, log_c = mu.log_positions, mu.log_weights
     alphas = build.alphas
 
-    log_norms_sq = np.array([
-        log_sum(log_c + math.log(lams[i]) + 2.0 * lams[i] * log_a)
-        for i in range(n_max)])
-    norms_sq = np.exp(log_norms_sq)
+    a = measure_gram(seq, mu).entries
+    norms_sq = np.diag(a).copy()
     lower = alphas ** 2 / math.e
     upper = 1.5 * alphas ** 2
     for i in range(n_max):
@@ -352,20 +347,13 @@ def verify_example2(build: Example2Build, *, tol: float = 1e-12) -> Example2Repo
                 f"||i g_{i+1}||^2 = {norms_sq[i]:.6g} above 1.5 alpha^2 = "
                 f"{upper[i]:.6g}", n=i + 1, residual=norms_sq[i] - upper[i])
 
-    gram = np.empty((n_max, n_max))
-    for i in range(n_max):
-        for j in range(i + 1):
-            v = log_sum(log_c + 0.5 * (math.log(lams[i]) + math.log(lams[j]))
-                        + (lams[i] + lams[j]) * log_a)
-            gram[i, j] = gram[j, i] = math.exp(
-                v - 0.5 * log_norms_sq[i] - 0.5 * log_norms_sq[j])
-    check = riesz_sequence_check(gram)
+    norms = np.sqrt(norms_sq)
+    check = riesz_sequence_check(a / np.outer(norms, norms))
     if check.offdiag_hs ** 2 >= math.e / 4.0:
         raise ConstructionBugError(
             f"off-diagonal HS sum {check.offdiag_hs**2:.6g} not below e/4",
             residual=check.offdiag_hs ** 2 - math.e / 4.0)
 
-    norms = np.sqrt(norms_sq)
     lq = np.cumsum(norms ** build.q)
     lr = np.cumsum(norms ** build.r)
 

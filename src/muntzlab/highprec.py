@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import mpmath as mp
 
-from .errors import InvalidParameterError
+from .errors import IllConditionedBasisError, InvalidParameterError
 
 DEFAULT_PREC_BITS = 200
 
@@ -49,7 +49,8 @@ def generalized_singular_values(a, b, prec_bits: int = DEFAULT_PREC_BITS) -> np.
     """Singular values of the embedding pencil (A, B) in extended precision.
 
     Solves A v = s^2 B v by Cholesky whitening of B in mpmath; use when the
-    double-precision path raises IllConditionedBasisError.
+    double-precision path raises IllConditionedBasisError, which this raises
+    in turn when B is not positive definite at the working precision.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -61,7 +62,12 @@ def generalized_singular_values(a, b, prec_bits: int = DEFAULT_PREC_BITS) -> np.
             for j in range(n):
                 am[i, j] = mp.mpf(a[i, j])
                 bm[i, j] = mp.mpf(b[i, j])
-        low = mp.cholesky(bm)
+        try:
+            low = mp.cholesky(bm)
+        except ValueError as exc:
+            raise IllConditionedBasisError(
+                f"extended-precision ({prec_bits}-bit) Cholesky of the Lebesgue "
+                f"Gramian failed: {exc}; reduce N") from exc
         linv = low ** -1
         m2 = linv * am * linv.T
         m2 = (m2 + m2.T) / 2

@@ -38,26 +38,27 @@ def signed_log_sum(log_abs, signs) -> tuple[float, float]:
     return float(val), float(sign)
 
 
-def log1mexp(x: float) -> float:
-    """log(1 - exp(x)) for x <= 0, accurate over the whole range."""
-    if x >= 0.0:
-        if x == 0.0:
-            return NEG_INF
+def log1mexp(x):
+    """log(1 - exp(x)) elementwise for x <= 0, accurate over the whole range."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x > 0.0):
         raise ValueError("log1mexp requires x <= 0")
-    if x > -math.log(2.0):
-        return math.log(-math.expm1(x))
-    return math.log1p(-math.exp(x))
+    with np.errstate(divide="ignore"):
+        return np.where(x > -math.log(2.0), np.log(-np.expm1(x)),
+                        np.log1p(-np.exp(x)))
 
 
-def log_power_interval(s: float, log_lo: float, log_hi: float) -> float:
-    """log of ``integral_lo^hi x**s dx`` with endpoints given as logs.
+def log_power_interval(s, log_lo: float, log_hi: float) -> np.ndarray:
+    """log of ``integral_lo^hi x**s dx`` elementwise over the orders ``s``,
+    with endpoints given as logs.
 
     Safe for huge ``s`` (the bracket ``hi**(s+1) - lo**(s+1)`` is expanded in
     the log domain).  ``log_lo = -inf`` encodes a zero lower endpoint.
     """
+    s = np.asarray(s, dtype=float)
     if log_hi <= log_lo:
-        return NEG_INF
-    head = -math.log1p(s) + (s + 1.0) * log_hi
+        return np.full(s.shape, NEG_INF)
+    head = -np.log1p(s) + (s + 1.0) * log_hi
     if log_lo == NEG_INF:
         return head
     return head + log1mexp((s + 1.0) * (log_lo - log_hi))

@@ -243,7 +243,5 @@ def l1_unboundedness_witness(seq: LambdaSequence, mu: Measure) -> list[tuple[int
     Their L^1(m) norms are lambda_n/(lambda_n+1) <= 1, so an unbounded trend
     of these values witnesses failure of the L^1 embedding.
     """
-    out = []
-    for idx, lam in enumerate(seq.values, start=1):
-        out.append((idx, math.exp(math.log(lam) + mu.log_moment(lam))))
-    return out
+    lam = seq.values
+    return list(enumerate((lam * np.exp(mu.log_moments(lam))).tolist(), start=1))

@@ -8,8 +8,9 @@ measures must satisfy ``mu({1}) = 0``.
 
 Moments ``integral x**s dmu`` are exact closed forms in the log domain for
 every variant (incomplete-Beta form for truncated power tails), safe for
-``s`` up to ~1e12.  Generic integrals against user functions are delegated
-to quadrature in the tail variable ``t = 1 - x``.
+``s`` up to ~1e12, and array-valued (:meth:`Measure.log_moments`; the
+scalar queries wrap it).  Generic integrals against user functions are
+delegated to quadrature in the tail variable ``t = 1 - x``.
 
 Restrictions produced by :func:`restrict_tail` may carry zero mass (the
 embedding of an empty measure is the zero operator); explicit constructors
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincc, betaln
+from scipy.special import betaincc, betaln, logsumexp
 
 from . import quadrature
 from .errors import HypothesisViolationError, InvalidParameterError
@@ -41,11 +42,16 @@ class Measure:
 
     # -- mass / moments ---------------------------------------------------
 
-    def log_moment(self, s: float) -> float:
-        """log of ``integral x**s dmu``; -inf encodes a zero moment."""
-        if s < 0.0:
+    def log_moments(self, s) -> np.ndarray:
+        """log of ``integral x**s dmu`` elementwise over an array of orders;
+        -inf encodes a zero moment."""
+        s = np.asarray(s, dtype=float)
+        if np.any(s < 0.0):
             raise InvalidParameterError("moment order s must be >= 0")
-        return self._log_moment(s)
+        return self._log_moments(s)
+
+    def log_moment(self, s: float) -> float:
+        return float(self.log_moments(s))
 
     def moment(self, s: float) -> float:
         return math.exp(self.log_moment(s))
@@ -95,7 +101,7 @@ class Measure:
         raise NotImplementedError
 
     # hooks implemented per variant
-    def _log_moment(self, s: float) -> float:
+    def _log_moments(self, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _tail_mass(self, eps: float) -> float:
@@ -170,8 +176,9 @@ class AtomicMeasure(Measure):
     def weights(self) -> np.ndarray:
         return np.exp(self.log_weights)
 
-    def _log_moment(self, s: float) -> float:
-        return log_sum(self.log_weights + s * self.log_positions)
+    def _log_moments(self, s: np.ndarray) -> np.ndarray:
+        return logsumexp(self.log_weights + s[..., None] * self.log_positions,
+                         axis=-1)
 
     def _tail_mass(self, eps: float) -> float:
         # atom at a is in J_eps iff a >= 1-eps iff log a >= log1p(-eps)
@@ -258,14 +265,13 @@ class PowerTailMeasure(Measure):
     def width(self) -> float:
         return 1.0 - self.x0
 
-    def _log_moment(self, s: float) -> float:
-        # C*alpha*B(s+1, alpha) times the regularized upper tail at x0
+    def _log_moments(self, s: np.ndarray) -> np.ndarray:
+        # C*alpha*B(s+1, alpha) times the regularized upper tail at x0, whose
+        # underflow to 0 gives a -inf log moment
         v = math.log(self.coefficient) + math.log(self.alpha) + betaln(s + 1.0, self.alpha)
         if self.x0 > 0.0:
-            upper = float(betaincc(s + 1.0, self.alpha, self.x0))
-            if upper <= 0.0:
-                return NEG_INF
-            v += math.log(upper)
+            with np.errstate(divide="ignore"):
+                v = v + np.log(betaincc(s + 1.0, self.alpha, self.x0))
         return v
 
     def _tail_mass(self, eps: float) -> float:
@@ -329,15 +335,13 @@ class PiecewiseDensityMeasure(Measure):
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "densities", de)
 
-    def _log_moment(self, s: float) -> float:
-        terms = []
-        for lo, hi, h in zip(self.breakpoints[:-1], self.breakpoints[1:],
-                             self.densities):
-            if h <= 0.0:
-                continue
-            log_lo = math.log(lo) if lo > 0.0 else NEG_INF
-            terms.append(math.log(h) + log_power_interval(s, log_lo, math.log(hi)))
-        return log_sum(terms)
+    def _log_moments(self, s: np.ndarray) -> np.ndarray:
+        terms = [math.log(h) + log_power_interval(
+                     s, math.log(lo) if lo > 0.0 else NEG_INF, math.log(hi))
+                 for lo, hi, h in zip(self.breakpoints[:-1], self.breakpoints[1:],
+                                      self.densities)
+                 if h > 0.0]
+        return logsumexp(terms, axis=0)
 
     def _tail_mass(self, eps: float) -> float:
         lo_cut = 1.0 - eps
@@ -415,8 +419,8 @@ class ScaledMeasure(Measure):
         if self.scale <= 0.0:
             raise InvalidParameterError("scale must be positive")
 
-    def _log_moment(self, s: float) -> float:
-        return math.log(self.scale) + self.inner.log_moment(s)
+    def _log_moments(self, s: np.ndarray) -> np.ndarray:
+        return math.log(self.scale) + self.inner._log_moments(s)
 
     def _tail_mass(self, eps: float) -> float:
         return self.scale * self.inner.tail_mass(eps)
@@ -454,8 +458,8 @@ class SumMeasure(Measure):
             raise InvalidParameterError("sum measure needs at least one part")
         object.__setattr__(self, "parts", tuple(self.parts))
 
-    def _log_moment(self, s: float) -> float:
-        return log_sum([p.log_moment(s) for p in self.parts])
+    def _log_moments(self, s: np.ndarray) -> np.ndarray:
+        return logsumexp([p._log_moments(s) for p in self.parts], axis=0)
 
     def _tail_mass(self, eps: float) -> float:
         return math.fsum(p.tail_mass(eps) for p in self.parts)
@@ -594,6 +598,20 @@ def power_rho(coefficient: float, alpha: float) -> RhoFunction:
         label=f"{coefficient:g}*eps^{alpha:g}")
 
 
+def rho_hypothesis_violation(mu: Measure, rho: RhoFunction, grid=None
+                             ) -> tuple[float, float, float] | None:
+    """First eps of the grid where the hypothesis ``mu(J_eps) <= rho(eps)``
+    fails, as ``(eps, mu(J_eps), rho(eps))``; None when it holds on the
+    whole grid (default: :func:`default_epsilon_grid`)."""
+    grid = default_epsilon_grid() if grid is None else np.asarray(grid, float)
+    for eps in grid:
+        bound = float(rho.fn(eps))
+        mass = mu.tail_mass(eps)
+        if mass > bound * (1.0 + 1e-12) + 1e-300:
+            return float(eps), mass, bound
+    return None
+
+
 @dataclass(frozen=True)
 class MajorizationCheck:
     lhs: float
@@ -608,7 +626,7 @@ def integrate_against(mu: Measure, g, *, order: int = 24) -> tuple[float, float]
 
     Atoms are evaluated directly (positions materialized from their logs, so
     extreme near-1 atoms lose position precision here; moment-type queries
-    should use :meth:`Measure.log_moment` instead).  Density parts integrate
+    should use :meth:`Measure.log_moments` instead).  Density parts integrate
     in the tail variable with dyadic refinement toward 1.
     """
     flat = mu.flattened()
@@ -638,13 +656,12 @@ def rho_majorization_check(mu: Measure, rho: RhoFunction, g, *,
     first; failure raises :class:`HypothesisViolationError`.  ``g`` must be
     continuous, positive and increasing on [0, 1).
     """
-    grid = default_epsilon_grid() if grid is None else np.asarray(grid, float)
-    for eps in grid:
-        bound = float(rho.fn(eps))
-        if mu.tail_mass(eps) > bound * (1.0 + 1e-12) + 1e-300:
-            raise HypothesisViolationError(
-                f"mu(J_eps) = {mu.tail_mass(eps):.6g} exceeds rho(eps) = "
-                f"{bound:.6g} at eps = {eps:.3g}")
+    bad = rho_hypothesis_violation(mu, rho, grid)
+    if bad is not None:
+        eps, mass, bound = bad
+        raise HypothesisViolationError(
+            f"mu(J_eps) = {mass:.6g} exceeds rho(eps) = {bound:.6g} "
+            f"at eps = {eps:.3g}")
     lhs, lhs_err = integrate_against(mu, g)
 
     def integrand(t):

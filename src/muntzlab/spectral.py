@@ -5,7 +5,8 @@ first N normalized monomials g_n = lambda_n^(1/2) x^lambda_n, has singular
 values equal to the square roots of the generalized eigenvalues of the
 pencil (A, B), where A is the mu-Gramian and B the Lebesgue Gramian of the
 g_n.  B is whitened by Cholesky; a failed factorization raises instead of
-regularizing (reduce N or use muntzlab.highprec).
+regularizing (reduce N or use muntzlab.highprec).  One analysis assembles
+A and factors B once at N and reads smaller truncations as leading blocks.
 
 Certificates are named upper bounds from the majorant function psi, from a
 rho-majorization of the tail modulus, from compact support, and from
@@ -27,7 +28,7 @@ from .errors import (IllConditionedBasisError, InvalidParameterError,
                      NumericalSoundnessError, SublinearEstimateError)
 from .geometry import GramMatrix, PsiEvaluator, lebesgue_gram
 from .logdomain import log_sum
-from .measures import Measure, modulus_report
+from .measures import Measure, modulus_report, rho_hypothesis_violation
 from .sequences import LambdaSequence, classify
 
 EIG_CLAMP_FLOOR = -1e-10
@@ -107,18 +108,15 @@ class Certificate:
 def measure_gram(seq: LambdaSequence, mu: Measure, n: int | None = None) -> GramMatrix:
     """mu-Gramian A_nm = sqrt(lambda_n lambda_m) * integral x**(l_n+l_m) dmu.
 
-    Assembled in the log domain and then materialized; entries that underflow
-    to zero are permitted.
+    One array of log moments, materialized and then normalized in the
+    linear domain; entries that underflow to zero are permitted.
     """
     n = len(seq) if n is None else n
     lam = seq.truncate(n).values
-    log_lam = np.log(lam)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            v = 0.5 * (log_lam[i] + log_lam[j]) + mu.log_moment(lam[i] + lam[j])
-            out[i, j] = out[j, i] = math.exp(v)
-    return GramMatrix(out, basis="normalized", measure="mu")
+    root = np.sqrt(lam)
+    moments = np.exp(mu.log_moments(lam[:, None] + lam[None, :]))
+    return GramMatrix(np.outer(root, root) * moments, basis="normalized",
+                      measure="mu")
 
 
 def _as_array(gram) -> np.ndarray:
@@ -135,19 +133,19 @@ def _cholesky_lower(b: np.ndarray) -> np.ndarray:
             "muntzlab.highprec.generalized_singular_values.") from exc
 
 
-def singular_values(a, b) -> np.ndarray:
-    """Singular values of the embedding pencil: sqrt of eigenvalues of
-    B^(-1/2) A B^(-1/2), via Cholesky whitening of B.
+def _whiten(a: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """L^-1 A L^-T for B = L L^T, symmetrized."""
+    w = scipy.linalg.solve_triangular(low, a, lower=True)
+    m = scipy.linalg.solve_triangular(low, w.T, lower=True)
+    return 0.5 * (m + m.T)
+
+
+def _pencil_singular_values(m: np.ndarray) -> np.ndarray:
+    """Square roots of the eigenvalues of a whitened pencil, descending.
 
     Eigenvalues in [EIG_CLAMP_FLOOR, 0) clamp to 0; anything below the floor
     means broken assembly/quadrature and raises.
     """
-    a = _as_array(a)
-    b = _as_array(b)
-    low = _cholesky_lower(b)
-    w = scipy.linalg.solve_triangular(low, a, lower=True)
-    m = scipy.linalg.solve_triangular(low, w.T, lower=True)
-    m = 0.5 * (m + m.T)
     eigs = scipy.linalg.eigvalsh(m)
     scale = max(1.0, float(eigs.max(initial=0.0)))
     if eigs.min(initial=0.0) < EIG_CLAMP_FLOOR * scale:
@@ -159,26 +157,39 @@ def singular_values(a, b) -> np.ndarray:
     return np.sqrt(eigs)[::-1]
 
 
-def _factored_singular_values(lam: np.ndarray, flat, low: np.ndarray) -> np.ndarray:
-    """Singular values for a purely atomic measure via its K x N factor
-    F_{kn} = sqrt(c_k) sqrt(lambda_n) a_k**lambda_n, as svd(F L^-T).
+def singular_values(a, b) -> np.ndarray:
+    """Singular values of the embedding pencil: sqrt of eigenvalues of
+    B^(-1/2) A B^(-1/2), via Cholesky whitening of B."""
+    return _pencil_singular_values(
+        _whiten(_as_array(a), _cholesky_lower(_as_array(b))))
 
-    Equivalent to the (A, B) pencil (A = F^T F) but rank-exact: the values
-    beyond the atom count are structural zeros, not sqrt-amplified
-    eigenvalue noise.
+
+def _truncated_spectra(seq: LambdaSequence, mu: Measure, low: np.ndarray,
+                       sizes) -> list[np.ndarray]:
+    """Singular values of i_mu at each truncation in ``sizes``, from one
+    assembly at N = low.shape[0] whitened by the Cholesky factor ``low`` of
+    the Lebesgue Gramian; whitening is triangular, so truncation k is the
+    leading block.  Measures with a density part go through the (A, B)
+    pencil.  Purely atomic ones go through the K x N factor
+    F_{kn} = sqrt(c_k) sqrt(lambda_n) a_k**lambda_n (A = F^T F) as
+    svd(F L^-T): rank-exact, since the values beyond the atom count are
+    structural zeros, not sqrt-amplified eigenvalue noise.
     """
-    n = lam.size
-    if len(flat.log_positions) == 0:
-        return np.zeros(n)
+    n = low.shape[0]
+    flat = mu.flattened()
+    if flat.has_density:
+        m = _whiten(measure_gram(seq, mu, n).entries, low)
+        return [_pencil_singular_values(m[:k, :k]) for k in sizes]
+    lam = seq.truncate(n).values
     log_f = (0.5 * flat.log_weights[:, None]
              + 0.5 * np.log(lam)[None, :]
              + np.outer(flat.log_positions, lam))
-    f = np.exp(log_f)
-    x = scipy.linalg.solve_triangular(low, f.T, lower=True).T
-    svals = scipy.linalg.svd(x, compute_uv=False)
-    out = np.zeros(n)
-    out[:svals.size] = svals
-    return out
+    x = scipy.linalg.solve_triangular(low, np.exp(log_f).T, lower=True).T
+    spectra = []
+    for k in sizes:
+        svals = scipy.linalg.svd(x[:, :k], compute_uv=False)
+        spectra.append(np.pad(svals, (0, k - svals.size)))
+    return spectra
 
 
 def _schatten_table(svals: np.ndarray, q_set) -> dict:
@@ -202,40 +213,33 @@ def _decay_rate(svals: np.ndarray) -> float:
 
 def analyze(problem: EmbeddingProblem, q_set=DEFAULT_Q_SET,
             extended: bool = False) -> SpectralReport:
-    """Assemble the Gramians, solve the pencil, fill the Schatten table and
-    the N-trend diagnostics (truncations n/4, n/2, n).
+    """Assemble the Gramians and factor the Lebesgue Gramian once at N, solve
+    the pencil, fill the Schatten table and the N-trend diagnostics
+    (truncations n/4, n/2, n, read as leading blocks).
 
     ``extended`` routes the eigensolve through mpmath (for bases too
     ill-conditioned for a double-precision Cholesky).
     """
     n = problem.n
-    trunc_set = sorted({max(1, n // 4), max(1, n // 2), n})
-    trend = []
-    svals_full = None
-    flat = problem.measure.flattened()
-    purely_atomic = not flat.has_density
-    for n_i in trunc_set:
-        sub = problem.sequence.truncate(n_i)
-        b = lebesgue_gram(sub)
-        if extended:
-            from .highprec import generalized_singular_values
-            a = measure_gram(sub, problem.measure, n_i)
-            svals = generalized_singular_values(a.entries, b.entries)
-        elif purely_atomic:
-            svals = _factored_singular_values(sub.values, flat,
-                                              _cholesky_lower(b.entries))
-        else:
-            a = measure_gram(sub, problem.measure, n_i)
-            svals = singular_values(a, b)
-        trend.append(TrendPoint(n=n_i,
-                                op_norm=float(svals[0]),
-                                schatten=_schatten_table(svals, q_set)))
-        if n_i == n:
-            svals_full = svals
+    sizes = sorted({max(1, n // 4), max(1, n // 2), n})
+    seq = problem.sequence.truncate(n)
+    b = lebesgue_gram(seq).entries
+    if extended:
+        from .highprec import generalized_singular_values
+        a = measure_gram(seq, problem.measure).entries
+        spectra = [generalized_singular_values(a[:k, :k], b[:k, :k])
+                   for k in sizes]
+    else:
+        spectra = _truncated_spectra(seq, problem.measure, _cholesky_lower(b),
+                                     sizes)
+    trend = tuple(TrendPoint(n=k, op_norm=float(svals[0]),
+                             schatten=_schatten_table(svals, q_set))
+                  for k, svals in zip(sizes, spectra))
+    svals_full = spectra[-1]
     svals_full.setflags(write=False)
     return SpectralReport(singular_values=svals_full,
-                          schatten=_schatten_table(svals_full, q_set),
-                          trend=tuple(trend),
+                          schatten=trend[-1].schatten,
+                          trend=trend,
                           decay_rate=_decay_rate(svals_full),
                           n=n)
 
@@ -250,19 +254,12 @@ def essential_norm_trend(seq: LambdaSequence, mu: Measure, n: int,
     m_list = [int(m) for m in m_list]
     if any(m < 2 for m in m_list) or sorted(m_list) != m_list:
         raise InvalidParameterError("m_list must be increasing integers >= 2")
-    out = []
     sub = seq.truncate(n)
-    b = lebesgue_gram(sub)
-    low = _cholesky_lower(b.entries)
+    low = _cholesky_lower(lebesgue_gram(sub).entries)
+    out = []
     for m in m_list:
-        tail = mu.restricted_to_tail(1.0 / m)
-        flat = tail.flattened()
-        if not flat.has_density:
-            svals = _factored_singular_values(sub.values, flat, low)
-        else:
-            a = measure_gram(seq, tail, n)
-            svals = singular_values(a, b)
-        out.append((m, float(svals[0]) if svals.size else 0.0))
+        svals, = _truncated_spectra(sub, mu.restricted_to_tail(1.0 / m), low, (n,))
+        out.append((m, float(svals[0])))
     return out
 
 
@@ -394,15 +391,8 @@ def rho_certificate(seq: LambdaSequence, mu: Measure, rho,
                     grid=None) -> Certificate:
     """Upper bound from a tail majorant: value = (integral_0^1 psi(x)^2
     rho'(1-x) dx)^(1/2), valid when mu(J_eps) <= rho(eps) on the grid."""
-    from .measures import default_epsilon_grid
     psi = PsiEvaluator.from_sequence(seq) if psi is None else psi
-    grid = default_epsilon_grid() if grid is None else np.asarray(grid, float)
-    bad = None
-    for eps in grid:
-        bound = float(rho.fn(eps))
-        if mu.tail_mass(eps) > bound * (1.0 + 1e-12) + 1e-300:
-            bad = (float(eps), mu.tail_mass(eps), bound)
-            break
+    bad = rho_hypothesis_violation(mu, rho, grid)
     assumptions = [AssumptionCheck(
         "mu(J_eps) <= rho(eps)", bad is None,
         "" if bad is None else

@@ -101,6 +101,21 @@ class TestAnalyze:
         assert s1["singular_values"][0] == pytest.approx(
             s2["singular_values"][0], rel=1e-12)
 
+    def test_extended_precision_factorization_failure_exit_one(self, tmp_path,
+                                                               capsys):
+        # the double-rounded Lebesgue Gramian is not positive definite at
+        # 200 bits either: one error line, no traceback
+        cfg = write_config(tmp_path, {
+            "sequence": {"kind": "geometric", "lambda1": 2, "ratio": 1.25,
+                         "count": 28},
+            "measure": {"kind": "powertail", "C": 1, "alpha": 2},
+            "N": 28, "certificates": ["psi"]})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path),
+                     "--precision", "extended"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "Cholesky" in err[0]
+
 
 class TestConstruct:
     def test_example1(self, tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -64,6 +65,88 @@ class TestMoments:
     def test_negative_order_rejected(self):
         with pytest.raises(InvalidParameterError):
             moment(lebesgue(), -0.5)
+
+
+def _mp_moment(mu, s):
+    """Independent 60-digit moment of the atomic, power-tail and piecewise
+    variants: exact atom sums, the incomplete Beta integral (substituted to
+    t = 1 - x so no cancellation occurs) and the piecewise closed form."""
+    s = mp.mpf(s)
+    if isinstance(mu, PowerTailMeasure):
+        c, a = mp.mpf(mu.coefficient), mp.mpf(mu.alpha)
+        return c * a * mp.betainc(a, s + 1, 0, 1 - mp.mpf(mu.x0))
+    if isinstance(mu, PiecewiseDensityMeasure):
+        return mp.fsum(mp.mpf(h) * (mp.mpf(hi) ** (s + 1) - mp.mpf(lo) ** (s + 1))
+                       / (s + 1) for lo, hi, h in zip(
+                           mu.breakpoints[:-1], mu.breakpoints[1:], mu.densities))
+    return mp.fsum(mp.exp(mp.mpf(c) + s * mp.mpf(a))
+                   for a, c in zip(mu.log_positions, mu.log_weights))
+
+
+class TestLogMoments:
+    ORDERS = np.array([[0.0, 0.5, 3.0], [17.25, 400.0, 2.5e4]])
+    ATOMS = atomic_from_logs([math.log(0.3), math.log1p(-1e-3), -1e-18],
+                             [0.0, math.log(0.5), math.log(0.25)])
+    TAIL = PowerTailMeasure(1.5, 2.5, x0=0.25)
+    PIECES = PiecewiseDensityMeasure(np.array([0.0, 0.3, 0.6, 1.0]),
+                                     np.array([2.0, 0.0, 0.5]))
+
+    @staticmethod
+    def _reference(mu, orders):
+        with mp.workdps(60):
+            if isinstance(mu, ScaledMeasure):
+                return math.log(mu.scale) + TestLogMoments._reference(
+                    mu.inner, orders)
+            parts = mu.parts if isinstance(mu, SumMeasure) else (mu,)
+            return np.array([[float(mp.log(mp.fsum(_mp_moment(p, s)
+                                                   for p in parts)))
+                              for s in row] for row in orders])
+
+    @pytest.mark.parametrize("name, tol", [
+        # scipy's betaln loses ~4e-11 (absolute, in the log) at order 2.5e4
+        # to cancellation between log-gamma terms; the sums are exact
+        ("atoms", 1e-14), ("tail", 1e-10), ("pieces", 1e-14),
+        ("scaled", 1e-10), ("sum", 1e-10)])
+    def test_array_orders_against_mpmath(self, name, tol):
+        tail_mass = 1.5 * 0.75 ** 2.5
+        mu, mass = {
+            "atoms": (self.ATOMS, 1.75), "tail": (self.TAIL, tail_mass),
+            "pieces": (self.PIECES, 0.8),
+            "scaled": (ScaledMeasure(3.5, self.TAIL), 3.5 * tail_mass),
+            "sum": (SumMeasure((self.ATOMS, self.TAIL, self.PIECES)),
+                    1.75 + tail_mass + 0.8)}[name]
+        got = mu.log_moments(self.ORDERS)
+        assert got.shape == self.ORDERS.shape
+        np.testing.assert_allclose(got, self._reference(mu, self.ORDERS),
+                                   rtol=0.0, atol=tol)
+        np.testing.assert_allclose(mu.log_moments(np.zeros((2, 2))),
+                                   math.log(mass), rtol=0.0, atol=1e-14)
+        assert mu.log_moment(3.0) == got[0, 2]
+
+    def test_atoms_near_one_at_huge_orders(self):
+        # the atom at 1 - 1e-18 keeps weight exp(-s * 1e-18) at s ~ 1e18
+        orders = np.array([[1e18, 3e18], [0.0, 1e6]])
+        np.testing.assert_allclose(self.ATOMS.log_moments(orders),
+                                   self._reference(self.ATOMS, orders),
+                                   rtol=0.0, atol=1e-14)
+
+    def test_zero_moments_are_minus_inf(self):
+        empty = restrict_tail(atomic([(0.2, 1.0)]), 4)
+        assert np.all(empty.log_moments(self.ORDERS) == -math.inf)
+        # the regularized upper tail at x0 = 0.9 underflows to 0 for low
+        # orders: the moments there lie below the smallest normal double
+        tail = PowerTailMeasure(1.0, 400.0, x0=0.9)
+        got = tail.log_moments(self.ORDERS)
+        ref = self._reference(tail, self.ORDERS)
+        lost = got == -math.inf
+        assert lost.any() and not lost.all()
+        assert np.all(ref[lost] < math.log(np.finfo(float).tiny))
+        np.testing.assert_allclose(got[~lost], ref[~lost], rtol=1e-12)
+
+    def test_negative_order_rejected(self):
+        for mu in (self.ATOMS, self.TAIL, self.PIECES):
+            with pytest.raises(InvalidParameterError):
+                mu.log_moments(np.array([[1.0, -0.5]]))
 
 
 class TestTailMass:

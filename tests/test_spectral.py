@@ -121,6 +121,23 @@ class TestAnalyze:
         np.testing.assert_allclose(scaled.singular_values, 2.0 * base,
                                    rtol=1e-13)
 
+    @pytest.mark.parametrize("ratio, n", [(1.5, 24), (2.0, 32), (3.0, 16)])
+    def test_trend_matches_standalone(self, ratio, n):
+        # trend points are read as leading blocks of the one factorization
+        # at N; a blocked Cholesky rounds differently from a factorization
+        # at the smaller size, so agreement is close but not bitwise
+        seq = make_geometric(2.0, ratio, n)
+        for mu in (PowerTailMeasure(1.0, 2.0),
+                   atomic([(0.3, 1.0), (0.55, 0.5), (0.8, 0.25), (0.95, 0.1),
+                           (0.99, 0.05)])):
+            rep = analyze(EmbeddingProblem(seq, mu, n), q_set=(2.0,))
+            assert [t.n for t in rep.trend] == [n // 4, n // 2, n]
+            for point in rep.trend:
+                alone = analyze(EmbeddingProblem(seq, mu, point.n), q_set=(2.0,))
+                assert point.op_norm == pytest.approx(alone.op_norm, rel=1e-9)
+                assert point.schatten[2.0] == pytest.approx(
+                    alone.schatten[2.0], rel=1e-9)
+
     def test_rank_bound_atoms(self):
         seq = make_geometric(2.0, 2.0, 12)
         mu = atomic([(0.3, 1.0), (0.6, 0.5), (0.85, 0.25)])
