@@ -37,7 +37,8 @@ from .spectral import (Certificate, EmbeddingProblem, SpectralReport,
                        sublinear_embedding_bound)
 from .lp import (LpNormEstimate, certified_embedding_constant,
                  empirical_embedding_constant, interpolation_check,
-                 l1_unboundedness_witness, lebesgue_lp_norm, lp_norm)
+                 l1_unboundedness_witness, lebesgue_lp_norm, lp_norm,
+                 lp_norms)
 from .constructions import (Example1Build, Example2Build, build_example1,
                             build_example2, verify_example1, verify_example2)
 

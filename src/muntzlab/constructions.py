@@ -9,9 +9,23 @@ lambda ~ 1e18 and the second ~ 1e50, so positions are within 1e-18 of 1).
 
 The first construction produces an L^2-embedding measure that is not an
 L^1-embedding measure; the second, for given 0 < r < q, an embedding in the
-Schatten class S_q but not in S_r.  Verification re-checks every recorded
-inequality and raises ConstructionBugError on any violation, so a clean exit
-certifies the whole ledger.
+Schatten class S_q but not in S_r.
+
+Verification raises ConstructionBugError on the first violation of:
+
+- every per-step condition of the ledger, recomputed from the built
+  sequence and measure, and the ledger row's agreement with it.  Example 1:
+  the sum condition lam_n sum_{k<n} a_k^{lam_n} <= 1/n^2, the growth ratio
+  lam_n/(n^4 lam_{n-1}) >= 1 and the window n^2 a_n^{lam_n} in [1/2, 2].
+  Example 2: the four slack families of ``_example2_slacks`` (own-sum,
+  cross, ratio pairs, ratio single), each >= 0;
+- the conclusions.  Example 1: ||g_n||^2 <= C ln n/n^2 (C = EXAMPLE1_C0
+  unless a ``c_fit`` is given) and L^1 witnesses above their own-atom
+  terms.  Example 2: alpha_n^2/e <= ||g_n||^2 <= 1.5 alpha_n^2 and an
+  off-diagonal Hilbert-Schmidt sum below e/4.
+
+Operator norms, Schatten trends, partial sums and whether the L^1
+witnesses increase are reported, not checked.
 """
 
 from __future__ import annotations
@@ -140,9 +154,11 @@ class Example1Report:
 
 def verify_example1(build: Example1Build, c_fit: float | None = None,
                     *, tol: float = 1e-12) -> Example1Report:
-    """Re-verify both conclusions on the built ledger.
+    """Re-verify the ledger's per-step conditions and both conclusions.
 
-    L^2 side: ||g_n||^2_{L^2(mu)} <= C (ln n)/n^2 for n >= 2, with the
+    Ledger: the sum condition, growth ratio and window of every row,
+    recomputed from the built sequence and measure.  L^2 side:
+    ||g_n||^2_{L^2(mu)} <= C (ln n)/n^2 for n >= 2, with the
     a-priori C = EXAMPLE1_C0 unless ``c_fit`` gives another; the fitted
     constant max ||g_n||^2 n^2/ln n is reported beside it, together with the
     operator norms across truncations.  L^1 side: the
@@ -166,6 +182,7 @@ def verify_example1(build: Example1Build, c_fit: float | None = None,
             raise ConstructionBugError(
                 f"||g_{i+1}||^2 = {g_sq[i]:.6g} exceeds C ln n/n^2 = {bound:.6g}",
                 n=i + 1, residual=g_sq[i] - bound)
+    _check_example1_ledger(build, tol)
 
     witnesses = np.array([v for _, v in l1_unboundedness_witness(seq, mu)])
     own = np.exp(log_c + np.log(lams) + lams * log_a)
@@ -188,6 +205,46 @@ def verify_example1(build: Example1Build, c_fit: float | None = None,
                                  for i in range(1, n_max)]),
         witnesses_increasing=increasing, op_norms=tuple(op_norms),
         min_ratio=classify(seq).min_ratio)
+
+
+def _check_ledger_value(name: str, n: int, recorded: float, value: float,
+                        tol: float) -> None:
+    if not abs(recorded - value) <= tol * abs(value):
+        raise ConstructionBugError(
+            f"ledger row {n}: recorded {name} {float(recorded)!r} differs from "
+            f"the value {float(value)!r} recomputed from the build", n=n,
+            residual=recorded - value)
+
+
+def _check_example1_ledger(build: Example1Build, tol: float) -> None:
+    """Recompute the sum condition, growth ratio and window of every row
+    n >= 2 from the built sequence and measure."""
+    lams = build.sequence.values
+    log_a = build.measure.log_positions
+    for i, row in enumerate(build.rows[1:], start=1):
+        n, lam = i + 1, float(lams[i])
+        growth = lam / (n ** 4 * float(lams[i - 1]))
+        lhs_log = math.log(lam) + log_sum(lam * log_a[:i])
+        window = math.exp(2.0 * math.log(n) + lam * float(log_a[i]))
+        if growth < 1.0 - tol:
+            raise ConstructionBugError(
+                f"growth ratio lam_{n}/(n^4 lam_{n-1}) = {growth:.6g} below 1",
+                n=n, residual=1.0 - growth)
+        if lhs_log > -2.0 * math.log(n) + tol:
+            raise ConstructionBugError(
+                f"sum condition lam_{n} sum_k a_k^lam_{n} = {math.exp(lhs_log):.6g}"
+                f" exceeds 1/n^2 = {1.0 / n ** 2:.6g}", n=n,
+                residual=math.exp(lhs_log) - 1.0 / n ** 2)
+        if not 0.5 <= window <= 2.0:
+            raise ConstructionBugError(
+                f"window n^2 a_{n}^lam_{n} = {window:.6g} outside [1/2, 2]",
+                n=n, residual=window)
+        for name, recorded, value in (
+                ("lam", row.lam, lam), ("growth_ratio", row.growth_ratio, growth),
+                ("sum_condition_lhs", row.sum_condition_lhs, math.exp(lhs_log)),
+                ("sum_condition_rhs", row.sum_condition_rhs, 1.0 / n ** 2),
+                ("window", row.window, window)):
+            _check_ledger_value(name, n, recorded, value, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +385,29 @@ def _example2_slacks(n, cand, lams, la_prev, lc_prev, log_alpha):
     return (s_own, s_cross, s_pairs, s_single)
 
 
+def _check_example2_ledger(build: Example2Build, tol: float) -> None:
+    """Recompute the four slack families of every row n >= 2 from the built
+    sequence, measure and alphas; each must be >= 0 and match the row."""
+    lams = build.sequence.values.tolist()
+    log_a = build.measure.log_positions
+    log_c = build.measure.log_weights
+    log_alpha = np.log(build.alphas)
+    names = ("slack_own_sum", "slack_cross", "slack_ratio_pairs",
+             "slack_ratio_single")
+    for i, row in enumerate(build.rows[1:], start=1):
+        n = i + 1
+        slacks = _example2_slacks(n, lams[i], lams[:i], log_a[:i], log_c[:i],
+                                  log_alpha)
+        for name, value in zip(names, slacks):
+            if value < -tol:
+                raise ConstructionBugError(
+                    f"row {n}: {name} = {value:.6g} is negative", n=n,
+                    residual=-value)
+        for name, value in zip(names, slacks):
+            _check_ledger_value(name, n, getattr(row, name), value, tol)
+        _check_ledger_value("lam", n, row.lam, lams[i], tol)
+
+
 @dataclass(frozen=True)
 class Example2Report:
     norms_sq: np.ndarray          # ||i g_n||^2_{L^2(mu)}
@@ -344,12 +424,14 @@ class Example2Report:
 
 
 def verify_example2(build: Example2Build, *, tol: float = 1e-12) -> Example2Report:
-    """Check the displayed two-sided norm bounds, the off-diagonal
+    """Check the four recorded slack families, recomputed from the built
+    data, the displayed two-sided norm bounds and the off-diagonal
     Hilbert-Schmidt sum of the normalized image Gramian, and report the
     l^q / l^r partial-sum dichotomy with an analyze() cross-check."""
     seq, mu = build.sequence, build.measure
     n_max = build.n_max
     alphas = build.alphas
+    _check_example2_ledger(build, tol)
 
     a = measure_gram(seq, mu).entries
     norms_sq = np.diag(a).copy()

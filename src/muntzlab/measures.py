@@ -9,8 +9,9 @@ measures must satisfy ``mu({1}) = 0``.
 Moments ``integral x**s dmu`` are exact closed forms in the log domain for
 every variant (incomplete-Beta form for truncated power tails), safe for
 ``s`` up to ~1e12, and array-valued (:meth:`Measure.log_moments`; the
-scalar queries wrap it).  Generic integrals against user functions are
-delegated to quadrature in the tail variable ``t = 1 - x``.
+scalar queries wrap it).  Generic integrals against user functions run on
+one fixed :class:`~muntzlab.quadrature.QuadraturePlan` built from the
+flattened measure's density pieces, in the tail variable ``t = 1 - x``.
 
 Restrictions produced by :func:`restrict_tail` may carry zero mass (the
 embedding of an empty measure is the zero operator); explicit constructors
@@ -621,31 +622,24 @@ class MajorizationCheck:
     quadrature_error: float
 
 
-def integrate_against(mu: Measure, g, *, order: int = 24) -> tuple[float, float]:
+def integrate_against(mu: Measure, g, *, order: int = quadrature.DEFAULT_ORDER
+                      ) -> tuple[float, float]:
     """integral g dmu for a continuous g given as a vectorized callable of x.
 
     Atoms are evaluated directly (positions materialized from their logs, so
     extreme near-1 atoms lose position precision here; moment-type queries
-    should use :meth:`Measure.log_moments` instead).  Density parts integrate
-    in the tail variable with dyadic refinement toward 1.
+    should use :meth:`Measure.log_moments` instead).  Density parts run on
+    the measure's fixed quadrature plan in the tail variable.
     """
     flat = mu.flattened()
     total = 0.0
-    err = 0.0
     if flat.has_atoms:
         pos = np.exp(flat.log_positions)
         wts = np.exp(flat.log_weights)
         total += float(np.dot(wts, np.asarray(g(pos), dtype=float)))
-    for t_lo, t_hi, h, singular in flat.pieces:
-        def integrand(t, h=h):
-            return np.asarray(g(1.0 - np.asarray(t)), dtype=float) * h(t)
-        if t_lo == 0.0:
-            v, e = quadrature.integrate_refined_at_zero(integrand, t_hi, order=order)
-        else:
-            v, e = quadrature.integrate(integrand, t_lo, t_hi, order=order)
-        total += v
-        err += e
-    return total, err
+    plan = quadrature.QuadraturePlan.from_pieces(flat.pieces, order=order)
+    value, err, _ = plan.integrate(lambda t: g(1.0 - t))
+    return total + value, err
 
 
 def rho_majorization_check(mu: Measure, rho: RhoFunction, g, *,
@@ -663,12 +657,10 @@ def rho_majorization_check(mu: Measure, rho: RhoFunction, g, *,
             f"mu(J_eps) = {mass:.6g} exceeds rho(eps) = {bound:.6g} "
             f"at eps = {eps:.3g}")
     lhs, lhs_err = integrate_against(mu, g)
-
-    def integrand(t):
-        return np.asarray(g(1.0 - np.asarray(t)), dtype=float) \
-            * np.asarray(rho.derivative(t), dtype=float)
-
-    rhs, rhs_err = quadrature.integrate_refined_at_zero(integrand, 1.0)
+    # the right-hand side integrates g against the density rho'(t) on (0, 1]
+    rho_plan = quadrature.QuadraturePlan.from_pieces(
+        [(0.0, 1.0, rho.derivative, False)])
+    rhs, rhs_err, _ = rho_plan.integrate(lambda t: g(1.0 - t))
     slack = rhs - lhs
     scale = max(1.0, abs(rhs))
     return MajorizationCheck(lhs=lhs, rhs=rhs,

@@ -1,23 +1,39 @@
-"""Adaptive Gauss-Legendre quadrature with dyadic endpoint refinement.
+"""Gauss-Legendre quadrature in the tail variable ``t = 1 - x``.
 
-The integrals arising here (psi-function certificates, L^p norms of Muntz
-polynomials against density measures) are smooth away from the point 1,
-where the interesting structure lives at scales as small as ``1/lambda_max``.
-Tail integrals are therefore computed in the substituted variable
-``t = 1 - x`` on a dyadic partition refined toward ``t = 0``, with a fixed
-Gauss-Legendre rule per cell and adaptive bisection driven by an embedded
-lower-order estimate.
+The integrals arising here (L^p norms of Muntz polynomials and integrals of
+user functions against density measures, psi-function certificates) are
+smooth away from the point 1, where the interesting structure lives at
+scales as small as ``1/lambda_max``.  They are computed in ``t`` on cells
+graded dyadically toward ``t = 0``, with a fixed Gauss-Legendre rule per
+cell.
+
+:class:`QuadraturePlan` fixes those cells once per set of density pieces:
+each cell carries a coarse rule and the two-half rule, ``|fine - coarse|``
+is its error estimate, and the densities are folded into the weights when
+the plan is built, so integrands of many functions are weighted sums over
+one shared node array.  Pieces reaching ``x = 0`` (``t = 1``) are graded
+toward that end as well, so integrands like ``x**0.5`` converge there.
+Cells whose estimate stays above tolerance are handed to the adaptive
+:func:`integrate` (adaptive bisection driven by the same coarse/two-half
+comparison); :func:`integrate_refined_at_zero` is the adaptive dyadic
+scheme the spectral certificates use.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 DEFAULT_ORDER = 24
-DEFAULT_LEVELS = 54
+DEFAULT_LEVELS = 54      # dyadic levels toward t = 0 (x = 1)
+FAR_END_LEVELS = 40      # dyadic levels toward t = 1 (x = 0)
+INNER_LEVELS = 20        # dyadic levels toward an interior edge or a root
+PLAN_REL_TOL = 1e-12
+SCAN_DENSITY = 512       # sign-scan points per unit of t
 
 
 @functools.lru_cache(maxsize=32)
@@ -90,17 +106,248 @@ def integrate_refined_at_zero(f, width: float, *, order: int = DEFAULT_ORDER,
 
 def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-15,
                 max_iter: int = 200) -> float:
-    """Root of a scalar sign change bracketed by ``[lo, hi]``."""
-    flo = f(lo)
+    """Root of a scalar sign change bracketed by ``[lo, hi]``.
+
+    Illinois false-position steps (the endpoint kept twice in a row has its
+    value halved), with a plain bisection step whenever the last two steps
+    together failed to halve the bracket, so the bracket shrinks at least as
+    fast as under bisection at a third of the speed.  Stops when the bracket
+    is below ``tol * max(1, |mid|)``.
+    """
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    kept = 0            # -1: lo kept last step, +1: hi kept last step
+    bisect_next = False
+    before = hi - lo    # bracket width two steps back
     for _ in range(max_iter):
+        width = hi - lo
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(mid)):
+        if width <= tol * max(1.0, abs(mid)):
             return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
+        x = mid if bisect_next else (lo * fhi - hi * flo) / (fhi - flo)
+        if not lo < x < hi:
+            x = mid
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (flo < 0.0):
+            lo, flo = x, fx
+            if kept == +1:
+                fhi *= 0.5
+            kept = +1
         else:
-            hi = mid
+            hi, fhi = x, fx
+            if kept == -1:
+                flo *= 0.5
+            kept = -1
+        bisect_next = hi - lo > 0.5 * before
+        before = width
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# fixed plans
+# ---------------------------------------------------------------------------
+
+def graded_edges(a: float, b: float, levels_a: int = 0,
+                 levels_b: int = 0) -> np.ndarray:
+    """Cell edges of ``[a, b]`` graded dyadically toward ``a`` and/or ``b``.
+
+    Grading toward ``a`` gives the cells ``[a + d 2^-(j+1), a + d 2^-j]``,
+    ``j < levels_a``, plus the innermost cell ``[a, a + d 2^-levels_a]``, with
+    ``d`` the distance to the midpoint when both ends are graded and to the
+    other end otherwise; likewise toward ``b``.
+    """
+    if levels_a and levels_b:
+        m = 0.5 * (a + b)
+    else:
+        m = b if levels_a else a
+    parts = [[a]]
+    if levels_a:
+        parts.append(a + (m - a) * 2.0 ** -np.arange(levels_a, -1, -1, dtype=float))
+    if levels_b or not levels_a:
+        parts += [b - (b - m) * 2.0 ** -np.arange(1, levels_b + 1, dtype=float), [b]]
+    return np.concatenate(parts)
+
+
+def graded_rule(levels: int, order: int = DEFAULT_ORDER):
+    """:func:`cell_rule` nodes and weights on ``[0, 1]`` graded toward 0 over
+    ``levels`` levels; ``u + s * nodes`` with weights ``|s| * weights``
+    grades ``[u, u + s]`` toward ``u`` for either sign of ``s``."""
+    edges = graded_edges(0.0, 1.0, levels)
+    return cell_rule(edges[:-1], edges[1:], order)
+
+
+def cell_rule(lo, hi, order: int = DEFAULT_ORDER):
+    """Nodes and weights of the coarse and two-half rules on each cell.
+
+    Returns ``(nodes, weights)`` of shape ``(cells, 3*order)``: the first
+    ``order`` columns are the coarse rule on ``[lo, hi]``, the rest the rules
+    on its two halves.
+    """
+    x, w = _rule(order)
+    lo = np.asarray(lo, dtype=float)[:, None]
+    hi = np.asarray(hi, dtype=float)[:, None]
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    quarter = 0.5 * half
+    nodes = np.concatenate([mid + half * x, 0.5 * (lo + mid) + quarter * x,
+                            0.5 * (mid + hi) + quarter * x], axis=1)
+    weights = np.concatenate([half * w, quarter * w, quarter * w], axis=1)
+    return nodes, weights
+
+
+def coarse_fine(terms, order: int = DEFAULT_ORDER):
+    """``(fine, |fine - coarse|)`` per cell from weighted integrand values
+    laid out as in :func:`cell_rule`, summed along the last axis."""
+    coarse = terms[..., :order].sum(axis=-1)
+    fine = terms[..., order:].sum(axis=-1)
+    return fine, np.abs(fine - coarse)
+
+
+@dataclass(frozen=True)
+class QuadraturePlan:
+    """Fixed composite Gauss-Legendre rule in ``t`` over density pieces.
+
+    Built once from pieces ``(t_lo, t_hi, h, singular)`` and independent of
+    the integrand: ``nodes`` and ``weights`` are ``cell_rule`` arrays whose
+    weights already include ``h``.  ``edge_cell`` marks the innermost cells at
+    ``t = 0`` and ``t = 1``, whose whole value is counted as their error
+    (it bounds the error of integrands that are merely integrable there).
+    ``scan`` holds each cell's edges and its share of a uniform grid of
+    SCAN_DENSITY points per unit of ``t``, grouped by cell (``scan_start``)
+    and sorted within it: with the nodes, these are the points where sign
+    changes are looked for, so wide cells are scanned that densely too.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
+    piece: np.ndarray        # index into ``densities`` per cell
+    edge_cell: np.ndarray
+    scan: np.ndarray
+    scan_start: np.ndarray   # scan[scan_start[c]:scan_start[c + 1]] lie in cell c
+    densities: tuple
+    order: int
+
+    @classmethod
+    def from_pieces(cls, pieces, *, order: int = DEFAULT_ORDER) -> "QuadraturePlan":
+        """Cells per piece: graded toward ``t = 0`` over DEFAULT_LEVELS levels
+        when the piece reaches it and over INNER_LEVELS toward an interior
+        lower edge; also toward ``t = 1`` over FAR_END_LEVELS when it reaches
+        ``x = 0``."""
+        los, his, piece, edge, scan, scan_cell, densities = ([] for _ in range(7))
+        cells = 0
+        for k, (t_lo, t_hi, h, _singular) in enumerate(pieces):
+            at_zero, at_one = t_lo == 0.0, t_hi >= 1.0
+            edges = graded_edges(t_lo, t_hi,
+                                 DEFAULT_LEVELS if at_zero else INNER_LEVELS,
+                                 FAR_END_LEVELS if at_one else 0)
+            mark = np.zeros(edges.size - 1, dtype=bool)
+            mark[0] = at_zero
+            mark[-1] |= at_one
+            grid = np.linspace(t_lo, t_hi,
+                               int(math.ceil(SCAN_DENSITY * (t_hi - t_lo))) + 1)[1:-1]
+            ids = np.arange(edges.size - 1)
+            t = np.concatenate([edges[:-1], grid, edges[1:]])
+            owner = np.concatenate(
+                [ids, np.searchsorted(edges, grid, side="right") - 1, ids])
+            by_cell = np.lexsort((t, owner))
+            scan.append(t[by_cell])
+            scan_cell.append(cells + owner[by_cell])
+            los.append(edges[:-1])
+            his.append(edges[1:])
+            piece.append(np.full(edges.size - 1, k))
+            edge.append(mark)
+            densities.append(h)
+            cells += edges.size - 1
+        lo, hi, piece, edge, scan, scan_cell = (
+            np.concatenate(a) if a else np.zeros(0, dtype=dt)
+            for a, dt in ((los, float), (his, float), (piece, int), (edge, bool),
+                          (scan, float), (scan_cell, int)))
+        nodes, weights = cell_rule(lo, hi, order)
+        for k, h in enumerate(densities):
+            on = piece == k
+            weights[on] *= np.asarray(h(nodes[on]), dtype=float)
+        return cls(lo=lo, hi=hi, nodes=nodes, weights=weights, piece=piece,
+                   edge_cell=edge, scan=scan,
+                   scan_start=np.searchsorted(scan_cell, np.arange(cells + 1)),
+                   densities=tuple(densities), order=order)
+
+    @property
+    def cells(self) -> int:
+        return int(self.lo.size)
+
+    @property
+    def points(self) -> np.ndarray:
+        """Every point an integrand is sampled at: the nodes (row-major),
+        then the scan points."""
+        return np.concatenate([self.nodes.ravel(), self.scan])
+
+    def node_values(self, values):
+        """The node part of values at :attr:`points`, shaped ``(..., cells,
+        3*order)``."""
+        return values[..., :self.nodes.size].reshape(
+            values.shape[:-1] + self.nodes.shape)
+
+    def sign_change_cells(self, values):
+        """Cells where the values at :attr:`points` in the cell (edges
+        included) take both signs, shape ``(..., cells)``."""
+        scan = values[..., self.nodes.size:]
+
+        def any_in_cell(mask):
+            counts = np.cumsum(mask, axis=-1)
+            counts = np.concatenate([np.zeros(counts.shape[:-1] + (1,), int),
+                                     counts], axis=-1)
+            return (counts[..., self.scan_start[1:]]
+                    > counts[..., self.scan_start[:-1]])
+
+        nodes = self.node_values(values)
+        pos = (nodes > 0.0).any(axis=-1) | any_in_cell(scan > 0.0)
+        neg = (nodes < 0.0).any(axis=-1) | any_in_cell(scan < 0.0)
+        return pos & neg
+
+    def cell_samples(self, cell: int, values):
+        """``(t, v)`` of one row's values at every point of ``cell``, edges
+        included, sorted by ``t``."""
+        group = slice(self.scan_start[cell], self.scan_start[cell + 1])
+        t = np.concatenate([self.nodes[cell], self.scan[group]])
+        v = np.concatenate([self.node_values(values)[cell],
+                            values[self.nodes.size:][group]])
+        order = np.argsort(t, kind="stable")
+        return t[order], v[order]
+
+    def cell_sums(self, values):
+        """Per-cell ``(fine, error)`` of integrand values at ``nodes``.
+
+        ``values`` has shape ``(..., cells, 3*order)``; rows along the leading
+        axes are summed independently, so a row's result does not depend on
+        the rows batched with it.
+        """
+        fine, err = coarse_fine(values * self.weights, self.order)
+        return fine, np.where(self.edge_cell, np.abs(fine), err)
+
+    def loose_cells(self, err, total):
+        """Cells whose error exceeds PLAN_REL_TOL of the (row) total; the
+        innermost edge cells are never re-integrated."""
+        return (err > PLAN_REL_TOL * np.abs(np.asarray(total))[..., None]) \
+            & ~self.edge_cell
+
+    def integrate(self, fn) -> tuple[float, float, int]:
+        """Integral of ``fn(t) * h(t)`` over every piece, as ``(value, error
+        estimate, cells re-integrated adaptively)``."""
+        if self.cells == 0:
+            return 0.0, 0.0, 0
+        values = np.asarray(fn(self.nodes.ravel()), dtype=float)
+        fine, err = self.cell_sums(values.reshape(self.nodes.shape))
+        loose = np.nonzero(self.loose_cells(err, fine.sum()))[0]
+        for c in loose:
+            h = self.densities[self.piece[c]]
+            fine[c], err[c] = integrate(
+                lambda t, h=h: np.asarray(fn(t), dtype=float) * h(t),
+                float(self.lo[c]), float(self.hi[c]))
+        return float(fine.sum()), float(err.sum()), int(loose.size)

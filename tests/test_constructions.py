@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from muntzlab import (ConstructionBugError, Example1Build,
-                      InvalidParameterError, atomic_from_logs, build_example1,
-                      build_example2, classify, find_blocks, verify_example1,
+                      InvalidParameterError, LambdaSequence, atomic_from_logs,
+                      build_example1, build_example2, classify, find_blocks,
+                      l1_unboundedness_witness, verify_example1,
                       verify_example2)
 from muntzlab.constructions import EXAMPLE1_C0
 
@@ -123,11 +125,41 @@ class TestExample1Verify:
             ([0.0], math.log(2.0) + ln_n + np.log(ln_n) - np.log(lams[1:])))
         mutant = Example1Build(rows=build.rows, sequence=build.sequence,
                                measure=atomic_from_logs(log_a, log_c))
-        with pytest.raises(ConstructionBugError):
+        with pytest.raises(ConstructionBugError, match=r"exceeds C ln n/n\^2"):
             verify_example1(mutant)
-        report = verify_example1(mutant, c_fit=math.inf)
-        assert report.c_fit > EXAMPLE1_C0
-        assert report.witnesses_increasing
+        # without the C0 clause the recomputed ledger window n^2 a_n^lam_n,
+        # ~n for these atoms, rejects it
+        with pytest.raises(ConstructionBugError, match="window"):
+            verify_example1(mutant, c_fit=math.inf)
+        g_sq = lams * np.exp(mutant.measure.log_moments(2.0 * lams))
+        c_fit = max(g_sq[i] * (i + 1) ** 2 / math.log(i + 1)
+                    for i in range(1, build.n_max))
+        assert c_fit > EXAMPLE1_C0
+        witnesses = [v for _, v in l1_unboundedness_witness(mutant.sequence,
+                                                             mutant.measure)]
+        assert np.all(np.diff(witnesses) > 0.0)
+
+    @pytest.mark.parametrize("field", ["lam", "growth_ratio", "sum_condition_lhs",
+                                       "window"])
+    def test_tampered_row_raises(self, ex1, field):
+        build, _ = ex1
+        rows = list(build.rows)
+        rows[2] = dataclasses.replace(rows[2], **{field: getattr(rows[2], field) * 1.01})
+        with pytest.raises(ConstructionBugError, match=field):
+            verify_example1(dataclasses.replace(build, rows=tuple(rows)))
+
+    def test_tampered_exponent_breaks_growth(self, ex1):
+        # lam_5 halved below 5^4 lam_4, in the row and the sequence alike
+        build, _ = ex1
+        lams = np.array(build.sequence.values)
+        lams[4] = 0.5 * 5 ** 4 * lams[3]
+        rows = list(build.rows)
+        rows[4] = dataclasses.replace(rows[4], lam=lams[4])
+        tampered = dataclasses.replace(build, rows=tuple(rows),
+                                       sequence=LambdaSequence(lams))
+        with pytest.raises(ConstructionBugError, match="growth ratio") as exc:
+            verify_example1(tampered, c_fit=math.inf)
+        assert exc.value.n == 5
 
 
 class TestExample2Build:
@@ -180,6 +212,31 @@ class TestExample2Build:
 
 
 class TestExample2Verify:
+    @pytest.mark.parametrize("field", ["slack_own_sum", "slack_cross",
+                                       "slack_ratio_pairs", "slack_ratio_single"])
+    def test_tampered_row_raises(self, ex2, field):
+        build, _ = ex2
+        rows = list(build.rows)
+        rows[3] = dataclasses.replace(rows[3], **{field: getattr(rows[3], field) + 0.5})
+        with pytest.raises(ConstructionBugError, match=field):
+            verify_example2(dataclasses.replace(build, rows=tuple(rows)))
+
+    def test_halved_exponent_breaks_slacks(self, ex2):
+        # lam_3 halved in the row and the sequence alike: the single-index
+        # ratio condition alpha_3^2 sqrt(lam_i/lam_3) <= ... loses
+        # ln(2)/2 > its slack
+        build, _ = ex2
+        lams = np.array(build.sequence.values)
+        lams[2] *= 0.5
+        rows = list(build.rows)
+        rows[2] = dataclasses.replace(rows[2], lam=lams[2])
+        tampered = dataclasses.replace(build, rows=tuple(rows),
+                                       sequence=LambdaSequence(lams))
+        with pytest.raises(ConstructionBugError,
+                           match="slack_ratio_single .* is negative") as exc:
+            verify_example2(tampered)
+        assert exc.value.n == 3
+
     def test_two_sided_bounds(self, ex2):
         build, report = ex2
         assert np.all(report.norms_sq >= report.lower_bounds * (1 - 1e-12))

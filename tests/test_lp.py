@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from muntzlab import (EmbeddingProblem, InvalidParameterError, MuntzPolynomial,
                       analyze, atomic, certified_embedding_constant,
                       empirical_embedding_constant, interpolation_check,
                       l1_unboundedness_witness, lebesgue, lebesgue_lp_norm,
-                      lp_norm, make_explicit, make_geometric, point_mass,
-                      random_unit)
+                      lp_norm, lp_norms, make_explicit, make_geometric,
+                      point_mass, random_unit)
 
 
 class TestLpNorm:
@@ -174,3 +176,132 @@ class TestL1Witness:
         for v, l in zip(values, lam):
             assert v == pytest.approx(l / (l + 1.0), rel=1e-12)
             assert v < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the quadrature plan: batched rows, kinks, the x = 0 end, error estimates
+# ---------------------------------------------------------------------------
+
+def _mp_pieces(mu):
+    """Density pieces ``(x_lo, x_hi, h)`` of the test measures in mpmath."""
+    if isinstance(mu, ScaledMeasure):
+        return [(a, b, lambda x, h=h: mpmath.mpf(mu.scale) * h(x))
+                for a, b, h in _mp_pieces(mu.inner)]
+    if isinstance(mu, PiecewiseDensityMeasure):
+        return [(mpmath.mpf(float(a)), mpmath.mpf(float(b)),
+                 lambda x, d=mpmath.mpf(float(d)): d)
+                for a, b, d in zip(mu.breakpoints[:-1], mu.breakpoints[1:],
+                                   mu.densities) if d > 0.0]
+    c, a = mpmath.mpf(mu.coefficient), mpmath.mpf(mu.alpha)
+    return [(mpmath.mpf(mu.x0), mpmath.mpf(1),
+             lambda x: c * a * (1 - x) ** (a - 1))]
+
+
+def _mp_norm(lams, coeffs, p, mu):
+    """30-digit ||f||_{L^p(mu)}, quad split at the mpmath roots of f (sign
+    changes on a fine grid, refined by findroot) and the piece edges."""
+    with mpmath.workdps(30):
+        lams = [mpmath.mpf(float(v)) for v in lams]
+        cs = [mpmath.mpf(float(v)) for v in coeffs]
+        p = mpmath.mpf(p)
+
+        def f(x):
+            return mpmath.fsum(c * x ** v for c, v in zip(cs, lams))
+
+        grid = [mpmath.mpf(k) / 1000 for k in range(1, 1000)]
+        grid += [1 - mpmath.mpf(2) ** -j for j in range(10, 30)]
+        grid.sort()
+        roots = [mpmath.findroot(f, (a, b), solver="illinois")
+                 for a, b in zip(grid[:-1], grid[1:]) if f(a) * f(b) < 0]
+        total = mpmath.mpf(0)
+        for lo, hi, h in _mp_pieces(mu):
+            near_one = [1 - mpmath.mpf(2) ** -j for j in range(1, 12)]
+            cuts = sorted({lo, hi, *[x for x in roots + near_one if lo < x < hi]})
+            total += mpmath.quad(lambda x: abs(f(x)) ** p * h(x), cuts)
+        return total ** (1 / p), len(roots)
+
+
+# x * prod (x - r): one, two and three sign changes in (0, 1) on the
+# exponents 1..4, the last with a root at t = 0.03
+_ROOTS = ((0.6, -1.0, -2.0), (0.3, 0.8, -1.0), (0.2, 0.55, 0.97))
+_PLAN_SEQ = make_explicit([1.0, 2.0, 3.0, 4.0])
+_PLAN_COEFFS = np.array([np.poly(r)[::-1] for r in _ROOTS])
+_PLAN_MEASURES = {
+    "lebesgue": lebesgue(),
+    "piecewise": PiecewiseDensityMeasure(np.array([0.0, 0.5, 1.0]),
+                                         np.array([0.5, 2.0])),
+    "powertail": PowerTailMeasure(1.0, 2.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _plan_reference(name, p, k):
+    return _mp_norm(_PLAN_SEQ.values, _PLAN_COEFFS[k], p, _PLAN_MEASURES[name])
+
+
+class TestQuadraturePlan:
+    @pytest.mark.parametrize("name", sorted(_PLAN_MEASURES))
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 3.0])
+    def test_sign_changes_against_mpmath(self, name, p):
+        got = lp_norms(_PLAN_SEQ, _PLAN_COEFFS, p, _PLAN_MEASURES[name])
+        for k, est in enumerate(got):
+            ref, n_roots = _plan_reference(name, p, k)
+            assert n_roots == k + 1
+            assert est.value == pytest.approx(float(ref), rel=1e-12)
+            assert est.fallback_cells == 0
+
+    def test_batched_rows_bit_identical_to_single_calls(self):
+        seq = make_geometric(0.7, 1.8, 5)
+        rng = np.random.default_rng(17)
+        coeffs = rng.standard_normal((150, 5))      # more than one row chunk
+        for mu in (lebesgue(), PowerTailMeasure(1.0, 2.0),
+                   _PLAN_MEASURES["piecewise"],
+                   atomic([(0.4, 1.0), (0.8, 0.5)])):
+            batch = lp_norms(seq, coeffs, 4.0 / 3.0, mu)
+            for k in range(0, 150, 7):
+                assert batch[k] == lp_norm(MuntzPolynomial(seq, coeffs[k]),
+                                           4.0 / 3.0, mu)
+
+    def test_interpolation_records_match_single_calls(self):
+        seq = make_geometric(2.0, 2.0, 6)
+        mu = _PLAN_MEASURES["piecewise"]
+        rep = interpolation_check(seq, mu, 1.0, 2.0, 0.5, n=5, samples=70,
+                                  seed=4, keep_records=True)
+        rng = np.random.default_rng(4)
+        sub = seq.truncate(5)
+        for i, lhs, rhs in rep.records:
+            f = random_unit(sub, rng, bias_last=(i % 2 == 1))
+            assert lhs == lp_norm(f, rep.p_t, mu).value
+            assert rhs == rep.c0 ** 0.5 * rep.c1 ** 0.5 \
+                * lebesgue_lp_norm(f, rep.p_t).value
+
+    def test_lebesgue_interpolation_slack_exactly_zero(self):
+        seq = make_geometric(2.0, 2.0, 6)
+        for t in (0.25, 0.5, 0.75):
+            rep = interpolation_check(seq, lebesgue(), 1.0, 2.0, t, n=5,
+                                      samples=40, seed=9)
+            assert rep.max_slack == 0.0
+
+    @pytest.mark.parametrize("lam_p", [0.5, 0.65, 0.8])
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 3.0])
+    def test_x_zero_endpoint_closed_forms(self, lam_p, p):
+        # x^lam with lam p < 1 has an infinite slope of |f|^p at x = 0
+        f = MuntzPolynomial(make_explicit([lam_p / p]), np.array([1.0]))
+        leb = lp_norm(f, p, lebesgue()).value ** p
+        assert leb == pytest.approx(1.0 / (lam_p + 1.0), rel=1e-13)
+        tail = lp_norm(f, p, PowerTailMeasure(1.0, 2.0)).value ** p
+        assert tail == pytest.approx(
+            2.0 * (1.0 / (lam_p + 1.0) - 1.0 / (lam_p + 2.0)), rel=1e-13)
+
+    @pytest.mark.parametrize("p", [4.0 / 3.0, 3.0])
+    def test_reported_error_bounds_true_error(self, p):
+        for name in ("lebesgue", "powertail"):
+            got = lp_norms(_PLAN_SEQ, _PLAN_COEFFS, p, _PLAN_MEASURES[name])
+            for k, est in enumerate(got):
+                ref, _ = _plan_reference(name, p, k)
+                true_err = abs(mpmath.mpf(est.value) - ref)
+                assert true_err <= est.quadrature_error <= 1e-12
+
+    def test_row_validation(self):
+        with pytest.raises(InvalidParameterError):
+            lp_norms(_PLAN_SEQ, np.ones((2, 3)), 2.0, lebesgue())

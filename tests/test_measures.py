@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from muntzlab.measures import integrate_against
 from muntzlab import (HypothesisViolationError, InvalidParameterError,
                       PiecewiseDensityMeasure, PowerTailMeasure, ScaledMeasure,
                       SumMeasure, atomic, atomic_from_logs, lebesgue,
@@ -291,6 +292,28 @@ class TestRhoMajorization:
             rho_majorization_check(ScaledMeasure(3.0, lebesgue()),
                                    power_rho(1.0, 1.0),
                                    lambda x: np.asarray(x))
+
+
+class TestIntegrateAgainst:
+    @pytest.mark.parametrize("s", [0.5, 3.0, 40.0])
+    def test_moments_on_the_plan(self, s):
+        # the plan grades toward both x = 1 and x = 0, so x^0.5 is exact too
+        piecewise = PiecewiseDensityMeasure(np.array([0.0, 0.3, 0.7, 1.0]),
+                                            np.array([1.0, 0.0, 2.0]))
+        for mu in (lebesgue(), PowerTailMeasure(1.5, 2.5, x0=0.2), piecewise,
+                   SumMeasure((ScaledMeasure(0.5, lebesgue()), point_mass(0.4)))):
+            value, err = integrate_against(mu, lambda x: np.asarray(x) ** s)
+            assert value == pytest.approx(moment(mu, s), rel=1e-13)
+            assert err <= 1e-13 * value
+
+    def test_power_rho_rhs_closed_form(self):
+        # integral_0^1 x^s rho'(1 - x) dx = C alpha B(s + 1, alpha)
+        rho = power_rho(2.0, 1.5)
+        for s in (0.5, 7.0):
+            res = rho_majorization_check(PowerTailMeasure(1.0, 2.0), rho,
+                                         lambda x, s=s: np.asarray(x) ** s)
+            exact = 2.0 * 1.5 * float(mp.beta(s + 1.0, 1.5))
+            assert res.rhs == pytest.approx(exact, rel=1e-13)
 
 
 class TestValidation:
