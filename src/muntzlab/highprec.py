@@ -39,12 +39,6 @@ def distance_oracle(lams, n: int, prec_bits: int = DEFAULT_PREC_BITS) -> float:
         return float(mp.sqrt(1 / y[n - 1]))
 
 
-def gram_determinant(lams, prec_bits: int = DEFAULT_PREC_BITS) -> float:
-    """det of the raw Lebesgue Gramian in extended precision."""
-    with mp.workprec(prec_bits):
-        return float(mp.det(_gram(list(lams))))
-
-
 def generalized_singular_values(a, b, prec_bits: int = DEFAULT_PREC_BITS) -> np.ndarray:
     """Singular values of the embedding pencil (A, B) in extended precision.
 

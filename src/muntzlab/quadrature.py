@@ -12,11 +12,19 @@ each cell carries a coarse rule and the two-half rule, ``|fine - coarse|``
 is its error estimate, and the densities are folded into the weights when
 the plan is built, so integrands of many functions are weighted sums over
 one shared node array.  Pieces reaching ``x = 0`` (``t = 1``) are graded
-toward that end as well, so integrands like ``x**0.5`` converge there.
-Cells whose estimate stays above tolerance are handed to the adaptive
-:func:`integrate` (adaptive bisection driven by the same coarse/two-half
-comparison); :func:`integrate_refined_at_zero` is the adaptive dyadic
-scheme the spectral certificates use.
+toward that end as well, so integrands like ``x**0.5`` converge there; every
+node lies strictly inside its piece.  Cells whose estimate stays above
+tolerance are handed to the adaptive :func:`integrate`.
+
+The adaptive routines bisect a cell until its rule agrees with the sum over
+its two halves.  They run breadth first over many intervals at once: each
+round evaluates the halves of every open cell in one integrand call (split
+at MAX_POINTS points), and a cell's accept test depends on that cell alone,
+so the leaves, the number of abscissae and the values are those of a
+depth-first recursion.  :func:`integrate` is the one-interval case;
+:func:`integrate_refined_at_zero`, the dyadic scheme the psi, rho and
+Hilbert-Schmidt certificates use, refines its cells toward ``t = 0`` all
+together, to depth 4 each.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ FAR_END_LEVELS = 40      # dyadic levels toward t = 1 (x = 0)
 INNER_LEVELS = 20        # dyadic levels toward an interior edge or a root
 PLAN_REL_TOL = 1e-12
 SCAN_DENSITY = 512       # sign-scan points per unit of t
+MAX_POINTS = 2048        # most abscissae one call of an adaptive integrand sees
 
 
 @functools.lru_cache(maxsize=32)
@@ -42,12 +51,56 @@ def _rule(order: int):
     return nodes, weights
 
 
-def _cell(f, a: float, b: float, order: int) -> float:
+def _cells(f, lo, hi, order: int) -> np.ndarray:
+    """Gauss-Legendre values on the cells ``[lo_i, hi_i]``.
+
+    ``f`` sees the nodes of consecutive cells in calls of at most MAX_POINTS
+    points.  Each cell's weighted sum is its own dot product, so a cell's value
+    does not depend on the cells evaluated with it.
+    """
     nodes, weights = _rule(order)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = f(mid + half * nodes)
-    return half * float(np.dot(weights, vals))
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    t = (mid[:, None] + half[:, None] * nodes).ravel()
+    vals = np.concatenate([np.asarray(f(t[i:i + MAX_POINTS]), dtype=float)
+                           for i in range(0, t.size, MAX_POINTS)])
+    sums = np.fromiter(map(weights.dot, vals.reshape(-1, order)), dtype=float,
+                       count=lo.size)
+    return half * sums
+
+
+def _adaptive(f, lo, hi, coarse, *, order: int, rel_tol: float,
+              max_depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive bisection of every interval ``[lo_i, hi_i]`` with its one-rule
+    value ``coarse_i``, breadth first: each round evaluates both halves of
+    every open cell in one pass of :func:`_cells`.
+
+    A cell is accepted when its two halves sum to within ``rel_tol`` of its
+    own value, or at ``max_depth``; this depends on the cell alone, so the
+    leaves are those of a depth-first recursion.  Leaf values are summed back
+    up the tree pairwise (left + right), as that recursion returns them.
+    Returns ``(value, error estimate)`` per interval.
+    """
+    rounds = []
+    depth = 0
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        edges_lo = np.stack([lo, mid], axis=1).ravel()
+        edges_hi = np.stack([mid, hi], axis=1).ravel()
+        halves = _cells(f, edges_lo, edges_hi, order)
+        fine = halves[0::2] + halves[1::2]
+        err = np.abs(fine - coarse)
+        split = ~(err <= rel_tol * (np.abs(fine) + 1e-300)) & (depth < max_depth)
+        rounds.append((fine, err, split))
+        pairs = np.repeat(split, 2)
+        lo, hi, coarse = edges_lo[pairs], edges_hi[pairs], halves[pairs]
+        depth += 1
+    value = err = np.zeros(0)
+    for fine, cell_err, split in reversed(rounds):
+        fine[split] = value[0::2] + value[1::2]
+        cell_err[split] = err[0::2] + err[1::2]
+        value, err = fine, cell_err
+    return value, err
 
 
 def integrate(f, a: float, b: float, *, order: int = DEFAULT_ORDER,
@@ -60,21 +113,10 @@ def integrate(f, a: float, b: float, *, order: int = DEFAULT_ORDER,
     """
     if not b > a:
         return 0.0, 0.0
-
-    def recurse(lo, hi, coarse, depth):
-        mid = 0.5 * (lo + hi)
-        left = _cell(f, lo, mid, order)
-        right = _cell(f, mid, hi, order)
-        fine = left + right
-        err = abs(fine - coarse)
-        if err <= rel_tol * (abs(fine) + 1e-300) or depth >= max_depth:
-            return fine, err
-        lv, le = recurse(lo, mid, left, depth + 1)
-        rv, re = recurse(mid, hi, right, depth + 1)
-        return lv + rv, le + re
-
-    coarse = _cell(f, a, b, order)
-    return recurse(a, b, coarse, 0)
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    value, err = _adaptive(f, lo, hi, _cells(f, lo, hi, order), order=order,
+                           rel_tol=rel_tol, max_depth=max_depth)
+    return float(value[0]), float(err[0])
 
 
 def integrate_refined_at_zero(f, width: float, *, order: int = DEFAULT_ORDER,
@@ -82,26 +124,27 @@ def integrate_refined_at_zero(f, width: float, *, order: int = DEFAULT_ORDER,
                               rel_tol: float = 1e-12) -> tuple[float, float]:
     """Integrate ``f`` over ``(0, width]`` with dyadic refinement toward 0.
 
-    Cells are ``[width*2^-(j+1), width*2^-j]`` for ``j = 0..levels-1`` plus
-    the residual sliver ``(0, width*2^-levels]``, which is integrated by a
-    single rule (its contribution bounds the reported error for integrands
-    that are merely integrable at 0).
+    Cells are ``[width*2^-(j+1), width*2^-j]`` for ``j = 0..levels-1``, each
+    refined adaptively to depth 4, plus the residual sliver
+    ``(0, width*2^-levels]``, which is integrated by a single rule (its
+    contribution bounds the reported error for integrands that are merely
+    integrable at 0).
     """
     if width <= 0.0:
         return 0.0, 0.0
+    hi = width * 2.0 ** -np.arange(levels + 1.0)
+    lo = np.append(hi[1:], 0.0)
+    # the dyadic cells and the sliver share the first pass of single rules
+    rules = _cells(f, lo, hi, order)
+    values, errs = _adaptive(f, lo[:-1], hi[:-1], rules[:-1], order=order,
+                             rel_tol=rel_tol, max_depth=4)
     total = 0.0
     err = 0.0
-    hi = width
-    for _ in range(levels):
-        lo = 0.5 * hi
-        v, e = integrate(f, lo, hi, order=order, rel_tol=rel_tol, max_depth=4)
+    for v, e in zip(values.tolist(), errs.tolist()):    # in order, level by level
         total += v
         err += e
-        hi = lo
-    sliver = _cell(f, 0.0, hi, order)
-    total += sliver
-    err += abs(sliver)
-    return total, err
+    sliver = float(rules[-1])
+    return total + sliver, err + abs(sliver)
 
 
 def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-15,
@@ -270,6 +313,11 @@ class QuadraturePlan:
             for a, dt in ((los, float), (his, float), (piece, int), (edge, bool),
                           (scan, float), (scan_cell, int)))
         nodes, weights = cell_rule(lo, hi, order)
+        # an outer node of the innermost cell at t = 1 of a narrow piece can
+        # round onto t = 1 (x = 0); keep every node strictly inside its piece
+        ends = np.array([p[:2] for p in pieces], dtype=float).reshape(-1, 2)[piece]
+        nodes = np.clip(nodes, np.nextafter(ends[:, :1], np.inf),
+                        np.nextafter(ends[:, 1:], -np.inf))
         for k, h in enumerate(densities):
             on = piece == k
             weights[on] *= np.asarray(h(nodes[on]), dtype=float)

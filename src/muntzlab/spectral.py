@@ -108,13 +108,18 @@ class Certificate:
 def measure_gram(seq: LambdaSequence, mu: Measure, n: int | None = None) -> GramMatrix:
     """mu-Gramian A_nm = sqrt(lambda_n lambda_m) * integral x**(l_n+l_m) dmu.
 
-    One array of log moments, materialized and then normalized in the
-    linear domain; entries that underflow to zero are permitted.
+    One array of log moments over the upper triangle (the orders
+    lambda_n + lambda_m are symmetric), mirrored, materialized and then
+    normalized in the linear domain; entries that underflow to zero are
+    permitted.
     """
     n = len(seq) if n is None else n
     lam = seq.truncate(n).values
     root = np.sqrt(lam)
-    moments = np.exp(mu.log_moments(lam[:, None] + lam[None, :]))
+    rows, cols = np.triu_indices(lam.size)
+    moments = np.empty((lam.size, lam.size))
+    moments[rows, cols] = np.exp(mu.log_moments(lam[rows] + lam[cols]))
+    moments[cols, rows] = moments[rows, cols]
     return GramMatrix(np.outer(root, root) * moments, basis="normalized",
                       measure="mu")
 
@@ -285,18 +290,26 @@ def _squared_majorant_logs(psi: PsiEvaluator, log_x: float,
 def _unsound_tail_width(psi: PsiEvaluator, transform) -> float:
     """Width t* such that the majorant is tail-unsound for 1-x < t*.
 
-    The last-term ratio is monotone in x, so a dyadic scan from t = 1 down
-    locates the soundness boundary; 0 means sound everywhere.
+    The probes are the dyadic t = 2^-j, j = 0..1074 (t = 1 taken as 1 - 1e-16).
+    The last-term ratio is monotone in x, so the unsound probes are a final
+    run of j; bisection finds its first j, and t* = min(2^(1-j), 1).  0 means
+    sound at every probe.  A probe whose x rounds to 1 (under the big
+    transform's quarter power, from t = 2^-1073 on) counts as unsound.
     """
-    t = 1.0
-    for _ in range(1080):
-        probe = min(t, 1.0 - 1e-16)
-        if not _squared_majorant_logs(psi, math.log1p(-probe), transform)[1]:
-            return min(2.0 * t, 1.0)
-        t *= 0.5
-        if t == 0.0:
-            break
-    return 0.0
+    def unsound(j: int) -> bool:
+        log_x = math.log1p(-min(2.0 ** -j, 1.0 - 1e-16))
+        if (0.25 * log_x if transform == "big" else log_x) == 0.0:
+            return True
+        return not _squared_majorant_logs(psi, log_x, transform)[1]
+
+    sound, first_unsound = -1, 1075          # bracket of virtual probes
+    while first_unsound - sound > 1:
+        j = (sound + first_unsound) // 2
+        if unsound(j):
+            first_unsound = j
+        else:
+            sound = j
+    return 0.0 if first_unsound == 1075 else min(2.0 ** (1 - first_unsound), 1.0)
 
 
 def _psi_squared_integral(mu: Measure, psi: PsiEvaluator,

@@ -3,9 +3,69 @@ import math
 import numpy as np
 import pytest
 
-from muntzlab.quadrature import (DEFAULT_LEVELS, FAR_END_LEVELS,
-                                 QuadraturePlan, bisect_root, graded_edges,
-                                 integrate, integrate_refined_at_zero)
+from muntzlab.measures import PiecewiseDensityMeasure, PowerTailMeasure
+from muntzlab.quadrature import (DEFAULT_LEVELS, DEFAULT_ORDER, FAR_END_LEVELS,
+                                 MAX_POINTS, QuadraturePlan, bisect_root,
+                                 graded_edges, integrate,
+                                 integrate_refined_at_zero)
+
+
+# The depth-first recursion the breadth-first integrator replaced, kept as its
+# oracle: both must visit the same cells, hence evaluate as many points.
+
+def _dfs_cell(f, a, b, order=DEFAULT_ORDER):
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return half * float(np.dot(weights, f(mid + half * nodes)))
+
+
+def _dfs_integrate(f, a, b, rel_tol=1e-12, max_depth=14):
+    def recurse(lo, hi, coarse, depth):
+        mid = 0.5 * (lo + hi)
+        left = _dfs_cell(f, lo, mid)
+        right = _dfs_cell(f, mid, hi)
+        fine = left + right
+        err = abs(fine - coarse)
+        if err <= rel_tol * (abs(fine) + 1e-300) or depth >= max_depth:
+            return fine, err
+        lv, le = recurse(lo, mid, left, depth + 1)
+        rv, re = recurse(mid, hi, right, depth + 1)
+        return lv + rv, le + re
+
+    return recurse(a, b, _dfs_cell(f, a, b), 0)
+
+
+def _dfs_refined_at_zero(f, width, levels=DEFAULT_LEVELS, rel_tol=1e-12):
+    total = err = 0.0
+    hi = width
+    for _ in range(levels):
+        lo = 0.5 * hi
+        v, e = _dfs_integrate(f, lo, hi, rel_tol=rel_tol, max_depth=4)
+        total += v
+        err += e
+        hi = lo
+    sliver = _dfs_cell(f, 0.0, hi)
+    return total + sliver, err + abs(sliver)
+
+
+def _counted(f):
+    sizes = []
+
+    def g(t):
+        sizes.append(np.size(t))
+        return f(np.asarray(t, dtype=float))
+    return g, sizes
+
+
+S_SHARP = 1e9
+INTEGRANDS = {
+    "x^7": lambda x: x ** 7,
+    "sin 40x": lambda x: np.sin(40.0 * x),
+    "t^-1/2": lambda t: t ** -0.5,
+    "s e^-st": lambda t: S_SHARP * np.exp(-S_SHARP * t),
+    "kink": lambda t: np.abs(t - 1.0 / 3.0) ** 1.5,
+}
 
 
 class TestIntegrate:
@@ -21,6 +81,40 @@ class TestIntegrate:
 
     def test_empty_interval(self):
         assert integrate(lambda x: x, 1.0, 1.0) == (0.0, 0.0)
+
+
+class TestBreadthFirstMatchesRecursion:
+    @pytest.mark.parametrize("name", sorted(INTEGRANDS))
+    @pytest.mark.parametrize("b", [1.0, math.pi])
+    def test_integrate(self, name, b):
+        new, new_sizes = _counted(INTEGRANDS[name])
+        old, old_sizes = _counted(INTEGRANDS[name])
+        value, err = integrate(new, 0.0, b)
+        ref_value, ref_err = _dfs_integrate(old, 0.0, b)
+        assert sum(new_sizes) == sum(old_sizes)
+        assert value == pytest.approx(ref_value, rel=1e-14)
+        assert err == pytest.approx(ref_err, rel=1e-14, abs=1e-300)
+        assert len(new_sizes) < len(old_sizes)
+
+    @pytest.mark.parametrize("name", sorted(INTEGRANDS))
+    def test_refined_at_zero(self, name):
+        new, new_sizes = _counted(INTEGRANDS[name])
+        old, old_sizes = _counted(INTEGRANDS[name])
+        value, err = integrate_refined_at_zero(new, 1.0)
+        ref_value, ref_err = _dfs_refined_at_zero(old, 1.0)
+        assert sum(new_sizes) == sum(old_sizes)
+        assert value == pytest.approx(ref_value, rel=1e-14)
+        assert err == pytest.approx(ref_err, rel=1e-14, abs=1e-300)
+        # one pass of single rules over the 54 cells and the sliver, then at
+        # most two calls per refinement round (<= 54 cells x 48 points)
+        assert len(new_sizes) <= 1 + 2 * 5
+
+    def test_never_converging_is_chunked(self):
+        f, sizes = _counted(lambda t: np.sin(1e9 * t))
+        integrate(f, 0.0, 1.0, max_depth=14)
+        assert max(sizes) <= MAX_POINTS
+        # every cell down to depth 14 was opened: 2^15 - 1 cells of 48 points
+        assert sum(sizes) == DEFAULT_ORDER + 2 * DEFAULT_ORDER * (2 ** 15 - 1)
 
 
 class TestRefinedAtZero:
@@ -110,3 +204,26 @@ class TestQuadraturePlan:
 
     def test_empty(self):
         assert QuadraturePlan.from_pieces([]).integrate(np.sin) == (0.0, 0.0, 0)
+
+    @staticmethod
+    def seeded_measures(count):
+        rng = np.random.default_rng(20111024)
+        for _ in range(count):
+            k = int(rng.integers(2, 5))
+            inner = np.sort(rng.uniform(0.0, 1.0, k - 1))
+            yield PiecewiseDensityMeasure(np.concatenate([[0.0], inner, [1.0]]),
+                                          rng.uniform(0.1, 3.0, k))
+            yield PowerTailMeasure(float(rng.uniform(0.5, 2.0)),
+                                   float(rng.uniform(0.5, 4.0)),
+                                   x0=float(rng.uniform(0.0, 0.99)))
+
+    def test_nodes_strictly_inside_pieces(self):
+        # the innermost far-end cell of a narrow piece is ~1e-14 wide, where
+        # an outer Gauss node used to round onto t = 1 (x = 0)
+        for mu in self.seeded_measures(300):
+            pieces = mu.flattened().pieces
+            plan = QuadraturePlan.from_pieces(pieces)
+            ends = np.array([p[:2] for p in pieces])[plan.piece]
+            assert np.all(plan.nodes > ends[:, :1])
+            assert np.all(plan.nodes < ends[:, 1:])
+            assert np.all(np.isfinite(np.log1p(-plan.nodes)))

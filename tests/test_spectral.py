@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,7 +13,10 @@ from muntzlab import (EmbeddingProblem, IllConditionedBasisError,
                       power_rho, psi_certificate, restrict_tail,
                       rho_certificate, riesz_sequence_check, singular_values,
                       sublinear_embedding_bound)
+from muntzlab.geometry import PsiEvaluator
 from muntzlab.highprec import generalized_singular_values
+from muntzlab.measures import PiecewiseDensityMeasure
+from muntzlab.spectral import _squared_majorant_logs, _unsound_tail_width
 
 
 class TestMeasureGram:
@@ -29,6 +33,23 @@ class TestMeasureGram:
     def test_cross_entry(self):
         a = measure_gram(make_explicit([1.0, 2.0]), point_mass(0.5), 2)
         assert a.entries[0, 1] == pytest.approx(math.sqrt(2.0) / 8.0, rel=1e-14)
+
+    @pytest.mark.parametrize("mu", [
+        atomic([(0.3, 0.5), (0.9, 0.25), (1.0 - 1e-9, 1.0)]),
+        PowerTailMeasure(1.5, 2.5, x0=0.4),
+        PiecewiseDensityMeasure(np.array([0.0, 0.3, 0.8, 1.0]),
+                                np.array([1.0, 0.0, 2.0])),
+        ScaledMeasure(3.0, PowerTailMeasure(1.0, 0.5)),
+        SumMeasure((lebesgue(), atomic([(0.5, 0.25)])))],
+        ids=["atomic", "powertail-x0", "piecewise", "scaled", "sum"])
+    def test_upper_triangle_is_the_full_assembly(self, mu):
+        # moments of every variant are elementwise in the order, so mirroring
+        # the upper triangle reproduces the full-matrix assembly bit for bit
+        seq = make_geometric(0.75, 1.7, 24)
+        lam = seq.values
+        full = (np.outer(np.sqrt(lam), np.sqrt(lam))
+                * np.exp(mu.log_moments(lam[:, None] + lam[None, :])))
+        assert np.array_equal(measure_gram(seq, mu).entries, full)
 
 
 class TestSingularValues:
@@ -268,6 +289,100 @@ class TestCertificates:
               for n in (12, 18, 24)]
         assert (s2[2] - s2[1]) < (s2[1] - s2[0])
         assert (s2[2] - s2[1]) / s2[2] < 1e-3
+
+
+def _scan_tail_width(psi, transform):
+    """The dyadic scan the bisection replaced: the first unsound probe
+    t = 2^-j from j = 0 on (t = 1 taken as 1 - 1e-16)."""
+    t = 1.0
+    for _ in range(1080):
+        probe = min(t, 1.0 - 1e-16)
+        if not _squared_majorant_logs(psi, math.log1p(-probe), transform)[1]:
+            return min(2.0 * t, 1.0)
+        t *= 0.5
+        if t == 0.0:
+            break
+    return 0.0
+
+
+def _exact_squared_norm(coefficients, exponents, moment):
+    """sum_ij c_i c_j M(e_i + e_j) for f = sum_i c_i x^e_i, in 30 digits."""
+    with mp.workdps(30):
+        c = [mp.mpf(float(v)) for v in coefficients]
+        e = [mp.mpf(float(v)) for v in exponents]
+        return float(mp.fsum(ci * cj * moment(ei + ej)
+                             for ci, ei in zip(c, e) for cj, ej in zip(c, e)))
+
+
+EXACT_MOMENTS = {
+    "lebesgue": (lebesgue, lambda s: 1 / (s + 1)),
+    # density 2 (1 - x): 2 B(s + 1, 2)
+    "powertail": (lambda: PowerTailMeasure(1.0, 2.0),
+                  lambda s: 2 / ((s + 1) * (s + 2))),
+}
+
+
+class TestPsiTail:
+    @pytest.mark.parametrize("transform", [None, "big"])
+    def test_bisection_matches_scan(self, transform, monkeypatch):
+        calls = []
+        log_eval = PsiEvaluator.log_eval
+
+        def counted(self, log_x, k=0):
+            calls.append(log_x)
+            return log_eval(self, log_x, k)
+
+        rng = np.random.default_rng(6)
+        widths = set()
+        for _ in range(24):
+            seq = make_geometric(float(rng.uniform(0.5, 3.0)),
+                                 float(rng.uniform(1.5, 3.0)),
+                                 int(rng.integers(1, 33)))
+            psi = PsiEvaluator.from_sequence(seq)
+            expected = _scan_tail_width(psi, transform)
+            monkeypatch.setattr(PsiEvaluator, "log_eval", counted)
+            calls.clear()
+            assert _unsound_tail_width(psi, transform) == expected
+            monkeypatch.setattr(PsiEvaluator, "log_eval", log_eval)
+            # bisection over the 1075 probes; two evaluations per big probe
+            assert len(calls) <= 11 * (2 if transform == "big" else 1)
+            widths.add(expected)
+        assert len(widths) >= 4
+
+
+class TestCertificatesExactForm:
+    """psi^2 = sum_ij w_i w_j x^(l_i + l_j) with w = 1/d, and Psi = psi'(x^1/4)
+    psi(x^1/4) is a sum of the powers (l_i + l_j - 1)/4 with weights
+    w_i w_j l_i: both integrals are positive quadratic forms in the moments.
+    Checked where the dyadic quadrature is accurate, i.e. no fractional power
+    of x at x = 0: l_1 >= 1 for psi, l_1 >= 2 for Psi^2 (whose lowest power is
+    l_1 - 1/2)."""
+
+    @pytest.mark.parametrize("kind", sorted(EXACT_MOMENTS))
+    @pytest.mark.parametrize("lambda1", [1.0, 2.0])
+    @pytest.mark.parametrize("ratio, n", [(1.5, 1), (1.5, 8), (2.0, 4),
+                                          (2.0, 16), (3.0, 12)])
+    def test_psi(self, kind, lambda1, ratio, n):
+        make_mu, moment = EXACT_MOMENTS[kind]
+        seq = make_geometric(lambda1, ratio, n)
+        psi = PsiEvaluator.from_sequence(seq)
+        exact = _exact_squared_norm(np.exp(psi.log_inv_d), psi.lambdas, moment)
+        value = psi_certificate(seq, make_mu(), psi).value
+        assert value ** 2 == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", sorted(EXACT_MOMENTS))
+    @pytest.mark.parametrize("ratio, n", [(1.5, 1), (1.5, 6), (2.0, 3),
+                                          (3.0, 5)])
+    def test_hilbert_schmidt(self, kind, ratio, n):
+        make_mu, moment = EXACT_MOMENTS[kind]
+        seq = make_geometric(2.0, ratio, n)
+        psi = PsiEvaluator.from_sequence(seq)
+        w, lam = np.exp(psi.log_inv_d), psi.lambdas
+        exact = _exact_squared_norm(np.outer(w * lam, w).ravel(),
+                                    0.25 * (lam[:, None] + lam[None, :] - 1.0).ravel(),
+                                    moment)
+        value = hilbert_schmidt_certificate(seq, make_mu(), psi).value
+        assert value == pytest.approx(exact, rel=1e-9)
 
 
 class TestSublinearBound:
