@@ -1,7 +1,8 @@
 """Batch front-end: ``muntzlab analyze | construct | check``.
 
-Exit codes: 0 success; 1 invalid input or internal error; 2 at least one
-certificate had a violated hypothesis (the report is still written);
+Exit codes: 0 success (also after ``--help`` and ``--version``); 1 invalid
+input, including a command-line usage error, or internal error; 2 at least
+one certificate had a violated hypothesis (the report is still written);
 3 a construction inequality failed verification.
 
 The environment variable ``MUNTZLAB_THREADS`` caps BLAS/LAPACK parallelism;
@@ -257,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--out", default=".", help="output directory")
     p_an.add_argument("--n", type=int, default=None,
                       help="override the truncation N")
-    p_an.add_argument("--seed", type=int, default=0)
     p_an.add_argument("--precision", choices=("double", "extended"),
                       default="double")
     p_an.set_defaults(fn=cmd_analyze)
@@ -283,7 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help/--version and 2 (its message already
+        # on stderr) on a usage error; 2 is reserved for violated hypotheses
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         _apply_thread_cap()
         return args.fn(args)

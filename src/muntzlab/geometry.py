@@ -10,8 +10,16 @@ The distances use the closed Cauchy-system product formula
 
 evaluated in the log domain: Gram determinants are catastrophically
 ill-conditioned in fixed precision, while the product is stable and O(N) per
-distance.  A determinant-ratio oracle in extended precision lives in
-:mod:`muntzlab.highprec` for cross-validation.
+distance.  All N distances come from one N x N array of log factors, each
+row summed exactly.  A determinant-ratio oracle in extended precision lives
+in :mod:`muntzlab.highprec` for cross-validation.
+
+psi and its derivatives are signed sums of terms given by their logs.
+:class:`PsiEvaluator` tabulates the log weights and signs of every order
+once, and its scalar and array evaluations share one kernel: each lane of
+terms is scaled by its largest term and exponentiated in place, skipping the
+terms that underflow.  Several orders at the same points (Psi needs psi and
+psi') come from one call.
 
 Truncation caveat: the d_n computed from N exponents are >= the distances of
 the infinite system, so the truncated psi is a LOWER estimate of the full
@@ -22,18 +30,19 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError, SingularSystemError, UndefinedRatioError
-from .logdomain import NEG_INF, fsum, signed_log_sum
+from .logdomain import NEG_INF, fsum
 from .polynomials import MuntzPolynomial
 from .sequences import LambdaSequence
 
 PSI_TAIL_RTOL = 1e-12
 PSI_K_MAX = 4
+EXP_FLOOR = -746.0     # exp(x) is exactly 0 in double below this
 
 
 @dataclass(frozen=True)
@@ -101,22 +110,21 @@ class DistanceTable:
 
 
 def distances(seq: LambdaSequence) -> DistanceTable:
-    """Distances from each monomial to the span of the others (log domain)."""
+    """Distances from each monomial to the span of the others (log domain).
+
+    Row n of one N x N array holds the log factors of d_n, with
+    -log(2 lambda_n + 1)/2 on the diagonal; each row is summed exactly.
+    """
     lam = seq.values
     if np.unique(lam).size != lam.size:
         raise SingularSystemError("duplicate exponents give a singular system")
-    n = len(seq)
-    log_d = np.empty(n)
-    for i in range(n):
-        li = lam[i]
-        terms = [-0.5 * math.log(2.0 * li + 1.0)]
-        for j in range(n):
-            if j == i:
-                continue
-            terms.append(math.log(abs(li - lam[j])) - math.log(li + lam[j] + 1.0))
-        log_d[i] = fsum(terms)
+    gaps = np.abs(lam[:, None] - lam[None, :])
+    np.fill_diagonal(gaps, 1.0)
+    terms = np.log(gaps) - np.log(lam[:, None] + lam[None, :] + 1.0)
+    np.fill_diagonal(terms, -0.5 * np.log(2.0 * lam + 1.0))
+    log_d = np.array([fsum(row) for row in terms.tolist()])
     log_d.setflags(write=False)
-    return DistanceTable(lambdas=lam, log_d=log_d, n_seq=n)
+    return DistanceTable(lambdas=lam, log_d=log_d, n_seq=len(seq))
 
 
 def scaled_distance(table: DistanceTable | LambdaSequence, a: float, n: int) -> float:
@@ -143,11 +151,34 @@ class PsiEvaluator:
     Built from truncated distances, hence a lower estimate of the infinite
     psi; the tail flag marks evaluations whose last term is not yet
     negligible (truncation possibly unsound, typically x -> 1).
+
+    The term of order k is w_n (lambda_n)_k x**(lambda_n - k), with the
+    falling factorial (lambda_n)_k; its log weight and sign are tabulated per
+    order when the evaluator is built.  :meth:`eval_many` and
+    :meth:`log_eval` share one array kernel that scales every lane of terms
+    by its largest one.
     """
 
     lambdas: np.ndarray
     log_inv_d: np.ndarray
     k_max: int = PSI_K_MAX
+    # per order k: exponents lambda - k, log weights and signs of the terms
+    _exponents: np.ndarray = field(init=False, repr=False, compare=False)
+    _log_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _signs: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lam = self.lambdas
+        orders = np.arange(self.k_max + 1)
+        # factors[k, n, j] = lambda_n - j for j < k, and 1 beyond
+        factors = np.where(orders[None, None, :] < orders[:, None, None],
+                           lam[None, :, None] - orders[None, None, :], 1.0)
+        # a zero factor (lambda an integer < k) kills its term: sign 0
+        with np.errstate(divide="ignore"):
+            log_ff = np.sum(np.log(np.abs(factors)), axis=2)
+        object.__setattr__(self, "_exponents", lam[None, :] - orders[:, None])
+        object.__setattr__(self, "_log_weights", self.log_inv_d + log_ff)
+        object.__setattr__(self, "_signs", np.prod(np.sign(factors), axis=2))
 
     @classmethod
     def from_sequence(cls, seq: LambdaSequence, k_max: int = PSI_K_MAX) -> "PsiEvaluator":
@@ -158,41 +189,54 @@ class PsiEvaluator:
     def n_seq(self) -> int:
         return int(self.lambdas.size)
 
-    def _term_logs(self, k: int):
-        """Log magnitudes and signs of the k-th falling-factorial weights."""
-        lam = self.lambdas
-        factors = lam[:, None] - np.arange(k)[None, :]    # lam, lam-1, ..., lam-k+1
-        if k == 0:
-            log_ff = np.zeros_like(lam)
-            signs = np.ones_like(lam)
-        else:
-            # a zero factor (lambda an integer < k) kills its term: sign 0
-            signs = np.prod(np.sign(factors), axis=1)
-            with np.errstate(divide="ignore"):
-                log_ff = np.sum(np.log(np.abs(factors)), axis=1)
-        return self.log_inv_d + log_ff, signs
+    def _check_order(self, k: int) -> None:
+        if k < 0 or k > self.k_max:
+            raise InvalidParameterError(f"derivative order {k} outside 0..{self.k_max}")
+
+    def _scaled_sums(self, k: int, term_logs: np.ndarray):
+        """Kernel: ``(sums, m, last)`` from the order-k term logs without
+        their weights, shape ``(terms, lanes)`` (overwritten).
+
+        psi^(k) = sums * exp(m) per lane, with m the largest term log (0 where
+        that is not finite), and ``last`` the log of the last term.  Every
+        step works in place.  exp is taken only above EXP_FLOOR, where it is
+        not exactly 0 (an underflowing exp costs several normal ones); the
+        logs left below it are then set to 0 by clipping at 0, which no exp
+        value is below.
+        """
+        term_logs += self._log_weights[k][:, None]
+        m = term_logs.max(axis=0)
+        m = np.where(np.isfinite(m), m, 0.0)
+        last = term_logs[-1].copy()
+        term_logs -= m
+        np.exp(term_logs, out=term_logs, where=term_logs > EXP_FLOOR)
+        np.maximum(term_logs, 0.0, out=term_logs)
+        return np.einsum("i,ij->j", self._signs[k], term_logs), m, last
 
     def log_eval(self, log_x: float, k: int = 0) -> tuple[float, float, bool]:
         """(log |psi^(k)|, sign, tail_sound) at x = exp(log_x), log_x < 0."""
-        if k < 0 or k > self.k_max:
-            raise InvalidParameterError(f"derivative order {k} outside 0..{self.k_max}")
+        self._check_order(k)
         if log_x >= 0.0:
             if log_x == 0.0:
                 raise InvalidParameterError("psi is evaluated on [0, 1) only")
             raise InvalidParameterError("log_x must be < 0")
-        base, signs = self._term_logs(k)
-        exponents = self.lambdas - k
+        exponents = self._exponents[k]
         if log_x == NEG_INF:
-            at_zero = exponents == 0.0
             if np.any(exponents < 0.0):
                 return math.inf, 1.0, True
-            if not np.any(at_zero):
+            at_zero = np.flatnonzero(exponents == 0.0)
+            if not at_zero.size:
                 return NEG_INF, 0.0, True
-            log_abs, sign = signed_log_sum(base[at_zero], signs[at_zero])
-            return log_abs, sign, True
-        term_logs = base + exponents * log_x
-        log_abs, sign = signed_log_sum(term_logs, signs)
-        tail_sound = bool(term_logs[-1] <= log_abs + math.log(PSI_TAIL_RTOL))
+            # the exponents are distinct: one constant term
+            n = at_zero[0]
+            return float(self._log_weights[k][n]), float(self._signs[k][n]), True
+        sums, m, last = self._scaled_sums(k, exponents[:, None] * log_x)
+        total = float(sums[0])
+        if total == 0.0:
+            log_abs, sign = NEG_INF, 0.0
+        else:
+            log_abs, sign = float(m[0]) + math.log(abs(total)), math.copysign(1.0, total)
+        tail_sound = bool(last[0] <= log_abs + math.log(PSI_TAIL_RTOL))
         return log_abs, sign, tail_sound
 
     def eval(self, x: float, k: int = 0) -> PsiValue:
@@ -202,18 +246,37 @@ class PsiEvaluator:
         log_abs, sign, sound = self.log_eval(log_x, k)
         return PsiValue(value=sign * math.exp(log_abs), tail_sound=sound)
 
-    def eval_many(self, log_x, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (values, tail_sound) over an array of log x < 0."""
-        if k < 0 or k > self.k_max:
-            raise InvalidParameterError(f"derivative order {k} outside 0..{self.k_max}")
-        log_x = np.asarray(log_x, dtype=float)
-        base, signs = self._term_logs(k)
-        term_logs = base[:, None] + np.outer(self.lambdas - k, log_x)
-        m = term_logs.max(axis=0)
-        m = np.where(np.isfinite(m), m, 0.0)
-        vals = np.einsum("i,ij->j", signs, np.exp(term_logs - m[None, :]))
-        sound = term_logs[-1] <= m + np.log(np.abs(vals) + 1e-300) + math.log(PSI_TAIL_RTOL)
-        return vals * np.exp(m), sound
+    def eval_many(self, log_x, k: int | tuple[int, ...] = 0
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized (values, tail_sound) over an array of finite log x < 0.
+
+        ``k`` is one derivative order, or a sequence of orders: then both
+        arrays get a leading axis over the orders, and the product
+        lambda x log x is formed once for all of them.
+        """
+        single = np.ndim(k) == 0
+        orders = (k,) if single else tuple(k)
+        for order in orders:
+            self._check_order(order)
+        log_x = np.asarray(log_x, dtype=float).ravel()
+        if single:
+            shifted = [np.multiply.outer(self._exponents[k], log_x)]
+        else:
+            # order j shifts lambda x log x by -j log x; the last one in place
+            product = np.multiply.outer(self.lambdas, log_x)
+            shifted = [product - order * log_x for order in orders[:-1]]
+            if orders[-1]:
+                product -= orders[-1] * log_x
+            shifted.append(product)
+        values, sound = [], []
+        for order, term_logs in zip(orders, shifted):
+            sums, m, last = self._scaled_sums(order, term_logs)
+            sound.append(last <= m + np.log(np.abs(sums) + 1e-300)
+                         + math.log(PSI_TAIL_RTOL))
+            values.append(sums * np.exp(m))
+        if single:
+            return values[0], sound[0]
+        return np.array(values), np.array(sound)
 
 
 def psi_eval(psi: PsiEvaluator, x: float, k: int = 0) -> PsiValue:

@@ -25,19 +25,6 @@ def log_sum(log_terms) -> float:
     return float(logsumexp(arr))
 
 
-def signed_log_sum(log_abs, signs) -> tuple[float, float]:
-    """log|sum| and sign of a signed exponential sum.
-
-    Returns ``(-inf, 0.0)`` for an empty or exactly cancelling sum.
-    """
-    la = np.asarray(log_abs, dtype=float)
-    sg = np.asarray(signs, dtype=float)
-    if la.size == 0:
-        return NEG_INF, 0.0
-    val, sign = logsumexp(la, b=sg, return_sign=True)
-    return float(val), float(sign)
-
-
 def log1mexp(x):
     """log(1 - exp(x)) elementwise for x <= 0, accurate over the whole range."""
     x = np.asarray(x, dtype=float)

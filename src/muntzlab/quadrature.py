@@ -24,7 +24,9 @@ so the leaves, the number of abscissae and the values are those of a
 depth-first recursion.  :func:`integrate` is the one-interval case;
 :func:`integrate_refined_at_zero`, the dyadic scheme the psi, rho and
 Hilbert-Schmidt certificates use, refines its cells toward ``t = 0`` all
-together, to depth 4 each.
+together, to depth 4 each.  Given a ``cut`` it also returns the part of the
+integral over ``(0, cut]`` from the same cells, integrating again only the
+one cell that straddles ``cut``.
 """
 
 from __future__ import annotations
@@ -121,17 +123,21 @@ def integrate(f, a: float, b: float, *, order: int = DEFAULT_ORDER,
 
 def integrate_refined_at_zero(f, width: float, *, order: int = DEFAULT_ORDER,
                               levels: int = DEFAULT_LEVELS,
-                              rel_tol: float = 1e-12) -> tuple[float, float]:
+                              rel_tol: float = 1e-12, cut: float | None = None):
     """Integrate ``f`` over ``(0, width]`` with dyadic refinement toward 0.
 
     Cells are ``[width*2^-(j+1), width*2^-j]`` for ``j = 0..levels-1``, each
     refined adaptively to depth 4, plus the residual sliver
     ``(0, width*2^-levels]``, which is integrated by a single rule (its
     contribution bounds the reported error for integrands that are merely
-    integrable at 0).
+    integrable at 0).  Returns ``(value, error estimate)``.
+
+    With ``cut``, also returns the part of the value over ``(0, cut]``, read
+    from the same cell values: only the one cell that straddles ``cut`` is
+    integrated again, by :func:`integrate` over its part below ``cut``.
     """
     if width <= 0.0:
-        return 0.0, 0.0
+        return (0.0, 0.0) if cut is None else (0.0, 0.0, 0.0)
     hi = width * 2.0 ** -np.arange(levels + 1.0)
     lo = np.append(hi[1:], 0.0)
     # the dyadic cells and the sliver share the first pass of single rules
@@ -144,7 +150,18 @@ def integrate_refined_at_zero(f, width: float, *, order: int = DEFAULT_ORDER,
         total += v
         err += e
     sliver = float(rules[-1])
-    return total + sliver, err + abs(sliver)
+    if cut is None:
+        return total + sliver, err + abs(sliver)
+    part = total + sliver if cut >= width else 0.0
+    if 0.0 < cut < width:
+        straddling = np.flatnonzero((lo < cut) & (cut < hi))    # at most one
+        if straddling.size:
+            part = integrate(f, float(lo[straddling[0]]), cut, order=order,
+                             rel_tol=rel_tol)[0]
+        # then the cells wholly below cut, level by level, the sliver last
+        for v in np.append(values, sliver)[hi <= cut].tolist():
+            part += v
+    return total + sliver, err + abs(sliver), part
 
 
 def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-15,

@@ -320,9 +320,11 @@ def _psi_squared_integral(mu: Measure, psi: PsiEvaluator,
     Atomic parts are exact log-domain sums.  Density parts integrate in
     t = 1 - x with dyadic refinement toward 1.  The result is flagged
     unsound when the region where the truncated majorant has a
-    non-negligible last term contributes more than a 1e-9 fraction of the
-    integral (the truncated value is exact either way; the flag marks that
-    it may under-estimate the infinite-sequence certificate).
+    non-negligible last term, t < t*, contributes more than a 1e-9 fraction
+    of the integral (the truncated value is exact either way; the flag marks
+    that it may under-estimate the infinite-sequence certificate).  On a
+    piece reaching t = 0 that contribution is read from the cells of the
+    piece's integral; a piece starting above 0 integrates it separately.
     """
     flat = mu.flattened()
     total = 0.0
@@ -347,8 +349,7 @@ def _psi_squared_integral(mu: Measure, psi: PsiEvaluator,
             t = np.asarray(t, dtype=float)
             log_x = np.log1p(-t)
             if transform == "big":
-                d1, _ = psi.eval_many(0.25 * log_x, 1)
-                d0, _ = psi.eval_many(0.25 * log_x, 0)
+                (d1, d0), _ = psi.eval_many(0.25 * log_x, (1, 0))
                 return (d1 * d0) ** 2
             vals, _ = psi.eval_many(log_x, 0)
             return vals ** 2
@@ -356,18 +357,17 @@ def _psi_squared_integral(mu: Measure, psi: PsiEvaluator,
         for t_lo, t_hi, h, _singular in flat.pieces:
             def integrand(t, h=h):
                 return values(t) * h(np.asarray(t, dtype=float))
+            cut = min(t_star, t_hi)
             if t_lo == 0.0:
-                v, _ = quadrature.integrate_refined_at_zero(integrand, t_hi)
+                v, _, u = quadrature.integrate_refined_at_zero(integrand, t_hi,
+                                                               cut=cut)
             else:
                 v, _ = quadrature.integrate(integrand, t_lo, t_hi)
-            total += v
-            cut = min(t_star, t_hi)
-            if cut > t_lo:
-                if t_lo == 0.0:
-                    u, _ = quadrature.integrate_refined_at_zero(integrand, cut)
-                else:
+                u = 0.0
+                if cut > t_lo:
                     u, _ = quadrature.integrate(integrand, t_lo, cut)
-                unsound_part += u
+            total += v
+            unsound_part += u
 
     if not math.isfinite(total):
         return math.inf, False

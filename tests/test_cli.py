@@ -178,3 +178,32 @@ class TestThreadCap:
         monkeypatch.setenv("MUNTZLAB_THREADS", "many")
         cfg = write_config(tmp_path, RANK_ONE)
         assert main(["analyze", "--config", cfg]) == 1
+
+
+class TestUsage:
+    def test_usage_error_exit_one_with_argparse_message(self, tmp_path,
+                                                        capsys):
+        cfg = write_config(tmp_path, RANK_ONE)
+        assert main(["analyze", "--config", cfg, "--precision", "bogus"]) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "invalid choice: 'bogus'" in err
+
+    def test_missing_subcommand_and_argument_exit_one(self, capsys):
+        assert main([]) == 1
+        assert main(["analyze"]) == 1
+        assert "--config" in capsys.readouterr().err
+
+    def test_analyze_has_no_seed_option(self, tmp_path, capsys):
+        # the report echoes the config's seed; a --seed flag would be ignored
+        cfg = write_config(tmp_path, RANK_ONE)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path),
+                     "--seed", "3"]) == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    def test_help_and_version_exit_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+        assert main(["analyze", "--help"]) == 0
+        assert "--config" in capsys.readouterr().out
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out.startswith("muntzlab ")

@@ -1,7 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from muntzlab import (InvalidParameterError, MuntzPolynomial, PsiEvaluator,
                       SingularSystemError, UndefinedRatioError,
@@ -9,6 +11,7 @@ from muntzlab import (InvalidParameterError, MuntzPolynomial, PsiEvaluator,
                       make_explicit, make_geometric, make_power,
                       pointwise_bound_check, psi_a_eval, psi_eval, random_unit,
                       scaled_distance)
+from muntzlab.geometry import EXP_FLOOR, PSI_K_MAX, PSI_TAIL_RTOL
 from muntzlab.highprec import distance_oracle
 
 
@@ -244,6 +247,173 @@ class TestPsi:
                 if bound2.tail_sound:
                     assert abs(second_derivative(unit, float(x))) <= \
                         bound2.value + 1e-9
+
+
+# The evaluator before the shared kernel, kept as its oracle: term logs and
+# signs rebuilt on every call, scipy's signed logsumexp on the scalar path.
+
+def _old_term_logs(psi, k):
+    lam = psi.lambdas
+    factors = lam[:, None] - np.arange(k)[None, :]
+    if k == 0:
+        return psi.log_inv_d + np.zeros_like(lam), np.ones_like(lam)
+    signs = np.prod(np.sign(factors), axis=1)
+    with np.errstate(divide="ignore"):
+        log_ff = np.sum(np.log(np.abs(factors)), axis=1)
+    return psi.log_inv_d + log_ff, signs
+
+
+def _old_eval_many(psi, log_x, k):
+    log_x = np.asarray(log_x, dtype=float)
+    base, signs = _old_term_logs(psi, k)
+    term_logs = base[:, None] + np.outer(psi.lambdas - k, log_x)
+    m = term_logs.max(axis=0)
+    m = np.where(np.isfinite(m), m, 0.0)
+    vals = np.einsum("i,ij->j", signs, np.exp(term_logs - m[None, :]))
+    sound = term_logs[-1] <= m + np.log(np.abs(vals) + 1e-300) + math.log(PSI_TAIL_RTOL)
+    return vals * np.exp(m), sound
+
+
+def _old_log_eval(psi, log_x, k):
+    base, signs = _old_term_logs(psi, k)
+    term_logs = base + (psi.lambdas - k) * log_x
+    log_abs, sign = logsumexp(term_logs, b=signs, return_sign=True)
+    return (float(log_abs), float(sign),
+            bool(term_logs[-1] <= log_abs + math.log(PSI_TAIL_RTOL)))
+
+
+def _kernel_evaluators():
+    """Evaluators for N = 1..32 from distances, plus hand-made weights over
+    exponents with lambda_1 = 0 and integers below k (zeroed terms)."""
+    rng = np.random.default_rng(3)
+    out = []
+    for n in (1, 2, 3, 5, 8, 13, 21, 32):
+        for lambda1, ratio in ((0.25, 3.0), (0.5, 2.0), (2.0, 1.5)):
+            out.append(PsiEvaluator.from_sequence(make_geometric(lambda1, ratio, n)))
+        out.append(PsiEvaluator.from_sequence(make_power(2.0, n)))
+    for lam in ([0.0], [0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 1.0, 2.5, 3.0, 7.0, 40.0],
+                [1.0, 1.5, 2.0, 4.0, 9.0]):
+        lam = np.array(lam)
+        out.append(PsiEvaluator(lambdas=lam,
+                                log_inv_d=rng.uniform(-3.0, 8.0, lam.size)))
+    return out
+
+
+LOG_X = -np.concatenate([np.logspace(-17, np.log10(800.0), 61), [1e-3, 0.7, 5.0]])
+
+
+def _in_range(psi, k, log_x=LOG_X):
+    """The log x where no term of order k exceeds the double range (terms
+    with lambda < k blow up as x -> 0)."""
+    base, _ = _old_term_logs(psi, k)
+    return log_x[(base[:, None] + np.outer(psi.lambdas - k, log_x)).max(axis=0) < 700.0]
+
+
+class TestPsiKernel:
+    def test_eval_many_matches_old(self):
+        underflowed = 0
+        for psi in _kernel_evaluators():
+            for k in range(PSI_K_MAX + 1):
+                log_x = _in_range(psi, k)
+                vals, sound = psi.eval_many(log_x, k)
+                ref, ref_sound = _old_eval_many(psi, log_x, k)
+                np.testing.assert_allclose(vals, ref, rtol=1e-14, atol=0.0)
+                np.testing.assert_array_equal(sound, ref_sound)
+                underflowed += int(np.sum(vals == 0.0))
+        # the regime where whole lanes underflow is covered
+        assert underflowed > 100
+
+    def test_terms_below_floor_are_exact_zeros(self):
+        # at log x = -800 every term but the largest sits far below EXP_FLOOR
+        psi = PsiEvaluator.from_sequence(make_geometric(2.0, 2.0, 12))
+        gaps = (psi.lambdas - psi.lambdas[0]) * -800.0
+        assert np.sum(gaps < EXP_FLOOR) == 11
+        vals, _ = psi.eval_many([-800.0, -1e-3], 0)
+        ref, _ = _old_eval_many(psi, [-800.0, -1e-3], 0)
+        assert np.array_equal(vals, ref)
+
+    def test_log_eval_matches_old(self):
+        for psi in _kernel_evaluators():
+            for k in range(PSI_K_MAX + 1):
+                base, signs = _old_term_logs(psi, k)
+                for log_x in LOG_X[::4]:
+                    log_abs, sign, sound = psi.log_eval(float(log_x), k)
+                    ref_abs, ref_sign, ref_sound = _old_log_eval(psi, log_x, k)
+                    assert (sign, sound) == (ref_sign, ref_sound)
+                    if ref_sign == 0.0:
+                        assert log_abs == -math.inf
+                        continue
+                    # |sum| / sum |terms| bounds the relative conditioning
+                    log_cond = logsumexp(base + (psi.lambdas - k) * log_x) - ref_abs
+                    assert abs(log_abs - ref_abs) <= 1e-14 * math.exp(log_cond) \
+                        * max(1.0, abs(ref_abs))
+
+    def test_log_eval_against_mpmath_sign_changing(self):
+        # fractional exponents below k make the falling factorials change sign
+        # (lambda, log weights): the first two terms of the last case cancel
+        # at x = 1/3 for k = 2, since 0.5 (0.5 - 1) x^-1.5 + 1.5 (0.5) x^-0.5
+        # = 0.75 x^-1.5 (x - 1/3)
+        cases = [(np.array([0.3, 1.4, 2.6, 3.7, 5.2, 8.1]), np.linspace(0.0, 4.0, 6)),
+                 (make_geometric(0.5, 1.7, 10).values, np.linspace(0.0, 4.0, 10)),
+                 (np.array([0.5, 1.5, 2.5, 3.5]), np.linspace(0.0, 4.0, 4)),
+                 (np.array([0.5, 1.5, 30.0]), np.array([0.0, 0.0, -40.0]))]
+        near_root = math.log(1.0 / 3.0)
+        worst_cond = 0.0
+        for lam, log_w in cases:
+            psi = PsiEvaluator(lambdas=lam, log_inv_d=log_w)
+            for k in (2, 3, 4):
+                for log_x in (-6.0, -1.0, -0.2, -0.01, -1e-4,
+                              near_root + 1e-3, near_root - 1e-5):
+                    log_abs, sign, _ = psi.log_eval(log_x, k)
+                    with mp.workdps(40):
+                        terms = []
+                        for w, l in zip(log_w, lam):
+                            ff = mp.fprod(mp.mpf(float(l)) - j for j in range(k))
+                            terms.append(mp.exp(mp.mpf(float(w))) * ff
+                                         * mp.exp((mp.mpf(float(l)) - k) * mp.mpf(log_x)))
+                        exact = mp.fsum(terms)
+                        scale = mp.fsum(abs(t) * (1 + abs(mp.log(abs(t))))
+                                        for t in terms if t != 0)
+                        got = sign * mp.exp(mp.mpf(log_abs))
+                        assert abs(got - exact) <= 16 * 2.0 ** -52 * scale
+                        worst_cond = max(worst_cond,
+                                         float(mp.fsum(abs(t) for t in terms) / abs(exact)))
+        assert worst_cond > 1e4
+
+    def test_two_orders_match_single_calls(self):
+        eps = np.finfo(float).eps
+        for psi in _kernel_evaluators():
+            for orders in ((1, 0), (0, 2, 3)):
+                log_x = _in_range(psi, max(orders))
+                vals, sound = psi.eval_many(log_x, orders)
+                assert vals.shape == sound.shape == (len(orders), log_x.size)
+                for row, k in enumerate(orders):
+                    ref, ref_sound = psi.eval_many(log_x, k)
+                    np.testing.assert_array_equal(sound[row], ref_sound)
+                    # lambda x log x - k log x against (lambda - k) log x:
+                    # each term log moves by a few ulps of the sizes of its
+                    # parts, the scaled sum by up to three such moves (the
+                    # term, the largest term, exp), times the conditioning of
+                    # the signed sum
+                    base, signs = _old_term_logs(psi, k)
+                    term_logs = base[:, None] + np.outer(psi.lambdas - k, log_x)
+                    finite = np.where(np.isfinite(base), np.abs(base), 0.0)
+                    size = (np.abs(np.outer(psi.lambdas, log_x)) + k * np.abs(log_x)
+                            + finite[:, None] + 1.0)
+                    zero = ref == 0.0     # every term zeroed or underflowed
+                    np.testing.assert_array_equal(vals[row][zero], 0.0)
+                    log_cond = (logsumexp(term_logs[:, ~zero], axis=0)
+                                - np.log(np.abs(ref[~zero])))
+                    tol = 8 * eps * size.max(axis=0)[~zero] * np.exp(log_cond)
+                    assert np.all(np.abs(vals[row][~zero] - ref[~zero])
+                                  <= tol * np.abs(ref[~zero]))
+
+    def test_order_validation(self):
+        psi = PsiEvaluator.from_sequence(make_explicit([1.0, 2.0]))
+        with pytest.raises(InvalidParameterError):
+            psi.eval_many([-0.5], (1, 5))
+        with pytest.raises(InvalidParameterError):
+            psi.log_eval(-0.5, -1)
 
 
 class TestInequalityCheckers:

@@ -134,6 +134,72 @@ class TestRefinedAtZero:
         assert integrate_refined_at_zero(lambda t: t, 0.0) == (0.0, 0.0)
 
 
+
+# bounded integrands: the sliver (0, width 2^-54] takes no share at 1e-12
+BOUNDED = {
+    "x^7": INTEGRANDS["x^7"],
+    "sin 40x": INTEGRANDS["sin 40x"],
+    "s e^-st": INTEGRANDS["s e^-st"],
+    "psi^2-like": lambda t: 1.0 / (1.0 + 50.0 * t) ** 3,
+}
+
+
+class TestPartBelowCut:
+    """``cut`` reads the part over (0, cut] from the cells of the total; the
+    reference is a second integration over (0, cut]."""
+
+    @pytest.mark.parametrize("name", sorted(BOUNDED))
+    @pytest.mark.parametrize("width, cut", [
+        (1.0, 2.0 ** -5),      # on a cell edge
+        (1.0, 0.5),
+        (0.7, 2.0 ** -5),      # inside a cell
+        (0.7, 0.6),
+        (0.7, 1e-20),          # inside the sliver
+    ])
+    def test_part_matches_second_integration(self, name, width, cut):
+        f, sizes = _counted(BOUNDED[name])
+        value, err, part = integrate_refined_at_zero(f, width, cut=cut)
+        split_points = sum(sizes)
+        sizes.clear()
+        # the total, its error and its points are those without cut
+        assert (value, err) == integrate_refined_at_zero(f, width)
+        total_points = sum(sizes)
+        ref, _ = integrate_refined_at_zero(BOUNDED[name], cut)
+        assert part == pytest.approx(ref, rel=1e-12, abs=1e-300)
+        # only the cell straddling cut is integrated again
+        hi = width * 2.0 ** -np.arange(DEFAULT_LEVELS + 1.0)
+        lo = np.append(hi[1:], 0.0)
+        straddling = (lo < cut) & (cut < hi)
+        sizes.clear()
+        for a in lo[straddling]:
+            integrate(f, float(a), cut)
+        assert split_points == total_points + sum(sizes)
+        assert straddling.sum() == (0 if width == 1.0 else 1)
+
+    @pytest.mark.parametrize("name", sorted(INTEGRANDS))
+    def test_integrable_singularity_within_error(self, name):
+        value, err, part = integrate_refined_at_zero(INTEGRANDS[name], 0.7,
+                                                     cut=2.0 ** -5)
+        ref, ref_err = integrate_refined_at_zero(INTEGRANDS[name], 2.0 ** -5)
+        assert abs(part - ref) <= 1e-12 * abs(ref) + err + ref_err
+
+    def test_cut_beyond_width_is_the_total(self):
+        for cut in (0.7, 0.9, math.inf):
+            value, err, part = integrate_refined_at_zero(BOUNDED["sin 40x"], 0.7,
+                                                         cut=cut)
+            assert part == value
+
+    def test_cut_zero_and_zero_width(self):
+        f, sizes = _counted(BOUNDED["x^7"])
+        value, err, part = integrate_refined_at_zero(f, 1.0, cut=0.0)
+        assert part == 0.0 and value > 0.0
+        points = sum(sizes)
+        sizes.clear()
+        integrate_refined_at_zero(f, 1.0)
+        assert sum(sizes) == points
+        assert integrate_refined_at_zero(f, 0.0, cut=0.5) == (0.0, 0.0, 0.0)
+
+
 class TestBisect:
     def test_root_of_cubic(self):
         root = bisect_root(lambda x: x ** 3 - 0.2, 0.0, 1.0)

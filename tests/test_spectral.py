@@ -15,8 +15,11 @@ from muntzlab import (EmbeddingProblem, IllConditionedBasisError,
                       sublinear_embedding_bound)
 from muntzlab.geometry import PsiEvaluator
 from muntzlab.highprec import generalized_singular_values
+from muntzlab import quadrature
+from muntzlab.logdomain import log_sum
 from muntzlab.measures import PiecewiseDensityMeasure
-from muntzlab.spectral import _squared_majorant_logs, _unsound_tail_width
+from muntzlab.spectral import (UNSOUND_CONTRIBUTION_RTOL, _psi_squared_integral,
+                               _squared_majorant_logs, _unsound_tail_width)
 
 
 class TestMeasureGram:
@@ -348,6 +351,96 @@ class TestPsiTail:
             assert len(calls) <= 11 * (2 if transform == "big" else 1)
             widths.add(expected)
         assert len(widths) >= 4
+
+
+
+def _old_psi_squared_integral(mu, psi, transform=None):
+    """The integral before the unsound part was read from the total's cells:
+    one eval_many call per order, and (0, t*] integrated a second time."""
+    flat = mu.flattened()
+    total = unsound_part = 0.0
+    if flat.has_atoms:
+        log_terms, unsound_logs = [], []
+        for log_a, log_c in zip(flat.log_positions, flat.log_weights):
+            log_sq, snd = _squared_majorant_logs(psi, log_a, transform)
+            log_terms.append(log_c + log_sq)
+            if not snd:
+                unsound_logs.append(log_c + log_sq)
+        total += math.exp(log_sum(log_terms))
+        if unsound_logs:
+            unsound_part += math.exp(log_sum(unsound_logs))
+    if flat.has_density:
+        t_star = _unsound_tail_width(psi, transform)
+
+        def values(t):
+            log_x = np.log1p(-np.asarray(t, dtype=float))
+            if transform == "big":
+                d1, _ = psi.eval_many(0.25 * log_x, 1)
+                d0, _ = psi.eval_many(0.25 * log_x, 0)
+                return (d1 * d0) ** 2
+            return psi.eval_many(log_x, 0)[0] ** 2
+
+        for t_lo, t_hi, h, _singular in flat.pieces:
+            def integrand(t, h=h):
+                return values(t) * h(np.asarray(t, dtype=float))
+            if t_lo == 0.0:
+                v, _ = quadrature.integrate_refined_at_zero(integrand, t_hi)
+            else:
+                v, _ = quadrature.integrate(integrand, t_lo, t_hi)
+            total += v
+            cut = min(t_star, t_hi)
+            if cut > t_lo:
+                if t_lo == 0.0:
+                    u, _ = quadrature.integrate_refined_at_zero(integrand, cut)
+                else:
+                    u, _ = quadrature.integrate(integrand, t_lo, cut)
+                unsound_part += u
+    if not math.isfinite(total):
+        return math.inf, False
+    return total, unsound_part <= UNSOUND_CONTRIBUTION_RTOL * max(total, 1e-300)
+
+
+SPLIT_SEQUENCES = [make_geometric(2.0, 2.0, 8), make_geometric(0.5, 1.5, 16),
+                   make_geometric(1.0, 3.0, 12), make_power(2.0, 10),
+                   make_geometric(2.0, 1.3, 24), make_geometric(1.0, 4.0, 20)]
+SPLIT_MEASURES = {
+    "powertail-6": lambda: PowerTailMeasure(1.0, 6.0),
+    # width 0.8: the tail width falls inside a dyadic cell
+    "powertail-x0": lambda: PowerTailMeasure(2.0, 3.0, 0.2),
+    # a piece at t_lo > 0 and a zero-density piece at x = 1
+    "piecewise-zero-end": lambda: PiecewiseDensityMeasure(
+        np.array([0.0, 0.5, 0.9999, 1.0]), np.array([1.0, 2.0, 0.0])),
+    "piecewise": lambda: PiecewiseDensityMeasure(np.array([0.0, 0.5, 1.0]),
+                                                 np.array([0.5, 2.0])),
+    "sum-with-atom": lambda: SumMeasure([PowerTailMeasure(1.0, 4.0),
+                                         atomic([[0.5, 1.0]])]),
+}
+
+
+class TestUnsoundPartFromTotal:
+    def test_values_and_flags_match_second_integration(self):
+        verdicts = []
+        for seq in SPLIT_SEQUENCES:
+            psi = PsiEvaluator.from_sequence(seq)
+            for make_mu in SPLIT_MEASURES.values():
+                mu = make_mu()
+                for transform in (None, "big"):
+                    value, sound = _psi_squared_integral(mu, psi, transform)
+                    ref, ref_sound = _old_psi_squared_integral(mu, psi, transform)
+                    assert value == pytest.approx(ref, rel=1e-14)
+                    assert sound == ref_sound
+                    verdicts.append(sound)
+        assert len(verdicts) >= 20 and any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_MEASURES))
+    def test_certificate_flags_match(self, name):
+        for seq in SPLIT_SEQUENCES[::2]:
+            psi = PsiEvaluator.from_sequence(seq)
+            mu = SPLIT_MEASURES[name]()
+            for cert, transform in ((psi_certificate(seq, mu, psi), None),
+                                    (hilbert_schmidt_certificate(seq, mu, psi), "big")):
+                _, ref_sound = _old_psi_squared_integral(mu, psi, transform)
+                assert ("psi-tail-unsound" not in cert.flags) == ref_sound
 
 
 class TestCertificatesExactForm:
