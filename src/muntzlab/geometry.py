@@ -251,25 +251,17 @@ class PsiEvaluator:
         """Vectorized (values, tail_sound) over an array of finite log x < 0.
 
         ``k`` is one derivative order, or a sequence of orders: then both
-        arrays get a leading axis over the orders, and the product
-        lambda x log x is formed once for all of them.
+        arrays get a leading axis over the orders, and each row equals the
+        single-order call.
         """
         single = np.ndim(k) == 0
         orders = (k,) if single else tuple(k)
         for order in orders:
             self._check_order(order)
         log_x = np.asarray(log_x, dtype=float).ravel()
-        if single:
-            shifted = [np.multiply.outer(self._exponents[k], log_x)]
-        else:
-            # order j shifts lambda x log x by -j log x; the last one in place
-            product = np.multiply.outer(self.lambdas, log_x)
-            shifted = [product - order * log_x for order in orders[:-1]]
-            if orders[-1]:
-                product -= orders[-1] * log_x
-            shifted.append(product)
         values, sound = [], []
-        for order, term_logs in zip(orders, shifted):
+        for order in orders:
+            term_logs = np.multiply.outer(self._exponents[order], log_x)
             sums, m, last = self._scaled_sums(order, term_logs)
             sound.append(last <= m + np.log(np.abs(sums) + 1e-300)
                          + math.log(PSI_TAIL_RTOL))

@@ -24,9 +24,9 @@ so the leaves, the number of abscissae and the values are those of a
 depth-first recursion.  :func:`integrate` is the one-interval case;
 :func:`integrate_refined_at_zero`, the dyadic scheme the psi, rho and
 Hilbert-Schmidt certificates use, refines its cells toward ``t = 0`` all
-together, to depth 4 each.  Given a ``cut`` it also returns the part of the
-integral over ``(0, cut]`` from the same cells, integrating again only the
-one cell that straddles ``cut``.
+together, to depth 4 each.  It also returns the part of the integral over
+``(0, cut]`` from the same cells, integrating again, to the same depth, only
+the one cell that straddles ``cut``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from numpy.polynomial.legendre import leggauss
 
 DEFAULT_ORDER = 24
 DEFAULT_LEVELS = 54      # dyadic levels toward t = 0 (x = 1)
+REFINE_DEPTH = 4         # adaptive depth cap of each of those cells
 FAR_END_LEVELS = 40      # dyadic levels toward t = 1 (x = 0)
 INNER_LEVELS = 20        # dyadic levels toward an interior edge or a root
 PLAN_REL_TOL = 1e-12
@@ -123,41 +124,40 @@ def integrate(f, a: float, b: float, *, order: int = DEFAULT_ORDER,
 
 def integrate_refined_at_zero(f, width: float, *, order: int = DEFAULT_ORDER,
                               levels: int = DEFAULT_LEVELS,
-                              rel_tol: float = 1e-12, cut: float | None = None):
+                              rel_tol: float = 1e-12, cut: float = math.inf):
     """Integrate ``f`` over ``(0, width]`` with dyadic refinement toward 0.
 
     Cells are ``[width*2^-(j+1), width*2^-j]`` for ``j = 0..levels-1``, each
     refined adaptively to depth 4, plus the residual sliver
     ``(0, width*2^-levels]``, which is integrated by a single rule (its
     contribution bounds the reported error for integrands that are merely
-    integrable at 0).  Returns ``(value, error estimate)``.
+    integrable at 0).  Returns ``(value, error estimate, part)``.
 
-    With ``cut``, also returns the part of the value over ``(0, cut]``, read
-    from the same cell values: only the one cell that straddles ``cut`` is
-    integrated again, by :func:`integrate` over its part below ``cut``.
+    ``part`` is the share of the value over ``(0, cut]`` (the value itself
+    for the default ``cut``), read from the same cell values: only the one
+    cell that straddles ``cut`` is integrated again, by :func:`integrate`
+    over its part below ``cut`` with the same depth cap.
     """
     if width <= 0.0:
-        return (0.0, 0.0) if cut is None else (0.0, 0.0, 0.0)
+        return 0.0, 0.0, 0.0
     hi = width * 2.0 ** -np.arange(levels + 1.0)
     lo = np.append(hi[1:], 0.0)
     # the dyadic cells and the sliver share the first pass of single rules
     rules = _cells(f, lo, hi, order)
     values, errs = _adaptive(f, lo[:-1], hi[:-1], rules[:-1], order=order,
-                             rel_tol=rel_tol, max_depth=4)
+                             rel_tol=rel_tol, max_depth=REFINE_DEPTH)
     total = 0.0
     err = 0.0
     for v, e in zip(values.tolist(), errs.tolist()):    # in order, level by level
         total += v
         err += e
     sliver = float(rules[-1])
-    if cut is None:
-        return total + sliver, err + abs(sliver)
     part = total + sliver if cut >= width else 0.0
     if 0.0 < cut < width:
         straddling = np.flatnonzero((lo < cut) & (cut < hi))    # at most one
         if straddling.size:
             part = integrate(f, float(lo[straddling[0]]), cut, order=order,
-                             rel_tol=rel_tol)[0]
+                             rel_tol=rel_tol, max_depth=REFINE_DEPTH)[0]
         # then the cells wholly below cut, level by level, the sliver last
         for v in np.append(values, sliver)[hi <= cut].tolist():
             part += v

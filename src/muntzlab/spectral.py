@@ -425,7 +425,7 @@ def rho_certificate(seq: LambdaSequence, mu: Measure, rho,
             sound_box[0] = False
         return vals ** 2 * np.asarray(rho.derivative(t), dtype=float)
 
-    integral, _ = quadrature.integrate_refined_at_zero(integrand, 1.0)
+    integral, _, _ = quadrature.integrate_refined_at_zero(integrand, 1.0)
     flags = [PSI_TRUNCATION_FLAG]
     value = math.sqrt(integral) if math.isfinite(integral) else math.inf
     if not sound_box[0]:

@@ -381,7 +381,6 @@ class TestPsiKernel:
         assert worst_cond > 1e4
 
     def test_two_orders_match_single_calls(self):
-        eps = np.finfo(float).eps
         for psi in _kernel_evaluators():
             for orders in ((1, 0), (0, 2, 3)):
                 log_x = _in_range(psi, max(orders))
@@ -389,24 +388,8 @@ class TestPsiKernel:
                 assert vals.shape == sound.shape == (len(orders), log_x.size)
                 for row, k in enumerate(orders):
                     ref, ref_sound = psi.eval_many(log_x, k)
+                    np.testing.assert_array_equal(vals[row], ref)
                     np.testing.assert_array_equal(sound[row], ref_sound)
-                    # lambda x log x - k log x against (lambda - k) log x:
-                    # each term log moves by a few ulps of the sizes of its
-                    # parts, the scaled sum by up to three such moves (the
-                    # term, the largest term, exp), times the conditioning of
-                    # the signed sum
-                    base, signs = _old_term_logs(psi, k)
-                    term_logs = base[:, None] + np.outer(psi.lambdas - k, log_x)
-                    finite = np.where(np.isfinite(base), np.abs(base), 0.0)
-                    size = (np.abs(np.outer(psi.lambdas, log_x)) + k * np.abs(log_x)
-                            + finite[:, None] + 1.0)
-                    zero = ref == 0.0     # every term zeroed or underflowed
-                    np.testing.assert_array_equal(vals[row][zero], 0.0)
-                    log_cond = (logsumexp(term_logs[:, ~zero], axis=0)
-                                - np.log(np.abs(ref[~zero])))
-                    tol = 8 * eps * size.max(axis=0)[~zero] * np.exp(log_cond)
-                    assert np.all(np.abs(vals[row][~zero] - ref[~zero])
-                                  <= tol * np.abs(ref[~zero]))
 
     def test_order_validation(self):
         psi = PsiEvaluator.from_sequence(make_explicit([1.0, 2.0]))

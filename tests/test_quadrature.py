@@ -5,8 +5,8 @@ import pytest
 
 from muntzlab.measures import PiecewiseDensityMeasure, PowerTailMeasure
 from muntzlab.quadrature import (DEFAULT_LEVELS, DEFAULT_ORDER, FAR_END_LEVELS,
-                                 MAX_POINTS, QuadraturePlan, bisect_root,
-                                 graded_edges, integrate,
+                                 MAX_POINTS, REFINE_DEPTH, QuadraturePlan,
+                                 bisect_root, graded_edges, integrate,
                                  integrate_refined_at_zero)
 
 
@@ -100,9 +100,10 @@ class TestBreadthFirstMatchesRecursion:
     def test_refined_at_zero(self, name):
         new, new_sizes = _counted(INTEGRANDS[name])
         old, old_sizes = _counted(INTEGRANDS[name])
-        value, err = integrate_refined_at_zero(new, 1.0)
+        value, err, part = integrate_refined_at_zero(new, 1.0)
         ref_value, ref_err = _dfs_refined_at_zero(old, 1.0)
         assert sum(new_sizes) == sum(old_sizes)
+        assert part == value
         assert value == pytest.approx(ref_value, rel=1e-14)
         assert err == pytest.approx(ref_err, rel=1e-14, abs=1e-300)
         # one pass of single rules over the 54 cells and the sliver, then at
@@ -120,18 +121,18 @@ class TestBreadthFirstMatchesRecursion:
 class TestRefinedAtZero:
     def test_integrable_singularity(self):
         # integral_0^1 t^(-1/2) dt = 2
-        val, err = integrate_refined_at_zero(lambda t: t ** -0.5, 1.0)
+        val, err, _ = integrate_refined_at_zero(lambda t: t ** -0.5, 1.0)
         assert val == pytest.approx(2.0, rel=1e-7)
 
     def test_sharp_exponential_scale(self):
         # integral_0^1 s e^(-s t) dt ~ 1 for huge s: structure at scale 1/s
         s = 1e9
-        val, _ = integrate_refined_at_zero(
+        val, _, _ = integrate_refined_at_zero(
             lambda t: s * np.exp(-s * np.asarray(t)), 1.0)
         assert val == pytest.approx(1.0, rel=1e-10)
 
     def test_zero_width(self):
-        assert integrate_refined_at_zero(lambda t: t, 0.0) == (0.0, 0.0)
+        assert integrate_refined_at_zero(lambda t: t, 0.0) == (0.0, 0.0, 0.0)
 
 
 
@@ -162,9 +163,9 @@ class TestPartBelowCut:
         split_points = sum(sizes)
         sizes.clear()
         # the total, its error and its points are those without cut
-        assert (value, err) == integrate_refined_at_zero(f, width)
+        assert (value, err) == integrate_refined_at_zero(f, width)[:2]
         total_points = sum(sizes)
-        ref, _ = integrate_refined_at_zero(BOUNDED[name], cut)
+        ref, _, _ = integrate_refined_at_zero(BOUNDED[name], cut)
         assert part == pytest.approx(ref, rel=1e-12, abs=1e-300)
         # only the cell straddling cut is integrated again
         hi = width * 2.0 ** -np.arange(DEFAULT_LEVELS + 1.0)
@@ -172,15 +173,38 @@ class TestPartBelowCut:
         straddling = (lo < cut) & (cut < hi)
         sizes.clear()
         for a in lo[straddling]:
-            integrate(f, float(a), cut)
+            integrate(f, float(a), cut, max_depth=REFINE_DEPTH)
         assert split_points == total_points + sum(sizes)
         assert straddling.sum() == (0 if width == 1.0 else 1)
+
+    @pytest.mark.parametrize("f, cells", [
+        # never accepted: the straddling cell [0.35, 0.7] opens every half
+        # down to the depth cap, 2 + 4 + ... + 2^(REFINE_DEPTH + 1) of them
+        (lambda t: np.sin(1e9 * t), 1 + 2 * (2 ** (REFINE_DEPTH + 1) - 1)),
+        # a kink at 0.5 converges slowly, only its cells reach the cap
+        (lambda t: np.abs(t - 0.5), None),
+    ])
+    def test_straddling_cell_keeps_the_depth_cap(self, f, cells):
+        f, sizes = _counted(f)
+        value, err, part = integrate_refined_at_zero(f, 0.7, cut=0.6)
+        split_points = sum(sizes)
+        sizes.clear()
+        integrate_refined_at_zero(f, 0.7)
+        extra = split_points - sum(sizes)
+        sizes.clear()
+        integrate(f, 0.35, 0.6, max_depth=REFINE_DEPTH)
+        assert extra == sum(sizes)
+        if cells is not None:
+            assert extra == DEFAULT_ORDER * cells
+        else:
+            # as accurate as the total: integral_0^0.6 |t - 0.5| dt = 0.13
+            assert abs(part - 0.13) <= err
 
     @pytest.mark.parametrize("name", sorted(INTEGRANDS))
     def test_integrable_singularity_within_error(self, name):
         value, err, part = integrate_refined_at_zero(INTEGRANDS[name], 0.7,
                                                      cut=2.0 ** -5)
-        ref, ref_err = integrate_refined_at_zero(INTEGRANDS[name], 2.0 ** -5)
+        ref, ref_err, _ = integrate_refined_at_zero(INTEGRANDS[name], 2.0 ** -5)
         assert abs(part - ref) <= 1e-12 * abs(ref) + err + ref_err
 
     def test_cut_beyond_width_is_the_total(self):

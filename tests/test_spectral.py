@@ -384,14 +384,14 @@ def _old_psi_squared_integral(mu, psi, transform=None):
             def integrand(t, h=h):
                 return values(t) * h(np.asarray(t, dtype=float))
             if t_lo == 0.0:
-                v, _ = quadrature.integrate_refined_at_zero(integrand, t_hi)
+                v, _, _ = quadrature.integrate_refined_at_zero(integrand, t_hi)
             else:
                 v, _ = quadrature.integrate(integrand, t_lo, t_hi)
             total += v
             cut = min(t_star, t_hi)
             if cut > t_lo:
                 if t_lo == 0.0:
-                    u, _ = quadrature.integrate_refined_at_zero(integrand, cut)
+                    u, _, _ = quadrature.integrate_refined_at_zero(integrand, cut)
                 else:
                     u, _ = quadrature.integrate(integrand, t_lo, cut)
                 unsound_part += u
@@ -427,8 +427,7 @@ class TestUnsoundPartFromTotal:
                 for transform in (None, "big"):
                     value, sound = _psi_squared_integral(mu, psi, transform)
                     ref, ref_sound = _old_psi_squared_integral(mu, psi, transform)
-                    assert value == pytest.approx(ref, rel=1e-14)
-                    assert sound == ref_sound
+                    assert (value, sound) == (ref, ref_sound)
                     verdicts.append(sound)
         assert len(verdicts) >= 20 and any(verdicts) and not all(verdicts)
 
