@@ -11,12 +11,12 @@ import math
 import numpy as np
 
 from muntzlab import (MuntzPolynomial, PsiEvaluator, big_psi, make_geometric,
-                      make_power, psi_a_eval, psi_eval, random_unit)
+                      make_power, psi_a_eval, random_unit)
 
 print("=== lacunary case: psi(x) * sqrt(1-x) stays in a bounded window ===")
 psi = PsiEvaluator.from_sequence(make_geometric(2, 2, 30))
 for x in (0.5, 0.9, 0.99, 0.999):
-    v = psi_eval(psi, x)
+    v = psi.eval(x)
     print(f"  x = {x:7.3f}: psi = {v.value:12.4e}, "
           f"psi*sqrt(1-x) = {v.value * math.sqrt(1 - x):8.4f}, "
           f"tail sound = {v.tail_sound}")
@@ -24,7 +24,7 @@ for x in (0.5, 0.9, 0.99, 0.999):
 print("\n=== standard sequence n^2: log psi against 1/(1-x) ===")
 psi2 = PsiEvaluator.from_sequence(make_power(2, 24))
 xs = np.linspace(0.55, 0.9, 8)
-logs = np.array([math.log(psi_eval(psi2, float(x)).value) for x in xs])
+logs = np.array([math.log(psi2.eval(float(x)).value) for x in xs])
 slope = np.polyfit(1.0 / (1.0 - xs), logs, 1)[0]
 for x, lv in zip(xs, logs):
     print(f"  x = {x:5.3f}: log psi = {lv:8.3f}")
@@ -38,14 +38,14 @@ rng = np.random.default_rng(1)
 f = random_unit(seq, rng)
 f = MuntzPolynomial(seq, f.coefficients / f.l2_norm_lebesgue())
 for x in (0.3, 0.6, 0.85):
-    b0 = psi_eval(psi8, x, 0).value
-    b1 = psi_eval(psi8, x, 1).value
+    b0 = psi8.eval(x, 0).value
+    b1 = psi8.eval(x, 1).value
     print(f"  x = {x:4.2f}: |f| = {abs(f(x)):9.4f} <= {b0:9.4f},  "
           f"|f'| = {abs(f.derivative(x)):10.4f} <= {b1:10.4f}")
 
 print("\n=== scaled majorant psi_a and the Hilbert-Schmidt majorant Psi ===")
 print("  psi_a identity  psi_a(a x) = a^-1/2 psi(x):",
       psi_a_eval(psi8, 0.5, 0.25).value,
-      "=", psi_eval(psi8, 0.5).value / math.sqrt(0.5))
+      "=", psi8.eval(0.5).value / math.sqrt(0.5))
 for x in (0.1, 0.5, 0.9):
     print(f"  Psi({x:3.1f}) = {big_psi(psi8, x).value:12.4e}")

@@ -9,7 +9,7 @@ psi-based values always carry the truncation flag.
 from muntzlab import (EmbeddingProblem, PowerTailMeasure, ScaledMeasure,
                       analyze, atomic, compact_support_certificate,
                       hilbert_schmidt_certificate, lebesgue, make_explicit,
-                      make_geometric, point_mass, power_rho, psi_certificate,
+                      make_geometric, point_mass, psi_certificate,
                       rho_certificate, sublinear_embedding_bound)
 
 
@@ -34,7 +34,9 @@ seq = make_geometric(2, 2, 16)
 mu = PowerTailMeasure(1.0, 2.0)
 rep = analyze(EmbeddingProblem(seq, mu, 16), q_set=(1.0, 2.0))
 show(psi_certificate(seq, mu), rep.op_norm)
-show(rho_certificate(seq, mu, power_rho(1.0, 2.0)), rep.op_norm)
+# the rho majorant rho(eps) = C eps^alpha is the measure nu with
+# nu(J_eps) = rho(eps): the power tail with coefficient C and exponent alpha
+show(rho_certificate(seq, mu, PowerTailMeasure(1.0, 2.0)), rep.op_norm)
 show(sublinear_embedding_bound(seq, mu, 16), rep.op_norm)
 
 print("\n=== compactly supported atoms: Schatten-class certificates ===")
@@ -52,4 +54,5 @@ print("  partition masses (first five):",
 print("  computed S_2 =", f"{rep.schatten[2.0]:.6f}")
 
 print("\n=== a failed hypothesis is recorded, not hidden ===")
-show(rho_certificate(seq, ScaledMeasure(5.0, lebesgue()), power_rho(1.0, 1.0)))
+show(rho_certificate(seq, ScaledMeasure(5.0, lebesgue()),
+                     PowerTailMeasure(1.0, 1.0)))

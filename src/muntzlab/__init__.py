@@ -19,16 +19,15 @@ from .sequences import (BlockStructure, LacunarityReport, LambdaSequence,
                         classify, find_blocks, make_explicit, make_geometric,
                         make_power, sequence_from_config)
 from .measures import (AtomicMeasure, Measure, ModulusReport,
-                       PiecewiseDensityMeasure, PowerTailMeasure, RhoFunction,
-                       ScaledMeasure, SumMeasure, atomic, atomic_from_logs,
+                       PiecewiseDensityMeasure, PowerTailMeasure, ScaledMeasure,
+                       SumMeasure, atomic, atomic_from_logs,
                        default_epsilon_grid, lebesgue, measure_from_config,
-                       modulus_report, moment, point_mass, power_rho,
-                       restrict_tail, rho_majorization_check, tail_mass)
+                       modulus_report, point_mass, restrict_tail,
+                       rho_majorization_check)
 from .polynomials import MuntzPolynomial, random_unit
 from .geometry import (DistanceTable, GramMatrix, PsiEvaluator, PsiValue,
                        bernstein_ratio, big_psi, distances, lebesgue_gram,
-                       pointwise_bound_check, psi_a_eval, psi_eval,
-                       scaled_distance)
+                       pointwise_bound_check, psi_a_eval, scaled_distance)
 from .spectral import (Certificate, EmbeddingProblem, SpectralReport,
                        analyze, compact_support_certificate,
                        essential_norm_trend, hilbert_schmidt_certificate,

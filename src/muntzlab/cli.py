@@ -1,12 +1,13 @@
 """Batch front-end: ``muntzlab analyze | construct | check``.
 
 Exit codes: 0 success (also after ``--help`` and ``--version``); 1 invalid
-input, including a command-line usage error, or internal error; 2 at least
-one certificate had a violated hypothesis (the report is still written);
-3 a construction inequality failed verification.
+input, including a command-line usage error or a malformed config value, or
+internal error; 2 at least one certificate had a violated hypothesis (the
+report is still written); 3 a construction inequality failed verification.
 
-The environment variable ``MUNTZLAB_THREADS`` caps BLAS/LAPACK parallelism;
-results are deterministic for a fixed config regardless of the cap.
+The ``rho`` config block ``{"C": .., "alpha": ..}`` names the majorant
+rho(eps) = C*eps**alpha, which ``analyze`` passes to the rho certificate as
+the power-tail measure nu with nu(J_eps) = rho(eps).
 """
 
 from __future__ import annotations
@@ -28,34 +29,19 @@ EXIT_HYPOTHESIS = 2
 EXIT_CONSTRUCTION_BUG = 3
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("MUNTZLAB_THREADS")
-    if not cap:
-        return
-    try:
-        limit = max(1, int(cap))
-    except ValueError:
-        raise InvalidParameterError(
-            f"MUNTZLAB_THREADS must be an integer, got {cap!r}")
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limit)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(limit))
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise InvalidParameterError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise InvalidParameterError(
             f"config {path} is not valid JSON (line {exc.lineno}, "
             f"column {exc.colno}): {exc.msg}")
+    if not isinstance(config, dict):
+        raise InvalidParameterError(f"config {path} is not a JSON object")
+    return config
 
 
 def _require(config: dict, name: str):
@@ -64,25 +50,52 @@ def _require(config: dict, name: str):
     return config[name]
 
 
+def _field(config: dict, name: str, convert, default):
+    """``convert`` applied to ``config[name]`` (to ``default`` when absent);
+    a value it cannot take is an :class:`InvalidParameterError`."""
+    value = config.get(name, default)
+    try:
+        return convert(value)
+    except InvalidParameterError:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"config field {name!r} is malformed: {exc}") from exc
+
+
+def _rho_majorant(params: dict):
+    """The measure nu with nu(J_eps) = C*eps**alpha for a ``rho`` block."""
+    from .measures import PowerTailMeasure
+    return PowerTailMeasure(params.get("C", 1.0), params.get("alpha", 1.0))
+
+
+def _compact_support_params(params: dict) -> tuple[float, float, int]:
+    return (float(params.get("b", 0.5)), float(params.get("b_prime", 0.75)),
+            int(params.get("k", 1)))
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    from . import measures, spectral
+    from . import spectral
     from .geometry import PsiEvaluator
-    from .measures import (measure_from_config, modulus_report, power_rho)
+    from .measures import measure_from_config, modulus_report
     from .reporting import to_jsonable, write_csv, write_json
     from .sequences import sequence_from_config
 
     config = _load_config(args.config)
     seq = sequence_from_config(_require(config, "sequence"))
     mu = measure_from_config(_require(config, "measure"))
-    n = int(args.n or config.get("N", len(seq)))
+    n = args.n or _field(config, "N", int, len(seq))
     if not 1 <= n <= len(seq):
         raise InvalidParameterError(
             f"N = {n} outside 1..{len(seq)} (sequence truncation)")
-    q_set = tuple(float(q) for q in config.get("q_set", (0.5, 1.0, 2.0)))
+    q_set = _field(config, "q_set", lambda qs: tuple(float(q) for q in qs),
+                   (0.5, 1.0, 2.0))
+    m_list = _field(config, "m_list", lambda ms: [int(m) for m in ms or ()],
+                    None)
 
     started = time.perf_counter()
     problem = spectral.EmbeddingProblem(seq, mu, n)
@@ -94,23 +107,21 @@ def cmd_analyze(args) -> int:
     psi = PsiEvaluator.from_sequence(sub)
     certificates = []
     hypothesis_violated = False
-    wanted = config.get("certificates", ["psi", "sublinear"])
+    wanted = _field(config, "certificates", list, ["psi", "sublinear"])
     for kind in wanted:
         try:
             if kind == "psi":
                 cert = spectral.psi_certificate(sub, mu, psi)
             elif kind == "rho":
-                params = config.get("rho", {"C": 1.0, "alpha": 1.0})
                 cert = spectral.rho_certificate(
-                    sub, mu, power_rho(params.get("C", 1.0),
-                                       params.get("alpha", 1.0)), psi)
+                    sub, mu, _field(config, "rho", _rho_majorant, {}), psi)
             elif kind == "sublinear":
                 cert = spectral.sublinear_embedding_bound(seq, mu, n)
             elif kind == "compact_support":
-                params = config.get("compact_support", {})
+                b, b_prime, k = _field(config, "compact_support",
+                                       _compact_support_params, {})
                 cert = spectral.compact_support_certificate(
-                    sub, mu, params.get("b", 0.5), params.get("b_prime", 0.75),
-                    int(params.get("k", 1)), psi)
+                    sub, mu, b, b_prime, k, psi)
             elif kind == "hilbert_schmidt":
                 cert = spectral.hilbert_schmidt_certificate(sub, mu, psi)
             else:
@@ -126,16 +137,15 @@ def cmd_analyze(args) -> int:
         certificates.append(to_jsonable(cert))
 
     essential = None
-    if config.get("m_list"):
-        essential = spectral.essential_norm_trend(
-            seq, mu, n, [int(m) for m in config["m_list"]])
+    if m_list:
+        essential = spectral.essential_norm_trend(seq, mu, n, m_list)
 
     wall = time.perf_counter() - started
     payload = {
         "tool": {"name": "muntzlab", "version": __version__},
         "config": {"sequence": seq.to_config(), "measure": mu.to_config(),
                    "N": n, "q_set": list(q_set),
-                   "certificates": list(wanted),
+                   "certificates": wanted,
                    "m_list": config.get("m_list"),
                    "rho": config.get("rho"),
                    "compact_support": config.get("compact_support"),
@@ -290,7 +300,6 @@ def main(argv=None) -> int:
         # on stderr) on a usage error; 2 is reserved for violated hypotheses
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        _apply_thread_cap()
         return args.fn(args)
     except ConstructionBugError as exc:
         print(f"construction bug: {exc} (n={exc.n}, residual={exc.residual})",

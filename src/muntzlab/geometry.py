@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, SingularSystemError, UndefinedRatioError
-from .logdomain import NEG_INF, fsum
+from .logdomain import NEG_INF
 from .polynomials import MuntzPolynomial
 from .sequences import LambdaSequence
 
@@ -122,7 +122,7 @@ def distances(seq: LambdaSequence) -> DistanceTable:
     np.fill_diagonal(gaps, 1.0)
     terms = np.log(gaps) - np.log(lam[:, None] + lam[None, :] + 1.0)
     np.fill_diagonal(terms, -0.5 * np.log(2.0 * lam + 1.0))
-    log_d = np.array([fsum(row) for row in terms.tolist()])
+    log_d = np.array([math.fsum(row) for row in terms.tolist()])
     log_d.setflags(write=False)
     return DistanceTable(lambdas=lam, log_d=log_d, n_seq=len(seq))
 
@@ -269,11 +269,6 @@ class PsiEvaluator:
         if single:
             return values[0], sound[0]
         return np.array(values), np.array(sound)
-
-
-def psi_eval(psi: PsiEvaluator, x: float, k: int = 0) -> PsiValue:
-    """psi^(k)(x) with the truncation tail flag."""
-    return psi.eval(x, k)
 
 
 def psi_a_eval(psi: PsiEvaluator, a: float, x: float) -> PsiValue:

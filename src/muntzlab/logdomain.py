@@ -49,8 +49,3 @@ def log_power_interval(s, log_lo: float, log_hi: float) -> np.ndarray:
     if log_lo == NEG_INF:
         return head
     return head + log1mexp((s + 1.0) * (log_lo - log_hi))
-
-
-def fsum(terms) -> float:
-    """Exact (correctly rounded) sum in fixed ascending-index order."""
-    return math.fsum(terms)

@@ -13,6 +13,12 @@ scalar queries wrap it).  Generic integrals against user functions run on
 one fixed :class:`~muntzlab.quadrature.QuadraturePlan` built from the
 flattened measure's density pieces, in the tail variable ``t = 1 - x``.
 
+A tail majorant rho of the paper (``mu(J_eps) <= rho(eps)``) is itself a
+measure: ``nu = rho'(1-x) dx`` has ``nu(J_eps) = rho(eps)``, and the power
+majorant ``rho(eps) = C*eps**alpha`` is ``PowerTailMeasure(C, alpha)``.
+:func:`rho_hypothesis_violation` and :func:`rho_majorization_check` take
+that measure.
+
 Restrictions produced by :func:`restrict_tail` may carry zero mass (the
 embedding of an empty measure is the zero operator); explicit constructors
 still require positive mass.
@@ -55,6 +61,7 @@ class Measure:
         return float(self.log_moments(s))
 
     def moment(self, s: float) -> float:
+        """integral x**s dmu (may underflow to 0)."""
         return math.exp(self.log_moment(s))
 
     @property
@@ -489,16 +496,6 @@ class SumMeasure(Measure):
 # operations
 # ---------------------------------------------------------------------------
 
-def moment(mu: Measure, s: float) -> float:
-    """integral x**s dmu, log-represented internally (may underflow to 0)."""
-    return mu.moment(s)
-
-
-def tail_mass(mu: Measure, eps: float) -> float:
-    """mu(J_eps) with J_eps = [1-eps, 1]."""
-    return mu.tail_mass(eps)
-
-
 def restrict_tail(mu: Measure, m: int) -> Measure:
     """The tail part mu'_m: the restriction of mu to J_{1/m}."""
     if m < 2:
@@ -580,33 +577,13 @@ def modulus_report(mu: Measure, grid=None) -> ModulusReport:
                          power_fit=fit)
 
 
-@dataclass(frozen=True)
-class RhoFunction:
-    """Increasing C^1 majorant rho with rho(0) = 0, given with its derivative."""
-
-    fn: object           # rho(eps)
-    derivative: object   # rho'(u)
-    label: str = "rho"
-
-
-def power_rho(coefficient: float, alpha: float) -> RhoFunction:
-    """rho(eps) = C * eps**alpha (alpha > 0)."""
-    if coefficient <= 0.0 or alpha <= 0.0:
-        raise InvalidParameterError("power rho needs positive C and alpha")
-    return RhoFunction(
-        fn=lambda e: coefficient * e ** alpha,
-        derivative=lambda u: coefficient * alpha * np.asarray(u) ** (alpha - 1.0),
-        label=f"{coefficient:g}*eps^{alpha:g}")
-
-
-def rho_hypothesis_violation(mu: Measure, rho: RhoFunction, grid=None
+def rho_hypothesis_violation(mu: Measure, majorant: Measure
                              ) -> tuple[float, float, float] | None:
-    """First eps of the grid where the hypothesis ``mu(J_eps) <= rho(eps)``
-    fails, as ``(eps, mu(J_eps), rho(eps))``; None when it holds on the
-    whole grid (default: :func:`default_epsilon_grid`)."""
-    grid = default_epsilon_grid() if grid is None else np.asarray(grid, float)
-    for eps in grid:
-        bound = float(rho.fn(eps))
+    """First eps of :func:`default_epsilon_grid` where the hypothesis
+    ``mu(J_eps) <= rho(eps)`` fails, with ``rho(eps) = majorant(J_eps)``, as
+    ``(eps, mu(J_eps), rho(eps))``; None when it holds on the whole grid."""
+    for eps in default_epsilon_grid():
+        bound = float(majorant.tail_mass(eps))
         mass = mu.tail_mass(eps)
         if mass > bound * (1.0 + 1e-12) + 1e-300:
             return float(eps), mass, bound
@@ -642,29 +619,29 @@ def integrate_against(mu: Measure, g, *, order: int = quadrature.DEFAULT_ORDER
     return total + value, err
 
 
-def rho_majorization_check(mu: Measure, rho: RhoFunction, g, *,
-                           grid=None, tol: float = 1e-9) -> MajorizationCheck:
-    """Check ``integral g dmu <= integral_0^1 g(x) rho'(1-x) dx``.
+def rho_majorization_check(mu: Measure, majorant: Measure,
+                           g) -> MajorizationCheck:
+    """Check ``integral g dmu <= integral g dnu`` for the rho majorant nu.
 
-    The hypothesis ``mu(J_eps) <= rho(eps)`` is verified on the eps-grid
-    first; failure raises :class:`HypothesisViolationError`.  ``g`` must be
-    continuous, positive and increasing on [0, 1).
+    nu is the measure ``rho'(1-x) dx`` of a tail majorant rho, so that
+    ``nu(J_eps) = rho(eps)``; ``rho(eps) = C*eps**alpha`` is
+    ``PowerTailMeasure(C, alpha)``.  The hypothesis ``mu(J_eps) <= rho(eps)``
+    is verified on the eps-grid first; failure raises
+    :class:`HypothesisViolationError`.  ``g`` must be continuous, positive
+    and increasing on [0, 1).
     """
-    bad = rho_hypothesis_violation(mu, rho, grid)
+    bad = rho_hypothesis_violation(mu, majorant)
     if bad is not None:
         eps, mass, bound = bad
         raise HypothesisViolationError(
             f"mu(J_eps) = {mass:.6g} exceeds rho(eps) = {bound:.6g} "
             f"at eps = {eps:.3g}")
     lhs, lhs_err = integrate_against(mu, g)
-    # the right-hand side integrates g against the density rho'(t) on (0, 1]
-    rho_plan = quadrature.QuadraturePlan.from_pieces(
-        [(0.0, 1.0, rho.derivative, False)])
-    rhs, rhs_err, _ = rho_plan.integrate(lambda t: g(1.0 - t))
+    rhs, rhs_err = integrate_against(majorant, g)
     slack = rhs - lhs
     scale = max(1.0, abs(rhs))
     return MajorizationCheck(lhs=lhs, rhs=rhs,
-                             holds=bool(lhs <= rhs + tol * scale),
+                             holds=bool(lhs <= rhs + 1e-9 * scale),
                              slack=slack, quadrature_error=lhs_err + rhs_err)
 
 
@@ -692,7 +669,12 @@ def measure_from_config(spec: dict) -> Measure:
             return ScaledMeasure(spec["c"], measure_from_config(spec["inner"]))
         if kind == "sum":
             return SumMeasure(tuple(measure_from_config(p) for p in spec["parts"]))
+    except InvalidParameterError:
+        raise
     except KeyError as exc:
         raise InvalidParameterError(
             f"measure spec missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"malformed {kind} measure spec: {exc}") from exc
     raise InvalidParameterError(f"unknown measure kind {kind!r}")

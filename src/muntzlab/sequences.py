@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, QuasilacunarityNotWitnessedError
-from .logdomain import fsum
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -127,7 +126,7 @@ def classify(seq: LambdaSequence) -> LacunarityReport:
     convention and flagged degenerate.
     """
     values = seq.values
-    muntz_sum = fsum(1.0 / v for v in values)
+    muntz_sum = math.fsum(1.0 / v for v in values)
     if len(seq) < 2:
         return LacunarityReport(
             min_ratio=math.inf, max_ratio=math.inf,
@@ -188,7 +187,12 @@ def sequence_from_config(spec: dict) -> LambdaSequence:
             return make_power(spec["exponent"], int(spec["count"]))
         if kind == "explicit":
             return make_explicit(spec["values"])
+    except InvalidParameterError:
+        raise
     except KeyError as exc:
         raise InvalidParameterError(
             f"sequence spec missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"malformed {kind} sequence spec: {exc}") from exc
     raise InvalidParameterError(f"unknown sequence kind {kind!r}")

@@ -10,7 +10,9 @@ A and factors B once at N and reads smaller truncations as leading blocks.
 
 Certificates are named upper bounds from the majorant function psi, from a
 rho-majorization of the tail modulus, from compact support, and from
-entrywise Gramian domination for sublinear measures.  A certificate is
+entrywise Gramian domination for sublinear measures.  The rho majorant is a
+measure nu with nu(J_eps) = rho(eps), so the psi and rho certificates share
+one integral of psi^2 against a measure.  A certificate is
 COMPARABLE (usable as a bound at this truncation) only when all of its
 recorded assumptions verified; soundness flags mark psi-truncation caveats.
 """
@@ -399,40 +401,33 @@ def psi_certificate(seq: LambdaSequence, mu: Measure,
                        params={"n_seq": psi.n_seq})
 
 
-def rho_certificate(seq: LambdaSequence, mu: Measure, rho,
-                    psi: PsiEvaluator | None = None, *,
-                    grid=None) -> Certificate:
+def rho_certificate(seq: LambdaSequence, mu: Measure, majorant: Measure,
+                    psi: PsiEvaluator | None = None) -> Certificate:
     """Upper bound from a tail majorant: value = (integral_0^1 psi(x)^2
-    rho'(1-x) dx)^(1/2), valid when mu(J_eps) <= rho(eps) on the grid."""
+    rho'(1-x) dx)^(1/2), valid when mu(J_eps) <= rho(eps) on the eps-grid.
+
+    ``majorant`` is the measure nu = rho'(1-x) dx, with nu(J_eps) = rho(eps)
+    (``PowerTailMeasure(C, alpha)`` for rho(eps) = C*eps**alpha), so the
+    value and the tail-unsound verdict are those of the psi certificate of
+    nu.  A violated hypothesis gives +inf.
+    """
     psi = PsiEvaluator.from_sequence(seq) if psi is None else psi
-    bad = rho_hypothesis_violation(mu, rho, grid)
-    assumptions = [AssumptionCheck(
+    bad = rho_hypothesis_violation(mu, majorant)
+    assumptions = (AssumptionCheck(
         "mu(J_eps) <= rho(eps)", bad is None,
         "" if bad is None else
-        f"violated at eps={bad[0]:.3g}: {bad[1]:.6g} > {bad[2]:.6g}")]
+        f"violated at eps={bad[0]:.3g}: {bad[1]:.6g} > {bad[2]:.6g}"),)
+    params = {"rho": majorant.to_config()}
     if bad is not None:
-        return Certificate(kind="rho", value=math.inf,
-                           assumptions=tuple(assumptions),
-                           flags=(PSI_TRUNCATION_FLAG,),
-                           params={"rho": getattr(rho, "label", "rho")})
-
-    sound_box = [True]
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        vals, snd = psi.eval_many(np.log1p(-t), 0)
-        if not np.all(snd):
-            sound_box[0] = False
-        return vals ** 2 * np.asarray(rho.derivative(t), dtype=float)
-
-    integral, _, _ = quadrature.integrate_refined_at_zero(integrand, 1.0)
+        return Certificate(kind="rho", value=math.inf, assumptions=assumptions,
+                           flags=(PSI_TRUNCATION_FLAG,), params=params)
+    integral, sound = _psi_squared_integral(majorant, psi)
     flags = [PSI_TRUNCATION_FLAG]
     value = math.sqrt(integral) if math.isfinite(integral) else math.inf
-    if not sound_box[0]:
+    if not sound:
         flags.append(TAIL_UNSOUND_FLAG)
-    return Certificate(kind="rho", value=value, assumptions=tuple(assumptions),
-                       flags=tuple(flags),
-                       params={"rho": getattr(rho, "label", "rho")})
+    return Certificate(kind="rho", value=value, assumptions=assumptions,
+                       flags=tuple(flags), params=params)
 
 
 def compact_support_certificate(seq: LambdaSequence, mu: Measure, b: float,

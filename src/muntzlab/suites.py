@@ -13,7 +13,7 @@ import numpy as np
 
 from . import geometry, lp, measures, spectral
 from .measures import (Measure, PowerTailMeasure, ScaledMeasure, atomic,
-                       lebesgue, point_mass, power_rho)
+                       lebesgue, point_mass)
 from .polynomials import random_unit
 from .sequences import LambdaSequence, make_explicit, make_geometric
 
@@ -133,7 +133,8 @@ def inequality_suite(instances: int = 200, seed: int = 20240901) -> SuiteResult:
         if not (math.isfinite(ratio) and ratio > 0.0):
             violations.append(("bernstein", i, ratio, math.nan))
 
-        # rho-majorization with a dominating power rho and increasing g
+        # rho-majorization with a dominating power rho, the measure nu with
+        # nu(J_eps) = coeff*eps**alpha, and increasing g
         checks += 1
         mu = _random_measure(rng)
         mod = measures.modulus_report(mu)
@@ -141,11 +142,11 @@ def inequality_suite(instances: int = 200, seed: int = 20240901) -> SuiteResult:
         if mod.power_fit is not None and mod.power_fit.trusted:
             alpha_fit = max(1.0, min(mod.power_fit.alpha, 3.0))
         coeff = 2.0 * max(mod.sublinear_norm, mu.total_mass, 1.0)
-        rho = power_rho(coeff, 1.0 if not math.isfinite(mod.sublinear_norm)
-                        else alpha_fit)
+        majorant = PowerTailMeasure(
+            coeff, 1.0 if not math.isfinite(mod.sublinear_norm) else alpha_fit)
         s = float(rng.uniform(0.5, 40.0))
         check = measures.rho_majorization_check(
-            mu, rho, lambda xs, s=s: np.asarray(xs, dtype=float) ** s)
+            mu, majorant, lambda xs, s=s: np.asarray(xs, dtype=float) ** s)
         if not check.holds:
             violations.append(("rho-majorization", i, check.lhs, check.rhs))
     return SuiteResult(name="inequalities", checks=checks,

@@ -117,6 +117,48 @@ class TestAnalyze:
         assert "Cholesky" in err[0]
 
 
+MALFORMED = {
+    "rho-null": {"certificates": ["rho"], "rho": None},
+    "rho-list": {"certificates": ["rho"], "rho": [1, 2]},
+    "rho-C-string": {"certificates": ["rho"], "rho": {"C": "x"}},
+    "compact-support-null": {"certificates": ["compact_support"],
+                             "compact_support": None},
+    "compact-support-b-string": {"certificates": ["compact_support"],
+                                 "compact_support": {"b": "x"}},
+    "N-string": {"N": "abc"},
+    "m-list-string": {"m_list": ["a"]},
+    "q-set-string": {"q_set": ["a"]},
+    "certificates-number": {"certificates": 5},
+    "sequence-count-string": {"sequence": {"kind": "geometric", "lambda1": 2,
+                                           "ratio": 2, "count": "x"}},
+    "measure-C-string": {"measure": {"kind": "powertail", "C": "x",
+                                     "alpha": 2}},
+}
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_one_error_line_exit_one(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, dict(RANK_ONE, **MALFORMED[name]))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, [1, 2])
+        assert main(["analyze", "--config", cfg]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "not a JSON object" in err[0]
+
+    def test_rho_block_reaches_the_certificate(self, tmp_path):
+        cfg = write_config(tmp_path, dict(RANK_ONE, certificates=["rho"],
+                                          rho={"C": 2.0, "alpha": 0.5}))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 0
+        cert, = json.loads((tmp_path / "report.json").read_text())["certificates"]
+        assert cert["params"]["rho"] == {"kind": "powertail", "C": 2.0,
+                                         "alpha": 0.5, "x0": 0.0}
+
+
 class TestConstruct:
     def test_example1(self, tmp_path):
         assert main(["construct", "1", "--n-max", "6",
@@ -166,18 +208,6 @@ class TestCheck:
 
     def test_certificate_suite(self):
         assert main(["check", "certificates"]) == 0
-
-
-class TestThreadCap:
-    def test_env_cap_applied(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MUNTZLAB_THREADS", "1")
-        cfg = write_config(tmp_path, RANK_ONE)
-        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 0
-
-    def test_env_cap_invalid(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MUNTZLAB_THREADS", "many")
-        cfg = write_config(tmp_path, RANK_ONE)
-        assert main(["analyze", "--config", cfg]) == 1
 
 
 class TestUsage:

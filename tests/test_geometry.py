@@ -9,7 +9,7 @@ from muntzlab import (InvalidParameterError, MuntzPolynomial, PsiEvaluator,
                       SingularSystemError, UndefinedRatioError,
                       bernstein_ratio, big_psi, distances, lebesgue_gram,
                       make_explicit, make_geometric, make_power,
-                      pointwise_bound_check, psi_a_eval, psi_eval, random_unit,
+                      pointwise_bound_check, psi_a_eval, random_unit,
                       scaled_distance)
 from muntzlab.geometry import EXP_FLOOR, PSI_K_MAX, PSI_TAIL_RTOL
 from muntzlab.highprec import distance_oracle
@@ -112,16 +112,16 @@ class TestScaledDistance:
 class TestPsi:
     def test_single_term(self):
         psi = PsiEvaluator.from_sequence(make_explicit([1.0]))
-        v = psi_eval(psi, 0.5)
+        v = psi.eval(0.5)
         assert v.value == pytest.approx(math.sqrt(3.0) * 0.5, rel=1e-14)
-        v1 = psi_eval(psi, 0.7, 1)
+        v1 = psi.eval(0.7, 1)
         assert v1.value == pytest.approx(math.sqrt(3.0), rel=1e-14)
 
     def test_monotone_and_convex(self):
         for seq in (make_geometric(2.0, 2.0, 20), make_power(2.0, 12)):
             psi = PsiEvaluator.from_sequence(seq)
             xs = np.linspace(0.01, 0.95, 40)
-            vals = np.array([psi_eval(psi, x).value for x in xs])
+            vals = np.array([psi.eval(x).value for x in xs])
             assert np.all(np.diff(vals) > 0.0)
             assert np.all(np.diff(vals, 2) > -1e-9 * vals.max())
 
@@ -129,37 +129,37 @@ class TestPsi:
         # psi(x) * sqrt(1-x) stays within a fixed window on [0.5, 0.999]
         psi = PsiEvaluator.from_sequence(make_geometric(2.0, 2.0, 30))
         xs = np.linspace(0.5, 0.999, 60)
-        vals = np.array([psi_eval(psi, x).value * math.sqrt(1.0 - x)
+        vals = np.array([psi.eval(x).value * math.sqrt(1.0 - x)
                          for x in xs])
         assert vals.max() / vals.min() < 25.0
 
     def test_tail_flag_near_one(self):
         psi = PsiEvaluator.from_sequence(make_geometric(2.0, 2.0, 10))
-        assert psi_eval(psi, 0.5).tail_sound
-        assert not psi_eval(psi, 1.0 - 1e-9).tail_sound
+        assert psi.eval(0.5).tail_sound
+        assert not psi.eval(1.0 - 1e-9).tail_sound
 
     def test_domain_error(self):
         psi = PsiEvaluator.from_sequence(make_explicit([1.0]))
         with pytest.raises(InvalidParameterError):
-            psi_eval(psi, 1.0)
+            psi.eval(1.0)
 
     def test_derivatives_up_to_k_max(self):
         # integer exponents below k zero out via the falling factorial;
         # fractional ones contribute signed terms
         psi = PsiEvaluator.from_sequence(make_explicit([2.0, 2.5, 8.0, 16.0]))
         for k in range(5):
-            assert math.isfinite(psi_eval(psi, 0.5, k).value)
+            assert math.isfinite(psi.eval(0.5, k).value)
         with pytest.raises(InvalidParameterError):
-            psi_eval(psi, 0.5, 5)
+            psi.eval(0.5, 5)
 
     def test_fourth_derivative_against_finite_differences(self):
         psi = PsiEvaluator.from_sequence(make_geometric(2.0, 2.0, 8))
         x, h = 0.6, 1e-3
         stencil = [1.0, -4.0, 6.0, -4.0, 1.0]
-        fd = sum(c * psi_eval(psi, x + (i - 2) * h).value
+        fd = sum(c * psi.eval(x + (i - 2) * h).value
                  for i, c in enumerate(stencil)) / h ** 4
         # central-difference truncation error is O(h^2) on this scale
-        assert psi_eval(psi, x, 4).value == pytest.approx(fd, rel=1e-3)
+        assert psi.eval(x, 4).value == pytest.approx(fd, rel=1e-3)
 
     def test_vectorized_matches_scalar(self):
         psi = PsiEvaluator.from_sequence(make_geometric(2.0, 2.0, 12))
@@ -167,7 +167,7 @@ class TestPsi:
         for k in (0, 1, 2):
             vals, sound = psi.eval_many(np.log(xs), k)
             for x, v, s in zip(xs, vals, sound):
-                ref = psi_eval(psi, float(x), k)
+                ref = psi.eval(float(x), k)
                 assert v == pytest.approx(ref.value, rel=1e-13)
                 assert bool(s) == ref.tail_sound
 
@@ -177,14 +177,14 @@ class TestPsi:
         assert v.value == pytest.approx(math.sqrt(6.0) / 2.0, rel=1e-14)
         # a = 1 reduces to psi itself
         assert psi_a_eval(psi, 1.0, 0.3).value == pytest.approx(
-            psi_eval(psi, 0.3).value)
+            psi.eval(0.3).value)
 
     def test_psi_a_scaling_identity(self):
         psi = PsiEvaluator.from_sequence(make_geometric(2.0, 2.0, 8))
         for a in (0.3, 0.7):
             for x in (0.1, 0.25):
                 lhs = psi_a_eval(psi, a, a * x).value
-                rhs = psi_eval(psi, x).value / math.sqrt(a)
+                rhs = psi.eval(x).value / math.sqrt(a)
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_psi_a_domain(self):
@@ -237,13 +237,13 @@ class TestPsi:
             f = random_unit(seq, rng)
             unit = MuntzPolynomial(seq, f.coefficients / f.l2_norm_lebesgue())
             for x in xs:
-                bound0 = psi_eval(psi, float(x), 0)
+                bound0 = psi.eval(float(x), 0)
                 if bound0.tail_sound:
                     assert abs(unit(float(x))) <= bound0.value + 1e-9
-                bound1 = psi_eval(psi, float(x), 1)
+                bound1 = psi.eval(float(x), 1)
                 if bound1.tail_sound:
                     assert abs(unit.derivative(float(x))) <= bound1.value + 1e-9
-                bound2 = psi_eval(psi, float(x), 2)
+                bound2 = psi.eval(float(x), 2)
                 if bound2.tail_sound:
                     assert abs(second_derivative(unit, float(x))) <= \
                         bound2.value + 1e-9

@@ -4,39 +4,39 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from muntzlab.measures import integrate_against
+from muntzlab import quadrature
+from muntzlab.measures import default_epsilon_grid, integrate_against
 from muntzlab import (HypothesisViolationError, InvalidParameterError,
                       PiecewiseDensityMeasure, PowerTailMeasure, ScaledMeasure,
                       SumMeasure, atomic, atomic_from_logs, lebesgue,
-                      measure_from_config, modulus_report, moment, point_mass,
-                      power_rho, restrict_tail, rho_majorization_check,
-                      tail_mass)
+                      measure_from_config, modulus_report, point_mass,
+                      restrict_tail, rho_majorization_check)
 
 
 class TestMoments:
     def test_lebesgue_closed_form(self):
         leb = lebesgue()
         for s in (0.0, 1.0, 2.0, 10.0, 1e6):
-            assert moment(leb, s) == pytest.approx(1.0 / (s + 1.0), rel=1e-13)
+            assert leb.moment(s) == pytest.approx(1.0 / (s + 1.0), rel=1e-13)
 
     def test_atomic_single(self):
-        assert moment(point_mass(0.5), 1.0) == pytest.approx(0.5)
+        assert point_mass(0.5).moment(1.0) == pytest.approx(0.5)
 
     def test_powertail_beta_identity(self):
         # C alpha B(s+1, alpha) at C=1, alpha=2, s=10 -> 2 B(11,2) = 1/66,
         # cross-checked against direct quadrature
         mu = PowerTailMeasure(1.0, 2.0)
-        assert moment(mu, 10.0) == pytest.approx(1.0 / 66.0, rel=1e-12)
+        assert mu.moment(10.0) == pytest.approx(1.0 / 66.0, rel=1e-12)
         xs = np.linspace(0.0, 1.0, 200001)
         quad = np.trapezoid(xs ** 10 * 2.0 * (1.0 - xs), xs)
-        assert moment(mu, 10.0) == pytest.approx(quad, rel=1e-8)
+        assert mu.moment(10.0) == pytest.approx(quad, rel=1e-8)
 
     def test_powertail_truncated_vs_quadrature(self):
         mu = PowerTailMeasure(1.5, 2.5, x0=0.25)
         xs = np.linspace(0.25, 1.0, 400001)
         for s in (0.0, 3.0, 11.5):
             quad = np.trapezoid(xs ** s * 1.5 * 2.5 * (1.0 - xs) ** 1.5, xs)
-            assert moment(mu, s) == pytest.approx(quad, rel=1e-7)
+            assert mu.moment(s) == pytest.approx(quad, rel=1e-7)
 
     def test_huge_exponent_log_domain(self):
         mu = atomic_from_logs([-1e-12], [0.0])   # atom at 1 - 1e-12
@@ -48,24 +48,24 @@ class TestMoments:
         mu2 = PowerTailMeasure(1.0, 2.0)
         total = SumMeasure((mu1, mu2))
         for s in (0.0, 1.0, 7.0):
-            assert moment(total, s) == pytest.approx(
-                moment(mu1, s) + moment(mu2, s), rel=1e-13)
+            assert total.moment(s) == pytest.approx(
+                mu1.moment(s) + mu2.moment(s), rel=1e-13)
 
     def test_scaling(self):
         mu = PowerTailMeasure(1.0, 2.0)
         scaled = ScaledMeasure(3.5, mu)
         for s in (0.0, 2.0, 50.0):
-            assert moment(scaled, s) == pytest.approx(3.5 * moment(mu, s),
+            assert scaled.moment(s) == pytest.approx(3.5 * mu.moment(s),
                                                       rel=1e-13)
 
     def test_strictly_decreasing_in_s(self):
         for mu in (lebesgue(), point_mass(0.5), PowerTailMeasure(1.0, 2.0)):
-            values = [moment(mu, s) for s in (0.0, 0.5, 1.0, 2.0, 4.0)]
+            values = [mu.moment(s) for s in (0.0, 0.5, 1.0, 2.0, 4.0)]
             assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_negative_order_rejected(self):
         with pytest.raises(InvalidParameterError):
-            moment(lebesgue(), -0.5)
+            lebesgue().moment(-0.5)
 
 
 def _mp_moment(mu, s):
@@ -154,37 +154,37 @@ class TestTailMass:
     def test_lebesgue(self):
         leb = lebesgue()
         for eps in (1.0, 0.25, 1e-6):
-            assert tail_mass(leb, eps) == pytest.approx(eps)
+            assert leb.tail_mass(eps) == pytest.approx(eps)
 
     def test_powertail(self):
-        assert tail_mass(PowerTailMeasure(1.0, 2.0), 0.1) == pytest.approx(0.01)
+        assert PowerTailMeasure(1.0, 2.0).tail_mass(0.1) == pytest.approx(0.01)
 
     def test_atomic_threshold(self):
         mu = atomic([(0.9, 2.0)])
-        assert tail_mass(mu, 0.05) == 0.0
-        assert tail_mass(mu, 0.2) == pytest.approx(2.0)
+        assert mu.tail_mass(0.05) == 0.0
+        assert mu.tail_mass(0.2) == pytest.approx(2.0)
         # closed interval: the atom at exactly 1-eps counts
-        assert tail_mass(mu, 1.0 - 0.9) == pytest.approx(2.0)
+        assert mu.tail_mass(1.0 - 0.9) == pytest.approx(2.0)
 
     def test_nondecreasing_in_eps(self):
         mu = SumMeasure((atomic([(0.4, 1.0), (0.8, 0.5)]),
                          PowerTailMeasure(0.5, 1.5)))
         eps = np.linspace(1e-4, 1.0, 97)
-        masses = [tail_mass(mu, e) for e in eps]
+        masses = [mu.tail_mass(e) for e in eps]
         assert all(b >= a for a, b in zip(masses, masses[1:]))
 
     def test_domain(self):
         with pytest.raises(InvalidParameterError):
-            tail_mass(lebesgue(), 0.0)
+            lebesgue().tail_mass(0.0)
         with pytest.raises(InvalidParameterError):
-            tail_mass(lebesgue(), 1.5)
+            lebesgue().tail_mass(1.5)
 
 
 class TestRestrict:
     def test_lebesgue_quarter(self):
         tail = restrict_tail(lebesgue(), 4)
         assert tail.total_mass == pytest.approx(0.25)
-        assert moment(tail, 0.0) == pytest.approx(0.25)
+        assert tail.moment(0.0) == pytest.approx(0.25)
 
     def test_atomic_drop(self):
         mu = atomic([(0.5, 1.0), (0.9, 2.0)])
@@ -252,7 +252,7 @@ class TestLemma42:
                    atomic([(0.5, 1.0)]), ScaledMeasure(2.0, lebesgue())):
             norm = modulus_report(mu).sublinear_norm
             for s in (0.5, 1.0, 3.0, 10.0, 40.0):
-                assert moment(mu, s) <= norm / (s + 1.0) + 1e-12
+                assert mu.moment(s) <= norm / (s + 1.0) + 1e-12
 
     def test_extremal_monomials(self):
         # sup_lambda ||(2 lambda + 1)^(1/2) x^lambda||_{L^2(mu)} <= ||mu||_S^(1/2)
@@ -260,13 +260,13 @@ class TestLemma42:
                    ScaledMeasure(0.25, lebesgue())):
             norm = modulus_report(mu).sublinear_norm
             for lam in 2.0 ** np.arange(0, 16):
-                val = math.sqrt((2 * lam + 1) * moment(mu, 2 * lam))
+                val = math.sqrt((2 * lam + 1) * mu.moment(2 * lam))
                 assert val <= math.sqrt(norm) + 1e-10
 
 
 class TestRhoMajorization:
     def test_lebesgue_equality(self):
-        res = rho_majorization_check(lebesgue(), power_rho(1.0, 1.0),
+        res = rho_majorization_check(lebesgue(), PowerTailMeasure(1.0, 1.0),
                                      lambda x: np.asarray(x) ** 2)
         assert res.holds
         assert res.lhs == pytest.approx(1.0 / 3.0, rel=1e-10)
@@ -274,14 +274,15 @@ class TestRhoMajorization:
 
     def test_powertail_beta_equality(self):
         res = rho_majorization_check(PowerTailMeasure(1.0, 2.0),
-                                     power_rho(1.0, 2.0),
+                                     PowerTailMeasure(1.0, 2.0),
                                      lambda x: np.asarray(x) ** 10.0)
         assert res.holds
         assert res.lhs == pytest.approx(1.0 / 66.0, rel=1e-9)
         assert res.rhs == pytest.approx(1.0 / 66.0, rel=1e-9)
 
     def test_atomic_slack(self):
-        res = rho_majorization_check(atomic([(0.5, 1.0)]), power_rho(2.0, 1.0),
+        res = rho_majorization_check(atomic([(0.5, 1.0)]),
+                                     PowerTailMeasure(2.0, 1.0),
                                      lambda x: np.asarray(x))
         assert res.holds
         assert res.lhs == pytest.approx(0.5)
@@ -290,7 +291,7 @@ class TestRhoMajorization:
     def test_hypothesis_violation_raises(self):
         with pytest.raises(HypothesisViolationError):
             rho_majorization_check(ScaledMeasure(3.0, lebesgue()),
-                                   power_rho(1.0, 1.0),
+                                   PowerTailMeasure(1.0, 1.0),
                                    lambda x: np.asarray(x))
 
 
@@ -303,17 +304,57 @@ class TestIntegrateAgainst:
         for mu in (lebesgue(), PowerTailMeasure(1.5, 2.5, x0=0.2), piecewise,
                    SumMeasure((ScaledMeasure(0.5, lebesgue()), point_mass(0.4)))):
             value, err = integrate_against(mu, lambda x: np.asarray(x) ** s)
-            assert value == pytest.approx(moment(mu, s), rel=1e-13)
+            assert value == pytest.approx(mu.moment(s), rel=1e-13)
             assert err <= 1e-13 * value
 
-    def test_power_rho_rhs_closed_form(self):
+    def test_power_tail_majorant_rhs_closed_form(self):
         # integral_0^1 x^s rho'(1 - x) dx = C alpha B(s + 1, alpha)
-        rho = power_rho(2.0, 1.5)
+        rho = PowerTailMeasure(2.0, 1.5)
         for s in (0.5, 7.0):
             res = rho_majorization_check(PowerTailMeasure(1.0, 2.0), rho,
                                          lambda x, s=s: np.asarray(x) ** s)
             exact = 2.0 * 1.5 * float(mp.beta(s + 1.0, 1.5))
             assert res.rhs == pytest.approx(exact, rel=1e-13)
+
+
+def _old_majorization_rhs(coefficient, alpha, g):
+    """The right-hand side before the majorant was a measure: g against
+    rho'(t) = C alpha t^(alpha - 1) on a plan of its own.  (value, error)"""
+    def derivative(u):
+        return coefficient * alpha * np.asarray(u) ** (alpha - 1.0)
+    plan = quadrature.QuadraturePlan.from_pieces([(0.0, 1.0, derivative, False)])
+    value, err, _ = plan.integrate(lambda t: g(1.0 - t))
+    return value, err
+
+
+class TestMajorantMeasure:
+    @pytest.mark.parametrize("coefficient, alpha",
+                             [(1.0, 1.0), (2.0, 1.5), (3.0, 0.6), (4.0, 0.3)])
+    @pytest.mark.parametrize("s", [0.5, 3.0, 40.0])
+    def test_rhs_matches_old_plan(self, coefficient, alpha, s):
+        def g(x):
+            return np.asarray(x, dtype=float) ** s
+        mu = ScaledMeasure(0.5, atomic([(0.4, 1.0)]))
+        res = rho_majorization_check(mu, PowerTailMeasure(coefficient, alpha), g)
+        rhs, rhs_err = _old_majorization_rhs(coefficient, alpha, g)
+        lhs, lhs_err = integrate_against(mu, g)
+        assert res.rhs == rhs
+        assert res.quadrature_error == lhs_err + rhs_err
+        assert res.holds and res.slack == rhs - lhs
+
+    @pytest.mark.parametrize("coefficient, alpha", [(1.0, 1.0), (2.0, 0.5),
+                                                    (0.3, 2.0)])
+    def test_tail_mass_is_the_power_majorant(self, coefficient, alpha):
+        majorant = PowerTailMeasure(coefficient, alpha)
+        for eps in default_epsilon_grid():
+            assert majorant.tail_mass(eps) == coefficient * eps ** alpha
+
+    def test_violation_message(self):
+        with pytest.raises(HypothesisViolationError) as info:
+            rho_majorization_check(ScaledMeasure(3.0, lebesgue()),
+                                   PowerTailMeasure(1.0, 1.0),
+                                   lambda x: np.asarray(x))
+        assert str(info.value) == "mu(J_eps) = 3 exceeds rho(eps) = 1 at eps = 1"
 
 
 class TestValidation:
@@ -349,7 +390,7 @@ class TestConfig:
         mu = measure_from_config(spec)
         again = measure_from_config(mu.to_config())
         for s in (0.0, 1.0, 5.0):
-            assert moment(mu, s) == pytest.approx(moment(again, s), rel=1e-14)
+            assert mu.moment(s) == pytest.approx(again.moment(s), rel=1e-14)
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidParameterError, match="kind"):

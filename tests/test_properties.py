@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from muntzlab import (PowerTailMeasure, ScaledMeasure, SumMeasure, atomic,
                       classify, distances, lebesgue, make_explicit,
-                      make_geometric, modulus_report, moment, point_mass,
-                      tail_mass)
+                      make_geometric, modulus_report, point_mass)
 from muntzlab.highprec import distance_oracle
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -80,10 +79,10 @@ class TestMeasureProperties:
     @settings(max_examples=60, deadline=None)
     def test_moment_additivity_and_scaling(self, mu, s):
         other = point_mass(0.5, 0.7)
-        assert moment(SumMeasure((mu, other)), s) == pytest.approx(
-            moment(mu, s) + moment(other, s), rel=1e-12)
-        assert moment(ScaledMeasure(2.5, mu), s) == pytest.approx(
-            2.5 * moment(mu, s), rel=1e-12)
+        assert SumMeasure((mu, other)).moment(s) == pytest.approx(
+            mu.moment(s) + other.moment(s), rel=1e-12)
+        assert ScaledMeasure(2.5, mu).moment(s) == pytest.approx(
+            2.5 * mu.moment(s), rel=1e-12)
 
     @given(mu=simple_measures(),
            s1=st.floats(min_value=0.0, max_value=20.0),
@@ -93,7 +92,7 @@ class TestMeasureProperties:
         lo, hi = min(s1, s2), max(s1, s2)
         if hi - lo < 1e-9:
             return
-        assert moment(mu, hi) < moment(mu, lo) * (1.0 + 1e-12)
+        assert mu.moment(hi) < mu.moment(lo) * (1.0 + 1e-12)
 
     @given(mu=simple_measures(),
            e1=st.floats(min_value=1e-6, max_value=1.0),
@@ -101,7 +100,7 @@ class TestMeasureProperties:
     @settings(max_examples=60, deadline=None)
     def test_tail_mass_monotone(self, mu, e1, e2):
         lo, hi = min(e1, e2), max(e1, e2)
-        assert tail_mass(mu, lo) <= tail_mass(mu, hi) + 1e-15
+        assert mu.tail_mass(lo) <= mu.tail_mass(hi) + 1e-15
 
     @given(mu=simple_measures())
     @settings(max_examples=40, deadline=None)
@@ -116,4 +115,4 @@ class TestMeasureProperties:
         norm = modulus_report(mu).sublinear_norm
         if not math.isfinite(norm):
             return
-        assert moment(mu, s) <= norm / (s + 1.0) + 1e-12
+        assert mu.moment(s) <= norm / (s + 1.0) + 1e-12

@@ -10,16 +10,19 @@ from muntzlab import (EmbeddingProblem, IllConditionedBasisError,
                       essential_norm_trend, hilbert_schmidt_certificate,
                       lebesgue, lebesgue_gram, make_explicit, make_geometric,
                       make_power, measure_gram, modulus_report, point_mass,
-                      power_rho, psi_certificate, restrict_tail,
+                      psi_certificate, restrict_tail,
                       rho_certificate, riesz_sequence_check, singular_values,
                       sublinear_embedding_bound)
 from muntzlab.geometry import PsiEvaluator
 from muntzlab.highprec import generalized_singular_values
 from muntzlab import quadrature
 from muntzlab.logdomain import log_sum
-from muntzlab.measures import PiecewiseDensityMeasure
-from muntzlab.spectral import (UNSOUND_CONTRIBUTION_RTOL, _psi_squared_integral,
-                               _squared_majorant_logs, _unsound_tail_width)
+from muntzlab.measures import (PiecewiseDensityMeasure, default_epsilon_grid,
+                               measure_from_config)
+from muntzlab.spectral import (PSI_TRUNCATION_FLAG, TAIL_UNSOUND_FLAG,
+                               UNSOUND_CONTRIBUTION_RTOL, AssumptionCheck,
+                               _psi_squared_integral, _squared_majorant_logs,
+                               _unsound_tail_width)
 
 
 class TestMeasureGram:
@@ -220,18 +223,18 @@ class TestCertificates:
 
     def test_rho_lebesgue(self):
         cert = rho_certificate(make_explicit([1.0]), lebesgue(),
-                               power_rho(1.0, 1.0))
+                               PowerTailMeasure(1.0, 1.0))
         assert cert.value == pytest.approx(1.0, rel=1e-9)
 
     def test_rho_powertail_exact(self):
         cert = rho_certificate(make_explicit([1.0]), PowerTailMeasure(1.0, 2.0),
-                               power_rho(1.0, 2.0))
+                               PowerTailMeasure(1.0, 2.0))
         assert cert.value == pytest.approx(math.sqrt(0.5), rel=1e-9)
 
     def test_rho_hypothesis_failure_recorded(self):
         cert = rho_certificate(make_explicit([1.0]),
                                ScaledMeasure(5.0, lebesgue()),
-                               power_rho(1.0, 1.0))
+                               PowerTailMeasure(1.0, 1.0))
         assert not cert.comparable
         assert math.isinf(cert.value)
 
@@ -240,7 +243,7 @@ class TestCertificates:
         mu = PowerTailMeasure(1.0, 2.0)
         op = analyze(EmbeddingProblem(seq, mu, 16)).op_norm
         c_psi = psi_certificate(seq, mu)
-        c_rho = rho_certificate(seq, mu, power_rho(1.0, 2.0))
+        c_rho = rho_certificate(seq, mu, PowerTailMeasure(1.0, 2.0))
         assert c_psi.value >= op - 1e-9
         assert c_rho.value >= op - 1e-9
 
@@ -440,6 +443,108 @@ class TestUnsoundPartFromTotal:
                                     (hilbert_schmidt_certificate(seq, mu, psi), "big")):
                 _, ref_sound = _old_psi_squared_integral(mu, psi, transform)
                 assert ("psi-tail-unsound" not in cert.flags) == ref_sound
+
+
+def _old_rho_certificate(seq, mu, coefficient, alpha):
+    """The rho certificate before the majorant was a measure: rho(eps) =
+    C eps^alpha compared with mu(J_eps) by hand, and psi^2 rho'(t) integrated
+    by its own integrand, flagged when any node is tail-unsound.  Returns
+    (value, assumptions, flags)."""
+    psi = PsiEvaluator.from_sequence(seq)
+    bad = None
+    for eps in default_epsilon_grid():
+        bound = float(coefficient * eps ** alpha)
+        mass = mu.tail_mass(eps)
+        if mass > bound * (1.0 + 1e-12) + 1e-300:
+            bad = float(eps), mass, bound
+            break
+    assumptions = (AssumptionCheck(
+        "mu(J_eps) <= rho(eps)", bad is None,
+        "" if bad is None else
+        f"violated at eps={bad[0]:.3g}: {bad[1]:.6g} > {bad[2]:.6g}"),)
+    if bad is not None:
+        return math.inf, assumptions, (PSI_TRUNCATION_FLAG,)
+    sound_box = [True]
+
+    def integrand(t):
+        t = np.asarray(t, dtype=float)
+        vals, snd = psi.eval_many(np.log1p(-t), 0)
+        if not np.all(snd):
+            sound_box[0] = False
+        return vals ** 2 * (coefficient * alpha * np.asarray(t) ** (alpha - 1.0))
+
+    integral, _, _ = quadrature.integrate_refined_at_zero(integrand, 1.0)
+    value = math.sqrt(integral) if math.isfinite(integral) else math.inf
+    flags = (PSI_TRUNCATION_FLAG,) + (() if sound_box[0] else (TAIL_UNSOUND_FLAG,))
+    return value, assumptions, flags
+
+
+# (mu, C, alpha): the hypothesis mu(J_eps) <= C eps^alpha holds unless the
+# name says "violated"
+RHO_CASES = {
+    "lebesgue": (lebesgue, 1.0, 1.0),
+    "powertail-equal": (lambda: PowerTailMeasure(1.0, 2.0), 1.0, 2.0),
+    "powertail-alpha<1": (lambda: PowerTailMeasure(0.5, 0.6), 0.8, 0.6),
+    "powertail-x0": (lambda: PowerTailMeasure(1.0, 2.0, 0.3), 1.0, 1.5),
+    "powertail-steep": (lambda: PowerTailMeasure(1.0, 3.0), 1.0, 2.5),
+    "atoms": (lambda: atomic([(0.3, 1.0), (0.6, 0.5), (0.9, 0.25)]), 2.5, 0.5),
+    "sum-leb-atom": (lambda: SumMeasure((ScaledMeasure(0.5, lebesgue()),
+                                         point_mass(0.25, 0.5))), 1.5, 1.0),
+    "sum-tail-atom": (lambda: SumMeasure((PowerTailMeasure(1.0, 4.0),
+                                          atomic([[0.5, 1.0]]))), 3.0, 0.8),
+    "violated-scaled": (lambda: ScaledMeasure(5.0, lebesgue()), 1.0, 1.0),
+    "violated-alpha": (lambda: PowerTailMeasure(1.0, 0.5), 1.0, 1.0),
+    "violated-atom": (lambda: point_mass(0.999, 0.1), 0.5, 0.5),
+}
+
+
+class TestRhoOnPsiIntegral:
+    def test_matches_old_integrand(self):
+        """Values and assumptions bit for bit.  The tail-unsound flag is the
+        psi verdict on the majorant: the old per-node box fired on any node
+        with t < t*, which the refinement toward t = 0 always reaches, so it
+        flags where the new verdict does and also where the unsound part is
+        at most UNSOUND_CONTRIBUTION_RTOL of the integral."""
+        flag_kept = flag_dropped = violated = 0
+        for seq in SPLIT_SEQUENCES + [make_explicit([1.0])]:
+            psi = PsiEvaluator.from_sequence(seq)
+            for name, (make_mu, c, alpha) in RHO_CASES.items():
+                mu, majorant = make_mu(), PowerTailMeasure(c, alpha)
+                cert = rho_certificate(seq, mu, majorant, psi)
+                value, assumptions, flags = _old_rho_certificate(seq, mu, c, alpha)
+                assert cert.value == value
+                assert cert.assumptions == assumptions
+                assert measure_from_config(cert.params["rho"]) == majorant
+                assert assumptions[0].ok == ("violated" not in name)
+                if not assumptions[0].ok:
+                    violated += 1
+                    assert math.isinf(cert.value)
+                    assert cert.flags == flags == (PSI_TRUNCATION_FLAG,)
+                elif cert.flags == flags:
+                    flag_kept += 1
+                else:
+                    # only a majorant whose density vanishes at t = 0 (the
+                    # CLI's rho blocks have alpha <= 1)
+                    flag_dropped += 1
+                    assert alpha > 1.0
+                    assert flags == (PSI_TRUNCATION_FLAG, TAIL_UNSOUND_FLAG)
+                    assert cert.flags == (PSI_TRUNCATION_FLAG,)
+                    assert _psi_squared_integral(majorant, psi)[1]
+        assert flag_kept + flag_dropped + violated >= 70
+        assert flag_kept >= 30 and violated >= 20 and flag_dropped >= 1
+
+    @pytest.mark.parametrize("mu", [PowerTailMeasure(1.0, 2.0),
+                                    PowerTailMeasure(0.7, 0.6),
+                                    PowerTailMeasure(2.0, 3.0, 0.2),
+                                    PowerTailMeasure(1.5, 1.0, 0.5)],
+                             ids=repr)
+    def test_self_majorant_is_psi_certificate(self, mu):
+        for seq in SPLIT_SEQUENCES:
+            psi = PsiEvaluator.from_sequence(seq)
+            rho = rho_certificate(seq, mu, mu, psi)
+            plain = psi_certificate(seq, mu, psi)
+            assert rho.assumptions[0].ok
+            assert (rho.value, rho.flags) == (plain.value, plain.flags)
 
 
 class TestCertificatesExactForm:
