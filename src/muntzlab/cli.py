@@ -58,9 +58,18 @@ def _field(config: dict, name: str, convert, default):
         return convert(value)
     except InvalidParameterError:
         raise
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError(
             f"config field {name!r} is malformed: {exc}") from exc
+
+
+def _integer(value) -> int:
+    """``value`` as an int; a value that is not a whole number is refused
+    rather than truncated, so the echoed config is what ran."""
+    whole = int(value)
+    if whole != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return whole
 
 
 def _rho_majorant(params: dict):
@@ -88,19 +97,18 @@ def cmd_analyze(args) -> int:
     config = _load_config(args.config)
     seq = sequence_from_config(_require(config, "sequence"))
     mu = measure_from_config(_require(config, "measure"))
-    n = args.n or _field(config, "N", int, len(seq))
+    n = args.n or _field(config, "N", _integer, len(seq))
     if not 1 <= n <= len(seq):
         raise InvalidParameterError(
             f"N = {n} outside 1..{len(seq)} (sequence truncation)")
     q_set = _field(config, "q_set", lambda qs: tuple(float(q) for q in qs),
                    (0.5, 1.0, 2.0))
-    m_list = _field(config, "m_list", lambda ms: [int(m) for m in ms or ()],
+    m_list = _field(config, "m_list", lambda ms: [_integer(m) for m in ms or ()],
                     None)
 
     started = time.perf_counter()
     problem = spectral.EmbeddingProblem(seq, mu, n)
-    report = spectral.analyze(problem, q_set=q_set,
-                              extended=(args.precision == "extended"))
+    report = spectral.analyze(problem, q_set=q_set)
     mod = modulus_report(mu)
 
     sub = seq.truncate(n)
@@ -268,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--out", default=".", help="output directory")
     p_an.add_argument("--n", type=int, default=None,
                       help="override the truncation N")
-    p_an.add_argument("--precision", choices=("double", "extended"),
-                      default="double")
     p_an.set_defaults(fn=cmd_analyze)
 
     p_co = sub.add_parser("construct", help="build and verify a "

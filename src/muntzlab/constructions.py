@@ -1,11 +1,20 @@
 """The two recursive counterexample constructions and their verification.
 
 Both build an atomic measure mu = sum c_n delta_{a_n} together with a
-rapidly growing exponent sequence.  Exponent choices follow a doubling
-search from the forced minimum until every recorded per-step inequality
-holds; powers-of-two multiples keep the searches deterministic.  All atom
-data lives in the log domain (by step 8 the first construction reaches
-lambda ~ 1e18 and the second ~ 1e50, so positions are within 1e-18 of 1).
+rapidly growing exponent sequence.  Step n takes lambda_n on the doubling
+ladder base * 2^k, k = 0, 1, ..., which the double range bounds to about
+1000 rungs: the whole ladder is evaluated at once and the first rung where
+every condition holds is taken, so the searches are deterministic, and a
+ladder with no such rung raises ConstructionError.  All atom data lives in
+the log domain (by step 8 the first construction reaches lambda ~ 1e18 and
+the second ~ 1e50, so positions are within 1e-18 of 1).
+
+Each example has one array condition evaluator, ``_example1_step`` and
+``_example2_step``, over an array of candidate exponents.  Its sums over
+the earlier atoms are log moments of the atomic measure built so far
+(:meth:`Measure.log_moments`); Example 2's ratio conditions are closed-form
+(i, j) arrays, affine in log lambda_n.  The search calls it on the ladder,
+and verification calls it again at the recorded lambda_n.
 
 The first construction produces an L^2-embedding measure that is not an
 L^1-embedding measure; the second, for given 0 < r < q, an embedding in the
@@ -13,12 +22,12 @@ Schatten class S_q but not in S_r.
 
 Verification raises ConstructionBugError on the first violation of:
 
-- every per-step condition of the ledger, recomputed from the built
-  sequence and measure, and the ledger row's agreement with it.  Example 1:
-  the sum condition lam_n sum_{k<n} a_k^{lam_n} <= 1/n^2, the growth ratio
-  lam_n/(n^4 lam_{n-1}) >= 1 and the window n^2 a_n^{lam_n} in [1/2, 2].
-  Example 2: the four slack families of ``_example2_slacks`` (own-sum,
-  cross, ratio pairs, ratio single), each >= 0;
+- every per-step condition of the ledger, recomputed by the evaluator from
+  the built sequence and measure, and the ledger row's agreement with it.
+  Example 1: the sum condition lam_n sum_{k<n} a_k^{lam_n} <= 1/n^2, the
+  growth ratio lam_n/(n^4 lam_{n-1}) >= 1 and the window n^2 a_n^{lam_n} in
+  [1/2, 2].  Example 2: the four slack families own-sum, cross, ratio pairs
+  and ratio single, each >= 0;
 - the conclusions.  Example 1: ||g_n||^2 <= C ln n/n^2 (C = EXAMPLE1_C0
   unless a ``c_fit`` is given) and L^1 witnesses above their own-atom
   terms.  Example 2: alpha_n^2/e <= ||g_n||^2 <= 1.5 alpha_n^2 and an
@@ -37,16 +46,15 @@ import numpy as np
 
 from .errors import (ConstructionBugError, ConstructionError,
                      InvalidParameterError)
-from .logdomain import log_sum
 from .lp import l1_unboundedness_witness
 from .measures import AtomicMeasure, atomic_from_logs
 from .sequences import LambdaSequence, classify
 from .spectral import (EmbeddingProblem, analyze, measure_gram,
                        riesz_sequence_check)
 
-MAX_DOUBLINGS = 10 ** 6
 EXAMPLE1_N_CAP = 12
 EXAMPLE2_N_CAP = 10
+_LN2 = math.log(2.0)
 
 # A-priori constant C0 in ||g_n||^2 <= C0 ln n / n^2 (n >= 2) for Example 1,
 # where ||g_n||^2 = sum_k c_k lam_n a_k^{2 lam_n} and the atoms are
@@ -63,6 +71,49 @@ EXAMPLE2_N_CAP = 10
 #                  so they add <= 2 ln n/n^2.
 # Summing, C0 = 2 + 1/ln 2 + 2, and sum_n ||g_n||^2 <= ||g_1||^2 - C0 zeta'(2).
 EXAMPLE1_C0 = 4.0 + 1.0 / math.log(2.0)
+
+
+# ---------------------------------------------------------------------------
+# the doubling search and the ledger check, shared by both examples
+# ---------------------------------------------------------------------------
+#
+# ``step(lam)`` is an example's condition evaluator at step n over an array
+# of candidates lam: it returns the ledger values (keyed by row field) and
+# the condition slacks (keyed by condition), each an array over lam; a
+# condition holds where its slack is >= 0.
+
+def _search(n: int, base: float, step) -> tuple[float, dict]:
+    """lambda_n = base * 2**k for the least k at which every slack of
+    ``step`` is >= 0, with the ledger values there.  The whole ladder, up to
+    the rung where 2 * base * 2**k would overflow (about 1000 rungs), is
+    evaluated at once."""
+    ladder = np.ldexp(base, np.arange(1024 - math.frexp(base)[1]))
+    ledger, slacks = step(ladder)
+    holds = np.all([s >= 0.0 for s in slacks.values()], axis=0)
+    if not holds.any():
+        raise ConstructionError(
+            f"no lambda_{n} = {base:g} * 2^k in the double range meets every "
+            f"step-{n} condition")
+    k = int(np.argmax(holds))
+    return float(ladder[k]), {name: float(v[k]) for name, v in ledger.items()}
+
+
+def _check_row(row, n: int, lam: float, step, tol: float) -> None:
+    """Recompute step n at the recorded lambda_n: every slack must be
+    >= -tol and the row must record lambda_n and the recomputed values."""
+    ledger, slacks = step(np.array([lam]))
+    for name, (value,) in slacks.items():
+        if value < -tol:
+            raise ConstructionBugError(
+                f"row {n}: {name} fails, slack {value:.6g} is negative",
+                n=n, residual=-float(value))
+    for name, (value,) in {"lam": [lam], **ledger}.items():
+        recorded, value = getattr(row, name), float(value)
+        if not abs(recorded - value) <= tol * abs(value):
+            raise ConstructionBugError(
+                f"ledger row {n}: recorded {name} {float(recorded)!r} differs "
+                f"from the value {value!r} recomputed from the build", n=n,
+                residual=recorded - value)
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +146,34 @@ class Example1Build:
         return [vars(r).copy() for r in self.rows]
 
 
+def _example1_step(n: int, lam: np.ndarray, log_a_n, lam_prev: float,
+                   log_a_prev: np.ndarray) -> tuple[dict, dict]:
+    """Example 1's step-n ledger values and slacks over the candidates
+    ``lam`` with atoms ``log_a_n``.  The sum lam sum_{k<n} a_k^lam is lam
+    times the log moment of order lam of the earlier atoms with unit
+    weights."""
+    log_n2 = 2.0 * math.log(n)
+    growth = lam / (n ** 4 * lam_prev)
+    unit = atomic_from_logs(log_a_prev, np.zeros(len(log_a_prev)))
+    lhs_log = np.log(lam) + unit.log_moments(lam)
+    window = np.exp(log_n2 + lam * log_a_n)
+    ledger = {"growth_ratio": growth, "sum_condition_lhs": np.exp(lhs_log),
+              "sum_condition_rhs": np.full(lam.shape, 1.0 / n ** 2),
+              "window": window}
+    slacks = {"growth ratio lam_n/(n^4 lam_{n-1}) >= 1": growth - 1.0,
+              "sum condition log(lam_n sum_k a_k^lam_n) <= log(1/n^2)":
+                  -log_n2 - lhs_log,
+              "window n^2 a_n^lam_n >= 1/2": window - 0.5,
+              "window n^2 a_n^lam_n <= 2": 2.0 - window}
+    return ledger, slacks
+
+
 def build_example1(n_max: int) -> Example1Build:
     """Recursive build: seeds (lambda, a, c) = (1, 1/2, 1); for n >= 2 the
     exponent is the smallest power-of-two multiple of
     max(n^4 lam_{n-1}, lam_{n-1} + 1) satisfying
-    lam_n sum_{k<n} a_k^{lam_n} <= 1/n^2, then a_n = 1 - 2 ln n / lam_n and
-    c_n = 2 n^2 ln n / lam_n."""
+    lam_n sum_{k<n} a_k^{lam_n} <= 1/n^2 (and the growth and window
+    conditions), then a_n = 1 - 2 ln n / lam_n and c_n = 2 n^2 ln n / lam_n."""
     if not 2 <= n_max <= EXAMPLE1_N_CAP:
         raise InvalidParameterError(
             f"n_max must lie in 2..{EXAMPLE1_N_CAP} (log-domain report cap)")
@@ -111,28 +184,17 @@ def build_example1(n_max: int) -> Example1Build:
                         growth_ratio=math.nan, sum_condition_lhs=math.nan,
                         sum_condition_rhs=math.nan, window=math.nan)]
     for n in range(2, n_max + 1):
-        base = max(n ** 4 * lams[-1], lams[-1] + 1.0)
-        cand = base
-        prev_log_a = np.array(log_a)
-        for _ in range(MAX_DOUBLINGS):
-            lhs_log = math.log(cand) + log_sum(cand * prev_log_a)
-            if lhs_log <= -2.0 * math.log(n):
-                break
-            cand *= 2.0
-        else:
-            raise ConstructionError(f"doubling search for lambda_{n} failed")
         ln_n = math.log(n)
-        if 2.0 * ln_n / cand >= 1.0:
-            raise ConstructionError(f"lambda_{n} too small for a_n in (0,1)")
-        lams.append(cand)
-        log_a.append(math.log1p(-2.0 * ln_n / cand))
-        log_c.append(math.log(2.0) + 2.0 * ln_n + math.log(ln_n) - math.log(cand))
-        rows.append(Example1Row(
-            n=n, lam=cand, log_a=log_a[-1], log_c=log_c[-1],
-            growth_ratio=cand / (n ** 4 * lams[-2]),
-            sum_condition_lhs=math.exp(lhs_log),
-            sum_condition_rhs=1.0 / n ** 2,
-            window=math.exp(2.0 * ln_n + cand * log_a[-1])))
+        lam_prev, log_a_prev = lams[-1], np.array(log_a)
+        lam, ledger = _search(
+            n, max(n ** 4 * lam_prev, lam_prev + 1.0),
+            lambda cand: _example1_step(n, cand, np.log1p(-2.0 * ln_n / cand),
+                                        lam_prev, log_a_prev))
+        lams.append(lam)
+        log_a.append(math.log1p(-2.0 * ln_n / lam))
+        log_c.append(math.log(2.0) + 2.0 * ln_n + math.log(ln_n) - math.log(lam))
+        rows.append(Example1Row(n=n, lam=lam, log_a=log_a[-1],
+                                log_c=log_c[-1], **ledger))
     return Example1Build(rows=tuple(rows),
                          sequence=LambdaSequence(np.array(lams), origin="constructed"),
                          measure=atomic_from_logs(log_a, log_c))
@@ -170,27 +232,27 @@ def verify_example1(build: Example1Build, c_fit: float | None = None,
     n_max = build.n_max
     lams = seq.values
     log_a, log_c = mu.log_positions, mu.log_weights
+    n = np.arange(2.0, n_max + 1.0)
 
     g_sq = lams * np.exp(mu.log_moments(2.0 * lams))
-    ratios = np.array([g_sq[i] * (i + 1) ** 2 / math.log(i + 1)
-                       for i in range(1, n_max)])
-    fitted = float(ratios.max())
     use_c = EXAMPLE1_C0 if c_fit is None else c_fit
-    for i in range(1, n_max):
-        bound = use_c * math.log(i + 1) / (i + 1) ** 2
-        if g_sq[i] > bound * (1.0 + tol):
-            raise ConstructionBugError(
-                f"||g_{i+1}||^2 = {g_sq[i]:.6g} exceeds C ln n/n^2 = {bound:.6g}",
-                n=i + 1, residual=g_sq[i] - bound)
+    bound = use_c * np.log(n) / n ** 2
+    over = np.flatnonzero(g_sq[1:] > bound * (1.0 + tol))
+    if over.size:
+        i = int(over[0])
+        raise ConstructionBugError(
+            f"||g_{i+2}||^2 = {g_sq[i+1]:.6g} exceeds C ln n/n^2 = {bound[i]:.6g}",
+            n=i + 2, residual=g_sq[i + 1] - bound[i])
     _check_example1_ledger(build, tol)
 
     witnesses = np.array([v for _, v in l1_unboundedness_witness(seq, mu)])
     own = np.exp(log_c + np.log(lams) + lams * log_a)
-    for i in range(n_max):
-        if witnesses[i] < own[i] * (1.0 - tol):
-            raise ConstructionBugError(
-                f"L1 witness {witnesses[i]:.6g} below its own-atom term "
-                f"{own[i]:.6g}", n=i + 1, residual=own[i] - witnesses[i])
+    under = np.flatnonzero(witnesses < own * (1.0 - tol))
+    if under.size:
+        i = int(under[0])
+        raise ConstructionBugError(
+            f"L1 witness {witnesses[i]:.6g} below its own-atom term "
+            f"{own[i]:.6g}", n=i + 1, residual=own[i] - witnesses[i])
     increasing = bool(np.all(np.diff(witnesses) > 0.0))
 
     op_norms = []
@@ -199,52 +261,24 @@ def verify_example1(build: Example1Build, c_fit: float | None = None,
         op_norms.append((n_i, rep.op_norm))
 
     return Example1Report(
-        g_norms_sq=g_sq, partial_sums=np.cumsum(g_sq), c_fit=fitted,
+        g_norms_sq=g_sq, partial_sums=np.cumsum(g_sq),
+        c_fit=float(np.max(g_sq[1:] * n ** 2 / np.log(n))),
         c_bound=use_c, l1_witnesses=witnesses, witness_lower_bounds=own,
-        witness_ratios=np.array([own[i] / math.log(i + 1)
-                                 for i in range(1, n_max)]),
+        witness_ratios=own[1:] / np.log(n),
         witnesses_increasing=increasing, op_norms=tuple(op_norms),
         min_ratio=classify(seq).min_ratio)
 
 
-def _check_ledger_value(name: str, n: int, recorded: float, value: float,
-                        tol: float) -> None:
-    if not abs(recorded - value) <= tol * abs(value):
-        raise ConstructionBugError(
-            f"ledger row {n}: recorded {name} {float(recorded)!r} differs from "
-            f"the value {float(value)!r} recomputed from the build", n=n,
-            residual=recorded - value)
-
-
 def _check_example1_ledger(build: Example1Build, tol: float) -> None:
-    """Recompute the sum condition, growth ratio and window of every row
-    n >= 2 from the built sequence and measure."""
+    """Run ``_example1_step`` at every recorded lambda_n, n >= 2, with the
+    atoms of the built measure."""
     lams = build.sequence.values
     log_a = build.measure.log_positions
     for i, row in enumerate(build.rows[1:], start=1):
-        n, lam = i + 1, float(lams[i])
-        growth = lam / (n ** 4 * float(lams[i - 1]))
-        lhs_log = math.log(lam) + log_sum(lam * log_a[:i])
-        window = math.exp(2.0 * math.log(n) + lam * float(log_a[i]))
-        if growth < 1.0 - tol:
-            raise ConstructionBugError(
-                f"growth ratio lam_{n}/(n^4 lam_{n-1}) = {growth:.6g} below 1",
-                n=n, residual=1.0 - growth)
-        if lhs_log > -2.0 * math.log(n) + tol:
-            raise ConstructionBugError(
-                f"sum condition lam_{n} sum_k a_k^lam_{n} = {math.exp(lhs_log):.6g}"
-                f" exceeds 1/n^2 = {1.0 / n ** 2:.6g}", n=n,
-                residual=math.exp(lhs_log) - 1.0 / n ** 2)
-        if not 0.5 <= window <= 2.0:
-            raise ConstructionBugError(
-                f"window n^2 a_{n}^lam_{n} = {window:.6g} outside [1/2, 2]",
-                n=n, residual=window)
-        for name, recorded, value in (
-                ("lam", row.lam, lam), ("growth_ratio", row.growth_ratio, growth),
-                ("sum_condition_lhs", row.sum_condition_lhs, math.exp(lhs_log)),
-                ("sum_condition_rhs", row.sum_condition_rhs, 1.0 / n ** 2),
-                ("window", row.window, window)):
-            _check_ledger_value(name, n, recorded, value, tol)
+        _check_row(row, i + 1, float(lams[i]),
+                   lambda lam: _example1_step(i + 1, lam, log_a[i],
+                                              float(lams[i - 1]), log_a[:i]),
+                   tol)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +288,6 @@ def _check_example1_ledger(build: Example1Build, tol: float) -> None:
 def _default_theta(q: float, r: float) -> float:
     # midpoint of (1/q, 1/r); always satisfies r*theta < 1 < q*theta
     return 0.5 * (1.0 / q + 1.0 / r)
-
-
-def _log_beta_sqrt(i: int, j: int) -> float:
-    # beta_ij = 4^-(i+j+2), so log sqrt(beta_ij) = -(i+j+2) log 2
-    return -(i + j + 2.0) * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -291,6 +320,48 @@ class Example2Build:
         return [vars(r).copy() for r in self.rows]
 
 
+def _example2_step(n: int, lam: np.ndarray, lams_prev: np.ndarray,
+                   log_a_prev: np.ndarray, log_c_prev: np.ndarray,
+                   log_alpha: np.ndarray) -> tuple[dict, dict]:
+    """Example 2's four step-n slack families (rhs - lhs in the log domain,
+    each the minimum over its indices) over the candidates ``lam``; the
+    ledger records them as they are.  With beta_ij = 4^-(i+j+2) and
+    i, j < n:
+
+    - own-sum: sum_{i<n} c_i lam a_i^{2 lam} <= alpha_n^2 / 8;
+    - cross: sum_{i<n} c_i sqrt(lam_j lam) a_i^{lam_j+lam}
+      <= alpha_j alpha_n sqrt(beta_jn) / 4 for each j;
+    - ratio pairs: alpha_n^2 sqrt(lam_i lam_j)/lam
+      <= 2^-(n+2-max(i,j)) alpha_i alpha_j sqrt(beta_ij);
+    - ratio single: alpha_n^2 sqrt(lam_i/lam) <= alpha_i alpha_n sqrt(beta_in)/2.
+
+    The two sums are log moments of the atoms built so far at the orders
+    2 lam and lam_j + lam.  The ratio families are affine in log lam; each
+    pair's slack is formed before the minimum is taken, so that a slack near
+    0 keeps its relative accuracy.
+    """
+    log_lam = np.log(lam)
+    mu = atomic_from_logs(log_a_prev, log_c_prev)
+    idx = np.arange(1.0, n)
+    la_n, la = log_alpha[n - 1], log_alpha[:n - 1]
+    log_lam_prev = np.log(lams_prev)
+    own = (2.0 * la_n - math.log(8.0)) - (log_lam + mu.log_moments(2.0 * lam))
+    cross = ((la + la_n - (idx + n + 2.0) * _LN2 - math.log(4.0))
+             - 0.5 * (log_lam_prev + log_lam[:, None])
+             - mu.log_moments(lams_prev + lam[:, None])).min(axis=1)
+    i, j = idx[:, None], idx[None, :]
+    pairs = ((-(n + 2.0 - np.maximum(i, j)) * _LN2 + la[:, None] + la[None, :]
+              - (i + j + 2.0) * _LN2)
+             - ((2.0 * la_n + 0.5 * (log_lam_prev[:, None] + log_lam_prev[None, :]))
+                - log_lam[:, None, None]))
+    single = ((math.log(0.5) + la + la_n - (idx + n + 2.0) * _LN2)
+              - ((2.0 * la_n + 0.5 * log_lam_prev) - 0.5 * log_lam[:, None]))
+    slacks = {"slack_own_sum": own, "slack_cross": cross,
+              "slack_ratio_pairs": pairs.min(axis=(1, 2)),
+              "slack_ratio_single": single.min(axis=1)}
+    return slacks, slacks
+
+
 def build_example2(q: float, r: float, n_max: int,
                    theta: float | None = None) -> Example2Build:
     """Recursive build for given 0 < r < q.
@@ -298,7 +369,9 @@ def build_example2(q: float, r: float, n_max: int,
     alpha_n = (n+1)^-theta with r*theta <= 1 < q*theta (in l^q, not in l^r,
     all |alpha_n| < 1); beta_nm = 4^-(n+m+2) sums to 1/144 < 1/4.  Exponents
     double from 2*lam_{n-1} until the four recorded condition families hold;
-    then a_n = exp(-1/(2 lam_n)) and c_n = alpha_n^2 / lam_n.
+    then a_n = exp(-1/(2 lam_n)) and c_n = alpha_n^2 / lam_n.  An alpha_n
+    whose square underflows (the norms ||g_n||^2 are about alpha_n^2) is
+    refused.
     """
     if not 0.0 < r < q:
         raise InvalidParameterError("need 0 < r < q")
@@ -310,6 +383,12 @@ def build_example2(q: float, r: float, n_max: int,
         raise InvalidParameterError(
             f"theta = {theta:g} must satisfy r*theta <= 1 < q*theta")
     alphas = np.array([(n + 1.0) ** -theta for n in range(1, n_max + 1)])
+    representable = alphas ** 2 >= np.finfo(float).tiny
+    if not representable.all():
+        n = int(np.argmin(representable)) + 1
+        raise InvalidParameterError(
+            f"alpha_{n}^2 = {n + 1}^(-2 theta) underflows at theta = {theta:g}; "
+            "reduce theta or n_max")
     log_alpha = np.log(alphas)
 
     lams = [1.0]
@@ -320,23 +399,15 @@ def build_example2(q: float, r: float, n_max: int,
                         slack_ratio_pairs=math.nan, slack_ratio_single=math.nan)]
 
     for n in range(2, n_max + 1):
-        la_prev = np.array(log_a)
-        lc_prev = np.array(log_c)
-        cand = 2.0 * lams[-1]
-        for _ in range(MAX_DOUBLINGS):
-            slacks = _example2_slacks(n, cand, lams, la_prev, lc_prev, log_alpha)
-            if min(slacks) >= 0.0:
-                break
-            cand *= 2.0
-        else:
-            raise ConstructionError(f"doubling search for lambda_{n} failed")
-        lams.append(cand)
-        log_a.append(-0.5 / cand)
-        log_c.append(2.0 * log_alpha[n - 1] - math.log(cand))
-        rows.append(Example2Row(
-            n=n, lam=cand, log_a=log_a[-1], log_c=log_c[-1],
-            slack_own_sum=slacks[0], slack_cross=slacks[1],
-            slack_ratio_pairs=slacks[2], slack_ratio_single=slacks[3]))
+        prev = (np.array(lams), np.array(log_a), np.array(log_c))
+        lam, slacks = _search(
+            n, 2.0 * lams[-1],
+            lambda cand: _example2_step(n, cand, *prev, log_alpha))
+        lams.append(lam)
+        log_a.append(-0.5 / lam)
+        log_c.append(2.0 * log_alpha[n - 1] - math.log(lam))
+        rows.append(Example2Row(n=n, lam=lam, log_a=log_a[-1],
+                                log_c=log_c[-1], **slacks))
 
     return Example2Build(
         rows=tuple(rows),
@@ -345,67 +416,18 @@ def build_example2(q: float, r: float, n_max: int,
         q=q, r=r, theta=theta, alphas=alphas)
 
 
-def _example2_slacks(n, cand, lams, la_prev, lc_prev, log_alpha):
-    """Minimal log-domain slacks (rhs - lhs) of the four condition families
-    for candidate lambda_n; all must be >= 0."""
-    log_cand = math.log(cand)
-    la_n = log_alpha[n - 1]
-
-    # own-sum: sum_{i<n} c_i lam_n a_i^{2 lam_n} <= alpha_n^2 / 8
-    lhs = log_sum(lc_prev + log_cand + 2.0 * cand * la_prev)
-    s_own = (2.0 * la_n - math.log(8.0)) - lhs
-
-    # cross: sum_{i<n} c_i sqrt(lam_j lam_n) a_i^{lam_j+lam_n}
-    #        <= alpha_j alpha_n sqrt(beta_jn) / 4, for each j < n
-    s_cross = math.inf
-    for j in range(1, n):
-        lhs = log_sum(lc_prev + 0.5 * (math.log(lams[j - 1]) + log_cand)
-                      + (lams[j - 1] + cand) * la_prev)
-        rhs = log_alpha[j - 1] + la_n + _log_beta_sqrt(j, n) - math.log(4.0)
-        s_cross = min(s_cross, rhs - lhs)
-
-    # ratio pairs: alpha_n^2 sqrt(lam_i lam_j)/lam_n
-    #              <= 2^-(n+2-max(i,j)) alpha_i alpha_j sqrt(beta_ij)
-    s_pairs = math.inf
-    for i in range(1, n):
-        for j in range(1, n):
-            lhs = (2.0 * la_n + 0.5 * (math.log(lams[i - 1]) + math.log(lams[j - 1]))
-                   - log_cand)
-            rhs = (-(n + 2.0 - max(i, j)) * math.log(2.0)
-                   + log_alpha[i - 1] + log_alpha[j - 1] + _log_beta_sqrt(i, j))
-            s_pairs = min(s_pairs, rhs - lhs)
-
-    # ratio single: alpha_n^2 sqrt(lam_i/lam_n) <= alpha_i alpha_n sqrt(beta_in)/2
-    s_single = math.inf
-    for i in range(1, n):
-        lhs = 2.0 * la_n + 0.5 * math.log(lams[i - 1]) - 0.5 * log_cand
-        rhs = math.log(0.5) + log_alpha[i - 1] + la_n + _log_beta_sqrt(i, n)
-        s_single = min(s_single, rhs - lhs)
-
-    return (s_own, s_cross, s_pairs, s_single)
-
-
 def _check_example2_ledger(build: Example2Build, tol: float) -> None:
-    """Recompute the four slack families of every row n >= 2 from the built
-    sequence, measure and alphas; each must be >= 0 and match the row."""
-    lams = build.sequence.values.tolist()
+    """Run ``_example2_step`` at every recorded lambda_n, n >= 2, with the
+    atoms of the built measure and the build's alphas."""
+    lams = build.sequence.values
     log_a = build.measure.log_positions
     log_c = build.measure.log_weights
     log_alpha = np.log(build.alphas)
-    names = ("slack_own_sum", "slack_cross", "slack_ratio_pairs",
-             "slack_ratio_single")
     for i, row in enumerate(build.rows[1:], start=1):
-        n = i + 1
-        slacks = _example2_slacks(n, lams[i], lams[:i], log_a[:i], log_c[:i],
-                                  log_alpha)
-        for name, value in zip(names, slacks):
-            if value < -tol:
-                raise ConstructionBugError(
-                    f"row {n}: {name} = {value:.6g} is negative", n=n,
-                    residual=-value)
-        for name, value in zip(names, slacks):
-            _check_ledger_value(name, n, getattr(row, name), value, tol)
-        _check_ledger_value("lam", n, row.lam, lams[i], tol)
+        _check_row(row, i + 1, float(lams[i]),
+                   lambda lam: _example2_step(i + 1, lam, lams[:i], log_a[:i],
+                                              log_c[:i], log_alpha),
+                   tol)
 
 
 @dataclass(frozen=True)
@@ -437,15 +459,13 @@ def verify_example2(build: Example2Build, *, tol: float = 1e-12) -> Example2Repo
     norms_sq = np.diag(a).copy()
     lower = alphas ** 2 / math.e
     upper = 1.5 * alphas ** 2
-    for i in range(n_max):
-        if norms_sq[i] < lower[i] * (1.0 - tol):
+    for bad, side, bounds in ((norms_sq < lower * (1.0 - tol), "below alpha^2/e", lower),
+                              (norms_sq > upper * (1.0 + tol), "above 1.5 alpha^2", upper)):
+        if bad.any():
+            i = int(np.argmax(bad))
             raise ConstructionBugError(
-                f"||i g_{i+1}||^2 = {norms_sq[i]:.6g} below alpha^2/e = "
-                f"{lower[i]:.6g}", n=i + 1, residual=lower[i] - norms_sq[i])
-        if norms_sq[i] > upper[i] * (1.0 + tol):
-            raise ConstructionBugError(
-                f"||i g_{i+1}||^2 = {norms_sq[i]:.6g} above 1.5 alpha^2 = "
-                f"{upper[i]:.6g}", n=i + 1, residual=norms_sq[i] - upper[i])
+                f"||i g_{i+1}||^2 = {norms_sq[i]:.6g} {side} = {bounds[i]:.6g}",
+                n=i + 1, residual=abs(norms_sq[i] - bounds[i]))
 
     norms = np.sqrt(norms_sq)
     check = riesz_sequence_check(a / np.outer(norms, norms))
@@ -465,9 +485,8 @@ def verify_example2(build: Example2Build, *, tol: float = 1e-12) -> Example2Repo
         trend_q.append((n_i, rep.schatten[build.q]))
         trend_r.append((n_i, rep.schatten[build.r]))
 
-    beta_total = sum(4.0 ** -(i + j + 2.0)
-                     for i in range(1, n_max + 1)
-                     for j in range(1, n_max + 1))
+    # sum_ij beta_ij = (sum_i 4^-(i+1))^2, exact in double at these sizes
+    beta_total = float(np.ldexp(1.0, -2 * np.arange(2, n_max + 2)).sum() ** 2)
     return Example2Report(
         norms_sq=norms_sq, lower_bounds=lower, upper_bounds=upper,
         offdiag_hs=check.offdiag_hs, offdiag_hs_sq=check.offdiag_hs ** 2,

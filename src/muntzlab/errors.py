@@ -30,8 +30,7 @@ class IllConditionedBasisError(MuntzLabError):
     """Cholesky factorization of the Lebesgue Gramian failed.
 
     The monomial basis is numerically dependent at this truncation; reduce
-    the truncation or use extended precision (see ``muntzlab.highprec``)
-    instead of regularizing silently.
+    the truncation instead of regularizing silently.
     """
 
 

@@ -579,10 +579,17 @@ def modulus_report(mu: Measure, grid=None) -> ModulusReport:
 
 def rho_hypothesis_violation(mu: Measure, majorant: Measure
                              ) -> tuple[float, float, float] | None:
-    """First eps of :func:`default_epsilon_grid` where the hypothesis
-    ``mu(J_eps) <= rho(eps)`` fails, with ``rho(eps) = majorant(J_eps)``, as
-    ``(eps, mu(J_eps), rho(eps))``; None when it holds on the whole grid."""
-    for eps in default_epsilon_grid():
+    """Largest eps where the hypothesis ``mu(J_eps) <= rho(eps)`` fails,
+    with ``rho(eps) = majorant(J_eps)``, as ``(eps, mu(J_eps), rho(eps))``;
+    None when it holds at every eps checked.
+
+    The eps checked are :func:`default_epsilon_grid` and, for every atom a_k
+    of mu, eps = 1 - a_k, where the atom enters J_eps and mu(J_eps)/rho(eps)
+    peaks (raised by 4 ulps, so that rounding cannot leave the atom out).
+    """
+    at_atoms = -np.expm1(np.asarray(mu.flattened().log_positions, dtype=float))
+    at_atoms = np.minimum(at_atoms * (1.0 + 4.0 * np.finfo(float).eps), 1.0)
+    for eps in np.sort(np.concatenate((default_epsilon_grid(), at_atoms)))[::-1]:
         bound = float(majorant.tail_mass(eps))
         mass = mu.tail_mass(eps)
         if mass > bound * (1.0 + 1e-12) + 1e-300:
@@ -626,7 +633,8 @@ def rho_majorization_check(mu: Measure, majorant: Measure,
     nu is the measure ``rho'(1-x) dx`` of a tail majorant rho, so that
     ``nu(J_eps) = rho(eps)``; ``rho(eps) = C*eps**alpha`` is
     ``PowerTailMeasure(C, alpha)``.  The hypothesis ``mu(J_eps) <= rho(eps)``
-    is verified on the eps-grid first; failure raises
+    is verified first (on the eps-grid and where each atom of mu enters
+    J_eps); failure raises
     :class:`HypothesisViolationError`.  ``g`` must be continuous, positive
     and increasing on [0, 1).
     """

@@ -5,7 +5,7 @@ first N normalized monomials g_n = lambda_n^(1/2) x^lambda_n, has singular
 values equal to the square roots of the generalized eigenvalues of the
 pencil (A, B), where A is the mu-Gramian and B the Lebesgue Gramian of the
 g_n.  B is whitened by Cholesky; a failed factorization raises instead of
-regularizing (reduce N or use muntzlab.highprec).  One analysis assembles
+regularizing (reduce N).  One analysis assembles
 A and factors B once at N and reads smaller truncations as leading blocks.
 
 Certificates are named upper bounds from the majorant function psi, from a
@@ -136,8 +136,7 @@ def _cholesky_lower(b: np.ndarray) -> np.ndarray:
     except scipy.linalg.LinAlgError as exc:
         raise IllConditionedBasisError(
             "Cholesky of the Lebesgue Gramian failed; the truncated basis is "
-            "numerically dependent. Reduce N or use "
-            "muntzlab.highprec.generalized_singular_values.") from exc
+            "numerically dependent in double precision; reduce N.") from exc
 
 
 def _whiten(a: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -159,7 +158,7 @@ def _pencil_singular_values(m: np.ndarray) -> np.ndarray:
         raise NumericalSoundnessError(
             f"generalized eigenvalue {eigs.min():.3e} below the clamp floor "
             f"{EIG_CLAMP_FLOOR * scale:.3e}; either the assembly is "
-            "inconsistent or the basis needs extended precision")
+            "inconsistent or the basis is too ill-conditioned at this N")
     eigs = np.clip(eigs, 0.0, None)
     return np.sqrt(eigs)[::-1]
 
@@ -213,32 +212,23 @@ def _decay_rate(svals: np.ndarray) -> float:
     mask = svals > max(top * 1e-14, 0.0)
     if mask.sum() < 3:
         return math.nan
-    idx = np.arange(1, svals.size + 1)[mask]
-    slope = np.polyfit(idx, np.log(svals[mask]), 1)[0]
-    return float(math.exp(slope))
+    # least-squares slope of log s_n against n, in closed form
+    dn = np.flatnonzero(mask) + 1.0
+    dn -= dn.mean()
+    log_s = np.log(svals[mask])
+    return float(math.exp(np.dot(dn, log_s - log_s.mean()) / np.dot(dn, dn)))
 
 
-def analyze(problem: EmbeddingProblem, q_set=DEFAULT_Q_SET,
-            extended: bool = False) -> SpectralReport:
+def analyze(problem: EmbeddingProblem, q_set=DEFAULT_Q_SET) -> SpectralReport:
     """Assemble the Gramians and factor the Lebesgue Gramian once at N, solve
     the pencil, fill the Schatten table and the N-trend diagnostics
-    (truncations n/4, n/2, n, read as leading blocks).
-
-    ``extended`` routes the eigensolve through mpmath (for bases too
-    ill-conditioned for a double-precision Cholesky).
-    """
+    (truncations n/4, n/2, n, read as leading blocks)."""
     n = problem.n
     sizes = sorted({max(1, n // 4), max(1, n // 2), n})
     seq = problem.sequence.truncate(n)
-    b = lebesgue_gram(seq).entries
-    if extended:
-        from .highprec import generalized_singular_values
-        a = measure_gram(seq, problem.measure).entries
-        spectra = [generalized_singular_values(a[:k, :k], b[:k, :k])
-                   for k in sizes]
-    else:
-        spectra = _truncated_spectra(seq, problem.measure, _cholesky_lower(b),
-                                     sizes)
+    spectra = _truncated_spectra(seq, problem.measure,
+                                 _cholesky_lower(lebesgue_gram(seq).entries),
+                                 sizes)
     trend = tuple(TrendPoint(n=k, op_norm=float(svals[0]),
                              schatten=_schatten_table(svals, q_set))
                   for k, svals in zip(sizes, spectra))
@@ -404,7 +394,8 @@ def psi_certificate(seq: LambdaSequence, mu: Measure,
 def rho_certificate(seq: LambdaSequence, mu: Measure, majorant: Measure,
                     psi: PsiEvaluator | None = None) -> Certificate:
     """Upper bound from a tail majorant: value = (integral_0^1 psi(x)^2
-    rho'(1-x) dx)^(1/2), valid when mu(J_eps) <= rho(eps) on the eps-grid.
+    rho'(1-x) dx)^(1/2), valid when mu(J_eps) <= rho(eps) on the eps-grid
+    and where each atom of mu enters J_eps.
 
     ``majorant`` is the measure nu = rho'(1-x) dx, with nu(J_eps) = rho(eps)
     (``PowerTailMeasure(C, alpha)`` for rho(eps) = C*eps**alpha), so the

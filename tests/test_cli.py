@@ -1,6 +1,8 @@
 import json
 import math
+import time
 
+import numpy as np
 import pytest
 
 from muntzlab.cli import main
@@ -89,32 +91,18 @@ class TestAnalyze:
         assert rep1["certificates"] == rep2["certificates"]
         assert rep1["essential_norm_trend"] == rep2["essential_norm_trend"]
 
-    def test_extended_precision_matches(self, tmp_path):
-        cfg = write_config(tmp_path, dict(RANK_ONE, certificates=["psi"]))
-        out1 = tmp_path / "d"
-        out2 = tmp_path / "x"
-        assert main(["analyze", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["analyze", "--config", cfg, "--out", str(out2),
-                     "--precision", "extended"]) == 0
-        s1 = json.loads((out1 / "report.json").read_text())["spectral"]
-        s2 = json.loads((out2 / "report.json").read_text())["spectral"]
-        assert s1["singular_values"][0] == pytest.approx(
-            s2["singular_values"][0], rel=1e-12)
-
-    def test_extended_precision_factorization_failure_exit_one(self, tmp_path,
-                                                               capsys):
-        # the double-rounded Lebesgue Gramian is not positive definite at
-        # 200 bits either: one error line, no traceback
+    def test_ill_conditioned_basis_exit_one(self, tmp_path, capsys):
+        # cond(B) ~ 1e17: the double Cholesky of the Lebesgue Gramian
+        # refuses, with one error line and no traceback
         cfg = write_config(tmp_path, {
             "sequence": {"kind": "geometric", "lambda1": 2, "ratio": 1.25,
                          "count": 28},
             "measure": {"kind": "powertail", "C": 1, "alpha": 2},
             "N": 28, "certificates": ["psi"]})
-        assert main(["analyze", "--config", cfg, "--out", str(tmp_path),
-                     "--precision", "extended"]) == 1
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
-        assert "Cholesky" in err[0]
+        assert "Cholesky" in err[0] and "reduce N" in err[0]
 
 
 MALFORMED = {
@@ -126,7 +114,10 @@ MALFORMED = {
     "compact-support-b-string": {"certificates": ["compact_support"],
                                  "compact_support": {"b": "x"}},
     "N-string": {"N": "abc"},
+    "N-fraction": {"N": 1.5},
+    "N-infinite": {"N": float("inf")},
     "m-list-string": {"m_list": ["a"]},
+    "m-list-fraction": {"m_list": [2.9, 8.5]},
     "q-set-string": {"q_set": ["a"]},
     "certificates-number": {"certificates": 5},
     "sequence-count-string": {"sequence": {"kind": "geometric", "lambda1": 2,
@@ -211,10 +202,8 @@ class TestCheck:
 
 
 class TestUsage:
-    def test_usage_error_exit_one_with_argparse_message(self, tmp_path,
-                                                        capsys):
-        cfg = write_config(tmp_path, RANK_ONE)
-        assert main(["analyze", "--config", cfg, "--precision", "bogus"]) == 1
+    def test_usage_error_exit_one_with_argparse_message(self, capsys):
+        assert main(["check", "bogus"]) == 1
         err = capsys.readouterr().err
         assert "usage:" in err and "invalid choice: 'bogus'" in err
 
@@ -237,3 +226,29 @@ class TestUsage:
         assert "--config" in capsys.readouterr().out
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.startswith("muntzlab ")
+
+
+class TestConstructRefusals:
+    @pytest.mark.parametrize("theta", ["900", "300"])
+    def test_underflowing_alpha_exit_one(self, capsys, theta):
+        # alpha_n = (n+1)^-theta: 3^-900 underflows to 0 and 4^-600 (alpha_3^2
+        # at theta = 300) below the double range; refused before any search
+        started = time.perf_counter()
+        assert main(["construct", "2", "--q", "2000", "--r", "0.001",
+                     "--theta", theta, "--n-max", "3"]) == 1
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "underflows" in err[0]
+
+    def test_exhausted_ladder_exit_one(self, monkeypatch, capsys):
+        from muntzlab import constructions
+
+        def never(lam):
+            return {}, {"never": np.full(lam.shape, -1.0)}
+
+        monkeypatch.setattr(constructions, "_example1_step",
+                            lambda n, lam, *rest: never(lam))
+        assert main(["construct", "1", "--n-max", "3"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no lambda_2")

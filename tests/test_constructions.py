@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from muntzlab import (ConstructionBugError, Example1Build,
+from muntzlab import (ConstructionBugError, ConstructionError, Example1Build,
                       InvalidParameterError, LambdaSequence, atomic_from_logs,
                       build_example1, build_example2, classify, find_blocks,
                       l1_unboundedness_witness, verify_example1,
                       verify_example2)
+from muntzlab import constructions
 from muntzlab.constructions import EXAMPLE1_C0
+from muntzlab.logdomain import log_sum
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +211,10 @@ class TestExample2Build:
             build_example2(0.5, 1.0, 5)
         with pytest.raises(InvalidParameterError):
             build_example2(1.0, 0.5, 5, theta=3.0)
+        # alpha_2 = 3^-900 is 0 in double; alpha_3^2 = 4^-600 is below it
+        for theta in (900.0, 300.0):
+            with pytest.raises(InvalidParameterError, match="underflows"):
+                build_example2(2000.0, 0.001, 3, theta=theta)
 
 
 class TestExample2Verify:
@@ -273,8 +279,169 @@ class TestExample2Verify:
         assert r_rel > 2.0 * q_rel
 
 
+class TestLadder:
+    def test_ladder_spans_the_double_range(self):
+        seen = []
+
+        def never(lam):
+            seen.append(lam)
+            return {}, {"never": np.full(lam.shape, -1.0)}
+
+        with pytest.raises(ConstructionError, match="lambda_2"):
+            constructions._search(2, 16.0, never)
+        ladder, = seen
+        assert ladder[0] == 16.0 and np.all(ladder[1:] == 2.0 * ladder[:-1])
+        assert np.finfo(float).max / 4.0 < ladder[-1] <= np.finfo(float).max / 2.0
+
+    def test_first_holding_rung(self):
+        lam, ledger = constructions._search(
+            3, 2.0, lambda lam: ({"x": -lam}, {"big": lam - 100.0}))
+        assert lam == 128.0 and ledger == {"x": -128.0}
+
+
 class TestBlocksOnConstructed:
     def test_example2_sequence_is_lacunary_blocks(self, ex2):
         build, _ = ex2
         block = find_blocks(build.sequence, 2.0)
         assert block.block_bound == 1
+
+
+# ---------------------------------------------------------------------------
+# oracle: the scalar doubling searches, one candidate and one (i, j) pair at
+# a time, that the array evaluators replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_example1(n_max):
+    lams, log_a, rows = [1.0], [math.log(0.5)], []
+    for n in range(2, n_max + 1):
+        cand = max(n ** 4 * lams[-1], lams[-1] + 1.0)
+        prev_log_a = np.array(log_a)
+        while True:
+            lhs_log = math.log(cand) + log_sum(cand * prev_log_a)
+            if lhs_log <= -2.0 * math.log(n):
+                break
+            cand *= 2.0
+        ln_n = math.log(n)
+        lams.append(cand)
+        log_a.append(math.log1p(-2.0 * ln_n / cand))
+        rows.append({
+            "lam": cand, "log_a": log_a[-1],
+            "log_c": math.log(2.0) + 2.0 * ln_n + math.log(ln_n) - math.log(cand),
+            "growth_ratio": cand / (n ** 4 * lams[-2]),
+            "sum_condition_lhs": math.exp(lhs_log),
+            "sum_condition_rhs": 1.0 / n ** 2,
+            "window": math.exp(2.0 * ln_n + cand * log_a[-1])})
+    return rows
+
+
+def _oracle_example2_slacks(n, cand, lams, la_prev, lc_prev, log_alpha):
+    def log_beta_sqrt(i, j):
+        return -(i + j + 2.0) * math.log(2.0)
+
+    log_cand = math.log(cand)
+    la_n = log_alpha[n - 1]
+    s_own = (2.0 * la_n - math.log(8.0)) - log_sum(
+        lc_prev + log_cand + 2.0 * cand * la_prev)
+    s_cross = s_pairs = s_single = math.inf
+    for j in range(1, n):
+        lhs = log_sum(lc_prev + 0.5 * (math.log(lams[j - 1]) + log_cand)
+                      + (lams[j - 1] + cand) * la_prev)
+        rhs = log_alpha[j - 1] + la_n + log_beta_sqrt(j, n) - math.log(4.0)
+        s_cross = min(s_cross, rhs - lhs)
+    for i in range(1, n):
+        for j in range(1, n):
+            lhs = (2.0 * la_n + 0.5 * (math.log(lams[i - 1]) + math.log(lams[j - 1]))
+                   - log_cand)
+            rhs = (-(n + 2.0 - max(i, j)) * math.log(2.0)
+                   + log_alpha[i - 1] + log_alpha[j - 1] + log_beta_sqrt(i, j))
+            s_pairs = min(s_pairs, rhs - lhs)
+    for i in range(1, n):
+        lhs = 2.0 * la_n + 0.5 * math.log(lams[i - 1]) - 0.5 * log_cand
+        rhs = math.log(0.5) + log_alpha[i - 1] + la_n + log_beta_sqrt(i, n)
+        s_single = min(s_single, rhs - lhs)
+    return s_own, s_cross, s_pairs, s_single
+
+
+def _oracle_example2(q, r, n_max, theta=None):
+    theta = 0.5 * (1.0 / q + 1.0 / r) if theta is None else theta
+    log_alpha = np.log([(n + 1.0) ** -theta for n in range(1, n_max + 1)])
+    lams, log_a, log_c, rows = [1.0], [-0.5], [2.0 * log_alpha[0]], []
+    for n in range(2, n_max + 1):
+        cand = 2.0 * lams[-1]
+        while True:
+            slacks = _oracle_example2_slacks(n, cand, lams, np.array(log_a),
+                                             np.array(log_c), log_alpha)
+            if min(slacks) >= 0.0:
+                break
+            cand *= 2.0
+        lams.append(cand)
+        log_a.append(-0.5 / cand)
+        log_c.append(2.0 * log_alpha[n - 1] - math.log(cand))
+        rows.append(dict(zip(("slack_own_sum", "slack_cross",
+                              "slack_ratio_pairs", "slack_ratio_single"), slacks),
+                         lam=cand, log_a=log_a[-1], log_c=log_c[-1]))
+    return rows
+
+
+# (q, r, theta, n_max) of the eight construct2 ops of the construct-atomic
+# benchmark
+EXAMPLE2_POOL = [
+    (1.0545989827396383, 0.3580351698491859, None, 7),
+    (1.0911231578346925, 0.5427638133069155, None, 7),
+    (2.873131194274693, 2.008884189799702, None, 4),
+    (1.1874891549282092, 0.8201664935400127, None, 4),
+    (2.883303011771946, 1.4809975417998336, None, 7),
+    (2.216131066116851, 0.8541889790767697, None, 8),
+    (1.4090629527421117, 0.8974260621981499, None, 4),
+    (2.07450092984842, 0.6794058079162114, None, 8),
+]
+# (q, r, theta, n_max): default and off-midpoint theta, q and r far apart
+# and close together, up to the n_max cap
+EXAMPLE2_GRID = [
+    (1.0, 0.5, None, 10), (1.0, 0.5, 1.9, 10), (4.0, 3.5, None, 10),
+    (4.0, 0.25, 0.3, 9), (2.0, 0.1, 9.0, 6), (1.5, 1.2, 0.8, 10),
+]
+
+
+def _assert_rows_match(rows, oracle_rows):
+    assert len(rows) == len(oracle_rows) + 1
+    for row, expected in zip(rows[1:], oracle_rows):
+        assert row.lam == expected["lam"]
+        for name, value in expected.items():
+            assert getattr(row, name) == pytest.approx(value, rel=1e-14, abs=0.0), \
+                (row.n, name)
+
+
+def _assert_check_catches_tampering(build, check, fields):
+    # the check runs the build's own evaluator: exact agreement at tol 0,
+    # and a 1e-9 relative change of any checked field in any row raises (a
+    # sum condition that underflowed to 0 is changed to 1e-300)
+    check(build, 0.0)
+    for i in range(1, build.n_max):
+        for field in fields:
+            rows = list(build.rows)
+            value = getattr(rows[i], field)
+            tampered = value * (1.0 + 1e-9) if value else 1e-300
+            rows[i] = dataclasses.replace(rows[i], **{field: tampered})
+            with pytest.raises(ConstructionBugError, match=field):
+                check(dataclasses.replace(build, rows=tuple(rows)), 1e-12)
+
+
+class TestOracle:
+    @pytest.mark.parametrize("n_max", range(2, 13))
+    def test_example1_matches_scalar_search(self, n_max):
+        build = build_example1(n_max)
+        _assert_rows_match(build.rows, _oracle_example1(n_max))
+        _assert_check_catches_tampering(
+            build, constructions._check_example1_ledger,
+            ("lam", "growth_ratio", "sum_condition_lhs", "sum_condition_rhs",
+             "window"))
+
+    @pytest.mark.parametrize("q, r, theta, n_max", EXAMPLE2_POOL + EXAMPLE2_GRID)
+    def test_example2_matches_scalar_search(self, q, r, theta, n_max):
+        build = build_example2(q, r, n_max, theta=theta)
+        _assert_rows_match(build.rows, _oracle_example2(q, r, n_max, theta))
+        _assert_check_catches_tampering(
+            build, constructions._check_example2_ledger,
+            ("lam", "slack_own_sum", "slack_cross", "slack_ratio_pairs",
+             "slack_ratio_single"))

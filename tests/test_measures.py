@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from muntzlab import quadrature
-from muntzlab.measures import default_epsilon_grid, integrate_against
+from muntzlab.measures import (default_epsilon_grid, integrate_against,
+                               rho_hypothesis_violation)
 from muntzlab import (HypothesisViolationError, InvalidParameterError,
                       PiecewiseDensityMeasure, PowerTailMeasure, ScaledMeasure,
                       SumMeasure, atomic, atomic_from_logs, lebesgue,
@@ -293,6 +294,22 @@ class TestRhoMajorization:
             rho_majorization_check(ScaledMeasure(3.0, lebesgue()),
                                    PowerTailMeasure(1.0, 1.0),
                                    lambda x: np.asarray(x))
+
+    def test_hypothesis_checked_where_an_atom_enters(self):
+        # the atom at 0.495 enters J_eps at eps = 0.505, between the grid
+        # points 1/2 (mu(J_eps) = 0) and 1 (1 <= rho(1) = 1)
+        eps, mass, bound = rho_hypothesis_violation(point_mass(0.495),
+                                                    PowerTailMeasure(1.0, 1.0))
+        assert eps == pytest.approx(0.505, rel=1e-14)
+        assert mass == 1.0 and bound == pytest.approx(0.505, rel=1e-14)
+        with pytest.raises(HypothesisViolationError, match="eps = 0.505"):
+            rho_majorization_check(point_mass(0.495), PowerTailMeasure(1.0, 1.0),
+                                   lambda x: np.asarray(x))
+
+    def test_atom_on_the_majorant_holds(self):
+        # mu(J_eps) = 1/2 = rho(eps) where the atom enters
+        assert rho_hypothesis_violation(point_mass(0.5, 0.5),
+                                        PowerTailMeasure(1.0, 1.0)) is None
 
 
 class TestIntegrateAgainst:
