@@ -2,8 +2,8 @@
 
 Quantities such as ``x**lambda`` with ``lambda ~ 1e12`` or atom positions of
 the form ``1 - 1e-35`` are representable only through their logarithms.  All
-summations use either exact compensated summation (``math.fsum``) or
-index-ascending log-sum-exp, so results are reproducible across runs and
+summations use either exact compensated summation (``math.fsum``) or the
+one log-sum-exp :func:`log_sum`, so results are reproducible across runs and
 thread counts.
 """
 
@@ -12,17 +12,24 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 NEG_INF = float("-inf")
 
 
-def log_sum(log_terms) -> float:
-    """log(sum(exp(log_terms))) with the empty sum mapping to -inf."""
-    arr = np.asarray(log_terms, dtype=float)
-    if arr.size == 0:
-        return NEG_INF
-    return float(logsumexp(arr))
+def log_sum(log_terms, axis=None):
+    """log(sum(exp(log_terms))) over ``axis`` (a float over every term by
+    default); an empty or all -inf sum maps to -inf.  The terms equal to the
+    maximum are counted apart from the rest, whose share goes through log1p."""
+    a = np.asarray(log_terms, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True, initial=NEG_INF)
+    at_top = a == top
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.exp(np.where(at_top, NEG_INF, a - top)).sum(axis=axis,
+                                                               keepdims=True)
+        count = at_top.sum(axis=axis, keepdims=True)
+        out = np.log1p(np.where(rest == 0.0, 0.0, rest / count)) \
+            + np.log(count) + top
+    return out.item() if axis is None else np.squeeze(out, axis=axis)
 
 
 def log1mexp(x):

@@ -28,10 +28,10 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import quadrature
 from .errors import InvalidParameterError
+from .logdomain import log_sum
 from .measures import Measure, lebesgue
 from .polynomials import MuntzPolynomial, random_unit
 from .sequences import LambdaSequence
@@ -78,7 +78,7 @@ class _PowerIntegrals:
         self.basis = np.exp(np.outer(self.lam, _log_x(self.plan.points)))
         # unit rule that kinked cells are mapped onto, graded toward a root
         self.root_nodes, self.root_weights = quadrature.graded_rule(
-            quadrature.INNER_LEVELS, self.plan.order)
+            quadrature.INNER_LEVELS)
 
     def norms(self, coeffs, p: float) -> list[LpNormEstimate]:
         """``||f||_{L^p(mu)}`` for every row of the 2-D ``coeffs``."""
@@ -96,7 +96,7 @@ class _PowerIntegrals:
             vals = np.abs(_combine(coeffs, self.atom_basis))
             with np.errstate(divide="ignore"):
                 log_terms = self.log_weights + p * np.log(vals + 1e-300)
-            total += np.exp(logsumexp(log_terms, axis=-1))
+            total += np.exp(log_sum(log_terms, axis=-1))
         plan = self.plan
         if plan.cells:
             atoms = total.copy()
@@ -173,7 +173,7 @@ class _PowerIntegrals:
         h = self.plan.densities[self.plan.piece[cell]]
         terms = np.abs(self._eval(c_row, nodes.ravel()).reshape(nodes.shape)) ** p \
             * (weights * np.asarray(h(nodes), dtype=float))
-        fine, err = quadrature.coarse_fine(terms, self.plan.order)
+        fine, err = quadrature.coarse_fine(terms)
         return float(fine.sum()), float(err.sum())
 
     def _adaptive_cell(self, c_row, p, cell, cuts) -> tuple[float, float]:

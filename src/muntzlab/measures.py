@@ -9,8 +9,9 @@ measures must satisfy ``mu({1}) = 0``.
 Moments ``integral x**s dmu`` are exact closed forms in the log domain for
 every variant (incomplete-Beta form for truncated power tails), safe for
 ``s`` up to ~1e12, and array-valued (:meth:`Measure.log_moments`; the
-scalar queries wrap it).  Generic integrals against user functions run on
-one fixed :class:`~muntzlab.quadrature.QuadraturePlan` built from the
+scalar queries wrap it), and so are the tail masses ``mu(J_eps)``
+(:meth:`Measure.tail_mass`).  Generic integrals against user functions run
+on one fixed :class:`~muntzlab.quadrature.QuadraturePlan` built from the
 flattened measure's density pieces, in the tail variable ``t = 1 - x``.
 
 A tail majorant rho of the paper (``mu(J_eps) <= rho(eps)``) is itself a
@@ -30,13 +31,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincc, betaln, logsumexp
+from scipy.special import betaincc, betaln
 
 from . import quadrature
 from .errors import HypothesisViolationError, InvalidParameterError
 from .logdomain import NEG_INF, log_power_interval, log_sum
 
-_DEFAULT_GRID_LEVELS = 40
+_GRID_LEVELS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -72,11 +73,14 @@ class Measure:
     def total_mass(self) -> float:
         return self.moment(0.0)
 
-    def tail_mass(self, eps: float) -> float:
-        """mu([1-eps, 1])."""
-        if not 0.0 < eps <= 1.0:
+    def tail_mass(self, eps):
+        """mu([1-eps, 1]) elementwise over an array of eps in (0, 1]; a float
+        eps gives a float."""
+        eps_arr = np.asarray(eps, dtype=float)
+        if not np.all((eps_arr > 0.0) & (eps_arr <= 1.0)):
             raise InvalidParameterError("eps must lie in (0, 1]")
-        return self._tail_mass(eps)
+        masses = self._tail_masses(eps_arr)
+        return float(masses) if eps_arr.ndim == 0 else masses
 
     def mass_above(self, b: float) -> float:
         """mu((b, 1]); zero exactly when the support lies in [0, b]."""
@@ -112,11 +116,12 @@ class Measure:
     def _log_moments(self, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _tail_mass(self, eps: float) -> float:
+    def _tail_masses(self, eps: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _mass_above(self, b: float) -> float:
-        raise NotImplementedError
+        # mu((b, 1]) = mu(J_{1-b}) for a measure without atoms
+        return float(self._tail_masses(np.asarray(1.0 - b))) if b < 1.0 else 0.0
 
     def _restricted(self, eps: float) -> "Measure":
         raise NotImplementedError
@@ -185,21 +190,27 @@ class AtomicMeasure(Measure):
         return np.exp(self.log_weights)
 
     def _log_moments(self, s: np.ndarray) -> np.ndarray:
-        return logsumexp(self.log_weights + s[..., None] * self.log_positions,
-                         axis=-1)
+        return log_sum(self.log_weights + s[..., None] * self.log_positions,
+                       axis=-1)
 
-    def _tail_mass(self, eps: float) -> float:
-        # atom at a is in J_eps iff a >= 1-eps iff log a >= log1p(-eps)
-        cutoff = math.log1p(-eps) if eps < 1.0 else NEG_INF
-        mask = self.log_positions >= cutoff
-        return math.exp(log_sum(self.log_weights[mask])) if mask.any() else 0.0
+    def _log_suffix_masses(self) -> np.ndarray:
+        """log of the mass of the atoms k, k+1, ... (positions ascending) for
+        k = 0..K; the empty suffix K has -inf."""
+        return np.append(np.logaddexp.accumulate(self.log_weights[::-1])[::-1],
+                         NEG_INF)
+
+    def _tail_masses(self, eps: np.ndarray) -> np.ndarray:
+        # atom at a is in J_eps iff a >= 1-eps iff log a >= log1p(-eps);
+        # eps = 1 gives log1p(-1) = -inf, which keeps every atom
+        with np.errstate(divide="ignore"):
+            first = np.searchsorted(self.log_positions, np.log1p(-eps))
+        return np.exp(self._log_suffix_masses()[first])
 
     def _mass_above(self, b: float) -> float:
         if b <= 0.0:
             return self.total_mass
-        cutoff = math.log(b)
-        mask = self.log_positions > cutoff
-        return math.exp(log_sum(self.log_weights[mask])) if mask.any() else 0.0
+        first = np.searchsorted(self.log_positions, math.log(b), side="right")
+        return float(np.exp(self._log_suffix_masses()[first]))
 
     def _restricted(self, eps: float) -> "AtomicMeasure":
         cutoff = math.log1p(-eps) if eps < 1.0 else NEG_INF
@@ -207,15 +218,10 @@ class AtomicMeasure(Measure):
         return AtomicMeasure(self.log_positions[mask], self.log_weights[mask])
 
     def sublinear_norm_exact(self) -> float | None:
-        if self.log_positions.size == 0:
-            return 0.0
-        # sup over eps of mu(J_eps)/eps is attained at eps = 1 - a_k
-        best = 0.0
-        for k in range(self.log_positions.size):
-            eps_k = -math.expm1(self.log_positions[k])  # 1 - a_k, exact
-            mass = math.exp(log_sum(self.log_weights[k:]))
-            best = max(best, mass / eps_k)
-        return best
+        # sup over eps of mu(J_eps)/eps is attained at eps = 1 - a_k, where
+        # the atoms k, k+1, ... are in J_eps
+        masses = np.exp(self._log_suffix_masses()[:-1])
+        return float(np.max(masses / -np.expm1(self.log_positions), initial=0.0))
 
     def _flatten_into(self, flat: FlatMeasure, log_scale: float) -> None:
         flat.log_positions.extend(self.log_positions)
@@ -282,13 +288,8 @@ class PowerTailMeasure(Measure):
                 v = v + np.log(betaincc(s + 1.0, self.alpha, self.x0))
         return v
 
-    def _tail_mass(self, eps: float) -> float:
-        return self.coefficient * min(eps, self.width) ** self.alpha
-
-    def _mass_above(self, b: float) -> float:
-        if b >= 1.0:
-            return 0.0
-        return self.coefficient * min(1.0 - b, self.width) ** self.alpha
+    def _tail_masses(self, eps: np.ndarray) -> np.ndarray:
+        return self.coefficient * np.minimum(eps, self.width) ** self.alpha
 
     def _restricted(self, eps: float) -> "PowerTailMeasure":
         return PowerTailMeasure(self.coefficient, self.alpha,
@@ -349,20 +350,13 @@ class PiecewiseDensityMeasure(Measure):
                  for lo, hi, h in zip(self.breakpoints[:-1], self.breakpoints[1:],
                                       self.densities)
                  if h > 0.0]
-        return logsumexp(terms, axis=0)
+        return log_sum(terms, axis=0)
 
-    def _tail_mass(self, eps: float) -> float:
-        lo_cut = 1.0 - eps
-        total = 0.0
-        for lo, hi, h in zip(self.breakpoints[:-1], self.breakpoints[1:],
-                             self.densities):
-            seg = min(hi, 1.0) - max(lo, lo_cut)
-            if seg > 0.0:
-                total += h * seg
-        return total
-
-    def _mass_above(self, b: float) -> float:
-        return self._tail_mass(1.0 - b) if b < 1.0 else 0.0
+    def _tail_masses(self, eps: np.ndarray) -> np.ndarray:
+        # each piece's overlap with [1-eps, 1] times its density
+        overlap = self.breakpoints[1:] - np.maximum(self.breakpoints[:-1],
+                                                    1.0 - eps[..., None])
+        return (np.maximum(overlap, 0.0) * self.densities).sum(axis=-1)
 
     def _restricted(self, eps: float) -> "Measure":
         lo_cut = 1.0 - eps
@@ -385,15 +379,11 @@ class PiecewiseDensityMeasure(Measure):
 
     def sublinear_norm_exact(self) -> float:
         # mu(J_eps)/eps is monotone between breakpoints; sup over candidates
-        # eps = 1 - b_i and the eps -> 0 limit (density of the last piece,
-        # zero if the support ends before 1)
-        candidates = [self.densities[-1] if self.breakpoints[-1] >= 1.0 else 0.0]
-        for b in self.breakpoints[:-1]:
-            eps = 1.0 - b
-            if 0.0 < eps <= 1.0:
-                candidates.append(self._tail_mass(eps) / eps)
-        candidates.append(self._tail_mass(1.0))
-        return max(candidates)
+        # eps = 1 - b_i, eps = 1 and the eps -> 0 limit (density of the last
+        # piece, zero if the support ends before 1)
+        eps = np.append(1.0 - self.breakpoints[:-1], 1.0)
+        limit = self.densities[-1] if self.breakpoints[-1] >= 1.0 else 0.0
+        return float(np.max(self._tail_masses(eps) / eps, initial=limit))
 
     def _flatten_into(self, flat: FlatMeasure, log_scale: float) -> None:
         scale = math.exp(log_scale)
@@ -430,8 +420,8 @@ class ScaledMeasure(Measure):
     def _log_moments(self, s: np.ndarray) -> np.ndarray:
         return math.log(self.scale) + self.inner._log_moments(s)
 
-    def _tail_mass(self, eps: float) -> float:
-        return self.scale * self.inner.tail_mass(eps)
+    def _tail_masses(self, eps: np.ndarray) -> np.ndarray:
+        return self.scale * self.inner._tail_masses(eps)
 
     def _mass_above(self, b: float) -> float:
         return self.scale * self.inner.mass_above(b)
@@ -467,10 +457,10 @@ class SumMeasure(Measure):
         object.__setattr__(self, "parts", tuple(self.parts))
 
     def _log_moments(self, s: np.ndarray) -> np.ndarray:
-        return logsumexp([p._log_moments(s) for p in self.parts], axis=0)
+        return log_sum([p._log_moments(s) for p in self.parts], axis=0)
 
-    def _tail_mass(self, eps: float) -> float:
-        return math.fsum(p.tail_mass(eps) for p in self.parts)
+    def _tail_masses(self, eps: np.ndarray) -> np.ndarray:
+        return np.sum([p._tail_masses(eps) for p in self.parts], axis=0)
 
     def _mass_above(self, b: float) -> float:
         return math.fsum(p.mass_above(b) for p in self.parts)
@@ -503,9 +493,9 @@ def restrict_tail(mu: Measure, m: int) -> Measure:
     return mu.restricted_to_tail(1.0 / m)
 
 
-def default_epsilon_grid(levels: int = _DEFAULT_GRID_LEVELS) -> np.ndarray:
-    """Geometric grid eps = 2**-j, j = 0..levels."""
-    return 2.0 ** -np.arange(0, levels + 1, dtype=float)
+def default_epsilon_grid() -> np.ndarray:
+    """Geometric grid eps = 2**-j, j = 0..40, decreasing."""
+    return 2.0 ** -np.arange(0, _GRID_LEVELS + 1, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -533,21 +523,17 @@ class ModulusReport:
     power_fit: PowerFit | None
 
 
-def modulus_report(mu: Measure, grid=None) -> ModulusReport:
-    """Sublinear norm estimate, vanishing-trend flag and power-modulus fit.
+def modulus_report(mu: Measure) -> ModulusReport:
+    """Sublinear norm estimate, vanishing-trend flag and power-modulus fit on
+    :func:`default_epsilon_grid`.
 
     The sublinear norm is the analytic supremum of ``mu(J_eps)/eps`` where a
     closed form exists; otherwise it is the grid supremum, flagged as a lower
     estimate.  The vanishing flag is a monotone-decrease test of the tail
     ratios over the fine half of the grid.
     """
-    grid = default_epsilon_grid() if grid is None else np.asarray(grid, float)
-    if grid.size < 8:
-        raise InvalidParameterError("eps grid needs at least 8 points")
-    if np.any(grid <= 0.0) or np.any(grid > 1.0):
-        raise InvalidParameterError("eps grid must lie in (0, 1]")
-    grid = np.sort(grid)[::-1]           # decreasing eps
-    masses = np.array([mu.tail_mass(e) for e in grid])
+    grid = default_epsilon_grid()
+    masses = mu.tail_mass(grid)
     ratios = masses / grid
 
     exact = mu.sublinear_norm_exact()
@@ -589,12 +575,14 @@ def rho_hypothesis_violation(mu: Measure, majorant: Measure
     """
     at_atoms = -np.expm1(np.asarray(mu.flattened().log_positions, dtype=float))
     at_atoms = np.minimum(at_atoms * (1.0 + 4.0 * np.finfo(float).eps), 1.0)
-    for eps in np.sort(np.concatenate((default_epsilon_grid(), at_atoms)))[::-1]:
-        bound = float(majorant.tail_mass(eps))
-        mass = mu.tail_mass(eps)
-        if mass > bound * (1.0 + 1e-12) + 1e-300:
-            return float(eps), mass, bound
-    return None
+    eps = np.sort(np.concatenate((default_epsilon_grid(), at_atoms)))[::-1]
+    bound = majorant.tail_mass(eps)
+    mass = mu.tail_mass(eps)
+    bad = np.flatnonzero(mass > bound * (1.0 + 1e-12) + 1e-300)
+    if bad.size == 0:
+        return None
+    k = bad[0]
+    return float(eps[k]), float(mass[k]), float(bound[k])
 
 
 @dataclass(frozen=True)
@@ -606,8 +594,7 @@ class MajorizationCheck:
     quadrature_error: float
 
 
-def integrate_against(mu: Measure, g, *, order: int = quadrature.DEFAULT_ORDER
-                      ) -> tuple[float, float]:
+def integrate_against(mu: Measure, g) -> tuple[float, float]:
     """integral g dmu for a continuous g given as a vectorized callable of x.
 
     Atoms are evaluated directly (positions materialized from their logs, so
@@ -621,7 +608,7 @@ def integrate_against(mu: Measure, g, *, order: int = quadrature.DEFAULT_ORDER
         pos = np.exp(flat.log_positions)
         wts = np.exp(flat.log_weights)
         total += float(np.dot(wts, np.asarray(g(pos), dtype=float)))
-    plan = quadrature.QuadraturePlan.from_pieces(flat.pieces, order=order)
+    plan = quadrature.QuadraturePlan.from_pieces(flat.pieces)
     value, err, _ = plan.integrate(lambda t: g(1.0 - t))
     return total + value, err
 

@@ -31,14 +31,13 @@ the one cell that straddles ``cut``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-DEFAULT_ORDER = 24
+DEFAULT_ORDER = 24       # Gauss-Legendre points per rule
 DEFAULT_LEVELS = 54      # dyadic levels toward t = 0 (x = 1)
 REFINE_DEPTH = 4         # adaptive depth cap of each of those cells
 FAR_END_LEVELS = 40      # dyadic levels toward t = 1 (x = 0)
@@ -46,40 +45,37 @@ INNER_LEVELS = 20        # dyadic levels toward an interior edge or a root
 PLAN_REL_TOL = 1e-12
 SCAN_DENSITY = 512       # sign-scan points per unit of t
 MAX_POINTS = 2048        # most abscissae one call of an adaptive integrand sees
+_CELL_REL_TOL = 1e-12    # adaptive accept test of a cell against its own value
+_ROOT_TOL = 1e-15        # root bracket width per unit of max(1, |root|)
+_ROOT_MAX_ITER = 200
+
+_NODES, _WEIGHTS = leggauss(DEFAULT_ORDER)
 
 
-@functools.lru_cache(maxsize=32)
-def _rule(order: int):
-    nodes, weights = leggauss(order)
-    return nodes, weights
-
-
-def _cells(f, lo, hi, order: int) -> np.ndarray:
+def _cells(f, lo, hi) -> np.ndarray:
     """Gauss-Legendre values on the cells ``[lo_i, hi_i]``.
 
     ``f`` sees the nodes of consecutive cells in calls of at most MAX_POINTS
     points.  Each cell's weighted sum is its own dot product, so a cell's value
     does not depend on the cells evaluated with it.
     """
-    nodes, weights = _rule(order)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    t = (mid[:, None] + half[:, None] * nodes).ravel()
+    t = (mid[:, None] + half[:, None] * _NODES).ravel()
     vals = np.concatenate([np.asarray(f(t[i:i + MAX_POINTS]), dtype=float)
                            for i in range(0, t.size, MAX_POINTS)])
-    sums = np.fromiter(map(weights.dot, vals.reshape(-1, order)), dtype=float,
-                       count=lo.size)
+    sums = np.fromiter(map(_WEIGHTS.dot, vals.reshape(-1, DEFAULT_ORDER)),
+                       dtype=float, count=lo.size)
     return half * sums
 
 
-def _adaptive(f, lo, hi, coarse, *, order: int, rel_tol: float,
-              max_depth: int) -> tuple[np.ndarray, np.ndarray]:
+def _adaptive(f, lo, hi, coarse, max_depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive bisection of every interval ``[lo_i, hi_i]`` with its one-rule
     value ``coarse_i``, breadth first: each round evaluates both halves of
     every open cell in one pass of :func:`_cells`.
 
-    A cell is accepted when its two halves sum to within ``rel_tol`` of its
-    own value, or at ``max_depth``; this depends on the cell alone, so the
+    A cell is accepted when its two halves sum to within _CELL_REL_TOL of
+    its own value, or at ``max_depth``; this depends on the cell alone, so the
     leaves are those of a depth-first recursion.  Leaf values are summed back
     up the tree pairwise (left + right), as that recursion returns them.
     Returns ``(value, error estimate)`` per interval.
@@ -90,10 +86,10 @@ def _adaptive(f, lo, hi, coarse, *, order: int, rel_tol: float,
         mid = 0.5 * (lo + hi)
         edges_lo = np.stack([lo, mid], axis=1).ravel()
         edges_hi = np.stack([mid, hi], axis=1).ravel()
-        halves = _cells(f, edges_lo, edges_hi, order)
+        halves = _cells(f, edges_lo, edges_hi)
         fine = halves[0::2] + halves[1::2]
         err = np.abs(fine - coarse)
-        split = ~(err <= rel_tol * (np.abs(fine) + 1e-300)) & (depth < max_depth)
+        split = ~(err <= _CELL_REL_TOL * (np.abs(fine) + 1e-300)) & (depth < max_depth)
         rounds.append((fine, err, split))
         pairs = np.repeat(split, 2)
         lo, hi, coarse = edges_lo[pairs], edges_hi[pairs], halves[pairs]
@@ -106,8 +102,7 @@ def _adaptive(f, lo, hi, coarse, *, order: int, rel_tol: float,
     return value, err
 
 
-def integrate(f, a: float, b: float, *, order: int = DEFAULT_ORDER,
-              rel_tol: float = 1e-12, max_depth: int = 14) -> tuple[float, float]:
+def integrate(f, a: float, b: float, *, max_depth: int = 14) -> tuple[float, float]:
     """Integrate the vectorized callable ``f`` over ``[a, b]``.
 
     Adaptive bisection: a cell is accepted when the Gauss-Legendre value
@@ -117,19 +112,16 @@ def integrate(f, a: float, b: float, *, order: int = DEFAULT_ORDER,
     if not b > a:
         return 0.0, 0.0
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
-    value, err = _adaptive(f, lo, hi, _cells(f, lo, hi, order), order=order,
-                           rel_tol=rel_tol, max_depth=max_depth)
+    value, err = _adaptive(f, lo, hi, _cells(f, lo, hi), max_depth)
     return float(value[0]), float(err[0])
 
 
-def integrate_refined_at_zero(f, width: float, *, order: int = DEFAULT_ORDER,
-                              levels: int = DEFAULT_LEVELS,
-                              rel_tol: float = 1e-12, cut: float = math.inf):
+def integrate_refined_at_zero(f, width: float, *, cut: float = math.inf):
     """Integrate ``f`` over ``(0, width]`` with dyadic refinement toward 0.
 
-    Cells are ``[width*2^-(j+1), width*2^-j]`` for ``j = 0..levels-1``, each
-    refined adaptively to depth 4, plus the residual sliver
-    ``(0, width*2^-levels]``, which is integrated by a single rule (its
+    Cells are ``[width*2^-(j+1), width*2^-j]`` for ``j < DEFAULT_LEVELS``,
+    each refined adaptively to depth 4, plus the residual sliver
+    ``(0, width*2^-DEFAULT_LEVELS]``, which is integrated by a single rule (its
     contribution bounds the reported error for integrands that are merely
     integrable at 0).  Returns ``(value, error estimate, part)``.
 
@@ -140,12 +132,11 @@ def integrate_refined_at_zero(f, width: float, *, order: int = DEFAULT_ORDER,
     """
     if width <= 0.0:
         return 0.0, 0.0, 0.0
-    hi = width * 2.0 ** -np.arange(levels + 1.0)
+    hi = width * 2.0 ** -np.arange(DEFAULT_LEVELS + 1.0)
     lo = np.append(hi[1:], 0.0)
     # the dyadic cells and the sliver share the first pass of single rules
-    rules = _cells(f, lo, hi, order)
-    values, errs = _adaptive(f, lo[:-1], hi[:-1], rules[:-1], order=order,
-                             rel_tol=rel_tol, max_depth=REFINE_DEPTH)
+    rules = _cells(f, lo, hi)
+    values, errs = _adaptive(f, lo[:-1], hi[:-1], rules[:-1], REFINE_DEPTH)
     total = 0.0
     err = 0.0
     for v, e in zip(values.tolist(), errs.tolist()):    # in order, level by level
@@ -156,23 +147,22 @@ def integrate_refined_at_zero(f, width: float, *, order: int = DEFAULT_ORDER,
     if 0.0 < cut < width:
         straddling = np.flatnonzero((lo < cut) & (cut < hi))    # at most one
         if straddling.size:
-            part = integrate(f, float(lo[straddling[0]]), cut, order=order,
-                             rel_tol=rel_tol, max_depth=REFINE_DEPTH)[0]
+            part = integrate(f, float(lo[straddling[0]]), cut,
+                             max_depth=REFINE_DEPTH)[0]
         # then the cells wholly below cut, level by level, the sliver last
         for v in np.append(values, sliver)[hi <= cut].tolist():
             part += v
     return total + sliver, err + abs(sliver), part
 
 
-def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-15,
-                max_iter: int = 200) -> float:
+def bisect_root(f, lo: float, hi: float) -> float:
     """Root of a scalar sign change bracketed by ``[lo, hi]``.
 
     Illinois false-position steps (the endpoint kept twice in a row has its
     value halved), with a plain bisection step whenever the last two steps
     together failed to halve the bracket, so the bracket shrinks at least as
     fast as under bisection at a third of the speed.  Stops when the bracket
-    is below ``tol * max(1, |mid|)``.
+    is below ``_ROOT_TOL * max(1, |mid|)``, or after _ROOT_MAX_ITER steps.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -182,10 +172,10 @@ def bisect_root(f, lo: float, hi: float, *, tol: float = 1e-15,
     kept = 0            # -1: lo kept last step, +1: hi kept last step
     bisect_next = False
     before = hi - lo    # bracket width two steps back
-    for _ in range(max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         width = hi - lo
         mid = 0.5 * (lo + hi)
-        if width <= tol * max(1.0, abs(mid)):
+        if width <= _ROOT_TOL * max(1.0, abs(mid)):
             return mid
         x = mid if bisect_next else (lo * fhi - hi * flo) / (fhi - flo)
         if not lo < x < hi:
@@ -233,22 +223,22 @@ def graded_edges(a: float, b: float, levels_a: int = 0,
     return np.concatenate(parts)
 
 
-def graded_rule(levels: int, order: int = DEFAULT_ORDER):
+def graded_rule(levels: int):
     """:func:`cell_rule` nodes and weights on ``[0, 1]`` graded toward 0 over
     ``levels`` levels; ``u + s * nodes`` with weights ``|s| * weights``
     grades ``[u, u + s]`` toward ``u`` for either sign of ``s``."""
     edges = graded_edges(0.0, 1.0, levels)
-    return cell_rule(edges[:-1], edges[1:], order)
+    return cell_rule(edges[:-1], edges[1:])
 
 
-def cell_rule(lo, hi, order: int = DEFAULT_ORDER):
+def cell_rule(lo, hi):
     """Nodes and weights of the coarse and two-half rules on each cell.
 
-    Returns ``(nodes, weights)`` of shape ``(cells, 3*order)``: the first
-    ``order`` columns are the coarse rule on ``[lo, hi]``, the rest the rules
-    on its two halves.
+    Returns ``(nodes, weights)`` of shape ``(cells, 3*DEFAULT_ORDER)``: the
+    first DEFAULT_ORDER columns are the coarse rule on ``[lo, hi]``, the rest
+    the rules on its two halves.
     """
-    x, w = _rule(order)
+    x, w = _NODES, _WEIGHTS
     lo = np.asarray(lo, dtype=float)[:, None]
     hi = np.asarray(hi, dtype=float)[:, None]
     mid = 0.5 * (lo + hi)
@@ -260,11 +250,11 @@ def cell_rule(lo, hi, order: int = DEFAULT_ORDER):
     return nodes, weights
 
 
-def coarse_fine(terms, order: int = DEFAULT_ORDER):
+def coarse_fine(terms):
     """``(fine, |fine - coarse|)`` per cell from weighted integrand values
     laid out as in :func:`cell_rule`, summed along the last axis."""
-    coarse = terms[..., :order].sum(axis=-1)
-    fine = terms[..., order:].sum(axis=-1)
+    coarse = terms[..., :DEFAULT_ORDER].sum(axis=-1)
+    fine = terms[..., DEFAULT_ORDER:].sum(axis=-1)
     return fine, np.abs(fine - coarse)
 
 
@@ -292,10 +282,9 @@ class QuadraturePlan:
     scan: np.ndarray
     scan_start: np.ndarray   # scan[scan_start[c]:scan_start[c + 1]] lie in cell c
     densities: tuple
-    order: int
 
     @classmethod
-    def from_pieces(cls, pieces, *, order: int = DEFAULT_ORDER) -> "QuadraturePlan":
+    def from_pieces(cls, pieces) -> "QuadraturePlan":
         """Cells per piece: graded toward ``t = 0`` over DEFAULT_LEVELS levels
         when the piece reaches it and over INNER_LEVELS toward an interior
         lower edge; also toward ``t = 1`` over FAR_END_LEVELS when it reaches
@@ -329,7 +318,7 @@ class QuadraturePlan:
             np.concatenate(a) if a else np.zeros(0, dtype=dt)
             for a, dt in ((los, float), (his, float), (piece, int), (edge, bool),
                           (scan, float), (scan_cell, int)))
-        nodes, weights = cell_rule(lo, hi, order)
+        nodes, weights = cell_rule(lo, hi)
         # an outer node of the innermost cell at t = 1 of a narrow piece can
         # round onto t = 1 (x = 0); keep every node strictly inside its piece
         ends = np.array([p[:2] for p in pieces], dtype=float).reshape(-1, 2)[piece]
@@ -341,7 +330,7 @@ class QuadraturePlan:
         return cls(lo=lo, hi=hi, nodes=nodes, weights=weights, piece=piece,
                    edge_cell=edge, scan=scan,
                    scan_start=np.searchsorted(scan_cell, np.arange(cells + 1)),
-                   densities=tuple(densities), order=order)
+                   densities=tuple(densities))
 
     @property
     def cells(self) -> int:
@@ -355,7 +344,7 @@ class QuadraturePlan:
 
     def node_values(self, values):
         """The node part of values at :attr:`points`, shaped ``(..., cells,
-        3*order)``."""
+        3*DEFAULT_ORDER)``."""
         return values[..., :self.nodes.size].reshape(
             values.shape[:-1] + self.nodes.shape)
 
@@ -389,11 +378,11 @@ class QuadraturePlan:
     def cell_sums(self, values):
         """Per-cell ``(fine, error)`` of integrand values at ``nodes``.
 
-        ``values`` has shape ``(..., cells, 3*order)``; rows along the leading
-        axes are summed independently, so a row's result does not depend on
-        the rows batched with it.
+        ``values`` has shape ``(..., cells, 3*DEFAULT_ORDER)``; rows along the
+        leading axes are summed independently, so a row's result does not
+        depend on the rows batched with it.
         """
-        fine, err = coarse_fine(values * self.weights, self.order)
+        fine, err = coarse_fine(values * self.weights)
         return fine, np.where(self.edge_cell, np.abs(fine), err)
 
     def loose_cells(self, err, total):

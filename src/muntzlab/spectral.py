@@ -199,11 +199,18 @@ def _truncated_spectra(seq: LambdaSequence, mu: Measure, low: np.ndarray,
 
 
 def _schatten_table(svals: np.ndarray, q_set) -> dict:
+    """q -> (sum s_i^q)^(1/q), computed as s_1 (sum (s_i/s_1)^q)^(1/q) in the
+    log domain, so that no power of a singular value leaves the double range;
+    a value beyond it reads inf."""
+    top = float(svals.max(initial=0.0))
     table = {}
     for q in q_set:
         if q <= 0.0:
             raise InvalidParameterError("Schatten exponents must be positive")
-        table[float(q)] = float(np.sum(svals ** q) ** (1.0 / q))
+        log_value = (math.log(top) + math.log(np.sum((svals / top) ** q)) / q
+                     if top > 0.0 else -math.inf)
+        with np.errstate(over="ignore"):
+            table[float(q)] = float(np.exp(log_value))
     return table
 
 
@@ -372,8 +379,11 @@ def psi_certificate(seq: LambdaSequence, mu: Measure,
     """Upper bound ||i_mu|| <= ||psi||_{L^2(mu)} at this truncation.
 
     The truncated psi is a lower estimate of the infinite majorant, so the
-    value always carries the truncation flag; an unsound tail turns the value
-    into +inf (inconclusive).
+    value always carries the truncation flag.  When the region where the
+    truncated majorant is tail-unsound contributes more than
+    UNSOUND_CONTRIBUTION_RTOL of the integral, the value stays the exact
+    truncated one and is flagged ``psi-tail-unsound``: it may under-estimate
+    the infinite-sequence certificate.
     """
     psi = PsiEvaluator.from_sequence(seq) if psi is None else psi
     integral, sound = _psi_squared_integral(mu, psi)
@@ -470,16 +480,13 @@ def hilbert_schmidt_certificate(seq: LambdaSequence, mu: Measure,
     """
     psi = PsiEvaluator.from_sequence(seq) if psi is None else psi
     integral, sound = _psi_squared_integral(mu, psi, transform="big")
-    partitions = []
-    b_j, b_next = 0.0, 0.5
-    while len(partitions) < 64:
-        eps_next = 1.0 - b_next
-        mass = mu.tail_mass(1.0 - b_j) if b_j > 0.0 else mu.total_mass
-        mass -= mu.tail_mass(eps_next) if eps_next > 0.0 else 0.0
-        partitions.append((b_j, b_next, mass))
-        if eps_next <= 1e-12:
-            break
-        b_j, b_next = b_next, math.sqrt(b_next)
+    # edges up to the first within 1e-12 of 1, at most 64 partitions
+    edges = [0.0, 0.5]
+    while len(edges) <= 64 and 1.0 - edges[-1] > 1e-12:
+        edges.append(math.sqrt(edges[-1]))
+    above = mu.tail_mass(1.0 - np.array(edges[1:]))     # mu([b_{j+1}, 1])
+    masses = np.append(mu.total_mass, above[:-1]) - above
+    partitions = list(zip(edges[:-1], edges[1:], masses.tolist()))
     flags = [PSI_TRUNCATION_FLAG, "finiteness-only-no-numeric-s2-bound"]
     assumptions = [AssumptionCheck("Psi-square-integrable",
                                    math.isfinite(integral),

@@ -167,6 +167,21 @@ class TestConstruct:
         report = ledger["verification"]
         assert report["offdiag_hs_sq"] < math.e / 4.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_example2_schatten_trend_without_overflow(self, tmp_path):
+        # sum s_i^q underflows at q = 2000 and (sum s_i^r)^(1/r) overflows at
+        # r = 0.001; S_q is about s_1 and S_r at n = 3 about 10^385.8
+        assert main(["construct", "2", "--q", "2000", "--r", "0.001",
+                     "--theta", "200", "--n-max", "3",
+                     "--out", str(tmp_path)]) == 0
+        ledger = json.loads((tmp_path / "example2_ledger.json").read_text())
+        trend_q = ledger["verification"]["schatten_trend_q"]
+        trend_r = ledger["verification"]["schatten_trend_r"]
+        assert [n for n, _ in trend_q] == [2, 3]
+        assert all(v == pytest.approx(6.61e-61, rel=1e-3) for _, v in trend_q)
+        assert trend_r[0][1] == pytest.approx(3.579e223, rel=1e-3)
+        assert trend_r[1][1] == "inf"
+
     def test_example2_invalid_params(self, capsys):
         assert main(["construct", "2", "--q", "0.5", "--r", "1",
                      "--n-max", "6"]) == 1

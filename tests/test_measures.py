@@ -4,12 +4,15 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from scipy.special import logsumexp
+
 from muntzlab import quadrature
-from muntzlab.measures import (default_epsilon_grid, integrate_against,
-                               rho_hypothesis_violation)
+from muntzlab.measures import (AtomicMeasure, default_epsilon_grid,
+                               integrate_against, rho_hypothesis_violation)
 from muntzlab import (HypothesisViolationError, InvalidParameterError,
                       PiecewiseDensityMeasure, PowerTailMeasure, ScaledMeasure,
-                      SumMeasure, atomic, atomic_from_logs, lebesgue,
+                      SumMeasure, atomic, atomic_from_logs,
+                      hilbert_schmidt_certificate, lebesgue, make_explicit,
                       measure_from_config, modulus_report, point_mass,
                       restrict_tail, rho_majorization_check)
 
@@ -241,10 +244,6 @@ class TestModulus:
         rep = modulus_report(PowerTailMeasure(1.0, 0.5))
         assert math.isinf(rep.sublinear_norm)
 
-    def test_grid_validation(self):
-        with pytest.raises(InvalidParameterError):
-            modulus_report(lebesgue(), grid=[0.5, 0.25, 0.125])
-
 
 class TestLemma42:
     def test_increasing_integrand_bound(self):
@@ -412,3 +411,183 @@ class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(InvalidParameterError, match="kind"):
             measure_from_config({"kind": "gaussian"})
+
+
+# ---------------------------------------------------------------------------
+# array mass queries against the per-eps loops they replaced
+# ---------------------------------------------------------------------------
+
+def _loop_tail_mass(mu, eps):
+    """mu(J_eps) at one eps as the scalar mass query computed it: an atom mask
+    summed by logsumexp, a power, piece overlaps added in order, a scale, an
+    fsum of the parts."""
+    if isinstance(mu, AtomicMeasure):
+        cutoff = math.log1p(-eps) if eps < 1.0 else -math.inf
+        mask = mu.log_positions >= cutoff
+        return math.exp(logsumexp(mu.log_weights[mask])) if mask.any() else 0.0
+    if isinstance(mu, PowerTailMeasure):
+        return mu.coefficient * min(eps, mu.width) ** mu.alpha
+    if isinstance(mu, PiecewiseDensityMeasure):
+        total = 0.0
+        for lo, hi, h in zip(mu.breakpoints[:-1], mu.breakpoints[1:],
+                             mu.densities):
+            seg = min(hi, 1.0) - max(lo, 1.0 - eps)
+            if seg > 0.0:
+                total += h * seg
+        return total
+    if isinstance(mu, ScaledMeasure):
+        return mu.scale * _loop_tail_mass(mu.inner, eps)
+    return math.fsum(_loop_tail_mass(p, eps) for p in mu.parts)
+
+
+def _loop_mass_above(mu, b):
+    """mu((b, 1]) as the scalar query computed it: atoms strictly above b."""
+    if isinstance(mu, AtomicMeasure):
+        if b <= 0.0:
+            return mu.total_mass
+        mask = mu.log_positions > math.log(b)
+        return math.exp(logsumexp(mu.log_weights[mask])) if mask.any() else 0.0
+    if isinstance(mu, ScaledMeasure):
+        return mu.scale * _loop_mass_above(mu.inner, b)
+    if isinstance(mu, SumMeasure):
+        return math.fsum(_loop_mass_above(p, b) for p in mu.parts)
+    return _loop_tail_mass(mu, 1.0 - b) if b < 1.0 else 0.0
+
+
+def _loop_sublinear_norm_exact(mu):
+    """The analytic sublinear norm of an atomic or piecewise measure, one
+    candidate eps at a time."""
+    if isinstance(mu, AtomicMeasure):
+        best = 0.0
+        for k in range(mu.log_positions.size):
+            eps_k = -math.expm1(mu.log_positions[k])
+            best = max(best, math.exp(logsumexp(mu.log_weights[k:])) / eps_k)
+        return best
+    candidates = [mu.densities[-1] if mu.breakpoints[-1] >= 1.0 else 0.0]
+    for b in mu.breakpoints[:-1]:
+        candidates.append(_loop_tail_mass(mu, 1.0 - b) / (1.0 - b))
+    candidates.append(_loop_tail_mass(mu, 1.0))
+    return max(candidates)
+
+
+def _at_atoms(mu):
+    """eps = 1 - a_k of every atom, raised by 4 ulps as the hypothesis check
+    raises it."""
+    at = -np.expm1(np.asarray(mu.flattened().log_positions, dtype=float))
+    return np.minimum(at * (1.0 + 4.0 * np.finfo(float).eps), 1.0)
+
+
+def _loop_rho_violation(mu, majorant):
+    eps_all = np.concatenate((default_epsilon_grid(), _at_atoms(mu)))
+    for eps in np.sort(eps_all)[::-1].tolist():
+        bound = _loop_tail_mass(majorant, eps)
+        mass = _loop_tail_mass(mu, eps)
+        if mass > bound * (1.0 + 1e-12) + 1e-300:
+            return eps, mass, bound
+    return None
+
+
+def _loop_partition_masses(mu):
+    partitions = []
+    b_j, b_next = 0.0, 0.5
+    while len(partitions) < 64:
+        eps_next = 1.0 - b_next
+        mass = _loop_tail_mass(mu, 1.0 - b_j) if b_j > 0.0 else mu.total_mass
+        mass -= _loop_tail_mass(mu, eps_next) if eps_next > 0.0 else 0.0
+        partitions.append((b_j, b_next, mass))
+        if eps_next <= 1e-12:
+            break
+        b_j, b_next = b_next, math.sqrt(b_next)
+    return partitions
+
+
+ORACLE_MEASURES = {
+    "atomic": atomic([(0.3, 1.0), (0.5, 0.25), (0.9, 2.0),
+                      (1.0 - 2.0 ** -30, 0.125)]),
+    "atomic-near-one": atomic_from_logs([-1e-3, -1e-12, -1e-25],
+                                        [0.0, -20.0, -45.0]),
+    "powertail": PowerTailMeasure(1.5, 2.5),
+    "powertail-x0": PowerTailMeasure(2.0, 0.5, x0=0.6),
+    "lebesgue": lebesgue(),
+    "piecewise": PiecewiseDensityMeasure(np.array([0.0, 0.25, 0.7, 1.0]),
+                                         np.array([2.0, 0.0, 1.5])),
+    "piecewise-short": PiecewiseDensityMeasure(np.array([0.1, 0.6]),
+                                               np.array([3.0])),
+    "scaled": ScaledMeasure(3.5, atomic([(0.4, 1.0), (0.8, 0.5)])),
+    "sum": SumMeasure((atomic([(0.4, 1.0), (0.8, 0.5)]),
+                       PowerTailMeasure(0.5, 1.5), lebesgue())),
+    "empty": restrict_tail(PiecewiseDensityMeasure(np.array([0.1, 0.5]),
+                                                   np.array([1.0])), 2),
+    "sum-with-empty": SumMeasure((restrict_tail(atomic([(0.2, 1.0)]), 3),
+                                  PowerTailMeasure(1.0, 2.0))),
+}
+# the last fails first where an atom enters J_eps, off the grid
+MAJORANTS = (PowerTailMeasure(2.0, 1.0), PowerTailMeasure(0.5, 2.0), lebesgue(),
+             ScaledMeasure(3.0, atomic([(0.5, 1.0), (0.95, 0.5)])),
+             PowerTailMeasure(10.0, 3.0))
+
+
+def _assert_close(got, want, rel=1e-15):
+    np.testing.assert_allclose(got, want, rtol=rel, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ORACLE_MEASURES)
+class TestArrayTailMass:
+    def test_grid_atoms_and_one(self, name):
+        mu = ORACLE_MEASURES[name]
+        for eps in (default_epsilon_grid(), _at_atoms(mu), np.array([1.0])):
+            masses = mu.tail_mass(eps)
+            assert masses.shape == eps.shape
+            _assert_close(masses, [_loop_tail_mass(mu, e) for e in eps.tolist()])
+            for e, m in zip(eps.tolist(), masses.tolist()):
+                one = mu.tail_mass(e)
+                assert type(one) is float and one == m
+
+    def test_mass_above(self, name):
+        # b at an atom of "atomic" leaves that atom out
+        mu = ORACLE_MEASURES[name]
+        for b in (0.0, 0.3, 0.5, 0.75, 0.9, 1.0 - 2.0 ** -30, 1.0):
+            _assert_close(mu.mass_above(b), _loop_mass_above(mu, b))
+
+    def test_modulus_report(self, name):
+        mu = ORACLE_MEASURES[name]
+        rep = modulus_report(mu)
+        grid = default_epsilon_grid()
+        masses = np.array([_loop_tail_mass(mu, e) for e in grid.tolist()])
+        _assert_close(rep.grid, grid)
+        _assert_close(rep.ratios, masses / grid)
+        if not rep.sup_is_exact:
+            assert rep.sublinear_norm == float((masses / grid).max())
+
+    def test_rho_hypothesis_violation(self, name):
+        mu = ORACLE_MEASURES[name]
+        for majorant in MAJORANTS:
+            got = rho_hypothesis_violation(mu, majorant)
+            want = _loop_rho_violation(mu, majorant)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0] == want[0]
+                _assert_close(got[1:], want[1:])
+
+    def test_partition_masses(self, name):
+        mu = ORACLE_MEASURES[name]
+        cert = hilbert_schmidt_certificate(make_explicit([2.0]), mu)
+        got = cert.params["partition_masses"]
+        want = _loop_partition_masses(mu)
+        assert [p[:2] for p in got] == [p[:2] for p in want]
+        _assert_close([p[2] for p in got], [p[2] for p in want])
+
+
+@pytest.mark.parametrize("name", ["atomic", "atomic-near-one", "lebesgue",
+                                  "piecewise", "piecewise-short", "empty"])
+def test_sublinear_norm_exact_matches_loop(name):
+    mu = ORACLE_MEASURES[name]
+    _assert_close(mu.sublinear_norm_exact(), _loop_sublinear_norm_exact(mu))
+
+
+@pytest.mark.parametrize("name", ["powertail", "powertail-x0"])
+def test_powertail_tail_mass_exact_at_dyadic_eps(name):
+    mu = ORACLE_MEASURES[name]
+    grid = default_epsilon_grid()
+    assert mu.tail_mass(grid).tolist() == [_loop_tail_mass(mu, e)
+                                           for e in grid.tolist()]
