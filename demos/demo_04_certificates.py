@@ -32,12 +32,13 @@ show(psi_certificate(seq1, mu1), op)
 print("\n=== lacunary sequence, power-tail measure, N = 16 ===")
 seq = make_geometric(2, 2, 16)
 mu = PowerTailMeasure(1.0, 2.0)
-rep = analyze(EmbeddingProblem(seq, mu, 16), q_set=(1.0, 2.0))
+problem = EmbeddingProblem(seq, mu, 16)
+rep = analyze(problem, q_set=(1.0, 2.0))
 show(psi_certificate(seq, mu), rep.op_norm)
 # the rho majorant rho(eps) = C eps^alpha is the measure nu with
 # nu(J_eps) = rho(eps): the power tail with coefficient C and exponent alpha
 show(rho_certificate(seq, mu, PowerTailMeasure(1.0, 2.0)), rep.op_norm)
-show(sublinear_embedding_bound(seq, mu, 16), rep.op_norm)
+show(sublinear_embedding_bound(problem), rep.op_norm)
 
 print("\n=== compactly supported atoms: Schatten-class certificates ===")
 mu3 = atomic([(0.2, 0.5), (0.35, 0.3), (0.5, 0.2)])

@@ -12,9 +12,8 @@ import math
 import numpy as np
 
 from muntzlab import (EmbeddingProblem, PowerTailMeasure, ScaledMeasure,
-                      analyze, essential_norm_trend, lebesgue_gram,
-                      make_geometric, modulus_report)
-from muntzlab.spectral import measure_gram
+                      analyze, essential_norm_trend, make_geometric,
+                      modulus_report)
 
 seq = make_geometric(2, 2, 20)
 base = PowerTailMeasure(1.0, 2.0)
@@ -27,13 +26,13 @@ print(f"  power fit: mu(J_eps) ~ {rep.power_fit.coefficient:.4f} * "
       f"eps^{rep.power_fit.alpha:.4f} (residual {rep.power_fit.residual:.2e})")
 
 print("\n=== op_norm / sqrt(c) across four decades of scaling ===")
-b = lebesgue_gram(seq).entries
 for c in (1e-2, 1e-1, 1.0, 1e1, 1e2):
-    mu = ScaledMeasure(c, base)
-    norm = analyze(EmbeddingProblem(seq, mu, 20), q_set=(2.0,)).op_norm
-    s_norm = modulus_report(mu).sublinear_norm
-    a = measure_gram(seq, mu, 20).entries
-    dominated = bool(np.all(a <= s_norm * b * (1.0 + 1e-12)))
+    # one problem holds A, B and the modulus report of this measure
+    problem = EmbeddingProblem(seq, ScaledMeasure(c, base), 20)
+    norm = analyze(problem, q_set=(2.0,)).op_norm
+    s_norm = problem.modulus.sublinear_norm
+    dominated = bool(np.all(problem.gram
+                            <= s_norm * problem.lebesgue * (1.0 + 1e-12)))
     print(f"  c = {c:7.2f}: op = {norm:10.6f}, op/sqrt(c) = "
           f"{norm / math.sqrt(c):.8f}, entrywise A <= ||mu||_S B: {dominated}")
 

@@ -25,7 +25,7 @@ from .measures import (AtomicMeasure, Measure, ModulusReport,
                        modulus_report, point_mass, restrict_tail,
                        rho_majorization_check)
 from .polynomials import MuntzPolynomial, random_unit
-from .geometry import (DistanceTable, GramMatrix, PsiEvaluator, PsiValue,
+from .geometry import (DistanceTable, PsiEvaluator, PsiValue,
                        bernstein_ratio, big_psi, distances, lebesgue_gram,
                        pointwise_bound_check, psi_a_eval, scaled_distance)
 from .spectral import (Certificate, EmbeddingProblem, SpectralReport,

@@ -90,7 +90,7 @@ def _compact_support_params(params: dict) -> tuple[float, float, int]:
 def cmd_analyze(args) -> int:
     from . import spectral
     from .geometry import PsiEvaluator
-    from .measures import measure_from_config, modulus_report
+    from .measures import measure_from_config
     from .reporting import to_jsonable, write_csv, write_json
     from .sequences import sequence_from_config
 
@@ -98,20 +98,17 @@ def cmd_analyze(args) -> int:
     seq = sequence_from_config(_require(config, "sequence"))
     mu = measure_from_config(_require(config, "measure"))
     n = args.n or _field(config, "N", _integer, len(seq))
-    if not 1 <= n <= len(seq):
-        raise InvalidParameterError(
-            f"N = {n} outside 1..{len(seq)} (sequence truncation)")
+    problem = spectral.EmbeddingProblem(seq, mu, n)
     q_set = _field(config, "q_set", lambda qs: tuple(float(q) for q in qs),
                    (0.5, 1.0, 2.0))
     m_list = _field(config, "m_list", lambda ms: [_integer(m) for m in ms or ()],
                     None)
 
     started = time.perf_counter()
-    problem = spectral.EmbeddingProblem(seq, mu, n)
     report = spectral.analyze(problem, q_set=q_set)
-    mod = modulus_report(mu)
+    mod = problem.modulus
 
-    sub = seq.truncate(n)
+    sub = problem.truncated
     psi = PsiEvaluator.from_sequence(sub)
     certificates = []
     hypothesis_violated = False
@@ -124,7 +121,7 @@ def cmd_analyze(args) -> int:
                 cert = spectral.rho_certificate(
                     sub, mu, _field(config, "rho", _rho_majorant, {}), psi)
             elif kind == "sublinear":
-                cert = spectral.sublinear_embedding_bound(seq, mu, n)
+                cert = spectral.sublinear_embedding_bound(problem)
             elif kind == "compact_support":
                 b, b_prime, k = _field(config, "compact_support",
                                        _compact_support_params, {})

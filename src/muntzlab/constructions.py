@@ -33,8 +33,9 @@ Verification raises ConstructionBugError on the first violation of:
   terms.  Example 2: alpha_n^2/e <= ||g_n||^2 <= 1.5 alpha_n^2 and an
   off-diagonal Hilbert-Schmidt sum below e/4.
 
-Operator norms, Schatten trends, partial sums and whether the L^1
-witnesses increase are reported, not checked.
+Operator norms and Schatten trends (leading blocks of one factorization at
+n_max), partial sums and whether the L^1 witnesses increase are reported,
+not checked; a partial-sum term below the double range is refused.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (ConstructionBugError, ConstructionError,
 from .lp import l1_unboundedness_witness
 from .measures import AtomicMeasure, atomic_from_logs
 from .sequences import LambdaSequence, classify
-from .spectral import (EmbeddingProblem, analyze, measure_gram,
+from .spectral import (EmbeddingProblem, _schatten_table, _truncated_spectra,
                        riesz_sequence_check)
 
 EXAMPLE1_N_CAP = 12
@@ -255,10 +256,10 @@ def verify_example1(build: Example1Build, c_fit: float | None = None,
             f"{own[i]:.6g}", n=i + 1, residual=own[i] - witnesses[i])
     increasing = bool(np.all(np.diff(witnesses) > 0.0))
 
-    op_norms = []
-    for n_i in range(max(2, n_max - 2), n_max + 1):
-        rep = analyze(EmbeddingProblem(seq, mu, n_i), q_set=(2.0,))
-        op_norms.append((n_i, rep.op_norm))
+    problem = EmbeddingProblem(seq, mu, n_max)
+    sizes = range(max(2, n_max - 2), n_max + 1)
+    op_norms = [(k, float(svals[0])) for k, svals in
+                zip(sizes, _truncated_spectra(problem, problem.cholesky, sizes))]
 
     return Example1Report(
         g_norms_sq=g_sq, partial_sums=np.cumsum(g_sq),
@@ -440,7 +441,7 @@ class Example2Report:
     gram_invertible: bool
     lq_partial_sums: np.ndarray   # partial sums of ||i g_n||^q
     lr_partial_sums: np.ndarray   # partial sums of ||i g_n||^r
-    schatten_trend_q: tuple       # (N, S_q partial norm) from analyze()
+    schatten_trend_q: tuple       # (N, S_q partial norm), last three N
     schatten_trend_r: tuple
     beta_total: float
 
@@ -449,13 +450,14 @@ def verify_example2(build: Example2Build, *, tol: float = 1e-12) -> Example2Repo
     """Check the four recorded slack families, recomputed from the built
     data, the displayed two-sided norm bounds and the off-diagonal
     Hilbert-Schmidt sum of the normalized image Gramian, and report the
-    l^q / l^r partial-sum dichotomy with an analyze() cross-check."""
-    seq, mu = build.sequence, build.measure
+    l^q / l^r partial-sum dichotomy, refusing a term below the double range,
+    with the Schatten partial norms of the last three truncations."""
     n_max = build.n_max
     alphas = build.alphas
     _check_example2_ledger(build, tol)
 
-    a = measure_gram(seq, mu).entries
+    problem = EmbeddingProblem(build.sequence, build.measure, n_max)
+    a = problem.gram
     norms_sq = np.diag(a).copy()
     lower = alphas ** 2 / math.e
     upper = 1.5 * alphas ** 2
@@ -474,16 +476,19 @@ def verify_example2(build: Example2Build, *, tol: float = 1e-12) -> Example2Repo
             f"off-diagonal HS sum {check.offdiag_hs**2:.6g} not below e/4",
             residual=check.offdiag_hs ** 2 - math.e / 4.0)
 
-    lq = np.cumsum(norms ** build.q)
-    lr = np.cumsum(norms ** build.r)
+    terms = {"q": norms ** build.q, "r": norms ** build.r}
+    for name, t in terms.items():
+        if t.min() < np.finfo(float).tiny:
+            i = int(np.argmax(t < np.finfo(float).tiny))
+            raise InvalidParameterError(
+                f"||i g_{i + 1}||^{name} = {norms[i]:.6g}^{getattr(build, name):g} "
+                f"underflows the double range; reduce {name}, theta or n_max")
 
-    trend_q = []
-    trend_r = []
-    for n_i in range(max(2, n_max - 2), n_max + 1):
-        rep = analyze(EmbeddingProblem(seq, mu, n_i),
-                      q_set=(build.r, build.q))
-        trend_q.append((n_i, rep.schatten[build.q]))
-        trend_r.append((n_i, rep.schatten[build.r]))
+    sizes = range(max(2, n_max - 2), n_max + 1)
+    tables = [_schatten_table(svals, (build.r, build.q)) for svals in
+              _truncated_spectra(problem, problem.cholesky, sizes)]
+    trend_q = [(k, table[build.q]) for k, table in zip(sizes, tables)]
+    trend_r = [(k, table[build.r]) for k, table in zip(sizes, tables)]
 
     # sum_ij beta_ij = (sum_i 4^-(i+1))^2, exact in double at these sizes
     beta_total = float(np.ldexp(1.0, -2 * np.arange(2, n_max + 2)).sum() ** 2)
@@ -491,6 +496,7 @@ def verify_example2(build: Example2Build, *, tol: float = 1e-12) -> Example2Repo
         norms_sq=norms_sq, lower_bounds=lower, upper_bounds=upper,
         offdiag_hs=check.offdiag_hs, offdiag_hs_sq=check.offdiag_hs ** 2,
         gram_invertible=check.invertible,
-        lq_partial_sums=lq, lr_partial_sums=lr,
+        lq_partial_sums=np.cumsum(terms["q"]),
+        lr_partial_sums=np.cumsum(terms["r"]),
         schatten_trend_q=tuple(trend_q), schatten_trend_r=tuple(trend_r),
         beta_total=beta_total)

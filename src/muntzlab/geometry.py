@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -45,42 +46,15 @@ PSI_K_MAX = 4
 EXP_FLOOR = -746.0     # exp(x) is exactly 0 in double below this
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric PSD matrix of pairwise inner products."""
-
-    entries: np.ndarray
-    basis: str          # "raw" monomials or "normalized" g_n = lambda_n^(1/2) x^lambda_n
-    measure: str        # "lebesgue" or "mu"
-
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InvalidParameterError("Gram matrix must be square")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-def lebesgue_gram(seq: LambdaSequence, normalized: bool = True) -> GramMatrix:
-    """Closed-form Lebesgue Gramian.
-
-    Raw entry 1/(lambda_n + lambda_m + 1); normalized entry
-    sqrt(lambda_n lambda_m)/(lambda_n + lambda_m + 1).
-    """
+def lebesgue_gram(seq: LambdaSequence) -> np.ndarray:
+    """Closed-form Lebesgue Gramian of the normalized monomials, read-only:
+    entry sqrt(lambda_n lambda_m)/(lambda_n + lambda_m + 1)."""
     lam = seq.values
     if np.unique(lam).size != lam.size:
         raise SingularSystemError("duplicate exponents give a singular system")
-    denom = lam[:, None] + lam[None, :] + 1.0
-    if normalized:
-        entries = np.sqrt(np.outer(lam, lam)) / denom
-    else:
-        entries = 1.0 / denom
-    return GramMatrix(entries, basis="normalized" if normalized else "raw",
-                      measure="lebesgue")
+    entries = np.sqrt(np.outer(lam, lam)) / (lam[:, None] + lam[None, :] + 1.0)
+    entries.setflags(write=False)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -146,7 +120,7 @@ class PsiValue(NamedTuple):
 
 @dataclass(frozen=True)
 class PsiEvaluator:
-    """psi(x) = sum_n d_n**-1 x**lambda_n and derivatives up to k_max.
+    """psi(x) = sum_n d_n**-1 x**lambda_n and derivatives up to PSI_K_MAX.
 
     Built from truncated distances, hence a lower estimate of the infinite
     psi; the tail flag marks evaluations whose last term is not yet
@@ -156,12 +130,11 @@ class PsiEvaluator:
     falling factorial (lambda_n)_k; its log weight and sign are tabulated per
     order when the evaluator is built.  :meth:`eval_many` and
     :meth:`log_eval` share one array kernel that scales every lane of terms
-    by its largest one.
+    by its largest one.  The tail-unsound widths t* are bisected once.
     """
 
     lambdas: np.ndarray
     log_inv_d: np.ndarray
-    k_max: int = PSI_K_MAX
     # per order k: exponents lambda - k, log weights and signs of the terms
     _exponents: np.ndarray = field(init=False, repr=False, compare=False)
     _log_weights: np.ndarray = field(init=False, repr=False, compare=False)
@@ -169,7 +142,7 @@ class PsiEvaluator:
 
     def __post_init__(self):
         lam = self.lambdas
-        orders = np.arange(self.k_max + 1)
+        orders = np.arange(PSI_K_MAX + 1)
         # factors[k, n, j] = lambda_n - j for j < k, and 1 beyond
         factors = np.where(orders[None, None, :] < orders[:, None, None],
                            lam[None, :, None] - orders[None, None, :], 1.0)
@@ -181,17 +154,45 @@ class PsiEvaluator:
         object.__setattr__(self, "_signs", np.prod(np.sign(factors), axis=2))
 
     @classmethod
-    def from_sequence(cls, seq: LambdaSequence, k_max: int = PSI_K_MAX) -> "PsiEvaluator":
+    def from_sequence(cls, seq: LambdaSequence) -> "PsiEvaluator":
         table = distances(seq)
-        return cls(lambdas=table.lambdas, log_inv_d=-table.log_d, k_max=k_max)
+        return cls(lambdas=table.lambdas, log_inv_d=-table.log_d)
 
     @property
     def n_seq(self) -> int:
         return int(self.lambdas.size)
 
+    @cached_property
+    def unsound_width(self) -> float:
+        """Width t* such that psi is tail-unsound for 1 - x < t*."""
+        return self._unsound_width(big=False)
+
+    @cached_property
+    def big_unsound_width(self) -> float:
+        """t* of the Hilbert-Schmidt majorant Psi = psi'(x^(1/4)) psi(x^(1/4))."""
+        return self._unsound_width(big=True)
+
+    def _unsound_width(self, big: bool) -> float:
+        """t* of psi, or of Psi when ``big``, bisected over the probes
+        t = 2^-j, j = 0..1074 (t = 1 taken as 1 - 1e-16): the last-term ratio
+        is monotone in x, so the unsound probes are a final run of j, whose
+        first j gives t* = min(2^(1-j), 1); 0 means sound at every probe.  A
+        probe whose x rounds to 1 (for Psi from t = 2^-1073 on) is unsound.
+        """
+        scale, orders = (0.25, (1, 0)) if big else (1.0, (0,))
+        sound, first_unsound = -1, 1075          # bracket of virtual probes
+        while first_unsound - sound > 1:
+            j = (sound + first_unsound) // 2
+            log_x = scale * math.log1p(-min(2.0 ** -j, 1.0 - 1e-16))
+            if log_x == 0.0 or not all(self.log_eval(log_x, k)[2] for k in orders):
+                first_unsound = j
+            else:
+                sound = j
+        return 0.0 if first_unsound == 1075 else min(2.0 ** (1 - first_unsound), 1.0)
+
     def _check_order(self, k: int) -> None:
-        if k < 0 or k > self.k_max:
-            raise InvalidParameterError(f"derivative order {k} outside 0..{self.k_max}")
+        if k < 0 or k > PSI_K_MAX:
+            raise InvalidParameterError(f"derivative order {k} outside 0..{PSI_K_MAX}")
 
     def _scaled_sums(self, k: int, term_logs: np.ndarray):
         """Kernel: ``(sums, m, last)`` from the order-k term logs without

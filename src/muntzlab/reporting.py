@@ -1,10 +1,10 @@
 """Report serialization: JSON for structured reports, CSV for vectors.
 
-Floats are emitted via Python's shortest round-trip representation, which
-preserves all 17 significant digits of a double; reports re-read from disk
-reproduce the original numerics bit-for-bit.  Writes go to a temporary file
-in the target directory followed by an atomic rename, so error paths never
-leave partial reports behind.
+JSON is written compact by the C encoder, with floats in Python's shortest
+round-trip representation (all 17 significant digits of a double), so
+reports re-read from disk reproduce the numerics bit-for-bit.  Writes go to
+a temporary file in the target directory followed by an atomic rename, so
+error paths never leave partial reports behind.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def _atomic_write(path: str, write_fn) -> None:
 
 def write_json(path: str, payload) -> None:
     data = to_jsonable(payload)
-    _atomic_write(path, lambda fh: json.dump(data, fh, indent=2))
+    _atomic_write(path, lambda fh: fh.write(json.dumps(data)))
 
 
 def write_csv(path: str, header, rows) -> None:

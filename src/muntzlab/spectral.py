@@ -5,8 +5,9 @@ first N normalized monomials g_n = lambda_n^(1/2) x^lambda_n, has singular
 values equal to the square roots of the generalized eigenvalues of the
 pencil (A, B), where A is the mu-Gramian and B the Lebesgue Gramian of the
 g_n.  B is whitened by Cholesky; a failed factorization raises instead of
-regularizing (reduce N).  One analysis assembles
-A and factors B once at N and reads smaller truncations as leading blocks.
+regularizing (reduce N).  One :class:`EmbeddingProblem` assembles A and B
+and factors B once at N, as read-only arrays its readers share; smaller
+truncations are leading blocks.
 
 Certificates are named upper bounds from the majorant function psi, from a
 rho-majorization of the tail modulus, from compact support, and from
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +30,7 @@ import scipy.linalg
 from . import quadrature
 from .errors import (IllConditionedBasisError, InvalidParameterError,
                      NumericalSoundnessError, SublinearEstimateError)
-from .geometry import GramMatrix, PsiEvaluator, lebesgue_gram
+from .geometry import PSI_K_MAX, PsiEvaluator, lebesgue_gram
 from .logdomain import log_sum
 from .measures import Measure, modulus_report, rho_hypothesis_violation
 from .sequences import LambdaSequence, classify
@@ -41,7 +43,10 @@ DEFAULT_Q_SET = (0.5, 1.0, 2.0)
 
 @dataclass(frozen=True)
 class EmbeddingProblem:
-    """A (sequence, measure, truncation) triple for the p = 2 embedding."""
+    """A (sequence, measure, truncation) triple for the p = 2 embedding and
+    its one analysis: the truncated sequence, B (``lebesgue``), its lower
+    Cholesky factor, A (``gram``) and the modulus report of mu, each
+    computed when first read; the arrays are read-only."""
 
     sequence: LambdaSequence
     measure: Measure
@@ -51,6 +56,28 @@ class EmbeddingProblem:
         if not 1 <= self.n <= len(self.sequence):
             raise InvalidParameterError(
                 f"truncation {self.n} outside 1..{len(self.sequence)}")
+
+    @cached_property
+    def truncated(self) -> LambdaSequence:
+        return self.sequence.truncate(self.n)
+
+    @cached_property
+    def lebesgue(self) -> np.ndarray:
+        return lebesgue_gram(self.truncated)
+
+    @cached_property
+    def cholesky(self) -> np.ndarray:
+        low = _cholesky_lower(self.lebesgue)
+        low.setflags(write=False)
+        return low
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return measure_gram(self.truncated, self.measure)
+
+    @cached_property
+    def modulus(self):
+        return modulus_report(self.measure)
 
 
 @dataclass(frozen=True)
@@ -107,27 +134,24 @@ class Certificate:
 # Gramians and singular values
 # ---------------------------------------------------------------------------
 
-def measure_gram(seq: LambdaSequence, mu: Measure, n: int | None = None) -> GramMatrix:
-    """mu-Gramian A_nm = sqrt(lambda_n lambda_m) * integral x**(l_n+l_m) dmu.
+def measure_gram(seq: LambdaSequence, mu: Measure) -> np.ndarray:
+    """mu-Gramian A_nm = sqrt(lambda_n lambda_m) * integral x**(l_n+l_m) dmu
+    over the whole of ``seq``, read-only.
 
     One array of log moments over the upper triangle (the orders
     lambda_n + lambda_m are symmetric), mirrored, materialized and then
     normalized in the linear domain; entries that underflow to zero are
     permitted.
     """
-    n = len(seq) if n is None else n
-    lam = seq.truncate(n).values
+    lam = seq.values
     root = np.sqrt(lam)
     rows, cols = np.triu_indices(lam.size)
     moments = np.empty((lam.size, lam.size))
     moments[rows, cols] = np.exp(mu.log_moments(lam[rows] + lam[cols]))
     moments[cols, rows] = moments[rows, cols]
-    return GramMatrix(np.outer(root, root) * moments, basis="normalized",
-                      measure="mu")
-
-
-def _as_array(gram) -> np.ndarray:
-    return gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, float)
+    entries = np.outer(root, root) * moments
+    entries.setflags(write=False)
+    return entries
 
 
 def _cholesky_lower(b: np.ndarray) -> np.ndarray:
@@ -166,27 +190,25 @@ def _pencil_singular_values(m: np.ndarray) -> np.ndarray:
 def singular_values(a, b) -> np.ndarray:
     """Singular values of the embedding pencil: sqrt of eigenvalues of
     B^(-1/2) A B^(-1/2), via Cholesky whitening of B."""
-    return _pencil_singular_values(
-        _whiten(_as_array(a), _cholesky_lower(_as_array(b))))
+    return _pencil_singular_values(_whiten(a, _cholesky_lower(b)))
 
 
-def _truncated_spectra(seq: LambdaSequence, mu: Measure, low: np.ndarray,
+def _truncated_spectra(problem: EmbeddingProblem, low: np.ndarray,
                        sizes) -> list[np.ndarray]:
-    """Singular values of i_mu at each truncation in ``sizes``, from one
-    assembly at N = low.shape[0] whitened by the Cholesky factor ``low`` of
-    the Lebesgue Gramian; whitening is triangular, so truncation k is the
-    leading block.  Measures with a density part go through the (A, B)
-    pencil.  Purely atomic ones go through the K x N factor
-    F_{kn} = sqrt(c_k) sqrt(lambda_n) a_k**lambda_n (A = F^T F) as
-    svd(F L^-T): rank-exact, since the values beyond the atom count are
-    structural zeros, not sqrt-amplified eigenvalue noise.
+    """Singular values of i_mu at each truncation in ``sizes``, from the
+    problem's assembly at N whitened by ``low``, the Cholesky factor of its
+    Lebesgue Gramian (problems on one truncated sequence share it); whitening
+    is triangular, so truncation k is the leading block.  Measures with a
+    density part go through the (A, B) pencil.  Purely atomic ones go
+    through the K x N factor F_{kn} = sqrt(c_k) sqrt(lambda_n) a_k**lambda_n
+    (A = F^T F) as svd(F L^-T): rank-exact, since the values beyond the atom
+    count are structural zeros, not sqrt-amplified eigenvalue noise.
     """
-    n = low.shape[0]
-    flat = mu.flattened()
+    flat = problem.measure.flattened()
     if flat.has_density:
-        m = _whiten(measure_gram(seq, mu, n).entries, low)
+        m = _whiten(problem.gram, low)
         return [_pencil_singular_values(m[:k, :k]) for k in sizes]
-    lam = seq.truncate(n).values
+    lam = problem.truncated.values
     log_f = (0.5 * flat.log_weights[:, None]
              + 0.5 * np.log(lam)[None, :]
              + np.outer(flat.log_positions, lam))
@@ -227,15 +249,11 @@ def _decay_rate(svals: np.ndarray) -> float:
 
 
 def analyze(problem: EmbeddingProblem, q_set=DEFAULT_Q_SET) -> SpectralReport:
-    """Assemble the Gramians and factor the Lebesgue Gramian once at N, solve
-    the pencil, fill the Schatten table and the N-trend diagnostics
-    (truncations n/4, n/2, n, read as leading blocks)."""
+    """Solve the problem's pencil, fill the Schatten table and the N-trend
+    diagnostics (truncations n/4, n/2, n, read as leading blocks)."""
     n = problem.n
     sizes = sorted({max(1, n // 4), max(1, n // 2), n})
-    seq = problem.sequence.truncate(n)
-    spectra = _truncated_spectra(seq, problem.measure,
-                                 _cholesky_lower(lebesgue_gram(seq).entries),
-                                 sizes)
+    spectra = _truncated_spectra(problem, problem.cholesky, sizes)
     trend = tuple(TrendPoint(n=k, op_norm=float(svals[0]),
                              schatten=_schatten_table(svals, q_set))
                   for k, svals in zip(sizes, spectra))
@@ -253,16 +271,18 @@ def essential_norm_trend(seq: LambdaSequence, mu: Measure, n: int,
     """Norms of the tail-restricted embeddings i_{mu'_m}.
 
     The essential norm is their limit in m; only this trend is reported,
-    never an extrapolated value.
+    never an extrapolated value.  The restricted problems share one factor.
     """
-    m_list = [int(m) for m in m_list]
-    if any(m < 2 for m in m_list) or sorted(m_list) != m_list:
-        raise InvalidParameterError("m_list must be increasing integers >= 2")
-    sub = seq.truncate(n)
-    low = _cholesky_lower(lebesgue_gram(sub).entries)
+    whole = [int(m) for m in m_list]
+    if whole != list(m_list) or any(m < 2 for m in whole) or sorted(whole) != whole:
+        raise InvalidParameterError(
+            f"m_list {m_list} must be increasing integers >= 2")
+    problem = EmbeddingProblem(seq, mu, n)
     out = []
-    for m in m_list:
-        svals, = _truncated_spectra(sub, mu.restricted_to_tail(1.0 / m), low, (n,))
+    for m in whole:
+        tail = EmbeddingProblem(problem.truncated,
+                                mu.restricted_to_tail(1.0 / m), n)
+        svals, = _truncated_spectra(tail, problem.cholesky, (n,))
         out.append((m, float(svals[0])))
     return out
 
@@ -284,31 +304,6 @@ def _squared_majorant_logs(psi: PsiEvaluator, log_x: float,
         return 2.0 * (l1 + l0), s1 and s0
     la, _, snd = psi.log_eval(log_x, 0)
     return 2.0 * la, snd
-
-
-def _unsound_tail_width(psi: PsiEvaluator, transform) -> float:
-    """Width t* such that the majorant is tail-unsound for 1-x < t*.
-
-    The probes are the dyadic t = 2^-j, j = 0..1074 (t = 1 taken as 1 - 1e-16).
-    The last-term ratio is monotone in x, so the unsound probes are a final
-    run of j; bisection finds its first j, and t* = min(2^(1-j), 1).  0 means
-    sound at every probe.  A probe whose x rounds to 1 (under the big
-    transform's quarter power, from t = 2^-1073 on) counts as unsound.
-    """
-    def unsound(j: int) -> bool:
-        log_x = math.log1p(-min(2.0 ** -j, 1.0 - 1e-16))
-        if (0.25 * log_x if transform == "big" else log_x) == 0.0:
-            return True
-        return not _squared_majorant_logs(psi, log_x, transform)[1]
-
-    sound, first_unsound = -1, 1075          # bracket of virtual probes
-    while first_unsound - sound > 1:
-        j = (sound + first_unsound) // 2
-        if unsound(j):
-            first_unsound = j
-        else:
-            sound = j
-    return 0.0 if first_unsound == 1075 else min(2.0 ** (1 - first_unsound), 1.0)
 
 
 def _psi_squared_integral(mu: Measure, psi: PsiEvaluator,
@@ -342,7 +337,7 @@ def _psi_squared_integral(mu: Measure, psi: PsiEvaluator,
             unsound_part += math.exp(log_sum(unsound_logs))
 
     if flat.has_density:
-        t_star = _unsound_tail_width(psi, transform)
+        t_star = psi.big_unsound_width if transform == "big" else psi.unsound_width
 
         def values(t):
             t = np.asarray(t, dtype=float)
@@ -442,8 +437,8 @@ def compact_support_certificate(seq: LambdaSequence, mu: Measure, b: float,
     psi = PsiEvaluator.from_sequence(seq) if psi is None else psi
     if not 0.0 < b < b_prime < 1.0:
         raise InvalidParameterError("need 0 < b < b' < 1")
-    if not 1 <= k <= psi.k_max:
-        raise InvalidParameterError(f"k must lie in 1..{psi.k_max}")
+    if not 1 <= k <= PSI_K_MAX:
+        raise InvalidParameterError(f"k must lie in 1..{PSI_K_MAX}")
     leak = mu.mass_above(b)
     assumptions = [AssumptionCheck(
         "supp mu inside [0, b]", leak == 0.0,
@@ -498,18 +493,17 @@ def hilbert_schmidt_certificate(seq: LambdaSequence, mu: Measure,
                        params={"partition_masses": partitions})
 
 
-def sublinear_embedding_bound(seq: LambdaSequence, mu: Measure,
-                              n: int) -> Certificate:
+def sublinear_embedding_bound(problem: EmbeddingProblem) -> Certificate:
     """Rigorous-at-truncation norm bound for lacunary Lambda and sublinear mu.
 
-    Verifies the entrywise majorization A_nm <= ||mu||_S * B_nm and, on
-    success, emits value = (||mu||_S * ||B|| * ||B^-1||)^(1/2): for
-    entrywise-dominated PSD pencils the Rayleigh quotient is at most
-    ||mu||_S * cond(B).
+    Verifies the entrywise majorization A_nm <= ||mu||_S * B_nm, with A, B
+    and ||mu||_S read from the problem, and, on success, emits
+    value = (||mu||_S * ||B|| * ||B^-1||)^(1/2): for entrywise-dominated PSD
+    pencils the Rayleigh quotient is at most ||mu||_S * cond(B).
     """
-    report = classify(seq.truncate(n))
+    report = classify(problem.truncated)
     lacunary_ok = (not report.degenerate) and report.min_ratio > 1.0
-    mod = modulus_report(mu)
+    mod = problem.modulus
     s_norm = mod.sublinear_norm
     assumptions = [
         AssumptionCheck("Lambda lacunary", lacunary_ok,
@@ -521,8 +515,7 @@ def sublinear_embedding_bound(seq: LambdaSequence, mu: Measure,
     if not (lacunary_ok and math.isfinite(s_norm)):
         return Certificate(kind="sublinear", value=math.inf,
                            assumptions=tuple(assumptions))
-    a = measure_gram(seq, mu, n).entries
-    b = lebesgue_gram(seq.truncate(n)).entries
+    a, b = problem.gram, problem.lebesgue
     gap = a - s_norm * b
     tol = 1e-12 * (1.0 + s_norm * np.abs(b))
     if np.any(gap > tol):
@@ -555,7 +548,7 @@ def riesz_sequence_check(gram) -> RieszCheck:
     offdiag_hs < 1 is the sufficient Hilbert-Schmidt criterion; otherwise
     the minimal eigenvalue decides.
     """
-    g = _as_array(gram)
+    g = np.asarray(gram, dtype=float)
     if np.max(np.abs(np.diag(g) - 1.0)) > 1e-8:
         raise InvalidParameterError("Gramian must have unit diagonal "
                                     "(normalize the vectors first)")

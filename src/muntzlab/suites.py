@@ -58,22 +58,22 @@ def default_battery() -> list[tuple[str, LambdaSequence, Measure]]:
     ]
 
 
-def certificate_suite(truncations=(4, 8, 16, 32), tol: float = 1e-9) -> SuiteResult:
+CERTIFICATE_TRUNCATIONS = (4, 8, 16, 32)
+CERTIFICATE_TOL = 1e-9
+
+
+def certificate_suite() -> SuiteResult:
     """psi-certificate dominance over the battery: value >= op_norm at every
     truncation, with equality in the rank-1 atomic case."""
     violations = []
     checks = 0
     for name, seq, mu in default_battery():
-        psi = geometry.PsiEvaluator.from_sequence(seq)
-        for n in truncations:
-            if n > len(seq):
-                continue
+        for n in CERTIFICATE_TRUNCATIONS:
             checks += 1
-            sub = seq.truncate(n)
-            rep = spectral.analyze(spectral.EmbeddingProblem(seq, mu, n),
-                                   q_set=(2.0,))
-            cert = spectral.psi_certificate(sub, mu)
-            if cert.value < rep.op_norm - tol:
+            problem = spectral.EmbeddingProblem(seq, mu, n)
+            rep = spectral.analyze(problem, q_set=(2.0,))
+            cert = spectral.psi_certificate(problem.truncated, mu)
+            if cert.value < rep.op_norm - CERTIFICATE_TOL:
                 violations.append((name, n, cert.value, rep.op_norm))
     # rank-1 equality case
     checks += 1
@@ -82,7 +82,7 @@ def certificate_suite(truncations=(4, 8, 16, 32), tol: float = 1e-9) -> SuiteRes
     op = spectral.analyze(spectral.EmbeddingProblem(seq1, point_mass(0.5), 1),
                           q_set=(2.0,)).op_norm
     equality_gap = abs(cert.value - op)
-    if equality_gap > tol:
+    if equality_gap > CERTIFICATE_TOL:
         violations.append(("rank1-equality", 1, cert.value, op))
     return SuiteResult(name="certificates", checks=checks,
                        violations=tuple(violations),

@@ -92,7 +92,7 @@ def test_criterion_03_distance_oracle():
 
 
 def test_criterion_04_psi_certificate_dominance():
-    result = certificate_suite(truncations=(4, 8, 16, 32), tol=1e-9)
+    result = certificate_suite()
     ok = result.ok
     report_line(4, "psi-certificate dominance over battery", ok,
                 f"{result.checks} checks, equality gap = "
@@ -111,8 +111,8 @@ def test_criterion_05_sublinear_scaling():
         rep = analyze(EmbeddingProblem(seq, mu, 20), q_set=(2.0,))
         ratios.append(rep.op_norm / math.sqrt(c))
         s_norm = modulus_report(mu).sublinear_norm
-        a = measure_gram(seq, mu, 20).entries
-        b = lebesgue_gram(seq).entries
+        a = measure_gram(seq, mu)
+        b = lebesgue_gram(seq)
         gap = a - s_norm * b
         entry_violations += int(np.sum(gap > 1e-12 * (1.0 + s_norm * np.abs(b))))
     spread = max(ratios) / min(ratios)

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from muntzlab import EmbeddingProblem, analyze, build_example2
 from muntzlab.cli import main
 
 
@@ -127,6 +128,56 @@ MALFORMED = {
 }
 
 
+class TestOneAnalysis:
+    def test_assembles_factors_and_bisects_once(self, tmp_path, monkeypatch):
+        # the geometric sequence (2, ratio 2) at N 32 on PowerTail(1, 2, 0.3),
+        # all five certificates and the essential-norm trend
+        from muntzlab import spectral
+        from muntzlab.geometry import PsiEvaluator
+
+        calls = {"measure_gram": [], "modulus_report": 0, "lebesgue_gram": 0,
+                 "cholesky": 0, "width": []}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        measure_gram = spectral.measure_gram
+        monkeypatch.setattr(spectral, "measure_gram", lambda seq, mu: (
+            calls["measure_gram"].append(mu) or measure_gram(seq, mu)))
+        for name, attr in (("modulus_report", "modulus_report"),
+                           ("lebesgue_gram", "lebesgue_gram"),
+                           ("cholesky", "_cholesky_lower")):
+            monkeypatch.setattr(spectral, attr,
+                                counted(name, getattr(spectral, attr)))
+        width = PsiEvaluator._unsound_width
+        monkeypatch.setattr(PsiEvaluator, "_unsound_width", lambda self, big: (
+            calls["width"].append(big) or width(self, big)))
+
+        m_list = [2, 8, 32, 128]
+        cfg = write_config(tmp_path, {
+            "sequence": {"kind": "geometric", "lambda1": 2.0, "ratio": 2.0,
+                         "count": 32},
+            "measure": {"kind": "powertail", "C": 1.0, "alpha": 2.0, "x0": 0.3},
+            "N": 32,
+            "certificates": ["psi", "rho", "sublinear", "compact_support",
+                             "hilbert_schmidt"],
+            "m_list": m_list})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) in (0, 2)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert len(report["certificates"]) == 5
+
+        # A of mu once; the restricted measures of the trend each once
+        mu = calls["measure_gram"][0]
+        assert sum(m is mu for m in calls["measure_gram"]) == 1
+        assert len(calls["measure_gram"]) == 1 + len(m_list)
+        assert calls["modulus_report"] == 1
+        assert sorted(calls["width"]) == [False, True]
+        assert calls["lebesgue_gram"] <= 2 and calls["cholesky"] <= 2
+
+
 class TestMalformedConfig:
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_one_error_line_exit_one(self, tmp_path, capsys, name):
@@ -168,19 +219,17 @@ class TestConstruct:
         assert report["offdiag_hs_sq"] < math.e / 4.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_example2_schatten_trend_without_overflow(self, tmp_path):
+    def test_example2_schatten_trend_without_overflow(self):
         # sum s_i^q underflows at q = 2000 and (sum s_i^r)^(1/r) overflows at
-        # r = 0.001; S_q is about s_1 and S_r at n = 3 about 10^385.8
-        assert main(["construct", "2", "--q", "2000", "--r", "0.001",
-                     "--theta", "200", "--n-max", "3",
-                     "--out", str(tmp_path)]) == 0
-        ledger = json.loads((tmp_path / "example2_ledger.json").read_text())
-        trend_q = ledger["verification"]["schatten_trend_q"]
-        trend_r = ledger["verification"]["schatten_trend_r"]
-        assert [n for n, _ in trend_q] == [2, 3]
-        assert all(v == pytest.approx(6.61e-61, rel=1e-3) for _, v in trend_q)
-        assert trend_r[0][1] == pytest.approx(3.579e223, rel=1e-3)
-        assert trend_r[1][1] == "inf"
+        # r = 0.001; S_q is about s_1 and S_r at n = 3 about 10^385.8.  The
+        # l^q partial sums of this build underflow, so `construct` refuses it
+        # (TestConstructRefusals); its Schatten norms are read by analyze.
+        build = build_example2(2000.0, 0.001, 3, theta=200.0)
+        trend = [analyze(EmbeddingProblem(build.sequence, build.measure, n),
+                         q_set=(0.001, 2000.0)).schatten for n in (2, 3)]
+        assert all(t[2000.0] == pytest.approx(6.61e-61, rel=1e-3) for t in trend)
+        assert trend[0][0.001] == pytest.approx(3.579e223, rel=1e-3)
+        assert trend[1][0.001] == math.inf
 
     def test_example2_invalid_params(self, capsys):
         assert main(["construct", "2", "--q", "0.5", "--r", "1",
@@ -255,6 +304,17 @@ class TestConstructRefusals:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert "underflows" in err[0]
+
+    def test_underflowing_lq_partial_sums_exit_one(self, tmp_path, capsys):
+        # ||i g_n|| is about 4e-61 to 7e-121, so every ||i g_n||^2000 is
+        # below the double range and the l^q partial sums would read 0
+        assert main(["construct", "2", "--q", "2000", "--r", "0.001",
+                     "--theta", "200", "--n-max", "3",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ||i g_1||^q")
+        assert "underflows" in err[0]
+        assert not (tmp_path / "example2_ledger.json").exists()
 
     def test_exhausted_ladder_exit_one(self, monkeypatch, capsys):
         from muntzlab import constructions

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from muntzlab import (ConstructionBugError, ConstructionError, Example1Build,
-                      InvalidParameterError, LambdaSequence, atomic_from_logs,
+from muntzlab import (ConstructionBugError, ConstructionError,
+                      EmbeddingProblem, Example1Build, InvalidParameterError,
+                      LambdaSequence, analyze, atomic_from_logs,
                       build_example1, build_example2, classify, find_blocks,
                       l1_unboundedness_witness, verify_example1,
                       verify_example2)
@@ -277,6 +278,37 @@ class TestExample2Verify:
         q_rel = (q_vals[-1] - q_vals[0]) / q_vals[-1]
         r_rel = (r_vals[-1] - r_vals[0]) / r_vals[-1]
         assert r_rel > 2.0 * q_rel
+
+
+class TestLeadingBlocks:
+    """The verifiers read n_max - 2 .. n_max as leading blocks of one
+    assembly and factorization at n_max; the oracle is one analyze() per
+    truncation, each assembling and factoring from scratch."""
+
+    @pytest.mark.parametrize("n_max", [2, 5, 8, 10])
+    def test_example1_op_norms(self, n_max):
+        build = build_example1(n_max)
+        report = verify_example1(build)
+        assert [n for n, _ in report.op_norms] == list(
+            range(max(2, n_max - 2), n_max + 1))
+        for n, value in report.op_norms:
+            alone = analyze(EmbeddingProblem(build.sequence, build.measure, n),
+                            q_set=(2.0,)).op_norm
+            assert value == pytest.approx(alone, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("q, r, n_max", [(1.0, 0.5, 8), (3.0, 1.2, 6),
+                                             (2.0, 0.9, 3), (1.5, 0.6, 1)])
+    def test_example2_schatten_trends(self, q, r, n_max):
+        build = build_example2(q, r, n_max)
+        report = verify_example2(build)
+        sizes = list(range(max(2, n_max - 2), n_max + 1))
+        assert [n for n, _ in report.schatten_trend_q] == sizes
+        for (n, s_q), (_, s_r) in zip(report.schatten_trend_q,
+                                      report.schatten_trend_r):
+            alone = analyze(EmbeddingProblem(build.sequence, build.measure, n),
+                            q_set=(r, q)).schatten
+            assert s_q == pytest.approx(alone[q], rel=1e-15, abs=0.0)
+            assert s_r == pytest.approx(alone[r], rel=1e-15, abs=0.0)
 
 
 class TestLadder:

@@ -16,21 +16,25 @@ from muntzlab.highprec import distance_oracle
 
 
 class TestGram:
-    def test_raw_two_exponents(self):
-        g = lebesgue_gram(make_explicit([1.0, 2.0]), normalized=False)
-        np.testing.assert_allclose(g.entries, [[1 / 3, 1 / 4], [1 / 4, 1 / 5]])
+    def test_two_exponents_closed_form(self):
+        # sqrt(lambda_n lambda_m) / (lambda_n + lambda_m + 1)
+        g = lebesgue_gram(make_explicit([1.0, 2.0]))
+        np.testing.assert_allclose(
+            g, [[1 / 3, math.sqrt(2.0) / 4], [math.sqrt(2.0) / 4, 2 / 5]],
+            rtol=1e-15)
 
     def test_normalized_single(self):
         g = lebesgue_gram(make_explicit([1.0]))
-        np.testing.assert_allclose(g.entries, [[1 / 3]])
+        np.testing.assert_allclose(g, [[1 / 3]])
 
-    def test_raw_entry_indexing(self):
-        g = lebesgue_gram(make_explicit([2.0, 4.0, 8.0]), normalized=False)
-        assert g.entries[0, 2] == pytest.approx(1 / 11)
+    def test_entry_indexing_closed_form(self):
+        g = lebesgue_gram(make_explicit([2.0, 4.0, 8.0]))
+        assert g[0, 2] == pytest.approx(4.0 / 11, rel=1e-15)
+        assert g[2, 0] == g[0, 2]
 
     def test_positive_definite(self):
         g = lebesgue_gram(make_geometric(2.0, 2.0, 10))
-        assert np.linalg.eigvalsh(g.entries)[0] > 0.0
+        assert np.linalg.eigvalsh(g)[0] > 0.0
 
     def test_duplicate_exponents_rejected(self):
         with pytest.raises((SingularSystemError, InvalidParameterError)):

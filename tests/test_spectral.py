@@ -20,24 +20,23 @@ from muntzlab.measures import (PiecewiseDensityMeasure, default_epsilon_grid,
                                measure_from_config)
 from muntzlab.spectral import (PSI_TRUNCATION_FLAG, TAIL_UNSOUND_FLAG,
                                UNSOUND_CONTRIBUTION_RTOL, AssumptionCheck,
-                               _psi_squared_integral, _squared_majorant_logs,
-                               _unsound_tail_width)
+                               _psi_squared_integral, _squared_majorant_logs)
 
 
 class TestMeasureGram:
     def test_rank_one_atom(self):
-        g = measure_gram(make_explicit([1.0]), point_mass(0.5), 1)
-        np.testing.assert_allclose(g.entries, [[0.25]])
+        g = measure_gram(make_explicit([1.0]), point_mass(0.5))
+        np.testing.assert_allclose(g, [[0.25]])
 
     def test_lebesgue_matches_closed_form(self):
         seq = make_explicit([1.0, 2.0])
-        a = measure_gram(seq, lebesgue(), 2)
+        a = measure_gram(seq, lebesgue())
         b = lebesgue_gram(seq)
-        np.testing.assert_allclose(a.entries, b.entries, rtol=1e-14)
+        np.testing.assert_allclose(a, b, rtol=1e-14)
 
     def test_cross_entry(self):
-        a = measure_gram(make_explicit([1.0, 2.0]), point_mass(0.5), 2)
-        assert a.entries[0, 1] == pytest.approx(math.sqrt(2.0) / 8.0, rel=1e-14)
+        a = measure_gram(make_explicit([1.0, 2.0]), point_mass(0.5))
+        assert a[0, 1] == pytest.approx(math.sqrt(2.0) / 8.0, rel=1e-14)
 
     @pytest.mark.parametrize("mu", [
         atomic([(0.3, 0.5), (0.9, 0.25), (1.0 - 1e-9, 1.0)]),
@@ -54,7 +53,28 @@ class TestMeasureGram:
         lam = seq.values
         full = (np.outer(np.sqrt(lam), np.sqrt(lam))
                 * np.exp(mu.log_moments(lam[:, None] + lam[None, :])))
-        assert np.array_equal(measure_gram(seq, mu).entries, full)
+        assert np.array_equal(measure_gram(seq, mu), full)
+
+
+class TestEmbeddingProblem:
+    def test_members_computed_once_and_read_only(self):
+        problem = EmbeddingProblem(make_geometric(2.0, 2.0, 8),
+                                   PowerTailMeasure(1.0, 2.0), 6)
+        for name in ("gram", "lebesgue", "cholesky"):
+            entries = getattr(problem, name)
+            assert entries is getattr(problem, name)
+            assert entries.shape == (6, 6)
+            with pytest.raises(ValueError):
+                entries[0, 0] = 1.0
+        assert problem.modulus is problem.modulus
+        np.testing.assert_allclose(
+            problem.cholesky @ problem.cholesky.T, problem.lebesgue, rtol=1e-14)
+
+    def test_returned_gramians_read_only(self):
+        seq = make_geometric(2.0, 2.0, 4)
+        for gram in (measure_gram(seq, lebesgue()), lebesgue_gram(seq)):
+            with pytest.raises(ValueError):
+                gram[1, 0] = 0.0
 
 
 class TestSingularValues:
@@ -63,18 +83,18 @@ class TestSingularValues:
         assert s[0] == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-14)
 
     def test_identity_when_equal(self):
-        b = lebesgue_gram(make_geometric(2.0, 2.0, 8)).entries
+        b = lebesgue_gram(make_geometric(2.0, 2.0, 8))
         s = singular_values(b, b)
         np.testing.assert_allclose(s, 1.0, atol=1e-12)
 
     def test_scaled_measure(self):
-        b = lebesgue_gram(make_geometric(2.0, 2.0, 6)).entries
+        b = lebesgue_gram(make_geometric(2.0, 2.0, 6))
         s = singular_values(2.25 * b, b)
         np.testing.assert_allclose(s, 1.5, atol=1e-12)
 
     def test_ill_conditioned_raises(self):
         seq = make_power(2.0, 32)
-        b = lebesgue_gram(seq).entries
+        b = lebesgue_gram(seq)
         with pytest.raises(IllConditionedBasisError):
             singular_values(b, b)
 
@@ -84,7 +104,7 @@ class TestSingularValues:
         seq = make_geometric(2.0, 2.0, 10)
         mu = atomic([(0.3, 1.0), (0.55, 0.5), (0.8, 0.25), (0.95, 0.1)])
         via_analyze = analyze(EmbeddingProblem(seq, mu, 10)).singular_values
-        a = measure_gram(seq, mu, 10)
+        a = measure_gram(seq, mu)
         b = lebesgue_gram(seq)
         via_pencil = singular_values(a, b)
         np.testing.assert_allclose(via_analyze[:4], via_pencil[:4], rtol=1e-7)
@@ -203,6 +223,15 @@ class TestEssentialNorm:
         seq = make_explicit([1.0])
         with pytest.raises(InvalidParameterError):
             essential_norm_trend(seq, lebesgue(), 1, [4, 2])
+
+    def test_non_integral_m_refused(self):
+        # int() would silently run m = 2 and report it
+        seq = make_geometric(2.0, 2.0, 8)
+        with pytest.raises(InvalidParameterError, match="integers"):
+            essential_norm_trend(seq, lebesgue(), 8, [2.5, 4])
+        whole = essential_norm_trend(seq, lebesgue(), 8, [2.0, 4.0])
+        assert whole == essential_norm_trend(seq, lebesgue(), 8, [2, 4])
+        assert all(type(m) is int for m, _ in whole)
 
 
 class TestCertificates:
@@ -344,7 +373,9 @@ class TestPsiTail:
             expected = _scan_tail_width(psi, transform)
             monkeypatch.setattr(PsiEvaluator, "log_eval", counted)
             calls.clear()
-            assert _unsound_tail_width(psi, transform) == expected
+            width = (psi.big_unsound_width if transform == "big"
+                     else psi.unsound_width)
+            assert width == expected
             monkeypatch.setattr(PsiEvaluator, "log_eval", log_eval)
             # bisection over the 1075 probes; two evaluations per big probe
             assert len(calls) <= 11 * (2 if transform == "big" else 1)
@@ -369,7 +400,7 @@ def _old_psi_squared_integral(mu, psi, transform=None):
         if unsound_logs:
             unsound_part += math.exp(log_sum(unsound_logs))
     if flat.has_density:
-        t_star = _unsound_tail_width(psi, transform)
+        t_star = psi.big_unsound_width if transform == "big" else psi.unsound_width
 
         def values(t):
             log_x = np.log1p(-np.asarray(t, dtype=float))
@@ -581,9 +612,9 @@ class TestCertificatesExactForm:
 class TestSublinearBound:
     def test_lebesgue_equality_case(self):
         seq = make_geometric(2.0, 2.0, 16)
-        cert = sublinear_embedding_bound(seq, lebesgue(), 16)
+        cert = sublinear_embedding_bound(EmbeddingProblem(seq, lebesgue(), 16))
         assert cert.comparable
-        b = lebesgue_gram(seq).entries
+        b = lebesgue_gram(seq)
         eigs = np.linalg.eigvalsh(b)
         assert cert.value == pytest.approx(math.sqrt(eigs[-1] / eigs[0]),
                                            rel=1e-10)
@@ -591,27 +622,31 @@ class TestSublinearBound:
     def test_scaling(self):
         seq = make_geometric(2.0, 2.0, 12)
         mu = PowerTailMeasure(1.0, 2.0)
-        c1 = sublinear_embedding_bound(seq, mu, 12)
-        c2 = sublinear_embedding_bound(seq, ScaledMeasure(4.0, mu), 12)
+        c1 = sublinear_embedding_bound(EmbeddingProblem(seq, mu, 12))
+        c2 = sublinear_embedding_bound(
+            EmbeddingProblem(seq, ScaledMeasure(4.0, mu), 12))
         assert c2.value == pytest.approx(2.0 * c1.value, rel=1e-12)
 
     def test_dominates_op_norm(self):
         seq = make_geometric(2.0, 2.0, 16)
         for mu in (PowerTailMeasure(1.0, 2.0),
                    atomic([(0.5, 0.5), (0.75, 0.25), (0.9, 0.1)])):
-            cert = sublinear_embedding_bound(seq, mu, 16)
-            op = analyze(EmbeddingProblem(seq, mu, 16)).op_norm
+            problem = EmbeddingProblem(seq, mu, 16)
+            cert = sublinear_embedding_bound(problem)
+            op = analyze(problem).op_norm
             assert cert.comparable and cert.value >= op - 1e-10
 
     def test_power_sequence_still_lacunary_at_truncation(self):
         # every finite truncation has min ratio > 1, so the assumption is
         # recorded as holding (truncation honesty: no infinite-sequence claim)
-        cert = sublinear_embedding_bound(make_power(2.0, 10), lebesgue(), 10)
+        cert = sublinear_embedding_bound(
+            EmbeddingProblem(make_power(2.0, 10), lebesgue(), 10))
         assert cert.comparable
 
     def test_non_sublinear_not_comparable(self):
-        cert = sublinear_embedding_bound(make_geometric(2.0, 2.0, 8),
-                                         PowerTailMeasure(1.0, 0.5), 8)
+        cert = sublinear_embedding_bound(
+            EmbeddingProblem(make_geometric(2.0, 2.0, 8),
+                             PowerTailMeasure(1.0, 0.5), 8))
         assert not cert.comparable
         assert math.isinf(cert.value)
 
