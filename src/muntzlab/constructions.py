@@ -259,7 +259,7 @@ def verify_example1(build: Example1Build, c_fit: float | None = None,
     problem = EmbeddingProblem(seq, mu, n_max)
     sizes = range(max(2, n_max - 2), n_max + 1)
     op_norms = [(k, float(svals[0])) for k, svals in
-                zip(sizes, _truncated_spectra(problem, problem.cholesky, sizes))]
+                zip(sizes, _truncated_spectra(problem, problem.whitener, sizes))]
 
     return Example1Report(
         g_norms_sq=g_sq, partial_sums=np.cumsum(g_sq),
@@ -486,7 +486,7 @@ def verify_example2(build: Example2Build, *, tol: float = 1e-12) -> Example2Repo
 
     sizes = range(max(2, n_max - 2), n_max + 1)
     tables = [_schatten_table(svals, (build.r, build.q)) for svals in
-              _truncated_spectra(problem, problem.cholesky, sizes)]
+              _truncated_spectra(problem, problem.whitener, sizes)]
     trend_q = [(k, table[build.q]) for k, table in zip(sizes, tables)]
     trend_r = [(k, table[build.r]) for k, table in zip(sizes, tables)]
 

@@ -199,12 +199,16 @@ class AtomicMeasure(Measure):
         return np.append(np.logaddexp.accumulate(self.log_weights[::-1])[::-1],
                          NEG_INF)
 
+    def _entry_eps(self) -> np.ndarray:
+        """e_k = 1 - a_k = -expm1(log a_k), the eps at which atom k enters
+        J_eps; descending, as the positions ascend.  Membership is decided
+        in eps space (e_k <= eps), so atom k lies in J_{e_k}; comparing
+        log a_k >= log1p(-eps) can leave it out when log1p rounds up."""
+        return -np.expm1(self.log_positions)
+
     def _tail_masses(self, eps: np.ndarray) -> np.ndarray:
-        # atom at a is in J_eps iff a >= 1-eps iff log a >= log1p(-eps);
-        # eps = 1 gives log1p(-1) = -inf, which keeps every atom
-        with np.errstate(divide="ignore"):
-            first = np.searchsorted(self.log_positions, np.log1p(-eps))
-        return np.exp(self._log_suffix_masses()[first])
+        inside = np.searchsorted(self._entry_eps()[::-1], eps, side="right")
+        return np.exp(self._log_suffix_masses()[self.log_positions.size - inside])
 
     def _mass_above(self, b: float) -> float:
         if b <= 0.0:
@@ -213,8 +217,7 @@ class AtomicMeasure(Measure):
         return float(np.exp(self._log_suffix_masses()[first]))
 
     def _restricted(self, eps: float) -> "AtomicMeasure":
-        cutoff = math.log1p(-eps) if eps < 1.0 else NEG_INF
-        mask = self.log_positions >= cutoff
+        mask = self._entry_eps() <= eps
         return AtomicMeasure(self.log_positions[mask], self.log_weights[mask])
 
     def sublinear_norm_exact(self) -> float | None:
@@ -570,11 +573,10 @@ def rho_hypothesis_violation(mu: Measure, majorant: Measure
     None when it holds at every eps checked.
 
     The eps checked are :func:`default_epsilon_grid` and, for every atom a_k
-    of mu, eps = 1 - a_k, where the atom enters J_eps and mu(J_eps)/rho(eps)
-    peaks (raised by 4 ulps, so that rounding cannot leave the atom out).
+    of mu, eps = 1 - a_k = -expm1(log a_k), where the atom enters J_eps and
+    mu(J_eps)/rho(eps) peaks.
     """
     at_atoms = -np.expm1(np.asarray(mu.flattened().log_positions, dtype=float))
-    at_atoms = np.minimum(at_atoms * (1.0 + 4.0 * np.finfo(float).eps), 1.0)
     eps = np.sort(np.concatenate((default_epsilon_grid(), at_atoms)))[::-1]
     bound = majorant.tail_mass(eps)
     mass = mu.tail_mass(eps)

@@ -4,9 +4,10 @@ The embedding i_mu : M^2_Lambda -> L^2(mu), truncated to the span of the
 first N normalized monomials g_n = lambda_n^(1/2) x^lambda_n, has singular
 values equal to the square roots of the generalized eigenvalues of the
 pencil (A, B), where A is the mu-Gramian and B the Lebesgue Gramian of the
-g_n.  B is whitened by Cholesky; a failed factorization raises instead of
-regularizing (reduce N).  One :class:`EmbeddingProblem` assembles A and B
-and factors B once at N, as read-only arrays its readers share; smaller
+g_n.  The pencil is whitened by the inverse Cholesky factor of B, computed
+once per problem; a failed factorization raises instead of regularizing
+(reduce N).  One :class:`EmbeddingProblem` assembles A and B and inverts the
+factor of B once at N, as read-only arrays its readers share; smaller
 truncations are leading blocks.
 
 Certificates are named upper bounds from the majorant function psi, from a
@@ -44,9 +45,10 @@ DEFAULT_Q_SET = (0.5, 1.0, 2.0)
 @dataclass(frozen=True)
 class EmbeddingProblem:
     """A (sequence, measure, truncation) triple for the p = 2 embedding and
-    its one analysis: the truncated sequence, B (``lebesgue``), its lower
-    Cholesky factor, A (``gram``) and the modulus report of mu, each
-    computed when first read; the arrays are read-only."""
+    its one analysis: the truncated sequence, B (``lebesgue``), the inverse
+    W = L^-1 of its lower Cholesky factor (``whitener``), A (``gram``) and
+    the modulus report of mu, each computed when first read; the arrays are
+    read-only."""
 
     sequence: LambdaSequence
     measure: Measure
@@ -66,10 +68,8 @@ class EmbeddingProblem:
         return lebesgue_gram(self.truncated)
 
     @cached_property
-    def cholesky(self) -> np.ndarray:
-        low = _cholesky_lower(self.lebesgue)
-        low.setflags(write=False)
-        return low
+    def whitener(self) -> np.ndarray:
+        return _whitener(self.lebesgue)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -163,10 +163,27 @@ def _cholesky_lower(b: np.ndarray) -> np.ndarray:
             "numerically dependent in double precision; reduce N.") from exc
 
 
-def _whiten(a: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """L^-1 A L^-T for B = L L^T, symmetrized."""
-    w = scipy.linalg.solve_triangular(low, a, lower=True)
-    m = scipy.linalg.solve_triangular(low, w.T, lower=True)
+def _whitener(b: np.ndarray) -> np.ndarray:
+    """W = L^-1 for B = L L^T, lower triangular and read-only.
+
+    One LAPACK triangular inverse, so that every whitening is a matrix
+    product: OpenBLAS runs a triangular solve on every core even at N = 8,
+    and its helper threads then spin between calls.
+    """
+    w, info = scipy.linalg.lapack.dtrtri(_cholesky_lower(b), lower=1)
+    if info != 0 or not np.all(np.isfinite(w)):
+        raise IllConditionedBasisError(
+            "inverting the Cholesky factor of the Lebesgue Gramian failed; "
+            "the truncated basis is numerically dependent in double "
+            "precision; reduce N.")
+    w = np.tril(w)
+    w.setflags(write=False)
+    return w
+
+
+def _whiten(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """W A W^T for the whitener W = L^-1 of B = L L^T, symmetrized."""
+    m = w @ a @ w.T
     return 0.5 * (m + m.T)
 
 
@@ -189,30 +206,31 @@ def _pencil_singular_values(m: np.ndarray) -> np.ndarray:
 
 def singular_values(a, b) -> np.ndarray:
     """Singular values of the embedding pencil: sqrt of eigenvalues of
-    B^(-1/2) A B^(-1/2), via Cholesky whitening of B."""
-    return _pencil_singular_values(_whiten(a, _cholesky_lower(b)))
+    B^(-1/2) A B^(-1/2), whitened by the inverse Cholesky factor of B."""
+    return _pencil_singular_values(_whiten(a, _whitener(b)))
 
 
-def _truncated_spectra(problem: EmbeddingProblem, low: np.ndarray,
+def _truncated_spectra(problem: EmbeddingProblem, w: np.ndarray,
                        sizes) -> list[np.ndarray]:
     """Singular values of i_mu at each truncation in ``sizes``, from the
-    problem's assembly at N whitened by ``low``, the Cholesky factor of its
-    Lebesgue Gramian (problems on one truncated sequence share it); whitening
-    is triangular, so truncation k is the leading block.  Measures with a
-    density part go through the (A, B) pencil.  Purely atomic ones go
-    through the K x N factor F_{kn} = sqrt(c_k) sqrt(lambda_n) a_k**lambda_n
-    (A = F^T F) as svd(F L^-T): rank-exact, since the values beyond the atom
-    count are structural zeros, not sqrt-amplified eigenvalue noise.
+    problem's assembly at N whitened by ``w``, the inverse Cholesky factor
+    of its Lebesgue Gramian (problems on one truncated sequence share it);
+    ``w`` is lower triangular, so truncation k is the leading block.
+    Measures with a density part go through the (A, B) pencil.  Purely
+    atomic ones go through the K x N factor
+    F_{kn} = sqrt(c_k) sqrt(lambda_n) a_k**lambda_n (A = F^T F) as
+    svd(F W^T): rank-exact, since the values beyond the atom count are
+    structural zeros, not sqrt-amplified eigenvalue noise.
     """
     flat = problem.measure.flattened()
     if flat.has_density:
-        m = _whiten(problem.gram, low)
+        m = _whiten(problem.gram, w)
         return [_pencil_singular_values(m[:k, :k]) for k in sizes]
     lam = problem.truncated.values
     log_f = (0.5 * flat.log_weights[:, None]
              + 0.5 * np.log(lam)[None, :]
              + np.outer(flat.log_positions, lam))
-    x = scipy.linalg.solve_triangular(low, np.exp(log_f).T, lower=True).T
+    x = np.exp(log_f) @ w.T
     spectra = []
     for k in sizes:
         svals = scipy.linalg.svd(x[:, :k], compute_uv=False)
@@ -253,7 +271,7 @@ def analyze(problem: EmbeddingProblem, q_set=DEFAULT_Q_SET) -> SpectralReport:
     diagnostics (truncations n/4, n/2, n, read as leading blocks)."""
     n = problem.n
     sizes = sorted({max(1, n // 4), max(1, n // 2), n})
-    spectra = _truncated_spectra(problem, problem.cholesky, sizes)
+    spectra = _truncated_spectra(problem, problem.whitener, sizes)
     trend = tuple(TrendPoint(n=k, op_norm=float(svals[0]),
                              schatten=_schatten_table(svals, q_set))
                   for k, svals in zip(sizes, spectra))
@@ -271,10 +289,15 @@ def essential_norm_trend(seq: LambdaSequence, mu: Measure, n: int,
     """Norms of the tail-restricted embeddings i_{mu'_m}.
 
     The essential norm is their limit in m; only this trend is reported,
-    never an extrapolated value.  The restricted problems share one factor.
+    never an extrapolated value.  The restricted problems share one whitener.
     """
-    whole = [int(m) for m in m_list]
-    if whole != list(m_list) or any(m < 2 for m in whole) or sorted(whole) != whole:
+    try:
+        whole = [int(m) for m in m_list]
+        valid = (whole == list(m_list) and all(m >= 2 for m in whole)
+                 and sorted(whole) == whole)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
         raise InvalidParameterError(
             f"m_list {m_list} must be increasing integers >= 2")
     problem = EmbeddingProblem(seq, mu, n)
@@ -282,7 +305,7 @@ def essential_norm_trend(seq: LambdaSequence, mu: Measure, n: int,
     for m in whole:
         tail = EmbeddingProblem(problem.truncated,
                                 mu.restricted_to_tail(1.0 / m), n)
-        svals, = _truncated_spectra(tail, problem.cholesky, (n,))
+        svals, = _truncated_spectra(tail, problem.whitener, (n,))
         out.append((m, float(svals[0])))
     return out
 

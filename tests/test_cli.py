@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from muntzlab import EmbeddingProblem, analyze, build_example2
 from muntzlab.cli import main
@@ -136,7 +137,7 @@ class TestOneAnalysis:
         from muntzlab.geometry import PsiEvaluator
 
         calls = {"measure_gram": [], "modulus_report": 0, "lebesgue_gram": 0,
-                 "cholesky": 0, "width": []}
+                 "cholesky": 0, "dtrtri": 0, "width": []}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -152,6 +153,8 @@ class TestOneAnalysis:
                            ("cholesky", "_cholesky_lower")):
             monkeypatch.setattr(spectral, attr,
                                 counted(name, getattr(spectral, attr)))
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri",
+                            counted("dtrtri", scipy.linalg.lapack.dtrtri))
         width = PsiEvaluator._unsound_width
         monkeypatch.setattr(PsiEvaluator, "_unsound_width", lambda self, big: (
             calls["width"].append(big) or width(self, big)))
@@ -175,7 +178,30 @@ class TestOneAnalysis:
         assert len(calls["measure_gram"]) == 1 + len(m_list)
         assert calls["modulus_report"] == 1
         assert sorted(calls["width"]) == [False, True]
+        # one factor and one inverse per problem: the CLI's, and the one
+        # essential_norm_trend(seq, mu, n, m_list) builds for itself
         assert calls["lebesgue_gram"] <= 2 and calls["cholesky"] <= 2
+        assert calls["dtrtri"] == calls["cholesky"]
+
+    def test_no_triangular_solve(self, tmp_path, monkeypatch):
+        # every whitening is a product with the cached inverse factor
+        def refused(*args, **kwargs):
+            raise AssertionError("solve_triangular called")
+
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", refused)
+        for measure in ({"kind": "powertail", "C": 1.0, "alpha": 2.0},
+                        {"kind": "atomic", "atoms": [[0.5, 1.0], [0.9, 0.5]]}):
+            cfg = write_config(tmp_path, {
+                "sequence": {"kind": "geometric", "lambda1": 2.0,
+                             "ratio": 2.0, "count": 8},
+                "measure": measure, "N": 8, "certificates": ["psi"],
+                "m_list": [2, 4]})
+            assert main(["analyze", "--config", cfg,
+                         "--out", str(tmp_path)]) == 0
+        assert main(["construct", "1", "--n-max", "6",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["construct", "2", "--q", "1", "--r", "0.5",
+                     "--n-max", "6", "--out", str(tmp_path)]) == 0
 
 
 class TestMalformedConfig:

@@ -170,6 +170,20 @@ class TestTailMass:
         # closed interval: the atom at exactly 1-eps counts
         assert mu.tail_mass(1.0 - 0.9) == pytest.approx(2.0)
 
+    def test_atom_in_tail_at_its_own_entry_eps(self):
+        # log a >= log1p(-eps) left out 1674 of these atoms where log1p
+        # rounds up; atom k and every atom above it lie in J_{1 - a_k}
+        rng = np.random.default_rng(20)
+        positions = 1.0 - 10.0 ** -rng.uniform(1.0, 15.0, 200000)
+        mu = AtomicMeasure(np.log(positions), np.zeros(positions.size))
+        masses = mu.tail_mass(-np.expm1(mu.log_positions))
+        own = positions.size - np.arange(positions.size)
+        assert np.count_nonzero(masses < own - 0.5) == 0
+        # the restriction to J_{1 - a} keeps the atom at a
+        for log_a in mu.log_positions[::40]:
+            one = AtomicMeasure(np.array([log_a]), np.zeros(1))
+            assert one.restricted_to_tail(-np.expm1(log_a)).total_mass == 1.0
+
     def test_nondecreasing_in_eps(self):
         mu = SumMeasure((atomic([(0.4, 1.0), (0.8, 0.5)]),
                          PowerTailMeasure(0.5, 1.5)))
@@ -422,8 +436,7 @@ def _loop_tail_mass(mu, eps):
     summed by logsumexp, a power, piece overlaps added in order, a scale, an
     fsum of the parts."""
     if isinstance(mu, AtomicMeasure):
-        cutoff = math.log1p(-eps) if eps < 1.0 else -math.inf
-        mask = mu.log_positions >= cutoff
+        mask = -np.expm1(mu.log_positions) <= eps
         return math.exp(logsumexp(mu.log_weights[mask])) if mask.any() else 0.0
     if isinstance(mu, PowerTailMeasure):
         return mu.coefficient * min(eps, mu.width) ** mu.alpha
@@ -471,10 +484,8 @@ def _loop_sublinear_norm_exact(mu):
 
 
 def _at_atoms(mu):
-    """eps = 1 - a_k of every atom, raised by 4 ulps as the hypothesis check
-    raises it."""
-    at = -np.expm1(np.asarray(mu.flattened().log_positions, dtype=float))
-    return np.minimum(at * (1.0 + 4.0 * np.finfo(float).eps), 1.0)
+    """eps = 1 - a_k, where each atom enters J_eps."""
+    return -np.expm1(np.asarray(mu.flattened().log_positions, dtype=float))
 
 
 def _loop_rho_violation(mu, majorant):

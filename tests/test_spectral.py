@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.linalg
 
 from muntzlab import (EmbeddingProblem, IllConditionedBasisError,
                       InvalidParameterError, PowerTailMeasure, ScaledMeasure,
@@ -60,15 +61,40 @@ class TestEmbeddingProblem:
     def test_members_computed_once_and_read_only(self):
         problem = EmbeddingProblem(make_geometric(2.0, 2.0, 8),
                                    PowerTailMeasure(1.0, 2.0), 6)
-        for name in ("gram", "lebesgue", "cholesky"):
+        for name in ("gram", "lebesgue", "whitener"):
             entries = getattr(problem, name)
             assert entries is getattr(problem, name)
             assert entries.shape == (6, 6)
             with pytest.raises(ValueError):
                 entries[0, 0] = 1.0
         assert problem.modulus is problem.modulus
-        np.testing.assert_allclose(
-            problem.cholesky @ problem.cholesky.T, problem.lebesgue, rtol=1e-14)
+        w = problem.whitener
+        assert np.array_equal(w, np.tril(w))
+        np.testing.assert_allclose(w @ problem.lebesgue @ w.T, np.eye(6),
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("mu", [
+        PowerTailMeasure(1.0, 2.0, x0=0.3),
+        atomic([(0.3, 1.0), (0.55, 0.5), (0.8, 0.25), (0.95, 0.1)])],
+        ids=["density", "atomic"])
+    def test_whitener_matches_triangular_solves(self, mu):
+        # oracle: the pencil whitened by two triangular solves with the
+        # Cholesky factor, resp. the atomic factor F as svd(F L^-T)
+        problem = EmbeddingProblem(make_geometric(2.0, 2.0, 10), mu, 10)
+        low = scipy.linalg.cholesky(problem.lebesgue, lower=True)
+        flat = mu.flattened()
+        if flat.has_density:
+            x = scipy.linalg.solve_triangular(low, problem.gram, lower=True)
+            m = scipy.linalg.solve_triangular(low, x.T, lower=True)
+            want = np.sqrt(scipy.linalg.eigvalsh(0.5 * (m + m.T)))[::-1]
+        else:
+            lam = problem.truncated.values
+            f = np.exp(0.5 * flat.log_weights[:, None] + 0.5 * np.log(lam)
+                       + np.outer(flat.log_positions, lam))
+            x = scipy.linalg.solve_triangular(low, f.T, lower=True).T
+            want = scipy.linalg.svd(x, compute_uv=False)
+        got = analyze(problem).singular_values[:want.size]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_returned_gramians_read_only(self):
         seq = make_geometric(2.0, 2.0, 4)
@@ -98,6 +124,15 @@ class TestSingularValues:
         with pytest.raises(IllConditionedBasisError):
             singular_values(b, b)
 
+    @pytest.mark.parametrize("fill, info", [(np.inf, 0), (1.0, 2)],
+                             ids=["non-finite", "info"])
+    def test_failed_inverse_refused(self, monkeypatch, fill, info):
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri",
+                            lambda c, lower: (np.full_like(c, fill), info))
+        b = lebesgue_gram(make_geometric(2.0, 2.0, 4))
+        with pytest.raises(IllConditionedBasisError, match="reduce N"):
+            singular_values(b, b)
+
     def test_factored_route_matches_pencil(self):
         # analyze() takes the factored SVD route for atomic measures; the
         # leading values must agree with the generic pencil solve
@@ -117,6 +152,13 @@ class TestAnalyze:
         assert rep.op_norm == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-12)
         for value in rep.schatten.values():
             assert value == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-12)
+
+    def test_ill_conditioned_op_norm(self):
+        # cond(B) 3.5e9; the value is the 130-digit mpmath op norm of the
+        # same pencil, B and A in closed form (A from C alpha B(s + 1, alpha))
+        seq = make_geometric(2.0, 1.5, 22)
+        rep = analyze(EmbeddingProblem(seq, PowerTailMeasure(1.0, 2.0), 22))
+        assert rep.op_norm == pytest.approx(1.26717229935253, rel=1e-9)
 
     def test_lebesgue_identity(self):
         seq = make_geometric(2.0, 2.0, 16)
@@ -223,6 +265,12 @@ class TestEssentialNorm:
         seq = make_explicit([1.0])
         with pytest.raises(InvalidParameterError):
             essential_norm_trend(seq, lebesgue(), 1, [4, 2])
+
+    @pytest.mark.parametrize("m", ["x", math.nan, math.inf, None])
+    def test_malformed_m_refused(self, m):
+        seq = make_geometric(2.0, 2.0, 8)
+        with pytest.raises(InvalidParameterError, match="integers"):
+            essential_norm_trend(seq, lebesgue(), 8, [m])
 
     def test_non_integral_m_refused(self):
         # int() would silently run m = 2 and report it
