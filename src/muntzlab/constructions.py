@@ -56,6 +56,7 @@ from .spectral import (EmbeddingProblem, _schatten_table, _truncated_spectra,
 EXAMPLE1_N_CAP = 12
 EXAMPLE2_N_CAP = 10
 _LN2 = math.log(2.0)
+_VERIFY_TOL = 1e-12      # relative slack of every re-verified inequality
 
 # A-priori constant C0 in ||g_n||^2 <= C0 ln n / n^2 (n >= 2) for Example 1,
 # where ||g_n||^2 = sum_k c_k lam_n a_k^{2 lam_n} and the atoms are
@@ -215,8 +216,8 @@ class Example1Report:
     min_ratio: float              # lacunarity of the built sequence
 
 
-def verify_example1(build: Example1Build, c_fit: float | None = None,
-                    *, tol: float = 1e-12) -> Example1Report:
+def verify_example1(build: Example1Build,
+                    c_fit: float | None = None) -> Example1Report:
     """Re-verify the ledger's per-step conditions and both conclusions.
 
     Ledger: the sum condition, growth ratio and window of every row,
@@ -238,17 +239,17 @@ def verify_example1(build: Example1Build, c_fit: float | None = None,
     g_sq = lams * np.exp(mu.log_moments(2.0 * lams))
     use_c = EXAMPLE1_C0 if c_fit is None else c_fit
     bound = use_c * np.log(n) / n ** 2
-    over = np.flatnonzero(g_sq[1:] > bound * (1.0 + tol))
+    over = np.flatnonzero(g_sq[1:] > bound * (1.0 + _VERIFY_TOL))
     if over.size:
         i = int(over[0])
         raise ConstructionBugError(
             f"||g_{i+2}||^2 = {g_sq[i+1]:.6g} exceeds C ln n/n^2 = {bound[i]:.6g}",
             n=i + 2, residual=g_sq[i + 1] - bound[i])
-    _check_example1_ledger(build, tol)
+    _check_example1_ledger(build, _VERIFY_TOL)
 
     witnesses = np.array([v for _, v in l1_unboundedness_witness(seq, mu)])
     own = np.exp(log_c + np.log(lams) + lams * log_a)
-    under = np.flatnonzero(witnesses < own * (1.0 - tol))
+    under = np.flatnonzero(witnesses < own * (1.0 - _VERIFY_TOL))
     if under.size:
         i = int(under[0])
         raise ConstructionBugError(
@@ -446,7 +447,7 @@ class Example2Report:
     beta_total: float
 
 
-def verify_example2(build: Example2Build, *, tol: float = 1e-12) -> Example2Report:
+def verify_example2(build: Example2Build) -> Example2Report:
     """Check the four recorded slack families, recomputed from the built
     data, the displayed two-sided norm bounds and the off-diagonal
     Hilbert-Schmidt sum of the normalized image Gramian, and report the
@@ -454,15 +455,16 @@ def verify_example2(build: Example2Build, *, tol: float = 1e-12) -> Example2Repo
     with the Schatten partial norms of the last three truncations."""
     n_max = build.n_max
     alphas = build.alphas
-    _check_example2_ledger(build, tol)
+    _check_example2_ledger(build, _VERIFY_TOL)
 
     problem = EmbeddingProblem(build.sequence, build.measure, n_max)
     a = problem.gram
     norms_sq = np.diag(a).copy()
     lower = alphas ** 2 / math.e
     upper = 1.5 * alphas ** 2
-    for bad, side, bounds in ((norms_sq < lower * (1.0 - tol), "below alpha^2/e", lower),
-                              (norms_sq > upper * (1.0 + tol), "above 1.5 alpha^2", upper)):
+    for bad, side, bounds in (
+            (norms_sq < lower * (1.0 - _VERIFY_TOL), "below alpha^2/e", lower),
+            (norms_sq > upper * (1.0 + _VERIFY_TOL), "above 1.5 alpha^2", upper)):
         if bad.any():
             i = int(np.argmax(bad))
             raise ConstructionBugError(

@@ -44,6 +44,7 @@ from .sequences import LambdaSequence
 PSI_TAIL_RTOL = 1e-12
 PSI_K_MAX = 4
 EXP_FLOOR = -746.0     # exp(x) is exactly 0 in double below this
+_BOUND_TOL = 1e-9      # relative slack of pointwise_bound_check
 
 
 def lebesgue_gram(seq: LambdaSequence) -> np.ndarray:
@@ -300,8 +301,7 @@ class BoundCheck(NamedTuple):
     slack: float
 
 
-def pointwise_bound_check(f: MuntzPolynomial, x: float, beta,
-                          *, tol: float = 1e-9) -> BoundCheck:
+def pointwise_bound_check(f: MuntzPolynomial, x: float, beta) -> BoundCheck:
     """|f(x)| <= 2 (sum_k x**(lambda_k beta_k)) ||f||_inf for convex weights beta.
 
     The sup norm on the right is a grid estimate.
@@ -321,7 +321,8 @@ def pointwise_bound_check(f: MuntzPolynomial, x: float, beta,
     rhs = 2.0 * weight_sum * f.sup_norm().value
     slack = rhs - lhs
     return BoundCheck(lhs=lhs, rhs=rhs,
-                      holds=bool(lhs <= rhs + tol * max(1.0, rhs)), slack=slack)
+                      holds=bool(lhs <= rhs + _BOUND_TOL * max(1.0, rhs)),
+                      slack=slack)
 
 
 def bernstein_ratio(f: MuntzPolynomial) -> float:

@@ -5,12 +5,12 @@ Density integrals run on one fixed :class:`~muntzlab.quadrature.QuadraturePlan`
 per measure.  For the polynomials of one exponent set the basis
 ``x**lambda_k`` at the plan's nodes is computed once, so the integrals of
 ``|f|^p`` for many coefficient rows are weighted sums over one array.  For
-non-even p, ``|f|^p`` has kinks at the zeros of f: a cell whose values at
-its nodes, edges and sign-scan points take both signs is refined for that
-row alone, its roots bracketed between the sorted sample points, found by
-:func:`~muntzlab.quadrature.bisect_root` and each side integrated on cells
-graded toward the root.  A cell whose coarse and fine rules still differ by
-more than 1e-12 of the row's total is re-integrated adaptively and counted.
+non-even p, ``|f|^p`` has kinks at the zeros of f.  Every root of a row in
+``(0, 1)`` is isolated up front by the Rolle chain (:func:`_roots`), and
+exactly the cells that hold a root are refined for that row alone, each side
+of a root integrated on cells graded toward it.  A cell whose coarse and
+fine rules still differ by more than 1e-12 of the row's total is
+re-integrated adaptively and counted.
 Rows are evaluated independently, so a batched row is bit-identical to its
 single call.  Atoms are exact log-domain sums.
 
@@ -38,9 +38,11 @@ from .sequences import LambdaSequence
 
 # rounding allowance per unit of the integral, added to the quadrature error
 # before propagation: pairwise summation of ~1e4 positive terms costs about
-# 14 eps, the node values and powers a few eps each
+# 14 eps, the node values and powers a few eps each.  The root isolation
+# takes the same allowance per unit of a polynomial's term magnitudes.
 _ROUNDING_RTOL = 64.0 * sys.float_info.epsilon
 _ROW_CHUNK = 64
+_INTERPOLATION_TOL = 1e-9   # slack of a sample before it counts as a violation
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,50 @@ def _log_x(t) -> np.ndarray:
         return np.log1p(-np.asarray(t, dtype=float))
 
 
+def _roots(coeffs, lambdas) -> list[float]:
+    """Every root in (0, 1) of ``f = sum c_k x**lambda_k``, lambda ascending,
+    as ``t = 1 - x`` ascending: the Rolle chain of a Descartes system
+    (Borwein and Erdelyi, *Polynomials and Polynomial Inequalities*, Ch. 3).
+
+    f has at most as many positive roots as its coefficients have sign
+    changes.  Beyond one, the roots of ``(x**-lambda_1 f)'``, one term fewer,
+    cut (0, 1) into pieces where ``h = x**-lambda_1 f`` is monotone, so each
+    holds a root exactly when h changes sign across it.  A critical point
+    where ``|h|`` is within rounding is itself a root: a near-double root is
+    split at, never integrated across.
+    """
+    terms = [(ck, ek) for ck, ek in zip(coeffs, lambdas) if ck != 0.0]
+    changes = sum((a < 0.0) != (b < 0.0) for (a, _), (b, _) in zip(terms, terms[1:]))
+    if changes == 0:
+        return []
+    c0, e0 = terms[0]
+    rest = [(ck, ek - e0) for ck, ek in terms[1:]]
+
+    def h(t):
+        log_x = math.log1p(-t) if t < 1.0 else -math.inf
+        return c0 + sum(ck * math.exp(ek * log_x) for ck, ek in rest)
+
+    def sign(t):
+        """Sign of h(t) below t = 1, 0 within the rounding of its terms."""
+        log_x = math.log1p(-t)
+        size = abs(c0) + sum(abs(ck) * math.exp(ek * log_x) * (1.0 - ek * log_x)
+                             for ck, ek in rest)
+        value = h(t)
+        return 0.0 if abs(value) <= _ROUNDING_RTOL * size else math.copysign(1.0, value)
+
+    critical = [] if changes == 1 else _roots([ck * ek for ck, ek in rest],
+                                              [ek for _, ek in rest])
+    ends = [0.0, *critical, 1.0]
+    signs = [sign(t) for t in ends[:-1]] + [math.copysign(1.0, c0)]   # h(x=0) = c0
+    roots = []
+    for k in range(len(ends) - 1):
+        if k and signs[k] == 0.0:
+            roots.append(ends[k])
+        if signs[k] * signs[k + 1] < 0.0:
+            roots.append(quadrature.bisect_root(h, ends[k], ends[k + 1]))
+    return roots
+
+
 class _PowerIntegrals:
     """Integrals of ``|f|^p`` against one measure for polynomials on one
     exponent set: the plan and the basis at its nodes are built once."""
@@ -75,7 +121,7 @@ class _PowerIntegrals:
         self.log_weights = flat.log_weights
         self.atom_basis = np.exp(np.outer(self.lam, flat.log_positions))
         self.plan = quadrature.QuadraturePlan.from_pieces(flat.pieces)
-        self.basis = np.exp(np.outer(self.lam, _log_x(self.plan.points)))
+        self.basis = np.exp(np.outer(self.lam, _log_x(self.plan.nodes.ravel())))
         # unit rule that kinked cells are mapped onto, graded toward a root
         self.root_nodes, self.root_weights = quadrature.graded_rule(
             quadrature.INNER_LEVELS)
@@ -100,12 +146,16 @@ class _PowerIntegrals:
         plan = self.plan
         if plan.cells:
             atoms = total.copy()
-            vals = _combine(coeffs, self.basis)
-            fine, err = plan.cell_sums(np.abs(plan.node_values(vals)) ** p)
+            vals = _combine(coeffs, self.basis).reshape((rows,) + plan.nodes.shape)
+            fine, err = plan.cell_sums(np.abs(vals) ** p)
             cuts = {}
-            for r, c in zip(*np.nonzero(plan.sign_change_cells(vals))):
-                cuts[r, c] = self._roots(coeffs[r], c, vals[r])
-                fine[r, c], err[r, c] = self._split_cell(coeffs[r], p, c, cuts[r, c])
+            for r in range(rows):
+                roots = np.array(_roots(coeffs[r].tolist(), self.lam.tolist()))
+                first = np.searchsorted(roots, plan.lo, side="right")
+                stop = np.searchsorted(roots, plan.hi, side="left")
+                for c in np.flatnonzero(stop > first):   # cells holding a root
+                    cuts[r, c] = [plan.lo[c], *roots[first[c]:stop[c]], plan.hi[c]]
+                    fine[r, c], err[r, c] = self._split_cell(coeffs[r], p, c, cuts[r, c])
             total = atoms + fine.sum(axis=-1)
             for r, c in zip(*np.nonzero(plan.loose_cells(err, total))):
                 fine[r, c], err[r, c] = self._adaptive_cell(
@@ -130,24 +180,6 @@ class _PowerIntegrals:
     def _eval(self, c_row, t) -> np.ndarray:
         basis = np.exp(np.outer(self.lam, _log_x(np.atleast_1d(t))))
         return _combine(c_row[None, :], basis)[0]
-
-    def _roots(self, c_row, cell, values) -> list[float]:
-        """Cell edges and the roots bracketed between sign changes of the
-        sorted sample values, in increasing t."""
-        lo, hi = float(self.plan.lo[cell]), float(self.plan.hi[cell])
-        t, v = self.plan.cell_samples(cell, values)
-        keep = v != 0.0
-        t, v = t[keep], v[keep]
-        flips = np.nonzero(np.signbit(v[:-1]) != np.signbit(v[1:]))[0]
-        terms = list(zip(c_row.tolist(), self.lam.tolist()))
-
-        def f(x):
-            log_x = math.log1p(-x) if x < 1.0 else -math.inf
-            return sum(c * math.exp(lam * log_x) for c, lam in terms)
-
-        roots = [quadrature.bisect_root(f, float(t[i]), float(t[i + 1]))
-                 for i in flips]
-        return [lo] + [x for x in roots if lo < x < hi] + [hi]
 
     def _split_cell(self, c_row, p, cell, cuts) -> tuple[float, float]:
         """A kinked cell integrated on sub-cells graded toward each root;
@@ -327,8 +359,7 @@ class InterpolationReport:
 
 def interpolation_check(seq: LambdaSequence, mu: Measure, p0: float, p1: float,
                         t: float, *, n: int | None = None, samples: int = 100,
-                        seed: int = 0, tol: float = 1e-9,
-                        keep_records: bool = False) -> InterpolationReport:
+                        seed: int = 0, keep_records: bool = False) -> InterpolationReport:
     """Per-function interpolation inequality on sampled polynomials:
 
         ||f||_{L^{p_t}(mu)} <= C0^(1-t) C1^t ||f||_{p_t},
@@ -364,7 +395,7 @@ def interpolation_check(seq: LambdaSequence, mu: Measure, p0: float, p1: float,
         max_slack = max(max_slack, slack)
         if keep_records:
             records.append((i, lhs, rhs))
-        if slack > tol * max(1.0, rhs):
+        if slack > _INTERPOLATION_TOL * max(1.0, rhs):
             violations.append(InterpolationViolation(
                 sample=i, lhs=lhs, rhs=rhs, excess=slack))
     return InterpolationReport(p0=p0, p1=p1, t=t, p_t=p_t, c0=c0, c1=c1,

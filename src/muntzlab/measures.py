@@ -135,13 +135,12 @@ class FlatMeasure:
     """Flattened view: atom logs and tail density pieces ``(t_lo, t_hi, h(t))``.
 
     ``t = 1 - x``; each piece callable is vectorized over t-arrays and already
-    includes any scaling.  ``singular`` marks pieces whose density is unbounded
-    as t -> 0 (power tails with alpha < 1).
+    includes any scaling.
     """
 
     log_positions: list = field(default_factory=list)
     log_weights: list = field(default_factory=list)
-    pieces: list = field(default_factory=list)   # (t_lo, t_hi, callable, singular)
+    pieces: list = field(default_factory=list)   # (t_lo, t_hi, callable)
 
     def freeze(self):
         self.log_positions = np.asarray(self.log_positions, dtype=float)
@@ -231,9 +230,14 @@ class AtomicMeasure(Measure):
         flat.log_weights.extend(self.log_weights + log_scale)
 
     def to_config(self) -> dict:
-        return {"kind": "atomic",
-                "atoms": [[float(a), float(c)]
-                          for a, c in zip(self.positions, self.weights)]}
+        """Linear ``atoms`` when they read back to the same logs, else
+        ``log_atoms`` (an atom at ``1 - 1e-18`` is 1.0 linearly)."""
+        linear = np.column_stack([self.positions, self.weights])
+        logs = np.column_stack([self.log_positions, self.log_weights])
+        with np.errstate(divide="ignore"):
+            if np.array_equal(np.log(linear), logs):
+                return {"kind": "atomic", "atoms": linear.tolist()}
+        return {"kind": "atomic", "log_atoms": logs.tolist()}
 
 
 def atomic(atoms) -> AtomicMeasure:
@@ -250,6 +254,21 @@ def atomic(atoms) -> AtomicMeasure:
     if np.unique(pos).size != pos.size:
         raise InvalidParameterError("atom positions must be distinct")
     return AtomicMeasure(np.log(pos), np.log(wts))
+
+
+def _atomic_from_log_pairs(log_atoms) -> AtomicMeasure:
+    """Atomic measure from ``[(log a_k, log c_k), ...]`` pairs, refused where
+    :func:`atomic` refuses the linear pairs."""
+    if not log_atoms:
+        raise InvalidParameterError("atomic measure needs at least one atom")
+    log_pos, log_wts = (np.asarray(v, dtype=float) for v in zip(*log_atoms))
+    if not np.all((log_pos < 0.0) & (log_pos > NEG_INF)):
+        raise InvalidParameterError("atom positions must lie in (0, 1)")
+    if not np.all(log_wts > NEG_INF):
+        raise InvalidParameterError("atom weights must be positive")
+    if np.unique(log_pos).size != log_pos.size:
+        raise InvalidParameterError("atom positions must be distinct")
+    return AtomicMeasure(log_pos, log_wts)
 
 
 def atomic_from_logs(log_positions, log_weights) -> AtomicMeasure:
@@ -316,7 +335,7 @@ class PowerTailMeasure(Measure):
         c = math.exp(log_scale) * self.coefficient * self.alpha
         a = self.alpha
         flat.pieces.append(
-            (0.0, self.width, lambda t, c=c, a=a: c * t ** (a - 1.0), a < 1.0))
+            (0.0, self.width, lambda t, c=c, a=a: c * t ** (a - 1.0)))
 
     def to_config(self) -> dict:
         return {"kind": "powertail", "C": float(self.coefficient),
@@ -396,7 +415,7 @@ class PiecewiseDensityMeasure(Measure):
                 val = scale * h
                 flat.pieces.append(
                     (1.0 - hi, 1.0 - lo, lambda t, v=val: np.full_like(
-                        np.asarray(t, dtype=float), v), False))
+                        np.asarray(t, dtype=float), v)))
 
     def to_config(self) -> dict:
         return {"kind": "piecewise",
@@ -645,13 +664,16 @@ def rho_majorization_check(mu: Measure, majorant: Measure,
 def measure_from_config(spec: dict) -> Measure:
     """Build a measure from its config-file form.
 
-    Accepted kinds: ``atomic``, ``powertail``, ``lebesgue``, ``piecewise``,
-    ``scaled``, ``sum``.
+    Accepted kinds: ``atomic`` (``atoms`` as linear ``[a, c]`` pairs or
+    ``log_atoms`` as ``[log a, log c]`` pairs), ``powertail``, ``lebesgue``,
+    ``piecewise``, ``scaled``, ``sum``.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidParameterError("measure spec must be an object with a 'kind' field")
     kind = spec["kind"]
     try:
+        if kind == "atomic" and "log_atoms" in spec:
+            return _atomic_from_log_pairs(spec["log_atoms"])
         if kind == "atomic":
             return atomic([tuple(pair) for pair in spec["atoms"]])
         if kind == "powertail":

@@ -14,7 +14,10 @@ the plan is built, so integrands of many functions are weighted sums over
 one shared node array.  Pieces reaching ``x = 0`` (``t = 1``) are graded
 toward that end as well, so integrands like ``x**0.5`` converge there; every
 node lies strictly inside its piece.  Cells whose estimate stays above
-tolerance are handed to the adaptive :func:`integrate`.
+tolerance are handed to the adaptive :func:`integrate`.  A plan knows nothing
+of kinks: :mod:`~muntzlab.lp` isolates the roots of each polynomial (the
+kinks of ``|f|^p``) with :func:`bisect_root` and splits the cells that hold
+one itself.
 
 The adaptive routines bisect a cell until its rule agrees with the sum over
 its two halves.  They run breadth first over many intervals at once: each
@@ -43,7 +46,6 @@ REFINE_DEPTH = 4         # adaptive depth cap of each of those cells
 FAR_END_LEVELS = 40      # dyadic levels toward t = 1 (x = 0)
 INNER_LEVELS = 20        # dyadic levels toward an interior edge or a root
 PLAN_REL_TOL = 1e-12
-SCAN_DENSITY = 512       # sign-scan points per unit of t
 MAX_POINTS = 2048        # most abscissae one call of an adaptive integrand sees
 _CELL_REL_TOL = 1e-12    # adaptive accept test of a cell against its own value
 _ROOT_TOL = 1e-15        # root bracket width per unit of max(1, |root|)
@@ -262,15 +264,11 @@ def coarse_fine(terms):
 class QuadraturePlan:
     """Fixed composite Gauss-Legendre rule in ``t`` over density pieces.
 
-    Built once from pieces ``(t_lo, t_hi, h, singular)`` and independent of
-    the integrand: ``nodes`` and ``weights`` are ``cell_rule`` arrays whose
+    Built once from pieces ``(t_lo, t_hi, h)`` and independent of the
+    integrand: ``nodes`` and ``weights`` are ``cell_rule`` arrays whose
     weights already include ``h``.  ``edge_cell`` marks the innermost cells at
     ``t = 0`` and ``t = 1``, whose whole value is counted as their error
     (it bounds the error of integrands that are merely integrable there).
-    ``scan`` holds each cell's edges and its share of a uniform grid of
-    SCAN_DENSITY points per unit of ``t``, grouped by cell (``scan_start``)
-    and sorted within it: with the nodes, these are the points where sign
-    changes are looked for, so wide cells are scanned that densely too.
     """
 
     lo: np.ndarray
@@ -279,8 +277,6 @@ class QuadraturePlan:
     weights: np.ndarray
     piece: np.ndarray        # index into ``densities`` per cell
     edge_cell: np.ndarray
-    scan: np.ndarray
-    scan_start: np.ndarray   # scan[scan_start[c]:scan_start[c + 1]] lie in cell c
     densities: tuple
 
     @classmethod
@@ -289,9 +285,8 @@ class QuadraturePlan:
         when the piece reaches it and over INNER_LEVELS toward an interior
         lower edge; also toward ``t = 1`` over FAR_END_LEVELS when it reaches
         ``x = 0``."""
-        los, his, piece, edge, scan, scan_cell, densities = ([] for _ in range(7))
-        cells = 0
-        for k, (t_lo, t_hi, h, _singular) in enumerate(pieces):
+        los, his, piece, edge, densities = ([] for _ in range(5))
+        for k, (t_lo, t_hi, h) in enumerate(pieces):
             at_zero, at_one = t_lo == 0.0, t_hi >= 1.0
             edges = graded_edges(t_lo, t_hi,
                                  DEFAULT_LEVELS if at_zero else INNER_LEVELS,
@@ -299,25 +294,14 @@ class QuadraturePlan:
             mark = np.zeros(edges.size - 1, dtype=bool)
             mark[0] = at_zero
             mark[-1] |= at_one
-            grid = np.linspace(t_lo, t_hi,
-                               int(math.ceil(SCAN_DENSITY * (t_hi - t_lo))) + 1)[1:-1]
-            ids = np.arange(edges.size - 1)
-            t = np.concatenate([edges[:-1], grid, edges[1:]])
-            owner = np.concatenate(
-                [ids, np.searchsorted(edges, grid, side="right") - 1, ids])
-            by_cell = np.lexsort((t, owner))
-            scan.append(t[by_cell])
-            scan_cell.append(cells + owner[by_cell])
             los.append(edges[:-1])
             his.append(edges[1:])
             piece.append(np.full(edges.size - 1, k))
             edge.append(mark)
             densities.append(h)
-            cells += edges.size - 1
-        lo, hi, piece, edge, scan, scan_cell = (
+        lo, hi, piece, edge = (
             np.concatenate(a) if a else np.zeros(0, dtype=dt)
-            for a, dt in ((los, float), (his, float), (piece, int), (edge, bool),
-                          (scan, float), (scan_cell, int)))
+            for a, dt in ((los, float), (his, float), (piece, int), (edge, bool)))
         nodes, weights = cell_rule(lo, hi)
         # an outer node of the innermost cell at t = 1 of a narrow piece can
         # round onto t = 1 (x = 0); keep every node strictly inside its piece
@@ -328,52 +312,11 @@ class QuadraturePlan:
             on = piece == k
             weights[on] *= np.asarray(h(nodes[on]), dtype=float)
         return cls(lo=lo, hi=hi, nodes=nodes, weights=weights, piece=piece,
-                   edge_cell=edge, scan=scan,
-                   scan_start=np.searchsorted(scan_cell, np.arange(cells + 1)),
-                   densities=tuple(densities))
+                   edge_cell=edge, densities=tuple(densities))
 
     @property
     def cells(self) -> int:
         return int(self.lo.size)
-
-    @property
-    def points(self) -> np.ndarray:
-        """Every point an integrand is sampled at: the nodes (row-major),
-        then the scan points."""
-        return np.concatenate([self.nodes.ravel(), self.scan])
-
-    def node_values(self, values):
-        """The node part of values at :attr:`points`, shaped ``(..., cells,
-        3*DEFAULT_ORDER)``."""
-        return values[..., :self.nodes.size].reshape(
-            values.shape[:-1] + self.nodes.shape)
-
-    def sign_change_cells(self, values):
-        """Cells where the values at :attr:`points` in the cell (edges
-        included) take both signs, shape ``(..., cells)``."""
-        scan = values[..., self.nodes.size:]
-
-        def any_in_cell(mask):
-            counts = np.cumsum(mask, axis=-1)
-            counts = np.concatenate([np.zeros(counts.shape[:-1] + (1,), int),
-                                     counts], axis=-1)
-            return (counts[..., self.scan_start[1:]]
-                    > counts[..., self.scan_start[:-1]])
-
-        nodes = self.node_values(values)
-        pos = (nodes > 0.0).any(axis=-1) | any_in_cell(scan > 0.0)
-        neg = (nodes < 0.0).any(axis=-1) | any_in_cell(scan < 0.0)
-        return pos & neg
-
-    def cell_samples(self, cell: int, values):
-        """``(t, v)`` of one row's values at every point of ``cell``, edges
-        included, sorted by ``t``."""
-        group = slice(self.scan_start[cell], self.scan_start[cell + 1])
-        t = np.concatenate([self.nodes[cell], self.scan[group]])
-        v = np.concatenate([self.node_values(values)[cell],
-                            values[self.nodes.size:][group]])
-        order = np.argsort(t, kind="stable")
-        return t[order], v[order]
 
     def cell_sums(self, values):
         """Per-cell ``(fine, error)`` of integrand values at ``nodes``.

@@ -371,7 +371,7 @@ def _psi_squared_integral(mu: Measure, psi: PsiEvaluator,
             vals, _ = psi.eval_many(log_x, 0)
             return vals ** 2
 
-        for t_lo, t_hi, h, _singular in flat.pieces:
+        for t_lo, t_hi, h in flat.pieces:
             def integrand(t, h=h):
                 return values(t) * h(np.asarray(t, dtype=float))
             cut = min(t_star, t_hi)

@@ -154,8 +154,10 @@ def inequality_suite(instances: int = 200, seed: int = 20240901) -> SuiteResult:
                        details={"max_bernstein_ratio": max_bernstein})
 
 
+_INTERPOLATION_T = (0.25, 0.5, 0.75)
+
+
 def interpolation_suite(samples: int = 100, seed: int = 20240902,
-                        t_values=(0.25, 0.5, 0.75),
                         keep_records: bool = False) -> SuiteResult:
     """Interpolation inequality on three measures with certified endpoint
     constants, p0 = 1, p1 = 2.
@@ -175,7 +177,7 @@ def interpolation_suite(samples: int = 100, seed: int = 20240902,
     worst = -math.inf
     sample_records = {}
     for name, mu in battery:
-        for t in t_values:
+        for t in _INTERPOLATION_T:
             checks += 1
             rep = lp.interpolation_check(seq, mu, 1.0, 2.0, t, n=5,
                                          samples=samples, seed=seed,

@@ -126,6 +126,11 @@ MALFORMED = {
                                            "ratio": 2, "count": "x"}},
     "measure-C-string": {"measure": {"kind": "powertail", "C": "x",
                                      "alpha": 2}},
+    "log-atoms-at-one": {"measure": {"kind": "atomic", "log_atoms": [[0.0, 0.0]]}},
+    "log-atoms-string": {"measure": {"kind": "atomic", "log_atoms": [["x", 0.0]]}},
+    "log-atoms-triple": {"measure": {"kind": "atomic",
+                                     "log_atoms": [[-0.1, 0.0, 1.0]]}},
+    "log-atoms-empty": {"measure": {"kind": "atomic", "log_atoms": []}},
 }
 
 

@@ -4,7 +4,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from muntzlab import lp
 from muntzlab import (EmbeddingProblem, InvalidParameterError, MuntzPolynomial,
                       PiecewiseDensityMeasure, PowerTailMeasure, ScaledMeasure,
                       analyze, atomic, certified_embedding_constant,
@@ -305,3 +307,88 @@ class TestQuadraturePlan:
     def test_row_validation(self):
         with pytest.raises(InvalidParameterError):
             lp_norms(_PLAN_SEQ, np.ones((2, 3)), 2.0, lebesgue())
+
+
+# ---------------------------------------------------------------------------
+# root isolation: the Rolle chain against mpmath and a dense grid
+# ---------------------------------------------------------------------------
+
+_CUBIC_SEQ = make_explicit([1.0, 2.0, 3.0])
+# x^3 - 0.8 x^2 + (0.16 - delta) x: roots 0.4 +- sqrt(delta), 7.3e-4 apart,
+# closer than any fixed sampling of (0, 1) at 512 points per unit
+_CLOSE_PAIR = np.array([0.16 - 1.3335e-7, -0.8, 1.0])
+# x (x - 0.4)(x - 0.4 - 1e-9): a root pair below the resolution of |h|
+_NEAR_DOUBLE = np.poly([0.4, 0.4 + 1e-9])[::-1]
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_cubic_norm(coeffs, p, tail):
+    """40-digit ||f||_p of ``f = sum coeffs[k] x^(k+1)`` on Lebesgue measure
+    or on PowerTail(1, 2), split at the polyroots of f in (0, 1)."""
+    with mpmath.workdps(40):
+        cs = [mpmath.mpf(c) for c in coeffs]
+        roots = sorted(mpmath.re(r) for r in mpmath.polyroots(
+            cs[::-1] + [0], maxsteps=200, extraprec=200)
+            if abs(mpmath.im(r)) < 1e-30 and 0 < mpmath.re(r) < 1)
+
+        def integrand(x):
+            fx = mpmath.fsum(c * x ** (k + 1) for k, c in enumerate(cs))
+            return abs(fx) ** p * (2 * (1 - x) if tail else 1)
+
+        return mpmath.quad(integrand, [0, *roots, 1]) ** (1 / mpmath.mpf(p))
+
+
+class TestRootIsolation:
+    @pytest.mark.parametrize("tail", [False, True])
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_close_pair_against_mpmath(self, p, tail):
+        mu = PowerTailMeasure(1.0, 2.0) if tail else lebesgue()
+        est = lp_norm(MuntzPolynomial(_CUBIC_SEQ, _CLOSE_PAIR), p, mu)
+        ref = _mp_cubic_norm(tuple(_CLOSE_PAIR.tolist()), p, tail)
+        true_err = abs(mpmath.mpf(est.value) - ref)
+        assert true_err <= 1e-13 * ref
+        assert true_err <= est.quadrature_error
+
+    @pytest.mark.parametrize("tail", [False, True])
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_near_double_root_is_cut(self, p, tail):
+        # |h| at the critical point 0.4 + 5e-10 is ~2.5e-19, within rounding:
+        # the chain cuts there instead of bracketing the pair
+        roots = lp._roots(_NEAR_DOUBLE.tolist(), _CUBIC_SEQ.values.tolist())
+        assert len(roots) == 1 and abs(roots[0] - 0.6) <= 1e-9
+        mu = PowerTailMeasure(1.0, 2.0) if tail else lebesgue()
+        est = lp_norm(MuntzPolynomial(_CUBIC_SEQ, _NEAR_DOUBLE), p, mu)
+        ref = _mp_cubic_norm(tuple(_NEAR_DOUBLE.tolist()), p, tail)
+        assert abs(mpmath.mpf(est.value) - ref) <= 1e-13 * ref
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 8),
+           lam1=st.floats(0.5, 2.0), ratio=st.floats(1.5, 3.0))
+    @settings(max_examples=150, deadline=None)
+    def test_chain_isolates_every_sign_change(self, seed, n, lam1, ratio):
+        lam = make_geometric(lam1, ratio, n).values
+        c = np.random.default_rng(seed).standard_normal(n)
+        roots = np.array(lp._roots(c.tolist(), lam.tolist()))
+        assert np.all((roots > 0.0) & (roots < 1.0))
+        assert np.all(np.diff(roots) > 0.0)
+        assert roots.size <= np.count_nonzero(np.diff(np.signbit(c)))
+
+        def signs(t):
+            """Sign of f at t, 0 where |f| is within its rounding."""
+            terms = c * np.exp(np.outer(np.log1p(-t), lam))
+            value = terms.sum(axis=1)
+            size = np.abs(terms).sum(axis=1)
+            return np.where(np.abs(value) > 1e-13 * size, np.sign(value), 0.0)
+
+        # a grid dense toward both ends plus the midpoints between roots,
+        # each point away from the roots by more than their 1e-15 bracket
+        ends = np.concatenate([[0.0], roots, [1.0]])
+        grid = np.logspace(-14.0, math.log10(0.5), 3000)
+        t = np.concatenate([grid, 1.0 - grid, 0.5 * (ends[:-1] + ends[1:])])
+        piece = np.searchsorted(roots, t)
+        sign = signs(t)
+        clear = (sign != 0.0) & (t - ends[piece] > 1e-13) & (ends[piece + 1] - t > 1e-13)
+        # no sign change between two roots, and one across every root
+        seen = {}
+        for k, v in zip(piece[clear], sign[clear]):
+            assert seen.setdefault(k, v) == v
+        assert all(seen[k] == -seen[k + 1] for k in seen if k + 1 in seen)

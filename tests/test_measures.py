@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath as mp
@@ -7,6 +8,7 @@ import pytest
 from scipy.special import logsumexp
 
 from muntzlab import quadrature
+from muntzlab.constructions import build_example1, build_example2
 from muntzlab.measures import (AtomicMeasure, default_epsilon_grid,
                                integrate_against, rho_hypothesis_violation)
 from muntzlab import (HypothesisViolationError, InvalidParameterError,
@@ -352,7 +354,7 @@ def _old_majorization_rhs(coefficient, alpha, g):
     rho'(t) = C alpha t^(alpha - 1) on a plan of its own.  (value, error)"""
     def derivative(u):
         return coefficient * alpha * np.asarray(u) ** (alpha - 1.0)
-    plan = quadrature.QuadraturePlan.from_pieces([(0.0, 1.0, derivative, False)])
+    plan = quadrature.QuadraturePlan.from_pieces([(0.0, 1.0, derivative)])
     value, err, _ = plan.integrate(lambda t: g(1.0 - t))
     return value, err
 
@@ -425,6 +427,30 @@ class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(InvalidParameterError, match="kind"):
             measure_from_config({"kind": "gaussian"})
+
+    @pytest.mark.parametrize("build", [lambda: build_example1(8),
+                                       lambda: build_example2(1.0, 0.5, 8)])
+    def test_near_one_atoms_round_trip(self, build):
+        # the constructions put atoms at 1 - 1e-18 and closer, which round
+        # to 1.0 linearly; the config keeps their logs
+        mu = build().measure
+        spec = json.loads(json.dumps(mu.to_config()))
+        assert "log_atoms" in spec
+        again = measure_from_config(spec)
+        np.testing.assert_array_equal(again.log_positions, mu.log_positions)
+        np.testing.assert_array_equal(again.log_weights, mu.log_weights)
+
+    def test_linear_atoms_kept_when_lossless(self):
+        mu = atomic([(0.5, 1.0), (0.25, 2.0)])
+        assert mu.to_config()["atoms"] == [[0.25, 2.0], [0.5, 1.0]]
+
+    @pytest.mark.parametrize("log_atoms, match", [
+        ([], "at least one"), ([[0.0, 0.0]], "positions"),
+        ([[-math.inf, 0.0]], "positions"), ([[-0.1, -math.inf]], "weights"),
+        ([[-0.1, 0.0], [-0.1, 1.0]], "distinct")])
+    def test_log_atoms_refused_like_atoms(self, log_atoms, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            measure_from_config({"kind": "atomic", "log_atoms": log_atoms})
 
 
 # ---------------------------------------------------------------------------

@@ -266,28 +266,22 @@ class TestQuadraturePlan:
         return np.ones_like(np.asarray(t, dtype=float))
 
     def test_cells_graded_toward_both_ends(self):
-        plan = QuadraturePlan.from_pieces([(0.0, 1.0, self.unit, False)])
+        plan = QuadraturePlan.from_pieces([(0.0, 1.0, self.unit)])
         # dyadic cells plus one innermost cell at each end
         assert plan.cells == DEFAULT_LEVELS + FAR_END_LEVELS + 2
         assert plan.lo[1] == 0.5 * 2.0 ** -DEFAULT_LEVELS
         assert plan.hi[-2] == 1.0 - 0.5 * 2.0 ** -FAR_END_LEVELS
         assert plan.edge_cell.sum() == 2
-        # each cell's scan group runs from its lower to its upper edge
-        for c in range(plan.cells):
-            group = plan.scan[plan.scan_start[c]:plan.scan_start[c + 1]]
-            assert group[0] == plan.lo[c] and group[-1] == plan.hi[c]
-            assert np.all(np.diff(group) >= 0.0)
-        assert plan.scan.size == 2 * plan.cells + 511
 
     def test_density_in_weights(self):
         # integral_0^1 (1 - t)^4 * 3 t^2 dt = 3 B(3, 5) = 1/35
-        plan = QuadraturePlan.from_pieces([(0.0, 1.0, lambda t: 3.0 * t ** 2, False)])
+        plan = QuadraturePlan.from_pieces([(0.0, 1.0, lambda t: 3.0 * t ** 2)])
         value, err, fallbacks = plan.integrate(lambda t: (1.0 - t) ** 4)
         assert value == pytest.approx(1.0 / 35.0, rel=1e-14)
         assert err < 1e-15 and fallbacks == 0
 
     def test_kink_falls_back_and_is_counted(self):
-        plan = QuadraturePlan.from_pieces([(0.0, 1.0, self.unit, False)])
+        plan = QuadraturePlan.from_pieces([(0.0, 1.0, self.unit)])
         value, err, fallbacks = plan.integrate(lambda t: np.abs(t - 0.3))
         assert value == pytest.approx(0.29, rel=1e-10)
         assert fallbacks >= 1

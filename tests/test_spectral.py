@@ -458,7 +458,7 @@ def _old_psi_squared_integral(mu, psi, transform=None):
                 return (d1 * d0) ** 2
             return psi.eval_many(log_x, 0)[0] ** 2
 
-        for t_lo, t_hi, h, _singular in flat.pieces:
+        for t_lo, t_hi, h in flat.pieces:
             def integrand(t, h=h):
                 return values(t) * h(np.asarray(t, dtype=float))
             if t_lo == 0.0:
