@@ -91,7 +91,7 @@ def cmd_analyze(args) -> int:
     from . import spectral
     from .geometry import PsiEvaluator
     from .measures import measure_from_config
-    from .reporting import to_jsonable, write_csv, write_json
+    from .reporting import write_csv, write_json
     from .sequences import sequence_from_config
 
     config = _load_config(args.config)
@@ -106,7 +106,6 @@ def cmd_analyze(args) -> int:
 
     started = time.perf_counter()
     report = spectral.analyze(problem, q_set=q_set)
-    mod = problem.modulus
 
     sub = problem.truncated
     psi = PsiEvaluator.from_sequence(sub)
@@ -139,7 +138,7 @@ def cmd_analyze(args) -> int:
             continue
         if not all(a.ok for a in cert.assumptions):
             hypothesis_violated = True
-        certificates.append(to_jsonable(cert))
+        certificates.append(cert)
 
     essential = None
     if m_list:
@@ -155,8 +154,8 @@ def cmd_analyze(args) -> int:
                    "rho": config.get("rho"),
                    "compact_support": config.get("compact_support"),
                    "seed": config.get("seed", 0)},
-        "spectral": to_jsonable(report),
-        "modulus": to_jsonable(mod),
+        "spectral": report,
+        "modulus": problem.modulus,
         "certificates": certificates,
         "essential_norm_trend": essential,
         "wall_time_seconds": wall,
@@ -181,7 +180,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_construct(args) -> int:
     from . import constructions
-    from .reporting import to_jsonable, write_csv, write_json
+    from .reporting import write_csv, write_json
 
     out_dir = args.out or "."
     n_max = args.n_max
@@ -189,34 +188,26 @@ def cmd_construct(args) -> int:
     if args.example == 1:
         build = constructions.build_example1(n_max)
         report = constructions.verify_example1(build)
-        rows = build.ledger_rows()
-        header = list(rows[0].keys())
-        payload = {
-            "tool": {"name": "muntzlab", "version": __version__},
-            "example": 1, "n_max": n_max,
-            "ledger": rows,
-            "verification": to_jsonable(report),
-            "wall_time_seconds": time.perf_counter() - started,
-        }
-        stem = "example1"
+        params = {}
     else:
         if args.q is None or args.r is None:
             raise InvalidParameterError("example 2 requires --q and --r")
         build = constructions.build_example2(args.q, args.r, n_max,
                                              theta=args.theta)
         report = constructions.verify_example2(build)
-        rows = build.ledger_rows()
-        header = list(rows[0].keys())
-        payload = {
-            "tool": {"name": "muntzlab", "version": __version__},
-            "example": 2, "n_max": n_max,
-            "q": args.q, "r": args.r, "theta": build.theta,
-            "alphas": to_jsonable(build.alphas),
-            "ledger": rows,
-            "verification": to_jsonable(report),
-            "wall_time_seconds": time.perf_counter() - started,
-        }
-        stem = "example2"
+        params = {"q": args.q, "r": args.r, "theta": build.theta,
+                  "alphas": build.alphas}
+    rows = build.ledger_rows()
+    header = list(rows[0].keys())
+    payload = {
+        "tool": {"name": "muntzlab", "version": __version__},
+        "example": args.example, "n_max": n_max,
+        **params,
+        "ledger": rows,
+        "verification": report,
+        "wall_time_seconds": time.perf_counter() - started,
+    }
+    stem = f"example{args.example}"
     write_json(os.path.join(out_dir, f"{stem}_ledger.json"), payload)
     write_csv(os.path.join(out_dir, f"{stem}_ledger.csv"), header,
               [[row[k] for k in header] for row in rows])
@@ -231,7 +222,7 @@ def cmd_construct(args) -> int:
 
 def cmd_check(args) -> int:
     from . import suites
-    from .reporting import to_jsonable, write_json
+    from .reporting import write_json
 
     started = time.perf_counter()
     if args.suite == "inequalities":
@@ -247,8 +238,8 @@ def cmd_check(args) -> int:
         "tool": {"name": "muntzlab", "version": __version__},
         "suite": result.name,
         "checks": result.checks,
-        "violations": to_jsonable(result.violations),
-        "details": to_jsonable(result.details),
+        "violations": result.violations,
+        "details": result.details,
         "seed": args.seed,
         "wall_time_seconds": time.perf_counter() - started,
     }

@@ -6,11 +6,11 @@ per measure.  For the polynomials of one exponent set the basis
 ``x**lambda_k`` at the plan's nodes is computed once, so the integrals of
 ``|f|^p`` for many coefficient rows are weighted sums over one array.  For
 non-even p, ``|f|^p`` has kinks at the zeros of f.  Every root of a row in
-``(0, 1)`` is isolated up front by the Rolle chain (:func:`_roots`), and
-exactly the cells that hold a root are refined for that row alone, each side
-of a root integrated on cells graded toward it.  A cell whose coarse and
-fine rules still differ by more than 1e-12 of the row's total is
-re-integrated adaptively and counted.
+``(0, 1)`` is isolated up front by the Rolle chain (:func:`_roots`), once
+for the integrals against every measure, and exactly the cells that hold a
+root are refined for that row alone, each side of a root integrated on cells
+graded toward it.  A cell whose coarse and fine rules still differ by more
+than 1e-12 of the row's total is re-integrated adaptively and counted.
 Rows are evaluated independently, so a batched row is bit-identical to its
 single call.  Atoms are exact log-domain sums.
 
@@ -43,6 +43,8 @@ from .sequences import LambdaSequence
 _ROUNDING_RTOL = 64.0 * sys.float_info.epsilon
 _ROW_CHUNK = 64
 _INTERPOLATION_TOL = 1e-9   # slack of a sample before it counts as a violation
+# unit rule that kinked cells are mapped onto, graded toward a root
+_ROOT_NODES, _ROOT_WEIGHTS = quadrature.graded_rule(quadrature.INNER_LEVELS)
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,14 @@ def _roots(coeffs, lambdas) -> list[float]:
     return roots
 
 
+def _row_roots(coeffs, lambdas) -> list[np.ndarray]:
+    """:func:`_roots` of every row of the 2-D ``coeffs``; they depend on the
+    row alone, so one list serves the integrals against every measure.  An
+    integral without density cells reads none, so it may be given ``[]``."""
+    lam = np.asarray(lambdas, dtype=float).tolist()
+    return [np.array(_roots(row, lam)) for row in coeffs.tolist()]
+
+
 class _PowerIntegrals:
     """Integrals of ``|f|^p`` against one measure for polynomials on one
     exponent set: the plan and the basis at its nodes are built once."""
@@ -122,18 +132,17 @@ class _PowerIntegrals:
         self.atom_basis = np.exp(np.outer(self.lam, flat.log_positions))
         self.plan = quadrature.QuadraturePlan.from_pieces(flat.pieces)
         self.basis = np.exp(np.outer(self.lam, _log_x(self.plan.nodes.ravel())))
-        # unit rule that kinked cells are mapped onto, graded toward a root
-        self.root_nodes, self.root_weights = quadrature.graded_rule(
-            quadrature.INNER_LEVELS)
 
-    def norms(self, coeffs, p: float) -> list[LpNormEstimate]:
-        """``||f||_{L^p(mu)}`` for every row of the 2-D ``coeffs``."""
+    def norms(self, coeffs, p: float, roots) -> list[LpNormEstimate]:
+        """``||f||_{L^p(mu)}`` for every row of the 2-D ``coeffs``, whose
+        roots are ``roots`` (from :func:`_row_roots`)."""
         out = []
         for start in range(0, coeffs.shape[0], _ROW_CHUNK):
-            out += self._norms(coeffs[start:start + _ROW_CHUNK], p)
+            stop = start + _ROW_CHUNK
+            out += self._norms(coeffs[start:stop], p, roots[start:stop])
         return out
 
-    def _norms(self, coeffs, p):
+    def _norms(self, coeffs, p, roots):
         rows = coeffs.shape[0]
         total = np.zeros(rows)
         err_rows = np.zeros(rows)
@@ -149,12 +158,11 @@ class _PowerIntegrals:
             vals = _combine(coeffs, self.basis).reshape((rows,) + plan.nodes.shape)
             fine, err = plan.cell_sums(np.abs(vals) ** p)
             cuts = {}
-            for r in range(rows):
-                roots = np.array(_roots(coeffs[r].tolist(), self.lam.tolist()))
-                first = np.searchsorted(roots, plan.lo, side="right")
-                stop = np.searchsorted(roots, plan.hi, side="left")
+            for r, row_roots in enumerate(roots):
+                first = np.searchsorted(row_roots, plan.lo, side="right")
+                stop = np.searchsorted(row_roots, plan.hi, side="left")
                 for c in np.flatnonzero(stop > first):   # cells holding a root
-                    cuts[r, c] = [plan.lo[c], *roots[first[c]:stop[c]], plan.hi[c]]
+                    cuts[r, c] = [plan.lo[c], *row_roots[first[c]:stop[c]], plan.hi[c]]
                     fine[r, c], err[r, c] = self._split_cell(coeffs[r], p, c, cuts[r, c])
             total = atoms + fine.sum(axis=-1)
             for r, c in zip(*np.nonzero(plan.loose_cells(err, total))):
@@ -198,10 +206,10 @@ class _PowerIntegrals:
                 anchors.append(u)
                 spans.append(v - u)
         spans = np.array(spans)[:, None, None]
-        width = self.root_nodes.shape[-1]
+        width = _ROOT_NODES.shape[-1]
         nodes = (np.array(anchors)[:, None, None]
-                 + spans * self.root_nodes).reshape(-1, width)
-        weights = (np.abs(spans) * self.root_weights).reshape(-1, width)
+                 + spans * _ROOT_NODES).reshape(-1, width)
+        weights = (np.abs(spans) * _ROOT_WEIGHTS).reshape(-1, width)
         h = self.plan.densities[self.plan.piece[cell]]
         terms = np.abs(self._eval(c_row, nodes.ravel()).reshape(nodes.shape)) ** p \
             * (weights * np.asarray(h(nodes), dtype=float))
@@ -226,7 +234,7 @@ class _PowerIntegrals:
         return value, err
 
 
-def _lebesgue_norms(coeffs, lambdas, p: float,
+def _lebesgue_norms(coeffs, lambdas, p: float, roots,
                     on_lebesgue: _PowerIntegrals | None = None) -> list[float]:
     """``||f||_p`` on [0, 1] per coefficient row; p = 2 through the exact
     Gramian, as in :func:`lebesgue_lp_norm`."""
@@ -234,7 +242,7 @@ def _lebesgue_norms(coeffs, lambdas, p: float,
         seq = LambdaSequence(lambdas)
         return [MuntzPolynomial(seq, c).l2_norm_lebesgue() for c in coeffs]
     on_lebesgue = on_lebesgue or _PowerIntegrals(lebesgue(), lambdas)
-    return [e.value for e in on_lebesgue.norms(coeffs, p)]
+    return [e.value for e in on_lebesgue.norms(coeffs, p, roots)]
 
 
 def lp_norms(seq: LambdaSequence, coefficients, p: float,
@@ -248,7 +256,9 @@ def lp_norms(seq: LambdaSequence, coefficients, p: float,
     if coeffs.ndim != 2 or coeffs.shape[1] != len(seq):
         raise InvalidParameterError(
             "coefficient rows must match the sequence length")
-    return _PowerIntegrals(mu, seq.values).norms(coeffs, p)
+    on_mu = _PowerIntegrals(mu, seq.values)
+    roots = _row_roots(coeffs, seq.values) if on_mu.plan.cells else []
+    return on_mu.norms(coeffs, p, roots)
 
 
 def lp_norm(f: MuntzPolynomial, p: float, mu: Measure) -> LpNormEstimate:
@@ -284,8 +294,9 @@ def empirical_embedding_constant(seq: LambdaSequence, mu: Measure, p: float,
     on_lebesgue = None if p == 2.0 else _PowerIntegrals(lebesgue(), sub.values)
 
     def ratios(coeffs) -> list[float]:
-        num = [e.value for e in on_mu.norms(coeffs, p)]
-        denom = _lebesgue_norms(coeffs, sub.values, p, on_lebesgue)
+        roots = _row_roots(coeffs, sub.values) if on_mu.plan.cells or on_lebesgue else []
+        num = [e.value for e in on_mu.norms(coeffs, p, roots)]
+        denom = _lebesgue_norms(coeffs, sub.values, p, roots, on_lebesgue)
         return [0.0 if d == 0.0 else v / d for v, d in zip(num, denom)]
 
     # the draws are independent of the ratios, so they are evaluated as one
@@ -385,8 +396,9 @@ def interpolation_check(seq: LambdaSequence, mu: Measure, p0: float, p1: float,
     rng = np.random.default_rng(seed)
     coeffs = np.array([random_unit(sub, rng, bias_last=(i % 2 == 1)).coefficients
                        for i in range(samples)])
-    lhs_all = [e.value for e in _PowerIntegrals(mu, sub.values).norms(coeffs, p_t)]
-    rhs_all = [factor * v for v in _lebesgue_norms(coeffs, sub.values, p_t)]
+    roots = _row_roots(coeffs, sub.values)
+    lhs_all = [e.value for e in _PowerIntegrals(mu, sub.values).norms(coeffs, p_t, roots)]
+    rhs_all = [factor * v for v in _lebesgue_norms(coeffs, sub.values, p_t, roots)]
     violations = []
     records = []
     max_slack = -math.inf

@@ -66,10 +66,6 @@ class Measure:
         return math.exp(self.log_moment(s))
 
     @property
-    def log_total_mass(self) -> float:
-        return self.log_moment(0.0)
-
-    @property
     def total_mass(self) -> float:
         return self.moment(0.0)
 

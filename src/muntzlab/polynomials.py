@@ -28,23 +28,11 @@ class SupNormEstimate(NamedTuple):
     is_estimate: bool = True
 
 
-def _sup_grid() -> np.ndarray:
-    # Chebyshev-spaced points on [0,1] plus dyadic points accumulating at 1
-    cheb = 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, SUP_GRID_SIZE)))
-    near_one = 1.0 - 2.0 ** -np.arange(1, _NEAR_ONE_LEVELS, dtype=float)
-    return np.unique(np.concatenate([cheb, near_one, [0.0, 1.0]]))
-
-
-_GRID_CACHE: np.ndarray | None = None
-
-
-def sup_grid() -> np.ndarray:
-    global _GRID_CACHE
-    if _GRID_CACHE is None:
-        grid = _sup_grid()
-        grid.setflags(write=False)
-        _GRID_CACHE = grid
-    return _GRID_CACHE
+# Chebyshev-spaced points on [0,1] plus dyadic points accumulating at 1
+SUP_GRID = np.unique(np.concatenate([
+    0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, SUP_GRID_SIZE))),
+    1.0 - 2.0 ** -np.arange(1, _NEAR_ONE_LEVELS, dtype=float), [0.0, 1.0]]))
+SUP_GRID.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -103,14 +91,12 @@ class MuntzPolynomial:
         return float(out[0]) if scalar else out
 
     def sup_norm(self) -> SupNormEstimate:
-        grid = sup_grid()
-        vals = np.abs(self(grid))
+        vals = np.abs(self(SUP_GRID))
         k = int(np.argmax(vals))
-        return SupNormEstimate(value=float(vals[k]), argmax=float(grid[k]))
+        return SupNormEstimate(value=float(vals[k]), argmax=float(SUP_GRID[k]))
 
     def derivative_sup_norm(self) -> SupNormEstimate:
-        grid = sup_grid()
-        grid = grid[grid > 0.0] if self.lambdas[0] < 1.0 else grid
+        grid = SUP_GRID[SUP_GRID > 0.0] if self.lambdas[0] < 1.0 else SUP_GRID
         vals = np.abs(self.derivative(grid))
         k = int(np.argmax(vals))
         return SupNormEstimate(value=float(vals[k]), argmax=float(grid[k]))

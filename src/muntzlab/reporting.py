@@ -1,9 +1,12 @@
 """Report serialization: JSON for structured reports, CSV for vectors.
 
-JSON is written compact by the C encoder, with floats in Python's shortest
-round-trip representation (all 17 significant digits of a double), so
-reports re-read from disk reproduce the numerics bit-for-bit.  Writes go to
-a temporary file in the target directory followed by an atomic rename, so
+Callers hand library objects (dataclasses, arrays, numpy scalars) straight
+to :func:`write_json`, the one place a payload is converted to JSON types,
+once.  JSON is written compact by the C encoder, with floats in Python's
+shortest round-trip representation (all 17 significant digits of a double),
+so reports re-read from disk reproduce the numerics bit-for-bit.  Each
+report is rendered to text in full before any file is created, then written
+to a temporary file in the target directory and atomically renamed, so
 error paths never leave partial reports behind.
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -29,12 +33,8 @@ def to_jsonable(obj):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
         return obj
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return to_jsonable(float(obj))
+    if isinstance(obj, np.generic):
+        return to_jsonable(obj.item())
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -47,13 +47,13 @@ def to_jsonable(obj):
     return str(obj)
 
 
-def _atomic_write(path: str, write_fn) -> None:
+def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            write_fn(fh)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -62,15 +62,14 @@ def _atomic_write(path: str, write_fn) -> None:
 
 
 def write_json(path: str, payload) -> None:
-    data = to_jsonable(payload)
-    _atomic_write(path, lambda fh: fh.write(json.dumps(data)))
+    _atomic_write(path, json.dumps(to_jsonable(payload)))
 
 
 def write_csv(path: str, header, rows) -> None:
-    def emit(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                             else v for v in row])
-    _atomic_write(path, emit)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
+                         else v for v in row])
+    _atomic_write(path, buf.getvalue())

@@ -49,6 +49,15 @@ class TestAnalyze:
         for s in report["spectral"]["singular_values"]:
             assert s == pytest.approx(1.0, abs=1e-9)
 
+    def test_second_report_replaces_the_first(self, tmp_path):
+        cfg = write_config(tmp_path, RANK_ONE)
+        out = tmp_path / "out"
+        for _ in range(2):
+            assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["report.json",
+                                                         "singular_values.csv"]
+        assert json.loads((out / "report.json").read_text())["config"]["N"] == 1
+
     def test_missing_field_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "sequence": {"kind": "explicit", "values": [1.0]}})
@@ -248,6 +257,21 @@ class TestConstruct:
         assert ledger["theta"] == pytest.approx(1.5)
         report = ledger["verification"]
         assert report["offdiag_hs_sq"] < math.e / 4.0
+
+    @pytest.mark.parametrize("argv,keys", [
+        (["1"], ["tool", "example", "n_max", "ledger", "verification",
+                 "wall_time_seconds"]),
+        (["2", "--q", "1", "--r", "0.5"],
+         ["tool", "example", "n_max", "q", "r", "theta", "alphas", "ledger",
+          "verification", "wall_time_seconds"]),
+    ])
+    def test_ledger_top_level_keys_in_order(self, tmp_path, argv, keys):
+        assert main(["construct", *argv, "--n-max", "5",
+                     "--out", str(tmp_path)]) == 0
+        ledger = json.loads(
+            (tmp_path / f"example{argv[0]}_ledger.json").read_text())
+        assert list(ledger) == keys
+        assert ledger["example"] == int(argv[0])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_example2_schatten_trend_without_overflow(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from muntzlab import lp
+from muntzlab import lp, quadrature
 from muntzlab import (EmbeddingProblem, InvalidParameterError, MuntzPolynomial,
                       PiecewiseDensityMeasure, PowerTailMeasure, ScaledMeasure,
                       analyze, atomic, certified_embedding_constant,
@@ -276,6 +276,30 @@ class TestQuadraturePlan:
             assert lhs == lp_norm(f, rep.p_t, mu).value
             assert rhs == rep.c0 ** 0.5 * rep.c1 ** 0.5 \
                 * lebesgue_lp_norm(f, rep.p_t).value
+
+    def test_each_row_isolated_once(self, monkeypatch):
+        # the roots of a row serve both sides of the inequality, so the check
+        # bisects as often as lp_norms does over the same rows
+        calls = []
+        bisect = quadrature.bisect_root
+
+        def counted(*args):
+            calls.append(args)
+            return bisect(*args)
+
+        monkeypatch.setattr(quadrature, "bisect_root", counted)
+        seq = make_geometric(2.0, 2.0, 6)
+        mu = _PLAN_MEASURES["piecewise"]
+        rep = interpolation_check(seq, mu, 1.0, 2.0, 0.5, n=5, samples=40,
+                                  seed=4)
+        in_check = len(calls)
+        calls.clear()
+        rng = np.random.default_rng(4)
+        sub = seq.truncate(5)
+        coeffs = np.array([random_unit(sub, rng, bias_last=(i % 2 == 1)).coefficients
+                           for i in range(40)])
+        lp_norms(sub, coeffs, rep.p_t, mu)
+        assert in_check == len(calls) > 0
 
     def test_lebesgue_interpolation_slack_exactly_zero(self):
         seq = make_geometric(2.0, 2.0, 6)

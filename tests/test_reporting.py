@@ -27,6 +27,23 @@ class TestToJsonable:
         assert out["kind"] == "psi"
         assert out["assumptions"][0]["ok"] is True
 
+    def test_nested_payload_converts_in_one_call(self):
+        cert = Certificate(kind="rho", value=math.inf,
+                           assumptions=(AssumptionCheck("x", False),))
+        payload = {"certs": [cert], "f32": np.float32(0.5),
+                   "i64": np.int64(-7), "flag": np.bool_(False),
+                   "grid": np.array([[1.0, math.nan], [-math.inf, 2.0]])}
+        out = to_jsonable(payload)
+        assert out == {
+            "certs": [{"kind": "rho", "value": "inf",
+                       "assumptions": [{"name": "x", "ok": False,
+                                        "detail": ""}],
+                       "flags": [], "params": {}}],
+            "f32": 0.5, "i64": -7, "flag": False,
+            "grid": [[1.0, "nan"], ["-inf", 2.0]]}
+        assert [type(out[k]) for k in ("f32", "i64", "flag")] == [float, int, bool]
+        assert json.loads(json.dumps(out)) == out
+
     def test_round_trip_float_exact(self):
         values = [1 / 3, 2.0 ** -45, 1.0 + 2.0 ** -52, 1e300]
         dumped = json.dumps(to_jsonable(values))
