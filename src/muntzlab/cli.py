@@ -80,7 +80,7 @@ def _rho_majorant(params: dict):
 
 def _compact_support_params(params: dict) -> tuple[float, float, int]:
     return (float(params.get("b", 0.5)), float(params.get("b_prime", 0.75)),
-            int(params.get("k", 1)))
+            _integer(params.get("k", 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,8 @@ def cmd_analyze(args) -> int:
     config = _load_config(args.config)
     seq = sequence_from_config(_require(config, "sequence"))
     mu = measure_from_config(_require(config, "measure"))
-    n = args.n or _field(config, "N", _integer, len(seq))
+    n = args.n if args.n is not None else _field(config, "N", _integer,
+                                                 len(seq))
     problem = spectral.EmbeddingProblem(seq, mu, n)
     q_set = _field(config, "q_set", lambda qs: tuple(float(q) for q in qs),
                    (0.5, 1.0, 2.0))
@@ -286,9 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process; parse_args keeps nothing from one call to the next
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 after --help/--version and 2 (its message already
         # on stderr) on a usage error; 2 is reserved for violated hypotheses

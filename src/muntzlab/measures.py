@@ -7,12 +7,14 @@ finite sums.  Atoms at exactly 1 are rejected at construction: embedding
 measures must satisfy ``mu({1}) = 0``.
 
 Moments ``integral x**s dmu`` are exact closed forms in the log domain for
-every variant (incomplete-Beta form for truncated power tails), safe for
-``s`` up to ~1e12, and array-valued (:meth:`Measure.log_moments`; the
-scalar queries wrap it), and so are the tail masses ``mu(J_eps)``
-(:meth:`Measure.tail_mass`).  Generic integrals against user functions run
-on one fixed :class:`~muntzlab.quadrature.QuadraturePlan` built from the
-flattened measure's density pieces, in the tail variable ``t = 1 - x``.
+every variant (incomplete-Beta form for truncated power tails, whose upper
+tail is evaluated only on the orders where a bound on the lower tail says
+it can differ from 1.0), safe for ``s`` up to ~1e12, and array-valued
+(:meth:`Measure.log_moments`; the scalar queries wrap it), and so are the
+tail masses ``mu(J_eps)`` (:meth:`Measure.tail_mass`).  Generic integrals
+against user functions run on one fixed
+:class:`~muntzlab.quadrature.QuadraturePlan` built from the flattened
+measure's density pieces, in the tail variable ``t = 1 - x``.
 
 A tail majorant rho of the paper (``mu(J_eps) <= rho(eps)``) is itself a
 measure: ``nu = rho'(1-x) dx`` has ``nu(J_eps) = rho(eps)``, and the power
@@ -38,6 +40,17 @@ from .errors import HypothesisViolationError, InvalidParameterError
 from .logdomain import NEG_INF, log_power_interval, log_sum
 
 _GRID_LEVELS = 40
+# log of a lower incomplete-Beta tail I below which 1 - I rounds to 1.0: e**-44
+# is about 700 times under 2**-54, half an ulp below 1
+_LOG_NEGLIGIBLE_LOWER_TAIL = -44.0
+
+
+def _log_lower_tail_bound(a, b: float, x0: float, log_beta):
+    """Upper bound on log I_x0(a, b) for 0 < x0 < 1, given betaln(a, b):
+    the integrand t**(a-1) (1-t)**(b-1) of the lower tail is at most
+    t**(a-1) * max(1, (1-x0)**(b-1)) on [0, x0]."""
+    return (a * math.log(x0) + max(0.0, (b - 1.0) * math.log1p(-x0))
+            - np.log(a) - log_beta)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +313,16 @@ class PowerTailMeasure(Measure):
     def _log_moments(self, s: np.ndarray) -> np.ndarray:
         # C*alpha*B(s+1, alpha) times the regularized upper tail at x0, whose
         # underflow to 0 gives a -inf log moment
-        v = math.log(self.coefficient) + math.log(self.alpha) + betaln(s + 1.0, self.alpha)
+        a = s + 1.0
+        log_beta = betaln(a, self.alpha)
+        v = math.log(self.coefficient) + math.log(self.alpha) + log_beta
         if self.x0 > 0.0:
+            # betaincc runs only where the upper tail can differ from 1.0
+            bound = _log_lower_tail_bound(a, self.alpha, self.x0, log_beta)
+            tail = betaincc(a, self.alpha, self.x0, out=np.ones(np.shape(a)),
+                            where=bound >= _LOG_NEGLIGIBLE_LOWER_TAIL)
             with np.errstate(divide="ignore"):
-                v = v + np.log(betaincc(s + 1.0, self.alpha, self.x0))
+                v = v + np.log(tail)
         return v
 
     def _tail_masses(self, eps: np.ndarray) -> np.ndarray:

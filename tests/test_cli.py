@@ -124,6 +124,8 @@ MALFORMED = {
                              "compact_support": None},
     "compact-support-b-string": {"certificates": ["compact_support"],
                                  "compact_support": {"b": "x"}},
+    "compact-support-k-fraction": {"certificates": ["compact_support"],
+                                   "compact_support": {"k": 2.7}},
     "N-string": {"N": "abc"},
     "N-fraction": {"N": 1.5},
     "N-infinite": {"N": float("inf")},
@@ -231,6 +233,24 @@ class TestMalformedConfig:
         assert main(["analyze", "--config", cfg]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "not a JSON object" in err[0]
+
+    def test_whole_float_k_runs_as_that_integer(self, tmp_path):
+        cfg = write_config(tmp_path, dict(RANK_ONE,
+                                          certificates=["compact_support"],
+                                          compact_support={"k": 2.0}))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 0
+        cert, = json.loads((tmp_path / "report.json").read_text())["certificates"]
+        assert cert["kind"] == "compact_support_2"
+        assert cert["params"]["k"] == 2
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_truncation_override_below_one_refused(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path, RANK_ONE)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path),
+                     "--n", n]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: truncation {n} outside 1..1"]
+        assert not (tmp_path / "report.json").exists()
 
     def test_rho_block_reaches_the_certificate(self, tmp_path):
         cfg = write_config(tmp_path, dict(RANK_ONE, certificates=["rho"],
@@ -345,6 +365,45 @@ class TestUsage:
         assert "--config" in capsys.readouterr().out
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.startswith("muntzlab ")
+
+
+class TestParserReuse:
+    """One parser serves every call in a process: no option of one call
+    reaches the next."""
+
+    CONFIG = {"sequence": {"kind": "geometric", "lambda1": 2, "ratio": 2,
+                           "count": 6},
+              "measure": {"kind": "lebesgue"}, "N": 6,
+              "certificates": ["psi"]}
+
+    def test_truncation_override_does_not_stick(self, tmp_path):
+        cfg = write_config(tmp_path, self.CONFIG)
+        for argv, n in ((["--n", "4"], 4), ([], 6)):
+            assert main(["analyze", "--config", cfg,
+                         "--out", str(tmp_path), *argv]) == 0
+            report = json.loads((tmp_path / "report.json").read_text())
+            assert report["config"]["N"] == n
+            assert len(report["spectral"]["singular_values"]) == n
+
+    def test_example2_options_do_not_stick(self, tmp_path, capsys):
+        assert main(["construct", "2", "--q", "1", "--r", "0.5",
+                     "--n-max", "4", "--out", str(tmp_path)]) == 0
+        assert main(["construct", "1", "--n-max", "4",
+                     "--out", str(tmp_path)]) == 0
+        ledger = json.loads((tmp_path / "example1_ledger.json").read_text())
+        assert "q" not in ledger and "r" not in ledger
+        capsys.readouterr()
+        assert main(["construct", "2", "--n-max", "4",
+                     "--out", str(tmp_path)]) == 1
+        assert "requires --q and --r" in capsys.readouterr().err
+
+    def test_analyze_after_help(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.CONFIG)
+        assert main(["--help"]) == 0
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "usage:" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["N"] == 6
 
 
 class TestConstructRefusals:

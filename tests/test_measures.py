@@ -4,12 +4,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from scipy.special import logsumexp
+from scipy.special import betaincc, betaln, logsumexp
 
 from muntzlab import quadrature
 from muntzlab.constructions import build_example1, build_example2
-from muntzlab.measures import (AtomicMeasure, default_epsilon_grid,
+from muntzlab.measures import (_LOG_NEGLIGIBLE_LOWER_TAIL, AtomicMeasure,
+                               _log_lower_tail_bound, default_epsilon_grid,
                                integrate_against, rho_hypothesis_violation)
 from muntzlab import (HypothesisViolationError, InvalidParameterError,
                       PiecewiseDensityMeasure, PowerTailMeasure, ScaledMeasure,
@@ -154,6 +156,56 @@ class TestLogMoments:
         for mu in (self.ATOMS, self.TAIL, self.PIECES):
             with pytest.raises(InvalidParameterError):
                 mu.log_moments(np.array([[1.0, -0.5]]))
+
+
+def _closed_form_power_tail(mu, s):
+    """log C + log alpha + betaln(s+1, alpha) + log betaincc(s+1, alpha, x0)
+    on every order, in the order the moment layer adds them."""
+    with np.errstate(divide="ignore"):
+        return (math.log(mu.coefficient) + math.log(mu.alpha)
+                + betaln(s + 1.0, mu.alpha)
+                + np.log(betaincc(s + 1.0, mu.alpha, mu.x0)))
+
+
+class TestPowerTailSkip:
+    """betaincc runs only on the orders where the lower incomplete-Beta
+    tail can reach 2**-54; everywhere else the upper tail is 1.0 anyway."""
+
+    def test_bit_identical_to_the_closed_form(self):
+        # the low orders of PowerTail(1, 400, 0.9) underflow to -inf
+        underflow = PowerTailMeasure(1.0, 400.0, x0=0.9)
+        cases = [(underflow, np.concatenate((TestLogMoments.ORDERS.ravel(),
+                                             2.0 * 1.5 ** np.arange(32))))]
+        rng = np.random.default_rng(15)
+        for n in (16, 24, 32):
+            lam = rng.uniform(0.5, 3.0) * rng.uniform(1.1, 2.5) ** np.arange(n)
+            rows, cols = np.triu_indices(n)
+            x0s = [1.0 - 1.0 / m for m in (2, 8, 32, 128)]
+            cases += [(PowerTailMeasure(rng.uniform(0.1, 3.0),
+                                        math.exp(rng.uniform(-2.0, 5.0)), x0=x0),
+                       lam[rows] + lam[cols])
+                      for x0 in x0s + list(rng.uniform(0.0, 1.0, 4))]
+        skipped = 0
+        for mu, orders in cases:
+            got = mu.log_moments(orders)
+            np.testing.assert_array_equal(got, _closed_form_power_tail(mu, orders))
+            a = orders + 1.0
+            skipped += np.count_nonzero(_log_lower_tail_bound(
+                a, mu.alpha, mu.x0, betaln(a, mu.alpha))
+                < _LOG_NEGLIGIBLE_LOWER_TAIL)
+        assert skipped > 0
+        assert np.any(underflow.log_moments(cases[0][1]) == -math.inf)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(1.0, 5000.0), b=st.floats(0.05, 500.0),
+           x0=st.floats(1e-6, 1.0 - 1e-9))
+    @example(a=3.0, b=1.0, x0=0.5)   # I_x0(a, 1) = x0**a: the bound is exact
+    def test_bound_majorizes_the_lower_tail(self, a, b, x0):
+        log_beta = betaln(a, b)
+        bound = _log_lower_tail_bound(a, b, x0, log_beta)
+        with mp.workdps(50):
+            exact = float(mp.log(mp.betainc(a, b, 0, x0, regularized=True)))
+        assert bound >= exact - 1e-12 * (1.0 + abs(bound) + abs(log_beta))
 
 
 class TestTailMass:
