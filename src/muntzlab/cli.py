@@ -63,15 +63,6 @@ def _field(config: dict, name: str, convert, default):
             f"config field {name!r} is malformed: {exc}") from exc
 
 
-def _integer(value) -> int:
-    """``value`` as an int; a value that is not a whole number is refused
-    rather than truncated, so the echoed config is what ran."""
-    whole = int(value)
-    if whole != value:
-        raise ValueError(f"{value!r} is not an integer")
-    return whole
-
-
 def _rho_majorant(params: dict):
     """The measure nu with nu(J_eps) = C*eps**alpha for a ``rho`` block."""
     from .measures import PowerTailMeasure
@@ -79,8 +70,9 @@ def _rho_majorant(params: dict):
 
 
 def _compact_support_params(params: dict) -> tuple[float, float, int]:
+    from .sequences import whole_number
     return (float(params.get("b", 0.5)), float(params.get("b_prime", 0.75)),
-            _integer(params.get("k", 1)))
+            whole_number(params.get("k", 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -92,18 +84,18 @@ def cmd_analyze(args) -> int:
     from .geometry import PsiEvaluator
     from .measures import measure_from_config
     from .reporting import write_csv, write_json
-    from .sequences import sequence_from_config
+    from .sequences import sequence_from_config, whole_number
 
     config = _load_config(args.config)
     seq = sequence_from_config(_require(config, "sequence"))
     mu = measure_from_config(_require(config, "measure"))
-    n = args.n if args.n is not None else _field(config, "N", _integer,
+    n = args.n if args.n is not None else _field(config, "N", whole_number,
                                                  len(seq))
     problem = spectral.EmbeddingProblem(seq, mu, n)
     q_set = _field(config, "q_set", lambda qs: tuple(float(q) for q in qs),
                    (0.5, 1.0, 2.0))
-    m_list = _field(config, "m_list", lambda ms: [_integer(m) for m in ms or ()],
-                    None)
+    m_list = _field(config, "m_list",
+                    lambda ms: [whole_number(m) for m in ms or ()], None)
 
     started = time.perf_counter()
     report = spectral.analyze(problem, q_set=q_set)

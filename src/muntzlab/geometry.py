@@ -16,10 +16,14 @@ in :mod:`muntzlab.highprec` for cross-validation.
 
 psi and its derivatives are signed sums of terms given by their logs.
 :class:`PsiEvaluator` tabulates the log weights and signs of every order
-once, and its scalar and array evaluations share one kernel: each lane of
-terms is scaled by its largest term and exponentiated in place, skipping the
-terms that underflow.  Several orders at the same points (Psi needs psi and
-psi') come from one call.
+once, and :meth:`PsiEvaluator.eval_many` is its one evaluation: over an
+array of log x it returns log |psi^(k)|, the sign and the tail flag, each
+lane of terms scaled by its largest term and exponentiated in place,
+skipping the terms that underflow.  A single point is a one-lane call.
+:meth:`PsiEvaluator.log_majorant` builds log psi, or log Psi of the
+Hilbert-Schmidt majorant Psi(x) = psi'(x^(1/4)) psi(x^(1/4)), on top of it;
+the certificate integrals, the tail-unsound widths and :func:`big_psi` all
+read Psi from there.
 
 Truncation caveat: the d_n computed from N exponents are >= the distances of
 the infinite system, so the truncated psi is a LOWER estimate of the full
@@ -37,7 +41,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, SingularSystemError, UndefinedRatioError
-from .logdomain import NEG_INF
 from .polynomials import MuntzPolynomial
 from .sequences import LambdaSequence
 
@@ -129,9 +132,9 @@ class PsiEvaluator:
 
     The term of order k is w_n (lambda_n)_k x**(lambda_n - k), with the
     falling factorial (lambda_n)_k; its log weight and sign are tabulated per
-    order when the evaluator is built.  :meth:`eval_many` and
-    :meth:`log_eval` share one array kernel that scales every lane of terms
-    by its largest one.  The tail-unsound widths t* are bisected once.
+    order when the evaluator is built.  Every evaluation goes through
+    :meth:`eval_many`, in the log domain.  The tail-unsound widths t* are
+    bisected once.
     """
 
     lambdas: np.ndarray
@@ -180,32 +183,35 @@ class PsiEvaluator:
         first j gives t* = min(2^(1-j), 1); 0 means sound at every probe.  A
         probe whose x rounds to 1 (for Psi from t = 2^-1073 on) is unsound.
         """
-        scale, orders = (0.25, (1, 0)) if big else (1.0, (0,))
         sound, first_unsound = -1, 1075          # bracket of virtual probes
         while first_unsound - sound > 1:
             j = (sound + first_unsound) // 2
-            log_x = scale * math.log1p(-min(2.0 ** -j, 1.0 - 1e-16))
-            if log_x == 0.0 or not all(self.log_eval(log_x, k)[2] for k in orders):
-                first_unsound = j
-            else:
+            log_x = math.log1p(-min(2.0 ** -j, 1.0 - 1e-16))
+            if self.log_majorant(log_x, big)[1][0]:
                 sound = j
+            else:
+                first_unsound = j
         return 0.0 if first_unsound == 1075 else min(2.0 ** (1 - first_unsound), 1.0)
 
     def _check_order(self, k: int) -> None:
         if k < 0 or k > PSI_K_MAX:
             raise InvalidParameterError(f"derivative order {k} outside 0..{PSI_K_MAX}")
 
-    def _scaled_sums(self, k: int, term_logs: np.ndarray):
-        """Kernel: ``(sums, m, last)`` from the order-k term logs without
-        their weights, shape ``(terms, lanes)`` (overwritten).
+    def eval_many(self, log_x, k: int = 0
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(log |psi^(k)|, sign, tail_sound) over an array of finite log x <= 0.
 
-        psi^(k) = sums * exp(m) per lane, with m the largest term log (0 where
-        that is not finite), and ``last`` the log of the last term.  Every
-        step works in place.  exp is taken only above EXP_FLOOR, where it is
-        not exactly 0 (an underflowing exp costs several normal ones); the
-        logs left below it are then set to 0 by clipping at 0, which no exp
-        value is below.
+        Each lane of terms is scaled by its largest term log m (0 where that
+        is not finite) and exponentiated in place, so psi^(k) = sum * exp(m).
+        exp is taken only above EXP_FLOOR, where it is not exactly 0 (an
+        underflowing exp costs several normal ones); the logs left below it
+        are then set to 0 by clipping at 0, which no exp value is below.  A
+        point is tail-sound when its last term is below PSI_TAIL_RTOL of the
+        sum and x < 1.
         """
+        self._check_order(k)
+        log_x = np.asarray(log_x, dtype=float).ravel()
+        term_logs = np.multiply.outer(self._exponents[k], log_x)
         term_logs += self._log_weights[k][:, None]
         m = term_logs.max(axis=0)
         m = np.where(np.isfinite(m), m, 0.0)
@@ -213,64 +219,42 @@ class PsiEvaluator:
         term_logs -= m
         np.exp(term_logs, out=term_logs, where=term_logs > EXP_FLOOR)
         np.maximum(term_logs, 0.0, out=term_logs)
-        return np.einsum("i,ij->j", self._signs[k], term_logs), m, last
+        sums = np.einsum("i,ij->j", self._signs[k], term_logs)
+        with np.errstate(divide="ignore"):
+            log_abs = m + np.log(np.abs(sums))
+        sound = (last <= log_abs + math.log(PSI_TAIL_RTOL)) & (log_x < 0.0)
+        return log_abs, np.sign(sums), sound
 
-    def log_eval(self, log_x: float, k: int = 0) -> tuple[float, float, bool]:
-        """(log |psi^(k)|, sign, tail_sound) at x = exp(log_x), log_x < 0."""
-        self._check_order(k)
-        if log_x >= 0.0:
-            if log_x == 0.0:
-                raise InvalidParameterError("psi is evaluated on [0, 1) only")
-            raise InvalidParameterError("log_x must be < 0")
-        exponents = self._exponents[k]
-        if log_x == NEG_INF:
-            if np.any(exponents < 0.0):
-                return math.inf, 1.0, True
-            at_zero = np.flatnonzero(exponents == 0.0)
-            if not at_zero.size:
-                return NEG_INF, 0.0, True
-            # the exponents are distinct: one constant term
-            n = at_zero[0]
-            return float(self._log_weights[k][n]), float(self._signs[k][n]), True
-        sums, m, last = self._scaled_sums(k, exponents[:, None] * log_x)
-        total = float(sums[0])
-        if total == 0.0:
-            log_abs, sign = NEG_INF, 0.0
-        else:
-            log_abs, sign = float(m[0]) + math.log(abs(total)), math.copysign(1.0, total)
-        tail_sound = bool(last[0] <= log_abs + math.log(PSI_TAIL_RTOL))
-        return log_abs, sign, tail_sound
+    def log_majorant(self, log_x, big: bool = False
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """(log psi(x), tail_sound) over an array of finite log x <= 0, or
+        (log Psi(x), tail_sound) of the Hilbert-Schmidt majorant
+        Psi(x) = psi'(x^(1/4)) psi(x^(1/4)) when ``big``; psi and psi' have
+        positive terms only, so no sign is returned."""
+        if not big:
+            log_abs, _, sound = self.eval_many(log_x, 0)
+            return log_abs, sound
+        quarter = 0.25 * np.asarray(log_x, dtype=float)
+        log_d1, _, sound_d1 = self.eval_many(quarter, 1)
+        log_d0, _, sound_d0 = self.eval_many(quarter, 0)
+        return log_d1 + log_d0, sound_d1 & sound_d0
 
     def eval(self, x: float, k: int = 0) -> PsiValue:
         if not 0.0 <= x < 1.0:
             raise InvalidParameterError("psi is defined on [0, 1)")
-        log_x = math.log(x) if x > 0.0 else NEG_INF
-        log_abs, sign, sound = self.log_eval(log_x, k)
-        return PsiValue(value=sign * math.exp(log_abs), tail_sound=sound)
-
-    def eval_many(self, log_x, k: int | tuple[int, ...] = 0
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (values, tail_sound) over an array of finite log x < 0.
-
-        ``k`` is one derivative order, or a sequence of orders: then both
-        arrays get a leading axis over the orders, and each row equals the
-        single-order call.
-        """
-        single = np.ndim(k) == 0
-        orders = (k,) if single else tuple(k)
-        for order in orders:
-            self._check_order(order)
-        log_x = np.asarray(log_x, dtype=float).ravel()
-        values, sound = [], []
-        for order in orders:
-            term_logs = np.multiply.outer(self._exponents[order], log_x)
-            sums, m, last = self._scaled_sums(order, term_logs)
-            sound.append(last <= m + np.log(np.abs(sums) + 1e-300)
-                         + math.log(PSI_TAIL_RTOL))
-            values.append(sums * np.exp(m))
-        if single:
-            return values[0], sound[0]
-        return np.array(values), np.array(sound)
+        if x > 0.0:
+            log_abs, sign, sound = self.eval_many(math.log(x), k)
+            return PsiValue(value=float(sign[0]) * math.exp(log_abs[0]),
+                            tail_sound=bool(sound[0]))
+        # x = 0: inf for a negative exponent, else the constant term, if any
+        self._check_order(k)
+        exponents = self._exponents[k]
+        if np.any(exponents < 0.0):
+            return PsiValue(value=math.inf, tail_sound=True)
+        const = exponents == 0.0
+        return PsiValue(value=float(np.sum(self._signs[k][const]
+                                           * np.exp(self._log_weights[k][const]))),
+                        tail_sound=True)
 
 
 def psi_a_eval(psi: PsiEvaluator, a: float, x: float) -> PsiValue:
@@ -287,11 +271,8 @@ def big_psi(psi: PsiEvaluator, x: float) -> PsiValue:
     """Psi(x) = psi'(x**(1/4)) * psi(x**(1/4)), the Hilbert-Schmidt majorant."""
     if not 0.0 < x < 1.0:
         raise InvalidParameterError("x must lie in (0, 1)")
-    root = x ** 0.25
-    deriv = psi.eval(root, 1)
-    plain = psi.eval(root, 0)
-    return PsiValue(value=deriv.value * plain.value,
-                    tail_sound=deriv.tail_sound and plain.tail_sound)
+    log_value, sound = psi.log_majorant(math.log(x), big=True)
+    return PsiValue(value=math.exp(log_value[0]), tail_sound=bool(sound[0]))
 
 
 class BoundCheck(NamedTuple):

@@ -299,10 +299,12 @@ class PowerTailMeasure(Measure):
     x0: float = 0.0
 
     def __post_init__(self):
-        if self.coefficient <= 0.0:
-            raise InvalidParameterError("power tail coefficient must be positive")
-        if self.alpha <= 0.0:
-            raise InvalidParameterError("power tail alpha must be positive")
+        # a NaN fails every comparison, so each check is the one that must hold
+        if not 0.0 < self.coefficient < math.inf:
+            raise InvalidParameterError(
+                "power tail coefficient must be positive and finite")
+        if not 0.0 < self.alpha < math.inf:
+            raise InvalidParameterError("power tail alpha must be positive and finite")
         if not 0.0 <= self.x0 < 1.0:
             raise InvalidParameterError("x0 must lie in [0, 1)")
 
@@ -374,8 +376,9 @@ class PiecewiseDensityMeasure(Measure):
             raise InvalidParameterError("breakpoints must be strictly increasing")
         if bp[0] < 0.0 or bp[-1] > 1.0:
             raise InvalidParameterError("breakpoints must lie in [0, 1]")
-        if np.any(de < 0.0) or not np.any(de > 0.0):
-            raise InvalidParameterError("densities must be >= 0 with positive mass")
+        if not (np.all((de >= 0.0) & (de < np.inf)) and np.any(de > 0.0)):
+            raise InvalidParameterError(
+                "densities must be finite and >= 0 with positive mass")
         bp.setflags(write=False)
         de.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
@@ -451,8 +454,8 @@ class ScaledMeasure(Measure):
     inner: Measure
 
     def __post_init__(self):
-        if self.scale <= 0.0:
-            raise InvalidParameterError("scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise InvalidParameterError("scale must be positive and finite")
 
     def _log_moments(self, s: np.ndarray) -> np.ndarray:
         return math.log(self.scale) + self.inner._log_moments(s)

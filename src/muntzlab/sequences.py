@@ -71,11 +71,6 @@ class LacunarityReport:
             raise InvalidParameterError("gamma must exceed 1")
         return not self.degenerate and self.min_ratio >= gamma
 
-    def last_index_with_ratio_at_least(self, gamma: float) -> int:
-        """Largest n with lambda_{n+1}/lambda_n >= gamma, 0 if none."""
-        hits = np.nonzero(self.ratios >= gamma)[0]
-        return int(hits[-1] + 1) if hits.size else 0
-
 
 @dataclass(frozen=True)
 class BlockStructure:
@@ -86,10 +81,18 @@ class BlockStructure:
     block_bound: int                 # N = sup of block lengths on the truncation
     n_seq: int
 
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        bounds = list(self.starts) + [self.n_seq + 1]
-        return tuple(bounds[i + 1] - bounds[i] for i in range(len(self.starts)))
+
+def whole_number(value) -> int:
+    """``value`` as an int, or a ValueError when it is not a whole number (a
+    fraction, a non-finite float, a string): never truncated, so a config
+    runs as written."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{value!r} is not a whole number")
+    return whole
 
 
 def make_geometric(lambda1: float, ratio: float, count: int) -> LambdaSequence:
@@ -182,9 +185,10 @@ def sequence_from_config(spec: dict) -> LambdaSequence:
     kind = spec["kind"]
     try:
         if kind == "geometric":
-            return make_geometric(spec["lambda1"], spec["ratio"], int(spec["count"]))
+            return make_geometric(spec["lambda1"], spec["ratio"],
+                                  whole_number(spec["count"]))
         if kind == "power":
-            return make_power(spec["exponent"], int(spec["count"]))
+            return make_power(spec["exponent"], whole_number(spec["count"]))
         if kind == "explicit":
             return make_explicit(spec["values"])
     except InvalidParameterError:

@@ -14,9 +14,13 @@ Certificates are named upper bounds from the majorant function psi, from a
 rho-majorization of the tail modulus, from compact support, and from
 entrywise Gramian domination for sublinear measures.  The rho majorant is a
 measure nu with nu(J_eps) = rho(eps), so the psi and rho certificates share
-one integral of psi^2 against a measure.  A certificate is
-COMPARABLE (usable as a bound at this truncation) only when all of its
-recorded assumptions verified; soundness flags mark psi-truncation caveats.
+one integral of psi^2 against a measure, and the Hilbert-Schmidt certificate
+integrates Psi^2 the same way.  Both majorants come from one log-domain
+evaluation, :meth:`PsiEvaluator.log_majorant`: the atoms of a measure are
+one log-sum over its values, and a density integrates their exp.  A
+certificate is COMPARABLE (usable as a bound at this truncation) only when
+all of its recorded assumptions verified; soundness flags mark
+psi-truncation caveats.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (IllConditionedBasisError, InvalidParameterError,
 from .geometry import PSI_K_MAX, PsiEvaluator, lebesgue_gram
 from .logdomain import log_sum
 from .measures import Measure, modulus_report, rho_hypothesis_violation
-from .sequences import LambdaSequence, classify
+from .sequences import LambdaSequence, classify, whole_number
 
 EIG_CLAMP_FLOOR = -1e-10
 PSI_TRUNCATION_FLAG = "psi-truncated-lower-estimate"
@@ -245,8 +249,10 @@ def _schatten_table(svals: np.ndarray, q_set) -> dict:
     top = float(svals.max(initial=0.0))
     table = {}
     for q in q_set:
-        if q <= 0.0:
-            raise InvalidParameterError("Schatten exponents must be positive")
+        if not q > 0.0:
+            raise InvalidParameterError(
+                f"Schatten exponent {q!r} must be positive (inf for the "
+                "operator norm)")
         log_value = (math.log(top) + math.log(np.sum((svals / top) ** q)) / q
                      if top > 0.0 else -math.inf)
         with np.errstate(over="ignore"):
@@ -292,10 +298,9 @@ def essential_norm_trend(seq: LambdaSequence, mu: Measure, n: int,
     never an extrapolated value.  The restricted problems share one whitener.
     """
     try:
-        whole = [int(m) for m in m_list]
-        valid = (whole == list(m_list) and all(m >= 2 for m in whole)
-                 and sorted(whole) == whole)
-    except (TypeError, ValueError, OverflowError):
+        whole = [whole_number(m) for m in m_list]
+        valid = all(m >= 2 for m in whole) and sorted(whole) == whole
+    except (TypeError, ValueError):
         valid = False
     if not valid:
         raise InvalidParameterError(
@@ -317,63 +322,39 @@ def essential_norm_trend(seq: LambdaSequence, mu: Measure, n: int,
 UNSOUND_CONTRIBUTION_RTOL = 1e-9
 
 
-def _squared_majorant_logs(psi: PsiEvaluator, log_x: float,
-                           transform) -> tuple[float, bool]:
-    """(log of psi(x)^2 resp. Psi(x)^2, tail_sound) at a single log x."""
-    if transform == "big":
-        quarter = 0.25 * log_x
-        l1, _, s1 = psi.log_eval(quarter, 1)
-        l0, _, s0 = psi.log_eval(quarter, 0)
-        return 2.0 * (l1 + l0), s1 and s0
-    la, _, snd = psi.log_eval(log_x, 0)
-    return 2.0 * la, snd
-
-
 def _psi_squared_integral(mu: Measure, psi: PsiEvaluator,
-                          transform=None) -> tuple[float, bool]:
-    """integral of psi(x)^2 dmu (or Psi^2 with transform='big') plus an
-    aggregate tail-soundness verdict.
+                          big: bool = False) -> tuple[float, bool]:
+    """integral of psi(x)^2 dmu (or Psi^2 when ``big``) plus an aggregate
+    tail-soundness verdict.
 
-    Atomic parts are exact log-domain sums.  Density parts integrate in
+    Both read the majorant from :meth:`PsiEvaluator.log_majorant`.  Atomic
+    parts are one log-domain sum over the atoms.  Density parts integrate in
     t = 1 - x with dyadic refinement toward 1.  The result is flagged
     unsound when the region where the truncated majorant has a
     non-negligible last term, t < t*, contributes more than a 1e-9 fraction
     of the integral (the truncated value is exact either way; the flag marks
-    that it may under-estimate the infinite-sequence certificate).  On a
-    piece reaching t = 0 that contribution is read from the cells of the
-    piece's integral; a piece starting above 0 integrates it separately.
+    that it may under-estimate the infinite-sequence certificate).  Among
+    the atoms that region is the tail-unsound ones.  On a piece reaching
+    t = 0 its contribution is read from the cells of the piece's integral; a
+    piece starting above 0 integrates it separately.
     """
     flat = mu.flattened()
     total = 0.0
     unsound_part = 0.0
 
     if flat.has_atoms:
-        log_terms = []
-        unsound_logs = []
-        for log_a, log_c in zip(flat.log_positions, flat.log_weights):
-            log_sq, snd = _squared_majorant_logs(psi, log_a, transform)
-            log_terms.append(log_c + log_sq)
-            if not snd:
-                unsound_logs.append(log_c + log_sq)
+        log_values, sound = psi.log_majorant(flat.log_positions, big)
+        log_terms = flat.log_weights + 2.0 * log_values
         total += math.exp(log_sum(log_terms))
-        if unsound_logs:
-            unsound_part += math.exp(log_sum(unsound_logs))
+        if not np.all(sound):
+            unsound_part += math.exp(log_sum(log_terms[~sound]))
 
     if flat.has_density:
-        t_star = psi.big_unsound_width if transform == "big" else psi.unsound_width
-
-        def values(t):
-            t = np.asarray(t, dtype=float)
-            log_x = np.log1p(-t)
-            if transform == "big":
-                (d1, d0), _ = psi.eval_many(0.25 * log_x, (1, 0))
-                return (d1 * d0) ** 2
-            vals, _ = psi.eval_many(log_x, 0)
-            return vals ** 2
-
+        t_star = psi.big_unsound_width if big else psi.unsound_width
         for t_lo, t_hi, h in flat.pieces:
             def integrand(t, h=h):
-                return values(t) * h(np.asarray(t, dtype=float))
+                t = np.asarray(t, dtype=float)
+                return np.exp(2.0 * psi.log_majorant(np.log1p(-t), big)[0]) * h(t)
             cut = min(t_star, t_hi)
             if t_lo == 0.0:
                 v, _, u = quadrature.integrate_refined_at_zero(integrand, t_hi,
@@ -497,7 +478,7 @@ def hilbert_schmidt_certificate(seq: LambdaSequence, mu: Measure,
     b_0 = 0, b_1 = 1/2, b_{j+1} = sqrt(b_j).
     """
     psi = PsiEvaluator.from_sequence(seq) if psi is None else psi
-    integral, sound = _psi_squared_integral(mu, psi, transform="big")
+    integral, sound = _psi_squared_integral(mu, psi, big=True)
     # edges up to the first within 1e-12 of 1, at most 64 partitions
     edges = [0.0, 0.5]
     while len(edges) <= 64 and 1.0 - edges[-1] > 1e-12:

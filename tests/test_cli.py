@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import re
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from muntzlab import EmbeddingProblem, analyze, build_example2
 from muntzlab.cli import main
@@ -116,6 +122,7 @@ class TestAnalyze:
         assert "Cholesky" in err[0] and "reduce N" in err[0]
 
 
+NAN, INF = float("nan"), float("inf")
 MALFORMED = {
     "rho-null": {"certificates": ["rho"], "rho": None},
     "rho-list": {"certificates": ["rho"], "rho": [1, 2]},
@@ -142,6 +149,28 @@ MALFORMED = {
     "log-atoms-triple": {"measure": {"kind": "atomic",
                                      "log_atoms": [[-0.1, 0.0, 1.0]]}},
     "log-atoms-empty": {"measure": {"kind": "atomic", "log_atoms": []}},
+    "sequence-count-fraction": {"sequence": {"kind": "geometric", "lambda1": 2,
+                                             "ratio": 2, "count": 8.7}},
+    "sequence-count-digit-string": {"sequence": {"kind": "power", "exponent": 2,
+                                                 "count": "3"}},
+    "piecewise-density-nan": {"measure": {"kind": "piecewise",
+                                          "breakpoints": [0, 0.5, 1],
+                                          "densities": [1, NAN]}},
+    "q-set-nan": {"q_set": [0.5, 1, NAN]},
+    "powertail-C-nan": {"measure": {"kind": "powertail", "C": NAN, "alpha": 2}},
+    "powertail-C-infinite": {"measure": {"kind": "powertail", "C": INF,
+                                         "alpha": 2}},
+    "powertail-alpha-nan": {"measure": {"kind": "powertail", "C": 1,
+                                        "alpha": NAN}},
+    "powertail-alpha-infinite": {"measure": {"kind": "powertail", "C": 1,
+                                             "alpha": INF}},
+    "scaled-c-nan": {"measure": {"kind": "scaled", "c": NAN,
+                                 "inner": {"kind": "lebesgue"}}},
+    "scaled-c-infinite": {"measure": {"kind": "scaled", "c": INF,
+                                      "inner": {"kind": "lebesgue"}}},
+    "rho-C-nan": {"certificates": ["rho"], "rho": {"C": NAN, "alpha": 1}},
+    "rho-alpha-nan": {"certificates": ["rho"], "rho": {"C": 1, "alpha": NAN}},
+    "rho-C-infinite": {"certificates": ["rho"], "rho": {"C": INF, "alpha": 1}},
 }
 
 
@@ -259,6 +288,65 @@ class TestMalformedConfig:
         cert, = json.loads((tmp_path / "report.json").read_text())["certificates"]
         assert cert["params"]["rho"] == {"kind": "powertail", "C": 2.0,
                                          "alpha": 0.5, "x0": 0.0}
+
+
+def _readme_config() -> dict:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"Example `config.json`:\s*```json\n(.*?)```", readme, re.S)
+    return json.loads(block.group(1))
+
+
+def _numeric_paths(node, path=()):
+    """Paths to the numeric leaves of a config."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        is_number = isinstance(node, (int, float)) and not isinstance(node, bool)
+        return [path] if is_number else []
+    return [leaf for key, child in children
+            for leaf in _numeric_paths(child, path + (key,))]
+
+
+README_CONFIG = _readme_config()
+NUMERIC_PATHS = _numeric_paths(README_CONFIG)
+# fields read as whole numbers: a fraction there is refused
+WHOLE_FIELDS = {("sequence", "count"), ("N",)} | {
+    ("m_list", i) for i in range(len(README_CONFIG["m_list"]))}
+
+
+class TestNoTracebackFromReadmeConfig:
+    """One numeric field of the README example replaced by a non-finite
+    number, a fraction or a string: the CLI answers with an exit code and at
+    most an ``error:`` line, never a traceback."""
+
+    @given(path=st.sampled_from(NUMERIC_PATHS),
+           value=st.one_of(st.sampled_from([NAN, INF, -INF]),
+                           st.floats(0.1, 10.0).filter(lambda v: v != int(v)),
+                           st.text(max_size=4)))
+    @settings(max_examples=40, deadline=None)
+    def test_exit_code_and_no_traceback(self, path, value):
+        config = json.loads(json.dumps(README_CONFIG))
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as out:
+            cfg = Path(out) / "config.json"
+            cfg.write_text(json.dumps(config))
+            with contextlib.redirect_stderr(stderr), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["analyze", "--config", str(cfg), "--out", out])
+        err = stderr.getvalue().strip().splitlines()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        fraction = isinstance(value, float) and math.isfinite(value)
+        if (isinstance(value, float) and math.isnan(value)) or (
+                fraction and path in WHOLE_FIELDS):
+            assert code == 1
+            assert len(err) == 1 and err[0].startswith("error:")
 
 
 class TestConstruct:

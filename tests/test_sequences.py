@@ -55,8 +55,6 @@ class TestClassify:
         assert rep.min_ratio == pytest.approx((10 / 9) ** 2, rel=1e-12)
         assert rep.max_ratio == pytest.approx(4.0)
         assert not rep.is_lacunary(2.3)
-        # ratio >= 9/4 only at n = 1
-        assert rep.last_index_with_ratio_at_least(2.26) == 1
 
     def test_degenerate_single(self):
         rep = classify(make_explicit([1.0]))
@@ -83,7 +81,6 @@ class TestBlocks:
         block = find_blocks(make_explicit([1, 1.1, 1.2, 2.4, 2.5, 5.0]), 2.0)
         assert block.starts == (1, 4, 6)
         assert block.block_bound == 3
-        assert block.lengths == (3, 2, 1)
 
     def test_power_sequence_not_witnessed(self):
         with pytest.raises(QuasilacunarityNotWitnessedError):

@@ -21,7 +21,7 @@ from muntzlab.measures import (PiecewiseDensityMeasure, default_epsilon_grid,
                                measure_from_config)
 from muntzlab.spectral import (PSI_TRUNCATION_FLAG, TAIL_UNSOUND_FLAG,
                                UNSOUND_CONTRIBUTION_RTOL, AssumptionCheck,
-                               _psi_squared_integral, _squared_majorant_logs)
+                               _psi_squared_integral)
 
 
 class TestMeasureGram:
@@ -370,13 +370,29 @@ class TestCertificates:
         assert (s2[2] - s2[1]) / s2[2] < 1e-3
 
 
-def _scan_tail_width(psi, transform):
+def _squared_majorant_logs(psi, log_x, big):
+    """(log of psi(x)^2 resp. Psi(x)^2, tail_sound) at a single log x, one
+    one-point evaluation per order: the scalar reference of
+    PsiEvaluator.log_majorant."""
+    def one(log_x, k):
+        log_abs, _, sound = psi.eval_many([log_x], k)
+        return float(log_abs[0]), bool(sound[0])
+    if big:
+        quarter = 0.25 * log_x
+        l1, s1 = one(quarter, 1)
+        l0, s0 = one(quarter, 0)
+        return 2.0 * (l1 + l0), s1 and s0
+    la, snd = one(log_x, 0)
+    return 2.0 * la, snd
+
+
+def _scan_tail_width(psi, big):
     """The dyadic scan the bisection replaced: the first unsound probe
     t = 2^-j from j = 0 on (t = 1 taken as 1 - 1e-16)."""
     t = 1.0
     for _ in range(1080):
         probe = min(t, 1.0 - 1e-16)
-        if not _squared_majorant_logs(psi, math.log1p(-probe), transform)[1]:
+        if not _squared_majorant_logs(psi, math.log1p(-probe), big)[1]:
             return min(2.0 * t, 1.0)
         t *= 0.5
         if t == 0.0:
@@ -402,14 +418,14 @@ EXACT_MOMENTS = {
 
 
 class TestPsiTail:
-    @pytest.mark.parametrize("transform", [None, "big"])
-    def test_bisection_matches_scan(self, transform, monkeypatch):
+    @pytest.mark.parametrize("big", [False, True])
+    def test_bisection_matches_scan(self, big, monkeypatch):
         calls = []
-        log_eval = PsiEvaluator.log_eval
+        eval_many = PsiEvaluator.eval_many
 
         def counted(self, log_x, k=0):
             calls.append(log_x)
-            return log_eval(self, log_x, k)
+            return eval_many(self, log_x, k)
 
         rng = np.random.default_rng(6)
         widths = set()
@@ -418,29 +434,29 @@ class TestPsiTail:
                                  float(rng.uniform(1.5, 3.0)),
                                  int(rng.integers(1, 33)))
             psi = PsiEvaluator.from_sequence(seq)
-            expected = _scan_tail_width(psi, transform)
-            monkeypatch.setattr(PsiEvaluator, "log_eval", counted)
+            expected = _scan_tail_width(psi, big)
+            monkeypatch.setattr(PsiEvaluator, "eval_many", counted)
             calls.clear()
-            width = (psi.big_unsound_width if transform == "big"
-                     else psi.unsound_width)
+            width = psi.big_unsound_width if big else psi.unsound_width
             assert width == expected
-            monkeypatch.setattr(PsiEvaluator, "log_eval", log_eval)
+            monkeypatch.setattr(PsiEvaluator, "eval_many", eval_many)
             # bisection over the 1075 probes; two evaluations per big probe
-            assert len(calls) <= 11 * (2 if transform == "big" else 1)
+            assert len(calls) <= 11 * (2 if big else 1)
             widths.add(expected)
         assert len(widths) >= 4
 
 
 
-def _old_psi_squared_integral(mu, psi, transform=None):
+def _old_psi_squared_integral(mu, psi, big=False):
     """The integral before the unsound part was read from the total's cells:
-    one eval_many call per order, and (0, t*] integrated a second time."""
+    one scalar evaluation per atom, one eval_many call per order, and
+    (0, t*] integrated a second time."""
     flat = mu.flattened()
     total = unsound_part = 0.0
     if flat.has_atoms:
         log_terms, unsound_logs = [], []
         for log_a, log_c in zip(flat.log_positions, flat.log_weights):
-            log_sq, snd = _squared_majorant_logs(psi, log_a, transform)
+            log_sq, snd = _squared_majorant_logs(psi, log_a, big)
             log_terms.append(log_c + log_sq)
             if not snd:
                 unsound_logs.append(log_c + log_sq)
@@ -448,15 +464,15 @@ def _old_psi_squared_integral(mu, psi, transform=None):
         if unsound_logs:
             unsound_part += math.exp(log_sum(unsound_logs))
     if flat.has_density:
-        t_star = psi.big_unsound_width if transform == "big" else psi.unsound_width
+        t_star = psi.big_unsound_width if big else psi.unsound_width
 
         def values(t):
             log_x = np.log1p(-np.asarray(t, dtype=float))
-            if transform == "big":
-                d1, _ = psi.eval_many(0.25 * log_x, 1)
-                d0, _ = psi.eval_many(0.25 * log_x, 0)
-                return (d1 * d0) ** 2
-            return psi.eval_many(log_x, 0)[0] ** 2
+            if big:
+                log_d1 = psi.eval_many(0.25 * log_x, 1)[0]
+                log_d0 = psi.eval_many(0.25 * log_x, 0)[0]
+                return np.exp(2.0 * (log_d1 + log_d0))
+            return np.exp(2.0 * psi.eval_many(log_x, 0)[0])
 
         for t_lo, t_hi, h in flat.pieces:
             def integrand(t, h=h):
@@ -502,9 +518,9 @@ class TestUnsoundPartFromTotal:
             psi = PsiEvaluator.from_sequence(seq)
             for make_mu in SPLIT_MEASURES.values():
                 mu = make_mu()
-                for transform in (None, "big"):
-                    value, sound = _psi_squared_integral(mu, psi, transform)
-                    ref, ref_sound = _old_psi_squared_integral(mu, psi, transform)
+                for big in (False, True):
+                    value, sound = _psi_squared_integral(mu, psi, big)
+                    ref, ref_sound = _old_psi_squared_integral(mu, psi, big)
                     assert (value, sound) == (ref, ref_sound)
                     verdicts.append(sound)
         assert len(verdicts) >= 20 and any(verdicts) and not all(verdicts)
@@ -514,10 +530,30 @@ class TestUnsoundPartFromTotal:
         for seq in SPLIT_SEQUENCES[::2]:
             psi = PsiEvaluator.from_sequence(seq)
             mu = SPLIT_MEASURES[name]()
-            for cert, transform in ((psi_certificate(seq, mu, psi), None),
-                                    (hilbert_schmidt_certificate(seq, mu, psi), "big")):
-                _, ref_sound = _old_psi_squared_integral(mu, psi, transform)
+            for cert, big in ((psi_certificate(seq, mu, psi), False),
+                              (hilbert_schmidt_certificate(seq, mu, psi), True)):
+                _, ref_sound = _old_psi_squared_integral(mu, psi, big)
                 assert ("psi-tail-unsound" not in cert.flags) == ref_sound
+
+
+class TestAtomsInOneCall:
+    def test_certificates_match_scalar_reference(self):
+        # the atomic-many regime: atoms at 1 - 10^-u for u <= 7, all of
+        # them in one log_majorant call against one scalar call per atom
+        rng = np.random.default_rng(16)
+        u = np.linspace(0.5, 7.0, 14)
+        mu = atomic(list(zip(1.0 - 10.0 ** -u, rng.uniform(0.1, 2.0, u.size))))
+        verdicts = []
+        for seq in SPLIT_SEQUENCES:
+            psi = PsiEvaluator.from_sequence(seq)
+            for cert, big in ((psi_certificate(seq, mu, psi), False),
+                              (hilbert_schmidt_certificate(seq, mu, psi), True)):
+                ref, ref_sound = _old_psi_squared_integral(mu, psi, big)
+                assert cert.value == pytest.approx(ref if big else math.sqrt(ref),
+                                                   rel=1e-13)
+                assert (TAIL_UNSOUND_FLAG not in cert.flags) == ref_sound
+                verdicts.append(ref_sound)
+        assert any(verdicts) and not all(verdicts)
 
 
 def _old_rho_certificate(seq, mu, coefficient, alpha):
@@ -543,10 +579,10 @@ def _old_rho_certificate(seq, mu, coefficient, alpha):
 
     def integrand(t):
         t = np.asarray(t, dtype=float)
-        vals, snd = psi.eval_many(np.log1p(-t), 0)
+        log_abs, _, snd = psi.eval_many(np.log1p(-t), 0)
         if not np.all(snd):
             sound_box[0] = False
-        return vals ** 2 * (coefficient * alpha * np.asarray(t) ** (alpha - 1.0))
+        return np.exp(2.0 * log_abs) * (coefficient * alpha * np.asarray(t) ** (alpha - 1.0))
 
     integral, _, _ = quadrature.integrate_refined_at_zero(integrand, 1.0)
     value = math.sqrt(integral) if math.isfinite(integral) else math.inf
