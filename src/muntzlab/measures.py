@@ -304,7 +304,8 @@ class PowerTailMeasure(Measure):
             raise InvalidParameterError(
                 "power tail coefficient must be positive and finite")
         if not 0.0 < self.alpha < math.inf:
-            raise InvalidParameterError("power tail alpha must be positive and finite")
+            raise InvalidParameterError(
+                "power tail alpha must be positive and finite")
         if not 0.0 <= self.x0 < 1.0:
             raise InvalidParameterError("x0 must lie in [0, 1)")
 

@@ -333,10 +333,10 @@ def _psi_squared_integral(mu: Measure, psi: PsiEvaluator,
     unsound when the region where the truncated majorant has a
     non-negligible last term, t < t*, contributes more than a 1e-9 fraction
     of the integral (the truncated value is exact either way; the flag marks
-    that it may under-estimate the infinite-sequence certificate).  Among
-    the atoms that region is the tail-unsound ones.  On a piece reaching
-    t = 0 its contribution is read from the cells of the piece's integral; a
-    piece starting above 0 integrates it separately.
+    that it may under-estimate the infinite-sequence certificate).  For the
+    atoms that contribution is the sum over the tail-unsound ones.  On a
+    piece reaching t = 0 it is read from the cells of the piece's integral;
+    a piece starting above 0 integrates it separately.
     """
     flat = mu.flattened()
     total = 0.0
