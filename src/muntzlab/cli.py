@@ -63,6 +63,19 @@ def _field(config: dict, name: str, convert, default):
             f"config field {name!r} is malformed: {exc}") from exc
 
 
+def _array(convert, allow_null: bool = False):
+    """A converter for a JSON array field: ``convert`` applied to each item;
+    any other value (a string, a number, an object) is refused, and so is
+    null unless ``allow_null``, which reads it as an empty array."""
+    def read(value):
+        if value is None and allow_null:
+            return []
+        if not isinstance(value, list):
+            raise TypeError(f"expected a JSON array, got {json.dumps(value)}")
+        return [convert(item) for item in value]
+    return read
+
+
 def _rho_majorant(params: dict):
     """The measure nu with nu(J_eps) = C*eps**alpha for a ``rho`` block."""
     from .measures import PowerTailMeasure
@@ -92,10 +105,9 @@ def cmd_analyze(args) -> int:
     n = args.n if args.n is not None else _field(config, "N", whole_number,
                                                  len(seq))
     problem = spectral.EmbeddingProblem(seq, mu, n)
-    q_set = _field(config, "q_set", lambda qs: tuple(float(q) for q in qs),
-                   (0.5, 1.0, 2.0))
-    m_list = _field(config, "m_list",
-                    lambda ms: [whole_number(m) for m in ms or ()], None)
+    q_set = tuple(_field(config, "q_set", _array(float), [0.5, 1.0, 2.0]))
+    m_list = _field(config, "m_list", _array(whole_number, allow_null=True),
+                    None)
 
     started = time.perf_counter()
     report = spectral.analyze(problem, q_set=q_set)
@@ -104,7 +116,8 @@ def cmd_analyze(args) -> int:
     psi = PsiEvaluator.from_sequence(sub)
     certificates = []
     hypothesis_violated = False
-    wanted = _field(config, "certificates", list, ["psi", "sublinear"])
+    wanted = _field(config, "certificates", _array(lambda kind: kind),
+                    ["psi", "sublinear"])
     for kind in wanted:
         try:
             if kind == "psi":

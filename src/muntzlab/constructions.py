@@ -3,9 +3,12 @@
 Both build an atomic measure mu = sum c_n delta_{a_n} together with a
 rapidly growing exponent sequence.  Step n takes lambda_n on the doubling
 ladder base * 2^k, k = 0, 1, ..., which the double range bounds to about
-1000 rungs: the whole ladder is evaluated at once and the first rung where
-every condition holds is taken, so the searches are deterministic, and a
-ladder with no such rung raises ConstructionError.  All atom data lives in
+1000 rungs: the first rung where every condition holds is taken, so the
+searches are deterministic, and a ladder with no such rung raises
+ConstructionError.  The ladder is evaluated in two blocks, its first 64
+rungs and then the rest, and the search stops at the first block holding a
+passing rung; every rung's values are computed row by row, so they do not
+depend on the block.  All atom data lives in
 the log domain (by step 8 the first construction reaches lambda ~ 1e18 and
 the second ~ 1e50, so positions are within 1e-18 of 1).
 
@@ -57,6 +60,7 @@ EXAMPLE1_N_CAP = 12
 EXAMPLE2_N_CAP = 10
 _LN2 = math.log(2.0)
 _VERIFY_TOL = 1e-12      # relative slack of every re-verified inequality
+_FIRST_BLOCK = 64        # ladder rungs of the search's first step evaluation
 
 # A-priori constant C0 in ||g_n||^2 <= C0 ln n / n^2 (n >= 2) for Example 1,
 # where ||g_n||^2 = sum_k c_k lam_n a_k^{2 lam_n} and the atoms are
@@ -82,22 +86,30 @@ EXAMPLE1_C0 = 4.0 + 1.0 / math.log(2.0)
 # ``step(lam)`` is an example's condition evaluator at step n over an array
 # of candidates lam: it returns the ledger values (keyed by row field) and
 # the condition slacks (keyed by condition), each an array over lam; a
-# condition holds where its slack is >= 0.
+# condition holds where its slack is >= 0.  Each candidate's values come from
+# its own row alone (log_sum along the atom axis, minima per candidate), so
+# they are the same whatever other candidates share the call.
 
 def _search(n: int, base: float, step) -> tuple[float, dict]:
     """lambda_n = base * 2**k for the least k at which every slack of
-    ``step`` is >= 0, with the ledger values there.  The whole ladder, up to
-    the rung where 2 * base * 2**k would overflow (about 1000 rungs), is
-    evaluated at once."""
+    ``step`` is >= 0, with the ledger values there.  The ladder runs up to
+    the rung where 2 * base * 2**k would overflow (about 1000 rungs); its
+    first ``_FIRST_BLOCK`` rungs are evaluated in one call and, when none of
+    them holds, the rest in a second.  ``step`` computes each rung from that
+    rung alone, so the block split leaves every value unchanged."""
     ladder = np.ldexp(base, np.arange(1024 - math.frexp(base)[1]))
-    ledger, slacks = step(ladder)
-    holds = np.all([s >= 0.0 for s in slacks.values()], axis=0)
-    if not holds.any():
-        raise ConstructionError(
-            f"no lambda_{n} = {base:g} * 2^k in the double range meets every "
-            f"step-{n} condition")
-    k = int(np.argmax(holds))
-    return float(ladder[k]), {name: float(v[k]) for name, v in ledger.items()}
+    for block in (ladder[:_FIRST_BLOCK], ladder[_FIRST_BLOCK:]):
+        if not block.size:
+            continue
+        ledger, slacks = step(block)
+        holds = np.all([s >= 0.0 for s in slacks.values()], axis=0)
+        if holds.any():
+            k = int(np.argmax(holds))
+            return float(block[k]), {name: float(v[k])
+                                     for name, v in ledger.items()}
+    raise ConstructionError(
+        f"no lambda_{n} = {base:g} * 2^k in the double range meets every "
+        f"step-{n} condition")
 
 
 def _check_row(row, n: int, lam: float, step, tol: float) -> None:

@@ -48,6 +48,20 @@ PSI_TAIL_RTOL = 1e-12
 PSI_K_MAX = 4
 EXP_FLOOR = -746.0     # exp(x) is exactly 0 in double below this
 _BOUND_TOL = 1e-9      # relative slack of pointwise_bound_check
+_BISECTION_LEVELS = 5  # levels of the t* bisection tree per evaluation
+
+
+def _bisection_probes(lo: int, hi: int, levels: int) -> list[int]:
+    """The midpoints (lo + hi) // 2 that a bisection of the open bracket
+    (lo, hi) can visit in its next ``levels`` steps, level by level."""
+    probes, brackets = [], [(lo, hi)]
+    for _ in range(levels):
+        inner = [(a, b) for a, b in brackets if b - a > 1]
+        mids = [(a + b) // 2 for a, b in inner]
+        probes += mids
+        brackets = [half for (a, b), m in zip(inner, mids)
+                    for half in ((a, m), (m, b))]
+    return probes
 
 
 def lebesgue_gram(seq: LambdaSequence) -> np.ndarray:
@@ -182,15 +196,22 @@ class PsiEvaluator:
         is monotone in x, so the unsound probes are a final run of j, whose
         first j gives t* = min(2^(1-j), 1); 0 means sound at every probe.  A
         probe whose x rounds to 1 (for Psi from t = 2^-1073 on) is unsound.
+        Each :meth:`log_majorant` call evaluates the next ``_BISECTION_LEVELS``
+        levels of the bisection tree at once, so the 11 levels take 3 calls.
         """
         sound, first_unsound = -1, 1075          # bracket of virtual probes
         while first_unsound - sound > 1:
-            j = (sound + first_unsound) // 2
-            log_x = math.log1p(-min(2.0 ** -j, 1.0 - 1e-16))
-            if self.log_majorant(log_x, big)[1][0]:
-                sound = j
-            else:
-                first_unsound = j
+            probes = _bisection_probes(sound, first_unsound, _BISECTION_LEVELS)
+            log_x = [math.log1p(-min(2.0 ** -j, 1.0 - 1e-16)) for j in probes]
+            flags = dict(zip(probes, self.log_majorant(log_x, big)[1].tolist()))
+            for _ in range(_BISECTION_LEVELS):
+                if first_unsound - sound <= 1:
+                    break
+                j = (sound + first_unsound) // 2
+                if flags[j]:
+                    sound = j
+                else:
+                    first_unsound = j
         return 0.0 if first_unsound == 1075 else min(2.0 ** (1 - first_unsound), 1.0)
 
     def _check_order(self, k: int) -> None:
@@ -246,13 +267,17 @@ class PsiEvaluator:
             log_abs, sign, sound = self.eval_many(math.log(x), k)
             return PsiValue(value=float(sign[0]) * math.exp(log_abs[0]),
                             tail_sound=bool(sound[0]))
-        # x = 0: inf for a negative exponent, else the constant term, if any
+        # x = 0: a live term (nonzero sign) with a negative exponent sends
+        # the value to +-inf, by the sign of the term of least exponent; else
+        # the constant term, if any
         self._check_order(k)
-        exponents = self._exponents[k]
-        if np.any(exponents < 0.0):
-            return PsiValue(value=math.inf, tail_sound=True)
+        exponents, signs = self._exponents[k], self._signs[k]
+        live = signs != 0.0
+        if np.any(exponents[live] < 0.0):
+            lead = np.argmin(np.where(live, exponents, math.inf))
+            return PsiValue(value=float(signs[lead]) * math.inf, tail_sound=True)
         const = exponents == 0.0
-        return PsiValue(value=float(np.sum(self._signs[k][const]
+        return PsiValue(value=float(np.sum(signs[const]
                                            * np.exp(self._log_weights[k][const]))),
                         tail_sound=True)
 

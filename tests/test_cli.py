@@ -140,6 +140,14 @@ MALFORMED = {
     "m-list-fraction": {"m_list": [2.9, 8.5]},
     "q-set-string": {"q_set": ["a"]},
     "certificates-number": {"certificates": 5},
+    "q-set-digit-string": {"q_set": "12"},
+    "q-set-number": {"q_set": 2},
+    "q-set-object": {"q_set": {"1": 2}},
+    "m-list-digit-string": {"m_list": "48"},
+    "m-list-number": {"m_list": 4},
+    "m-list-object": {"m_list": {"2": 4}},
+    "certificates-string": {"certificates": "psi"},
+    "certificates-object": {"certificates": {"psi": 1}},
     "sequence-count-string": {"sequence": {"kind": "geometric", "lambda1": 2,
                                            "ratio": 2, "count": "x"}},
     "measure-C-string": {"measure": {"kind": "powertail", "C": "x",
@@ -256,6 +264,26 @@ class TestMalformedConfig:
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("name", ["q_set", "m_list", "certificates"])
+    def test_non_array_field_named_in_the_error(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, dict(RANK_ONE, **{name: "12"}))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: config field {name!r} is malformed: "
+                       'expected a JSON array, got "12"']
+        assert not (tmp_path / "report.json").exists()
+
+    def test_array_fields_read_as_before(self, tmp_path):
+        # arrays run and are echoed; a null m_list (as the report echoes an
+        # absent one) reads as no trend
+        cfg = write_config(tmp_path, dict(RANK_ONE, q_set=[1, 2],
+                                          certificates=["psi"], m_list=None))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["q_set"] == [1.0, 2.0]
+        assert report["config"]["certificates"] == ["psi"]
+        assert report["essential_norm_trend"] is None
 
     def test_config_not_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path, [1, 2])

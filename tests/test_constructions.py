@@ -321,14 +321,67 @@ class TestLadder:
 
         with pytest.raises(ConstructionError, match="lambda_2"):
             constructions._search(2, 16.0, never)
-        ladder, = seen
+        assert [len(block) for block in seen][:1] == [constructions._FIRST_BLOCK]
+        ladder = np.concatenate(seen)
         assert ladder[0] == 16.0 and np.all(ladder[1:] == 2.0 * ladder[:-1])
         assert np.finfo(float).max / 4.0 < ladder[-1] <= np.finfo(float).max / 2.0
+
+    def test_short_ladder_is_one_block(self):
+        seen = []
+
+        def never(lam):
+            seen.append(lam)
+            return {}, {"never": np.full(lam.shape, -1.0)}
+
+        with pytest.raises(ConstructionError, match="lambda_4"):
+            constructions._search(4, 2.0 ** 1000, never)
+        block, = seen
+        assert len(block) == 23 and block[-1] == 2.0 ** 1022
 
     def test_first_holding_rung(self):
         lam, ledger = constructions._search(
             3, 2.0, lambda lam: ({"x": -lam}, {"big": lam - 100.0}))
         assert lam == 128.0 and ledger == {"x": -128.0}
+
+    def test_rung_in_second_block_matches_whole_ladder(self):
+        # a row-by-row step whose first passing rung is k = 90: the search
+        # evaluates the first block and then the rest, and takes the rung and
+        # ledger that one evaluation of the whole ladder gives
+        def step(lam):
+            log_lam = np.log(lam)
+            ledger = {"log": log_lam, "scaled": lam / 3.0}
+            slacks = {"big": log_lam - 90.5 * math.log(2.0),
+                      "odd": np.cos(log_lam) + 0.9}
+            return ledger, slacks
+
+        sizes = []
+
+        def counted(cand):
+            sizes.append(cand.size)
+            return step(cand)
+
+        lam, ledger = constructions._search(5, 3.0, counted)
+        whole = np.ldexp(3.0, np.arange(1024 - math.frexp(3.0)[1]))
+        all_ledger, all_slacks = step(whole)
+        k = int(np.argmax(np.all([v >= 0.0 for v in all_slacks.values()],
+                                 axis=0)))
+        assert k >= constructions._FIRST_BLOCK
+        assert sizes == [constructions._FIRST_BLOCK,
+                         whole.size - constructions._FIRST_BLOCK]
+        assert lam == whole[k]
+        assert ledger == {name: float(v[k]) for name, v in all_ledger.items()}
+
+    @pytest.mark.parametrize("example, args", [
+        (1, (12,)), (2, (1.0, 0.5, 10)), (2, (4.0, 0.25, 9, 0.3)),
+        (2, (1.5, 1.2, 10, 0.8)), (2, (2.216131066116851, 0.8541889790767697, 8))])
+    def test_builds_match_whole_ladder(self, example, args, monkeypatch):
+        # the examples' evaluators compute each rung from its own row, so
+        # the blocked search and one whole-ladder evaluation
+        # (_FIRST_BLOCK = 0) build the same rows, bit for bit
+        build = build_example1 if example == 1 else build_example2
+        blocked = build(*args).rows
+        monkeypatch.setattr(constructions, "_FIRST_BLOCK", 0)
+        assert build(*args).rows[1:] == blocked[1:]
 
 
 class TestBlocksOnConstructed:

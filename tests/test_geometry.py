@@ -11,6 +11,7 @@ from muntzlab import (InvalidParameterError, MuntzPolynomial, PsiEvaluator,
                       make_explicit, make_geometric, make_power,
                       pointwise_bound_check, psi_a_eval, random_unit,
                       scaled_distance)
+from muntzlab import geometry
 from muntzlab.geometry import EXP_FLOOR, PSI_K_MAX, PSI_TAIL_RTOL
 from muntzlab.highprec import distance_oracle
 
@@ -156,6 +157,28 @@ class TestPsi:
         with pytest.raises(InvalidParameterError):
             psi.eval(0.5, 5)
 
+    @pytest.mark.parametrize("k, expected", [(0, 0.0), (1, None), (2, 0.0),
+                                             (3, "6/d_2"), (4, 0.0)])
+    def test_at_zero_dead_terms_do_not_count(self, k, expected):
+        # lambda = (1, 3): psi^(k)(0) is the constant term (lambda_n)_k / d_n
+        # where lambda_n = k; a term whose falling factorial is 0 (an integer
+        # lambda_n < k) is no term, whatever its exponent lambda_n - k
+        seq = make_explicit([1.0, 3.0])
+        psi = PsiEvaluator.from_sequence(seq)
+        value = psi.eval(0.0, k)
+        d = distances(seq).d
+        want = {None: 1.0 / d[0], "6/d_2": 6.0 / d[1]}.get(expected, expected)
+        assert value.value == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert value.tail_sound
+
+    @pytest.mark.parametrize("k, expected", [(1, math.inf), (2, -math.inf),
+                                             (3, math.inf)])
+    def test_at_zero_live_negative_exponent_is_infinite(self, k, expected):
+        # lambda = 0.5 < k: the term 0.5 (0.5 - 1).. x^(0.5 - k) blows up at
+        # 0 with the sign of its falling factorial
+        psi = PsiEvaluator.from_sequence(make_explicit([0.5]))
+        assert psi.eval(0.0, k).value == expected
+
     def test_fourth_derivative_against_finite_differences(self):
         psi = PsiEvaluator.from_sequence(make_geometric(2.0, 2.0, 8))
         x, h = 0.6, 1e-3
@@ -251,6 +274,56 @@ class TestPsi:
                 if bound2.tail_sound:
                     assert abs(second_derivative(unit, float(x))) <= \
                         bound2.value + 1e-9
+
+
+def _one_probe_width(psi, big):
+    """t* bisected one probe per log_majorant call, the evaluation order the
+    blocked bisection replaced."""
+    sound, first_unsound = -1, 1075
+    while first_unsound - sound > 1:
+        j = (sound + first_unsound) // 2
+        log_x = math.log1p(-min(2.0 ** -j, 1.0 - 1e-16))
+        if psi.log_majorant(log_x, big)[1][0]:
+            sound = j
+        else:
+            first_unsound = j
+    return 0.0 if first_unsound == 1075 else min(2.0 ** (1 - first_unsound), 1.0)
+
+
+class TestBlockedBisection:
+    @pytest.mark.parametrize("big", [False, True])
+    def test_width_matches_one_probe_bisection(self, big, monkeypatch):
+        log_majorant = PsiEvaluator.log_majorant
+        calls = []
+
+        def counted(self, log_x, big=False):
+            calls.append(np.size(log_x))
+            return log_majorant(self, log_x, big)
+
+        rng = np.random.default_rng(17)
+        widths = set()
+        for size in range(1, 41):
+            seq = make_geometric(float(rng.uniform(0.1, 5.0)),
+                                 float(rng.uniform(1.05, 4.0)), size)
+            psi = PsiEvaluator.from_sequence(seq)
+            expected = _one_probe_width(psi, big)
+            calls.clear()
+            monkeypatch.setattr(PsiEvaluator, "log_majorant", counted)
+            width = psi._unsound_width(big)
+            monkeypatch.setattr(PsiEvaluator, "log_majorant", log_majorant)
+            assert width == expected
+            # 11 bisection levels, 5 per call, at most 31 probes per call
+            assert len(calls) <= 3 and max(calls) <= 31
+            widths.add(expected)
+        assert len(widths) >= 4
+
+    def test_probes_are_the_bisection_subtree(self):
+        probes = geometry._bisection_probes(-1, 1075, 5)
+        assert len(probes) == len(set(probes)) == 31
+        assert probes[:3] == [537, 268, 806]
+        # a narrow bracket has no more probes than interior points
+        assert geometry._bisection_probes(3, 6, 5) == [4, 5]
+        assert geometry._bisection_probes(3, 4, 5) == []
 
 
 # The evaluator before the shared kernel, kept as its oracle: term logs and

@@ -440,8 +440,9 @@ class TestPsiTail:
             width = psi.big_unsound_width if big else psi.unsound_width
             assert width == expected
             monkeypatch.setattr(PsiEvaluator, "eval_many", eval_many)
-            # bisection over the 1075 probes; two evaluations per big probe
-            assert len(calls) <= 11 * (2 if big else 1)
+            # 11 bisection levels over the 1075 probes, 5 levels per call;
+            # two evaluations per big call
+            assert len(calls) <= 3 * (2 if big else 1)
             widths.add(expected)
         assert len(widths) >= 4
 
