@@ -19,9 +19,8 @@ import sys
 import time
 
 from . import __version__
-from .errors import (ConstructionBugError, HypothesisViolationError,
-                     InvalidParameterError, MuntzLabError,
-                     SublinearEstimateError)
+from .errors import (ConstructionBugError, InvalidParameterError,
+                     MuntzLabError, SublinearEstimateError)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -76,16 +75,23 @@ def _array(convert, allow_null: bool = False):
     return read
 
 
-def _rho_majorant(params: dict):
-    """The measure nu with nu(J_eps) = C*eps**alpha for a ``rho`` block."""
-    from .measures import PowerTailMeasure
-    return PowerTailMeasure(params.get("C", 1.0), params.get("alpha", 1.0))
+def _block(name: str, defaults: dict):
+    """A converter for a config block: each field of ``defaults``, in that
+    order, read as a number (a whole one where the default is an int) or
+    given the default when absent; any other field is refused."""
+    from .sequences import config_object, real_number, whole_number
+
+    def read(params):
+        config_object(params, f"config block {name!r}", defaults)
+        return {k: (whole_number if type(v) is int else real_number)(
+            params.get(k, v)) for k, v in defaults.items()}
+    return read
 
 
-def _compact_support_params(params: dict) -> tuple[float, float, int]:
-    from .sequences import whole_number
-    return (float(params.get("b", 0.5)), float(params.get("b_prime", 0.75)),
-            whole_number(params.get("k", 1)))
+_BLOCKS = {"rho": {"C": 1.0, "alpha": 1.0},
+           "compact_support": {"b": 0.5, "b_prime": 0.75, "k": 1}}
+_CONFIG_FIELDS = ("sequence", "measure", "N", "q_set", "certificates",
+                  "m_list", *_BLOCKS, "seed")
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +101,27 @@ def _compact_support_params(params: dict) -> tuple[float, float, int]:
 def cmd_analyze(args) -> int:
     from . import spectral
     from .geometry import PsiEvaluator
-    from .measures import measure_from_config
+    from .measures import PowerTailMeasure, measure_from_config
     from .reporting import write_csv, write_json
-    from .sequences import sequence_from_config, whole_number
+    from .sequences import (config_object, real_number, sequence_from_config,
+                            whole_number)
 
-    config = _load_config(args.config)
+    config = config_object(_load_config(args.config), "config", _CONFIG_FIELDS)
     seq = sequence_from_config(_require(config, "sequence"))
     mu = measure_from_config(_require(config, "measure"))
     n = args.n if args.n is not None else _field(config, "N", whole_number,
                                                  len(seq))
     problem = spectral.EmbeddingProblem(seq, mu, n)
-    q_set = tuple(_field(config, "q_set", _array(float), [0.5, 1.0, 2.0]))
+    q_set = tuple(_field(config, "q_set", _array(real_number), [0.5, 1.0, 2.0]))
     m_list = _field(config, "m_list", _array(whole_number, allow_null=True),
                     None)
+    wanted = _field(config, "certificates", _array(lambda kind: kind),
+                    ["psi", "sublinear"])
+    # a block is read (and echoed, defaults included) when given or used
+    blocks = {name: _field(config, name, _block(name, defaults), {})
+              if config.get(name) is not None or name in wanted else None
+              for name, defaults in _BLOCKS.items()}
+    seed = _field(config, "seed", whole_number, 0)
 
     started = time.perf_counter()
     report = spectral.analyze(problem, q_set=q_set)
@@ -116,27 +130,24 @@ def cmd_analyze(args) -> int:
     psi = PsiEvaluator.from_sequence(sub)
     certificates = []
     hypothesis_violated = False
-    wanted = _field(config, "certificates", _array(lambda kind: kind),
-                    ["psi", "sublinear"])
     for kind in wanted:
         try:
             if kind == "psi":
                 cert = spectral.psi_certificate(sub, mu, psi)
             elif kind == "rho":
+                rho = blocks["rho"]
                 cert = spectral.rho_certificate(
-                    sub, mu, _field(config, "rho", _rho_majorant, {}), psi)
+                    sub, mu, PowerTailMeasure(rho["C"], rho["alpha"]), psi)
             elif kind == "sublinear":
                 cert = spectral.sublinear_embedding_bound(problem)
             elif kind == "compact_support":
-                b, b_prime, k = _field(config, "compact_support",
-                                       _compact_support_params, {})
                 cert = spectral.compact_support_certificate(
-                    sub, mu, b, b_prime, k, psi)
+                    sub, mu, **blocks["compact_support"], psi=psi)
             elif kind == "hilbert_schmidt":
                 cert = spectral.hilbert_schmidt_certificate(sub, mu, psi)
             else:
                 raise InvalidParameterError(f"unknown certificate kind {kind!r}")
-        except (HypothesisViolationError, SublinearEstimateError) as exc:
+        except SublinearEstimateError as exc:
             hypothesis_violated = True
             certificates.append({"kind": kind, "value": "inf",
                                  "hypothesis_violated": True,
@@ -156,10 +167,8 @@ def cmd_analyze(args) -> int:
         "config": {"sequence": seq.to_config(), "measure": mu.to_config(),
                    "N": n, "q_set": list(q_set),
                    "certificates": wanted,
-                   "m_list": config.get("m_list"),
-                   "rho": config.get("rho"),
-                   "compact_support": config.get("compact_support"),
-                   "seed": config.get("seed", 0)},
+                   "m_list": config.get("m_list"), **blocks,
+                   "seed": seed},
         "spectral": report,
         "modulus": problem.modulus,
         "certificates": certificates,

@@ -112,22 +112,47 @@ def _search(n: int, base: float, step) -> tuple[float, dict]:
         f"step-{n} condition")
 
 
-def _check_row(row, n: int, lam: float, step, tol: float) -> None:
-    """Recompute step n at the recorded lambda_n: every slack must be
-    >= -tol and the row must record lambda_n and the recomputed values."""
-    ledger, slacks = step(np.array([lam]))
-    for name, (value,) in slacks.items():
-        if value < -tol:
-            raise ConstructionBugError(
-                f"row {n}: {name} fails, slack {value:.6g} is negative",
-                n=n, residual=-float(value))
-    for name, (value,) in {"lam": [lam], **ledger}.items():
-        recorded, value = getattr(row, name), float(value)
-        if not abs(recorded - value) <= tol * abs(value):
-            raise ConstructionBugError(
-                f"ledger row {n}: recorded {name} {float(recorded)!r} differs "
-                f"from the value {value!r} recomputed from the build", n=n,
-                residual=recorded - value)
+def _check_ledger(build: _Build, tol: float) -> None:
+    """Recompute every step n >= 2 at its recorded lambda_n with the build's
+    own evaluator: every slack must be >= -tol and the row must record
+    lambda_n and the recomputed values."""
+    for i, row in enumerate(build.rows[1:], start=1):
+        n, lam = i + 1, build.sequence.values[i:i + 1]
+        ledger, slacks = build._step_at(i, lam)
+        for name, (value,) in slacks.items():
+            if value < -tol:
+                raise ConstructionBugError(
+                    f"row {n}: {name} fails, slack {value:.6g} is negative",
+                    n=n, residual=-float(value))
+        for name, (value,) in {"lam": lam, **ledger}.items():
+            recorded, value = getattr(row, name), float(value)
+            if not abs(recorded - value) <= tol * abs(value):
+                raise ConstructionBugError(
+                    f"ledger row {n}: recorded {name} {float(recorded)!r} "
+                    f"differs from the value {value!r} recomputed from the "
+                    "build", n=n, residual=recorded - value)
+
+
+@dataclass(frozen=True)
+class _Build:
+    """Ledger rows and what was built; ``_step_at(i, lam)`` evaluates row i."""
+
+    rows: tuple
+    sequence: LambdaSequence
+    measure: AtomicMeasure
+
+    @property
+    def n_max(self) -> int:
+        return len(self.rows)
+
+    def ledger_rows(self) -> list[dict]:
+        return [vars(r).copy() for r in self.rows]
+
+
+def _last_three_spectra(problem: EmbeddingProblem):
+    """(k, singular values) at k = max(2, n - 2)..n, leading blocks at n."""
+    sizes = range(max(2, problem.n - 2), problem.n + 1)
+    return zip(sizes, _truncated_spectra(problem, problem.whitener, sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +172,10 @@ class Example1Row:
 
 
 @dataclass(frozen=True)
-class Example1Build:
-    rows: tuple
-    sequence: LambdaSequence
-    measure: AtomicMeasure
-
-    @property
-    def n_max(self) -> int:
-        return len(self.rows)
-
-    def ledger_rows(self) -> list[dict]:
-        return [vars(r).copy() for r in self.rows]
+class Example1Build(_Build):
+    def _step_at(self, i: int, lam: np.ndarray) -> tuple[dict, dict]:
+        log_a = self.measure.log_positions
+        return _example1_step(i + 1, lam, log_a[i], self.sequence[i - 1], log_a[:i])
 
 
 def _example1_step(n: int, lam: np.ndarray, log_a_n, lam_prev: float,
@@ -257,7 +275,7 @@ def verify_example1(build: Example1Build,
         raise ConstructionBugError(
             f"||g_{i+2}||^2 = {g_sq[i+1]:.6g} exceeds C ln n/n^2 = {bound[i]:.6g}",
             n=i + 2, residual=g_sq[i + 1] - bound[i])
-    _check_example1_ledger(build, _VERIFY_TOL)
+    _check_ledger(build, _VERIFY_TOL)
 
     witnesses = np.array([v for _, v in l1_unboundedness_witness(seq, mu)])
     own = np.exp(log_c + np.log(lams) + lams * log_a)
@@ -269,10 +287,8 @@ def verify_example1(build: Example1Build,
             f"{own[i]:.6g}", n=i + 1, residual=own[i] - witnesses[i])
     increasing = bool(np.all(np.diff(witnesses) > 0.0))
 
-    problem = EmbeddingProblem(seq, mu, n_max)
-    sizes = range(max(2, n_max - 2), n_max + 1)
     op_norms = [(k, float(svals[0])) for k, svals in
-                zip(sizes, _truncated_spectra(problem, problem.whitener, sizes))]
+                _last_three_spectra(EmbeddingProblem(seq, mu, n_max))]
 
     return Example1Report(
         g_norms_sq=g_sq, partial_sums=np.cumsum(g_sq),
@@ -281,18 +297,6 @@ def verify_example1(build: Example1Build,
         witness_ratios=own[1:] / np.log(n),
         witnesses_increasing=increasing, op_norms=tuple(op_norms),
         min_ratio=classify(seq).min_ratio)
-
-
-def _check_example1_ledger(build: Example1Build, tol: float) -> None:
-    """Run ``_example1_step`` at every recorded lambda_n, n >= 2, with the
-    atoms of the built measure."""
-    lams = build.sequence.values
-    log_a = build.measure.log_positions
-    for i, row in enumerate(build.rows[1:], start=1):
-        _check_row(row, i + 1, float(lams[i]),
-                   lambda lam: _example1_step(i + 1, lam, log_a[i],
-                                              float(lams[i - 1]), log_a[:i]),
-                   tol)
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +321,16 @@ class Example2Row:
 
 
 @dataclass(frozen=True)
-class Example2Build:
-    rows: tuple
-    sequence: LambdaSequence
-    measure: AtomicMeasure
+class Example2Build(_Build):
     q: float
     r: float
     theta: float
     alphas: np.ndarray
 
-    @property
-    def n_max(self) -> int:
-        return len(self.rows)
-
-    def ledger_rows(self) -> list[dict]:
-        return [vars(r).copy() for r in self.rows]
+    def _step_at(self, i: int, lam: np.ndarray) -> tuple[dict, dict]:
+        mu, lams = self.measure, self.sequence.values
+        return _example2_step(i + 1, lam, lams[:i], mu.log_positions[:i],
+                              mu.log_weights[:i], np.log(self.alphas))
 
 
 def _example2_step(n: int, lam: np.ndarray, lams_prev: np.ndarray,
@@ -430,20 +429,6 @@ def build_example2(q: float, r: float, n_max: int,
         q=q, r=r, theta=theta, alphas=alphas)
 
 
-def _check_example2_ledger(build: Example2Build, tol: float) -> None:
-    """Run ``_example2_step`` at every recorded lambda_n, n >= 2, with the
-    atoms of the built measure and the build's alphas."""
-    lams = build.sequence.values
-    log_a = build.measure.log_positions
-    log_c = build.measure.log_weights
-    log_alpha = np.log(build.alphas)
-    for i, row in enumerate(build.rows[1:], start=1):
-        _check_row(row, i + 1, float(lams[i]),
-                   lambda lam: _example2_step(i + 1, lam, lams[:i], log_a[:i],
-                                              log_c[:i], log_alpha),
-                   tol)
-
-
 @dataclass(frozen=True)
 class Example2Report:
     norms_sq: np.ndarray          # ||i g_n||^2_{L^2(mu)}
@@ -467,7 +452,7 @@ def verify_example2(build: Example2Build) -> Example2Report:
     with the Schatten partial norms of the last three truncations."""
     n_max = build.n_max
     alphas = build.alphas
-    _check_example2_ledger(build, _VERIFY_TOL)
+    _check_ledger(build, _VERIFY_TOL)
 
     problem = EmbeddingProblem(build.sequence, build.measure, n_max)
     a = problem.gram
@@ -498,11 +483,10 @@ def verify_example2(build: Example2Build) -> Example2Report:
                 f"||i g_{i + 1}||^{name} = {norms[i]:.6g}^{getattr(build, name):g} "
                 f"underflows the double range; reduce {name}, theta or n_max")
 
-    sizes = range(max(2, n_max - 2), n_max + 1)
-    tables = [_schatten_table(svals, (build.r, build.q)) for svals in
-              _truncated_spectra(problem, problem.whitener, sizes)]
-    trend_q = [(k, table[build.q]) for k, table in zip(sizes, tables)]
-    trend_r = [(k, table[build.r]) for k, table in zip(sizes, tables)]
+    tables = [(k, _schatten_table(svals, (build.r, build.q)))
+              for k, svals in _last_three_spectra(problem)]
+    trend_q = [(k, table[build.q]) for k, table in tables]
+    trend_r = [(k, table[build.r]) for k, table in tables]
 
     # sum_ij beta_ij = (sum_i 4^-(i+1))^2, exact in double at these sizes
     beta_total = float(np.ldexp(1.0, -2 * np.arange(2, n_max + 2)).sum() ** 2)

@@ -13,10 +13,6 @@ class InvalidParameterError(MuntzLabError, ValueError):
     """An argument is outside its documented domain."""
 
 
-class SingularSystemError(MuntzLabError):
-    """The exponent system is degenerate (duplicate exponents)."""
-
-
 class QuasilacunarityNotWitnessedError(MuntzLabError):
     """The greedy block search cannot witness quasilacunarity at this truncation."""
 

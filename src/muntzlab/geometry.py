@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, SingularSystemError, UndefinedRatioError
+from .errors import InvalidParameterError, UndefinedRatioError
 from .polynomials import MuntzPolynomial
 from .sequences import LambdaSequence
 
@@ -68,8 +68,6 @@ def lebesgue_gram(seq: LambdaSequence) -> np.ndarray:
     """Closed-form Lebesgue Gramian of the normalized monomials, read-only:
     entry sqrt(lambda_n lambda_m)/(lambda_n + lambda_m + 1)."""
     lam = seq.values
-    if np.unique(lam).size != lam.size:
-        raise SingularSystemError("duplicate exponents give a singular system")
     entries = np.sqrt(np.outer(lam, lam)) / (lam[:, None] + lam[None, :] + 1.0)
     entries.setflags(write=False)
     return entries
@@ -108,8 +106,6 @@ def distances(seq: LambdaSequence) -> DistanceTable:
     -log(2 lambda_n + 1)/2 on the diagonal; each row is summed exactly.
     """
     lam = seq.values
-    if np.unique(lam).size != lam.size:
-        raise SingularSystemError("duplicate exponents give a singular system")
     gaps = np.abs(lam[:, None] - lam[None, :])
     np.fill_diagonal(gaps, 1.0)
     terms = np.log(gaps) - np.log(lam[:, None] + lam[None, :] + 1.0)

@@ -10,9 +10,10 @@ non-even p, ``|f|^p`` has kinks at the zeros of f.  Every root of a row in
 for the integrals against every measure, and exactly the cells that hold a
 root are refined for that row alone, each side of a root integrated on cells
 graded toward it.  A cell whose coarse and fine rules still differ by more
-than 1e-12 of the row's total is re-integrated adaptively and counted.
-Rows are evaluated independently, so a batched row is bit-identical to its
-single call.  Atoms are exact log-domain sums.
+than 1e-12 of the row's total is re-integrated adaptively, split at its
+roots, by :meth:`~muntzlab.quadrature.QuadraturePlan.refine_cell`, and
+counted.  Rows are evaluated independently, so a batched row is
+bit-identical to its single call.  Atoms are exact log-domain sums.
 
 Empirical embedding constants maximize a ratio over random coefficient
 spheres and are LOWER bounds of the truncated operator norm; the
@@ -166,8 +167,9 @@ class _PowerIntegrals:
                     fine[r, c], err[r, c] = self._split_cell(coeffs[r], p, c, cuts[r, c])
             total = atoms + fine.sum(axis=-1)
             for r, c in zip(*np.nonzero(plan.loose_cells(err, total))):
-                fine[r, c], err[r, c] = self._adaptive_cell(
-                    coeffs[r], p, c, cuts.get((r, c)))
+                fine[r, c], err[r, c] = plan.refine_cell(
+                    lambda t, row=coeffs[r]: np.abs(self._eval(row, t)) ** p,
+                    c, cuts.get((r, c)))
                 fallbacks[r] += 1
                 total[r] = atoms[r] + fine[r].sum()
             err_rows = err.sum(axis=-1)
@@ -215,23 +217,6 @@ class _PowerIntegrals:
             * (weights * np.asarray(h(nodes), dtype=float))
         fine, err = quadrature.coarse_fine(terms)
         return float(fine.sum()), float(err.sum())
-
-    def _adaptive_cell(self, c_row, p, cell, cuts) -> tuple[float, float]:
-        """A cell re-integrated by adaptive bisection, split at its roots."""
-        plan = self.plan
-        h = plan.densities[plan.piece[cell]]
-        if cuts is None:
-            cuts = [float(plan.lo[cell]), float(plan.hi[cell])]
-
-        def integrand(t):
-            return np.abs(self._eval(c_row, t)) ** p * h(np.asarray(t, dtype=float))
-
-        value = err = 0.0
-        for u, v in zip(cuts[:-1], cuts[1:]):
-            cv, ce = quadrature.integrate(integrand, u, v)
-            value += cv
-            err += ce
-        return value, err
 
 
 def _lebesgue_norms(coeffs, lambdas, p: float, roots,

@@ -38,6 +38,7 @@ from scipy.special import betaincc, betaln
 from . import quadrature
 from .errors import HypothesisViolationError, InvalidParameterError
 from .logdomain import NEG_INF, log_power_interval, log_sum
+from .sequences import from_config, real_number
 
 _GRID_LEVELS = 40
 # log of a lower incomplete-Beta tail I below which 1 - I rounds to 1.0: e**-44
@@ -250,25 +251,16 @@ class AtomicMeasure(Measure):
 
 
 def atomic(atoms) -> AtomicMeasure:
-    """Atomic measure from ``[(a_k, c_k), ...]`` pairs in the linear domain."""
-    if not atoms:
-        raise InvalidParameterError("atomic measure needs at least one atom")
-    pos, wts = zip(*atoms)
-    pos = np.asarray(pos, dtype=float)
-    wts = np.asarray(wts, dtype=float)
-    if np.any(pos <= 0.0) or np.any(pos >= 1.0):
-        raise InvalidParameterError("atom positions must lie in (0, 1)")
-    if np.any(wts <= 0.0):
-        raise InvalidParameterError("atom weights must be positive")
-    if np.unique(pos).size != pos.size:
-        raise InvalidParameterError("atom positions must be distinct")
-    return AtomicMeasure(np.log(pos), np.log(wts))
+    """Atomic measure from ``[(a_k, c_k), ...]`` pairs in the linear domain,
+    refused where :func:`_atomic_from_log_pairs` refuses their logs."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _atomic_from_log_pairs(np.log(np.array(atoms, dtype=float)))
 
 
 def _atomic_from_log_pairs(log_atoms) -> AtomicMeasure:
-    """Atomic measure from ``[(log a_k, log c_k), ...]`` pairs, refused where
-    :func:`atomic` refuses the linear pairs."""
-    if not log_atoms:
+    """Atomic measure from ``[(log a_k, log c_k), ...]`` pairs: at least one,
+    with distinct positions in (0, 1) and positive weights."""
+    if len(log_atoms) == 0:
         raise InvalidParameterError("atomic measure needs at least one atom")
     log_pos, log_wts = (np.asarray(v, dtype=float) for v in zip(*log_atoms))
     if not np.all((log_pos < 0.0) & (log_pos > NEG_INF)):
@@ -680,39 +672,38 @@ def rho_majorization_check(mu: Measure, majorant: Measure,
                              slack=slack, quadrature_error=lhs_err + rhs_err)
 
 
+def _atomic_from_config(spec: dict) -> AtomicMeasure:
+    if "atoms" in spec and "log_atoms" in spec:
+        raise InvalidParameterError(
+            "atomic measure spec has both 'atoms' and 'log_atoms'; give one")
+    if "log_atoms" in spec:
+        return _atomic_from_log_pairs(
+            [tuple(map(real_number, pair)) for pair in spec["log_atoms"]])
+    return atomic([tuple(map(real_number, pair)) for pair in spec["atoms"]])
+
+
+_MEASURE_KINDS = {
+    "atomic": (("atoms", "log_atoms"), _atomic_from_config),
+    "powertail": (("C", "alpha", "x0"), lambda spec: PowerTailMeasure(
+        real_number(spec["C"]), real_number(spec["alpha"]),
+        x0=real_number(spec.get("x0", 0.0)))),
+    "lebesgue": ((), lambda spec: lebesgue()),
+    "piecewise": (("breakpoints", "densities"), lambda spec: PiecewiseDensityMeasure(
+        np.array([real_number(b) for b in spec["breakpoints"]]),
+        np.array([real_number(d) for d in spec["densities"]]))),
+    "scaled": (("c", "inner"), lambda spec: ScaledMeasure(
+        real_number(spec["c"]), measure_from_config(spec["inner"]))),
+    "sum": (("parts",), lambda spec: SumMeasure(
+        tuple(measure_from_config(p) for p in spec["parts"]))),
+}
+
+
 def measure_from_config(spec: dict) -> Measure:
     """Build a measure from its config-file form.
 
     Accepted kinds: ``atomic`` (``atoms`` as linear ``[a, c]`` pairs or
-    ``log_atoms`` as ``[log a, log c]`` pairs), ``powertail``, ``lebesgue``,
-    ``piecewise``, ``scaled``, ``sum``.
+    ``log_atoms`` as ``[log a, log c]`` pairs, not both), ``powertail``,
+    ``lebesgue``, ``piecewise``, ``scaled``, ``sum``.  A field the kind does
+    not read is refused, and every number must be a JSON number.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise InvalidParameterError("measure spec must be an object with a 'kind' field")
-    kind = spec["kind"]
-    try:
-        if kind == "atomic" and "log_atoms" in spec:
-            return _atomic_from_log_pairs(spec["log_atoms"])
-        if kind == "atomic":
-            return atomic([tuple(pair) for pair in spec["atoms"]])
-        if kind == "powertail":
-            return PowerTailMeasure(spec["C"], spec["alpha"],
-                                    x0=spec.get("x0", 0.0))
-        if kind == "lebesgue":
-            return lebesgue()
-        if kind == "piecewise":
-            return PiecewiseDensityMeasure(np.asarray(spec["breakpoints"], float),
-                                           np.asarray(spec["densities"], float))
-        if kind == "scaled":
-            return ScaledMeasure(spec["c"], measure_from_config(spec["inner"]))
-        if kind == "sum":
-            return SumMeasure(tuple(measure_from_config(p) for p in spec["parts"]))
-    except InvalidParameterError:
-        raise
-    except KeyError as exc:
-        raise InvalidParameterError(
-            f"measure spec missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(
-            f"malformed {kind} measure spec: {exc}") from exc
-    raise InvalidParameterError(f"unknown measure kind {kind!r}")
+    return from_config(spec, "measure", _MEASURE_KINDS)

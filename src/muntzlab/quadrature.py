@@ -14,10 +14,10 @@ the plan is built, so integrands of many functions are weighted sums over
 one shared node array.  Pieces reaching ``x = 0`` (``t = 1``) are graded
 toward that end as well, so integrands like ``x**0.5`` converge there; every
 node lies strictly inside its piece.  Cells whose estimate stays above
-tolerance are handed to the adaptive :func:`integrate`.  A plan knows nothing
-of kinks: :mod:`~muntzlab.lp` isolates the roots of each polynomial (the
-kinks of ``|f|^p``) with :func:`bisect_root` and splits the cells that hold
-one itself.
+tolerance are re-integrated adaptively by :meth:`QuadraturePlan.refine_cell`.
+A plan knows nothing of kinks: :mod:`~muntzlab.lp` isolates the roots of each
+polynomial (the kinks of ``|f|^p``) with :func:`bisect_root`, splits the
+cells that hold one itself and passes the roots to ``refine_cell``.
 
 The adaptive routines bisect a cell until its rule agrees with the sum over
 its two halves.  They run breadth first over many intervals at once: each
@@ -343,8 +343,14 @@ class QuadraturePlan:
         fine, err = self.cell_sums(values.reshape(self.nodes.shape))
         loose = np.nonzero(self.loose_cells(err, fine.sum()))[0]
         for c in loose:
-            h = self.densities[self.piece[c]]
-            fine[c], err[c] = integrate(
-                lambda t, h=h: np.asarray(fn(t), dtype=float) * h(t),
-                float(self.lo[c]), float(self.hi[c]))
+            fine[c], err[c] = self.refine_cell(fn, c)
         return float(fine.sum()), float(err.sum()), int(loose.size)
+
+    def refine_cell(self, fn, cell: int, cuts=None) -> tuple[float, float]:
+        """``(value, error)`` of ``fn(t) * h(t)`` over one cell by :func:`integrate`
+        on each segment between ``cuts`` (the cell's edges by default)."""
+        h = self.densities[self.piece[cell]]
+        cuts = [self.lo[cell], self.hi[cell]] if cuts is None else cuts
+        parts = [integrate(lambda t: np.asarray(fn(t), dtype=float) * h(t), u, v)
+                 for u, v in zip(cuts[:-1], cuts[1:])]
+        return sum(v for v, _ in parts), sum(e for _, e in parts)

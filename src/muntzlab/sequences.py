@@ -84,15 +84,61 @@ class BlockStructure:
 
 def whole_number(value) -> int:
     """``value`` as an int, or a ValueError when it is not a whole number (a
-    fraction, a non-finite float, a string): never truncated, so a config
-    runs as written."""
+    fraction, a non-finite float, a string, a bool): never truncated, so a
+    config runs as written."""
     try:
-        whole = int(value)
+        whole = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
     if whole is None or whole != value:
         raise ValueError(f"{value!r} is not a whole number")
     return whole
+
+
+def real_number(value) -> float:
+    """``value`` as a float, or a TypeError when it is not a JSON number: a
+    bool, null or string is refused, except the "inf", "-inf" and "nan" that
+    reports write for non-finite numbers, so that an echoed config re-runs."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            or isinstance(value, str) and value in ("inf", "-inf", "nan")):
+        return float(value)
+    raise TypeError(f"{value!r} is not a number")
+
+
+def config_object(spec, what: str, fields) -> dict:
+    """``spec`` when it is an object with no field outside ``fields``, else
+    an InvalidParameterError that names ``what`` and the field."""
+    if not isinstance(spec, dict):
+        raise InvalidParameterError(f"{what} must be a JSON object")
+    for name in spec:
+        if name not in fields:
+            raise InvalidParameterError(f"{what} has unknown field {name!r}")
+    return spec
+
+
+def from_config(spec, what: str, kinds: dict):
+    """The object a config spec ``{"kind": .., ...}`` describes, where
+    ``kinds`` maps each kind to its fields and its builder from the spec.
+    A field outside them is refused, and a missing or malformed one is an
+    InvalidParameterError."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise InvalidParameterError(
+            f"{what} spec must be an object with a 'kind' field")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise InvalidParameterError(f"unknown {what} kind {kind!r}")
+    fields, build = kinds[kind]
+    config_object(spec, f"{kind} {what} spec", ("kind", *fields))
+    try:
+        return build(spec)
+    except InvalidParameterError:
+        raise
+    except KeyError as exc:
+        raise InvalidParameterError(
+            f"{what} spec missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"malformed {kind} {what} spec: {exc}") from exc
 
 
 def make_geometric(lambda1: float, ratio: float, count: int) -> LambdaSequence:
@@ -173,30 +219,23 @@ def find_blocks(seq: LambdaSequence, gamma: float) -> BlockStructure:
                           block_bound=block_bound, n_seq=n)
 
 
+_SEQUENCE_KINDS = {
+    "geometric": (("lambda1", "ratio", "count"), lambda spec: make_geometric(
+        real_number(spec["lambda1"]), real_number(spec["ratio"]),
+        whole_number(spec["count"]))),
+    "power": (("exponent", "count"), lambda spec: make_power(
+        real_number(spec["exponent"]), whole_number(spec["count"]))),
+    "explicit": (("values",), lambda spec: make_explicit(
+        [real_number(v) for v in spec["values"]])),
+}
+
+
 def sequence_from_config(spec: dict) -> LambdaSequence:
     """Build a sequence from its config-file form.
 
     Accepted: ``{"kind": "geometric", "lambda1": .., "ratio": .., "count": ..}``,
     ``{"kind": "power", "exponent": .., "count": ..}``,
-    ``{"kind": "explicit", "values": [..]}``.
+    ``{"kind": "explicit", "values": [..]}``, and no other field; every
+    number must be a JSON number, and a count a whole one.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise InvalidParameterError("sequence spec must be an object with a 'kind' field")
-    kind = spec["kind"]
-    try:
-        if kind == "geometric":
-            return make_geometric(spec["lambda1"], spec["ratio"],
-                                  whole_number(spec["count"]))
-        if kind == "power":
-            return make_power(spec["exponent"], whole_number(spec["count"]))
-        if kind == "explicit":
-            return make_explicit(spec["values"])
-    except InvalidParameterError:
-        raise
-    except KeyError as exc:
-        raise InvalidParameterError(
-            f"sequence spec missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(
-            f"malformed {kind} sequence spec: {exc}") from exc
-    raise InvalidParameterError(f"unknown sequence kind {kind!r}")
+    return from_config(spec, "sequence", _SEQUENCE_KINDS)

@@ -13,9 +13,9 @@ truncations are leading blocks.
 Certificates are named upper bounds from the majorant function psi, from a
 rho-majorization of the tail modulus, from compact support, and from
 entrywise Gramian domination for sublinear measures.  The rho majorant is a
-measure nu with nu(J_eps) = rho(eps), so the psi and rho certificates share
-one integral of psi^2 against a measure, and the Hilbert-Schmidt certificate
-integrates Psi^2 the same way.  Both majorants come from one log-domain
+measure nu with nu(J_eps) = rho(eps), so the psi, rho and Hilbert-Schmidt
+certificates are one routine over the integral of psi^2 (or Psi^2) against
+a measure, mu or the majorant.  Both majorants come from one log-domain
 evaluation, :meth:`PsiEvaluator.log_majorant`: the atoms of a measure are
 one log-sum over its values, and a density integrates their exp.  A
 certificate is COMPARABLE (usable as a bound at this truncation) only when
@@ -373,6 +373,22 @@ def _psi_squared_integral(mu: Measure, psi: PsiEvaluator,
     return total, sound
 
 
+def _majorant_certificate(kind: str, nu: Measure, psi: PsiEvaluator,
+                          params: dict, *, big: bool = False, integrable=None,
+                          assumptions: tuple = (), flags: tuple = ()):
+    """(integral psi^2 dnu)^(1/2), or the integral of Psi^2 when ``big``, as a
+    certificate.  ``integrable`` = (name, detail format) records that the
+    integral is finite; an unsound integral, exact but possibly below the
+    infinite-sequence certificate, adds the tail-unsound flag."""
+    integral, sound = _psi_squared_integral(nu, psi, big)
+    if integrable:
+        assumptions += (AssumptionCheck(integrable[0], math.isfinite(integral),
+                                        integrable[1].format(integral)),)
+    flags = (PSI_TRUNCATION_FLAG, *flags) + (() if sound else (TAIL_UNSOUND_FLAG,))
+    return Certificate(kind=kind, value=integral if big else math.sqrt(integral),
+                       assumptions=assumptions, flags=flags, params=params)
+
+
 def psi_certificate(seq: LambdaSequence, mu: Measure,
                     psi: PsiEvaluator | None = None) -> Certificate:
     """Upper bound ||i_mu|| <= ||psi||_{L^2(mu)} at this truncation.
@@ -385,19 +401,9 @@ def psi_certificate(seq: LambdaSequence, mu: Measure,
     the infinite-sequence certificate.
     """
     psi = PsiEvaluator.from_sequence(seq) if psi is None else psi
-    integral, sound = _psi_squared_integral(mu, psi)
-    flags = [PSI_TRUNCATION_FLAG]
-    assumptions = [AssumptionCheck("psi-square-integrable",
-                                   math.isfinite(integral),
-                                   f"integral = {integral:.6g}")]
-    value = math.sqrt(integral) if math.isfinite(integral) else math.inf
-    if not sound:
-        # still exact (hence a valid bound) at this truncation, but it may
-        # under-estimate the infinite-sequence certificate
-        flags.append(TAIL_UNSOUND_FLAG)
-    return Certificate(kind="psi", value=value,
-                       assumptions=tuple(assumptions), flags=tuple(flags),
-                       params={"n_seq": psi.n_seq})
+    return _majorant_certificate(
+        "psi", mu, psi, {"n_seq": psi.n_seq},
+        integrable=("psi-square-integrable", "integral = {:.6g}"))
 
 
 def rho_certificate(seq: LambdaSequence, mu: Measure, majorant: Measure,
@@ -408,8 +414,8 @@ def rho_certificate(seq: LambdaSequence, mu: Measure, majorant: Measure,
 
     ``majorant`` is the measure nu = rho'(1-x) dx, with nu(J_eps) = rho(eps)
     (``PowerTailMeasure(C, alpha)`` for rho(eps) = C*eps**alpha), so the
-    value and the tail-unsound verdict are those of the psi certificate of
-    nu.  A violated hypothesis gives +inf.
+    value and the flags are those of the psi certificate of nu.  A violated
+    hypothesis gives +inf.
     """
     psi = PsiEvaluator.from_sequence(seq) if psi is None else psi
     bad = rho_hypothesis_violation(mu, majorant)
@@ -421,13 +427,8 @@ def rho_certificate(seq: LambdaSequence, mu: Measure, majorant: Measure,
     if bad is not None:
         return Certificate(kind="rho", value=math.inf, assumptions=assumptions,
                            flags=(PSI_TRUNCATION_FLAG,), params=params)
-    integral, sound = _psi_squared_integral(majorant, psi)
-    flags = [PSI_TRUNCATION_FLAG]
-    value = math.sqrt(integral) if math.isfinite(integral) else math.inf
-    if not sound:
-        flags.append(TAIL_UNSOUND_FLAG)
-    return Certificate(kind="rho", value=value, assumptions=assumptions,
-                       flags=tuple(flags), params=params)
+    return _majorant_certificate("rho", majorant, psi, params,
+                                 assumptions=assumptions)
 
 
 def compact_support_certificate(seq: LambdaSequence, mu: Measure, b: float,
@@ -478,7 +479,6 @@ def hilbert_schmidt_certificate(seq: LambdaSequence, mu: Measure,
     b_0 = 0, b_1 = 1/2, b_{j+1} = sqrt(b_j).
     """
     psi = PsiEvaluator.from_sequence(seq) if psi is None else psi
-    integral, sound = _psi_squared_integral(mu, psi, big=True)
     # edges up to the first within 1e-12 of 1, at most 64 partitions
     edges = [0.0, 0.5]
     while len(edges) <= 64 and 1.0 - edges[-1] > 1e-12:
@@ -486,15 +486,10 @@ def hilbert_schmidt_certificate(seq: LambdaSequence, mu: Measure,
     above = mu.tail_mass(1.0 - np.array(edges[1:]))     # mu([b_{j+1}, 1])
     masses = np.append(mu.total_mass, above[:-1]) - above
     partitions = list(zip(edges[:-1], edges[1:], masses.tolist()))
-    flags = [PSI_TRUNCATION_FLAG, "finiteness-only-no-numeric-s2-bound"]
-    assumptions = [AssumptionCheck("Psi-square-integrable",
-                                   math.isfinite(integral),
-                                   f"integral {integral:.6g}")]
-    if not sound:
-        flags.append(TAIL_UNSOUND_FLAG)
-    return Certificate(kind="hilbert_schmidt_psi", value=integral,
-                       assumptions=tuple(assumptions), flags=tuple(flags),
-                       params={"partition_masses": partitions})
+    return _majorant_certificate(
+        "hilbert_schmidt_psi", mu, psi, {"partition_masses": partitions},
+        big=True, integrable=("Psi-square-integrable", "integral {:.6g}"),
+        flags=("finiteness-only-no-numeric-s2-bound",))
 
 
 def sublinear_embedding_bound(problem: EmbeddingProblem) -> Certificate:

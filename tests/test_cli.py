@@ -179,7 +179,40 @@ MALFORMED = {
     "rho-C-nan": {"certificates": ["rho"], "rho": {"C": NAN, "alpha": 1}},
     "rho-alpha-nan": {"certificates": ["rho"], "rho": {"C": 1, "alpha": NAN}},
     "rho-C-infinite": {"certificates": ["rho"], "rho": {"C": INF, "alpha": 1}},
+    # a config number must be a JSON number: no bool, no numeric string
+    "N-true": {"N": True},
+    "q-set-true": {"q_set": [True, 2]},
+    "m-list-true": {"m_list": [True, 4]},
+    "powertail-C-true": {"measure": {"kind": "powertail", "C": True,
+                                     "alpha": 2}},
+    "rho-C-true": {"certificates": ["rho"], "rho": {"C": True, "alpha": 1}},
+    "scaled-c-true": {"measure": {"kind": "scaled", "c": True,
+                                  "inner": {"kind": "lebesgue"}}},
+    "q-set-numeric-string": {"q_set": ["2"]},
+    "explicit-values-numeric-strings": {"sequence": {
+        "kind": "explicit", "values": ["1", "2", "3"]}},
+    "piecewise-breakpoints-numeric-strings": {"measure": {
+        "kind": "piecewise", "breakpoints": ["0", "1"], "densities": [1]}},
+    "atoms-numeric-strings": {"measure": {"kind": "atomic",
+                                          "atoms": [["0.5", "1"]]}},
+    "compact-support-b-numeric-string": {"certificates": ["compact_support"],
+                                         "compact_support": {"b": "0.5"}},
+    "seed-string": {"seed": "1"},
 }
+# a misspelt or unread field, and the field the error must name
+UNKNOWN_FIELDS = {
+    "m-list": {"m-list": [2, 4]},
+    "certificate": {"certificate": ["rho"]},
+    "Q_set": {"Q_set": [1.0]},
+    "xo": {"measure": {"kind": "powertail", "C": 1, "alpha": 2, "xo": 0.5}},
+    "Cc": {"certificates": ["rho"], "rho": {"Cc": 5}},
+    "bb": {"certificates": ["compact_support"], "compact_support": {"bb": 0.2}},
+    "kind_": {"sequence": {"kind": "explicit", "values": [1.0], "kind_": 1}},
+    "log_atoms": {"measure": {"kind": "atomic", "atoms": [[0.5, 1.0]],
+                              "log_atoms": [[-0.1, 0.0]]}},
+}
+MALFORMED.update({f"unknown-{name}": over
+                  for name, over in UNKNOWN_FIELDS.items()})
 
 
 class TestOneAnalysis:
@@ -265,6 +298,24 @@ class TestMalformedConfig:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("name", sorted(UNKNOWN_FIELDS))
+    def test_unknown_field_named_in_the_error(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, dict(RANK_ONE, **UNKNOWN_FIELDS[name]))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert f"{name!r}" in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_infinite_schatten_exponent_runs(self, tmp_path):
+        # JSON's Infinity runs, and so does the "inf" the report echoes
+        cfg = write_config(tmp_path, dict(RANK_ONE, q_set=[1, INF]))
+        assert "Infinity" in Path(cfg).read_text()
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["q_set"] == [1.0, "inf"]
+        assert report["spectral"]["schatten"]["inf"] == pytest.approx(
+            math.sqrt(3.0) / 2.0, rel=1e-15)
+
     @pytest.mark.parametrize("name", ["q_set", "m_list", "certificates"])
     def test_non_array_field_named_in_the_error(self, tmp_path, capsys, name):
         cfg = write_config(tmp_path, dict(RANK_ONE, **{name: "12"}))
@@ -342,6 +393,47 @@ NUMERIC_PATHS = _numeric_paths(README_CONFIG)
 # fields read as whole numbers: a fraction there is refused
 WHOLE_FIELDS = {("sequence", "count"), ("N",)} | {
     ("m_list", i) for i in range(len(README_CONFIG["m_list"]))}
+
+
+ECHO_CONFIGS = {
+    "rank-one": RANK_ONE,
+    "readme": README_CONFIG,
+    "blocks-by-default": dict(RANK_ONE,
+                              certificates=["psi", "rho", "compact_support"]),
+    "infinite-q": dict(RANK_ONE, q_set=[1, INF]),
+}
+
+
+def _masked(report: str) -> str:
+    return re.sub(r'"wall_time_seconds": [^,}]+', '"wall_time_seconds": 0',
+                  report)
+
+
+class TestEchoReruns:
+    """The echoed config of a report is the config that ran, defaults
+    included: re-running it writes the same report, byte for byte apart from
+    the wall time."""
+
+    @pytest.mark.parametrize("name", sorted(ECHO_CONFIGS))
+    def test_echo_reproduces_the_report(self, tmp_path, name):
+        first, second = tmp_path / "first", tmp_path / "second"
+        cfg = write_config(tmp_path, ECHO_CONFIGS[name])
+        code = main(["analyze", "--config", cfg, "--out", str(first)])
+        assert code in (0, 2)
+        report = (first / "report.json").read_text()
+        echo = write_config(tmp_path, json.loads(report)["config"], "echo.json")
+        assert main(["analyze", "--config", echo, "--out", str(second)]) == code
+        assert _masked((second / "report.json").read_text()) == _masked(report)
+        assert ((second / "singular_values.csv").read_text()
+                == (first / "singular_values.csv").read_text())
+
+    def test_blocks_that_ran_are_echoed_with_their_defaults(self, tmp_path):
+        cfg = write_config(tmp_path, ECHO_CONFIGS["blocks-by-default"])
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 2
+        config = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert config["rho"] == {"C": 1.0, "alpha": 1.0}
+        assert config["compact_support"] == {"b": 0.5, "b_prime": 0.75, "k": 1}
+        assert config["m_list"] is None and config["seed"] == 0
 
 
 class TestNoTracebackFromReadmeConfig:

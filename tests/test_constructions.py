@@ -518,7 +518,7 @@ class TestOracle:
         build = build_example1(n_max)
         _assert_rows_match(build.rows, _oracle_example1(n_max))
         _assert_check_catches_tampering(
-            build, constructions._check_example1_ledger,
+            build, constructions._check_ledger,
             ("lam", "growth_ratio", "sum_condition_lhs", "sum_condition_rhs",
              "window"))
 
@@ -527,6 +527,6 @@ class TestOracle:
         build = build_example2(q, r, n_max, theta=theta)
         _assert_rows_match(build.rows, _oracle_example2(q, r, n_max, theta))
         _assert_check_catches_tampering(
-            build, constructions._check_example2_ledger,
+            build, constructions._check_ledger,
             ("lam", "slack_own_sum", "slack_cross", "slack_ratio_pairs",
              "slack_ratio_single"))

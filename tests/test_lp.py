@@ -252,6 +252,27 @@ class TestQuadraturePlan:
             assert est.value == pytest.approx(float(ref), rel=1e-12)
             assert est.fallback_cells == 0
 
+    def test_fallback_cell_is_refined_by_the_plan_split_at_the_root(
+            self, monkeypatch):
+        # with no plan tolerance every cell with an error estimate falls back,
+        # the kinked one too: f = x - 3 x^2 has its root at x = 1/3
+        monkeypatch.setattr(quadrature, "PLAN_REL_TOL", 0.0)
+        calls = []
+        refine = quadrature.QuadraturePlan.refine_cell
+
+        def spy(plan, fn, cell, cuts=None):
+            calls.append(cuts)
+            return refine(plan, fn, cell, cuts)
+
+        monkeypatch.setattr(quadrature.QuadraturePlan, "refine_cell", spy)
+        est = lp_norm(MuntzPolynomial(make_explicit([1.0, 2.0]),
+                                      np.array([1.0, -3.0])), 1.0, lebesgue())
+        assert est.fallback_cells == len(calls) > 0
+        split, = [cuts for cuts in calls if cuts is not None]
+        assert split[1] == pytest.approx(2.0 / 3.0, rel=1e-15)
+        # integral_0^1 |x - 3 x^2| dx = 1/54 + 14/27
+        assert est.value == pytest.approx(29.0 / 54.0, rel=1e-14)
+
     def test_batched_rows_bit_identical_to_single_calls(self):
         seq = make_geometric(0.7, 1.8, 5)
         rng = np.random.default_rng(17)

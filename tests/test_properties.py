@@ -1,14 +1,17 @@
 """Property-based tests of the core invariants on randomized inputs."""
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from muntzlab import (PowerTailMeasure, ScaledMeasure, SumMeasure, atomic,
-                      classify, distances, lebesgue, make_explicit,
-                      make_geometric, modulus_report, point_mass)
+from muntzlab import (AtomicMeasure, PiecewiseDensityMeasure,
+                      PowerTailMeasure, ScaledMeasure, SumMeasure, atomic,
+                      atomic_from_logs, classify, distances, lebesgue,
+                      make_explicit, make_geometric, measure_from_config,
+                      modulus_report, point_mass)
 from muntzlab.highprec import distance_oracle
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -42,6 +45,58 @@ def simple_measures(draw):
                                 draw(st.floats(min_value=0.5, max_value=3.0)))
     return ScaledMeasure(draw(st.floats(min_value=0.2, max_value=3.0)),
                          lebesgue())
+
+
+@st.composite
+def config_measures(draw, depth=2):
+    """Measures a config can describe (an empty restriction cannot): atomic
+    with linear atoms or with near-1 atoms given by their logs, power tails
+    with x0 > 0, piecewise densities, and scaled and summed ones nested."""
+    kinds = ["linear", "near-1", "powertail", "piecewise"]
+    kind = draw(st.sampled_from(kinds + (["scaled", "sum"] if depth else [])))
+    if kind == "linear":
+        pos = draw(st.lists(st.floats(1e-3, 1.0 - 1e-9), min_size=1,
+                            max_size=4, unique=True))
+        wts = draw(st.lists(st.floats(1e-6, 1e3), min_size=len(pos),
+                            max_size=len(pos)))
+        return atomic(list(zip(pos, wts)))
+    if kind == "near-1":
+        log_pos = draw(st.lists(st.floats(-1e-3, -1e-300), min_size=1,
+                                max_size=4, unique=True))
+        log_wts = draw(st.lists(st.floats(-50.0, 50.0), min_size=len(log_pos),
+                                max_size=len(log_pos)))
+        return atomic_from_logs(log_pos, log_wts)
+    if kind == "powertail":
+        return PowerTailMeasure(draw(st.floats(1e-2, 1e2)),
+                                draw(st.floats(0.05, 10.0)),
+                                x0=draw(st.floats(1e-12, 0.999)))
+    if kind == "piecewise":
+        edges = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5,
+                              unique=True))
+        densities = draw(st.lists(st.floats(0.0, 10.0), min_size=len(edges) - 1,
+                                  max_size=len(edges) - 1))
+        assume(any(d > 0.0 for d in densities))
+        return PiecewiseDensityMeasure(np.sort(edges), np.array(densities))
+    if kind == "scaled":
+        return ScaledMeasure(draw(st.floats(1e-3, 1e3)),
+                             draw(config_measures(depth - 1)))
+    return SumMeasure(tuple(draw(st.lists(config_measures(depth - 1),
+                                          min_size=1, max_size=3))))
+
+
+def _numbers(mu):
+    """Every number ``mu`` is built from, as bytes, in a nested tuple."""
+    def raw(*values):
+        return np.array(values, dtype=float).tobytes()
+    if isinstance(mu, AtomicMeasure):
+        return ("atomic", mu.log_positions.tobytes(), mu.log_weights.tobytes())
+    if isinstance(mu, PowerTailMeasure):
+        return ("powertail", raw(mu.coefficient, mu.alpha, mu.x0))
+    if isinstance(mu, PiecewiseDensityMeasure):
+        return ("piecewise", mu.breakpoints.tobytes(), mu.densities.tobytes())
+    if isinstance(mu, ScaledMeasure):
+        return ("scaled", raw(mu.scale), _numbers(mu.inner))
+    return ("sum", tuple(_numbers(p) for p in mu.parts))
 
 
 class TestSequenceProperties:
@@ -116,3 +171,9 @@ class TestMeasureProperties:
         if not math.isfinite(norm):
             return
         assert mu.moment(s) <= norm / (s + 1.0) + 1e-12
+
+    @given(mu=config_measures())
+    @settings(max_examples=150, deadline=None)
+    def test_config_round_trip_is_lossless(self, mu):
+        back = measure_from_config(json.loads(json.dumps(mu.to_config())))
+        assert _numbers(back) == _numbers(mu)

@@ -311,3 +311,58 @@ class TestQuadraturePlan:
             assert np.all(plan.nodes > ends[:, :1])
             assert np.all(plan.nodes < ends[:, 1:])
             assert np.all(np.isfinite(np.log1p(-plan.nodes)))
+
+
+class TestRefineCell:
+    """The one adaptive re-integration of a plan cell: the plan's loose cells
+    and the L^p integrals' kinked cells both go through it."""
+
+    @staticmethod
+    def density(t):
+        return 2.0 + np.asarray(t, dtype=float)
+
+    @staticmethod
+    def kinked(t):
+        return np.abs(np.asarray(t, dtype=float) - 0.3)
+
+    def product(self, t):
+        return np.asarray(self.kinked(t), dtype=float) * self.density(t)
+
+    def plan(self):
+        # a small plan: one interior piece, graded toward its lower edge
+        return QuadraturePlan.from_pieces([(0.25, 0.5, self.density)])
+
+    def test_cell_equals_integrate_of_the_product(self):
+        plan = self.plan()
+        for c in range(plan.cells):
+            expected = integrate(self.product, float(plan.lo[c]),
+                                 float(plan.hi[c]))
+            assert plan.refine_cell(self.kinked, c) == expected
+
+    def test_cuts_split_the_cell(self):
+        plan = self.plan()
+        c = int(np.flatnonzero((plan.lo < 0.3) & (0.3 < plan.hi))[0])
+        lo, hi = float(plan.lo[c]), float(plan.hi[c])
+        left = integrate(self.product, lo, 0.3)
+        right = integrate(self.product, 0.3, hi)
+        value, err = plan.refine_cell(self.kinked, c, [lo, 0.3, hi])
+        assert value == left[0] + right[0] and err == left[1] + right[1]
+
+        # (t - 0.3)(2 + t) = t^2 + 1.7 t - 0.6 changes sign at the cut
+        def antiderivative(t):
+            return t ** 3 / 3.0 + 0.85 * t ** 2 - 0.6 * t
+        exact = (antiderivative(lo) + antiderivative(hi)
+                 - 2.0 * antiderivative(0.3))
+        assert value == pytest.approx(exact, rel=1e-13)
+
+    def test_loose_cells_are_refined_cells(self):
+        plan = self.plan()
+        value, err, fallbacks = plan.integrate(self.kinked)
+        assert fallbacks >= 1
+        fine, cell_err = plan.cell_sums(self.kinked(plan.nodes))
+        loose = np.flatnonzero(plan.loose_cells(cell_err, fine.sum()))
+        assert loose.size == fallbacks
+        for c in loose:
+            fine[c], cell_err[c] = integrate(self.product, float(plan.lo[c]),
+                                             float(plan.hi[c]))
+        assert (value, err) == (float(fine.sum()), float(cell_err.sum()))

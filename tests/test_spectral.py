@@ -659,6 +659,24 @@ class TestRhoOnPsiIntegral:
             assert (rho.value, rho.flags) == (plain.value, plain.flags)
 
 
+    @pytest.mark.parametrize("mu", [
+        atomic([(0.5, 1.0), (0.9, 0.05)]),
+        ScaledMeasure(0.5, lebesgue()),
+        SumMeasure((ScaledMeasure(0.25, lebesgue()), point_mass(0.6, 0.3)))],
+        ids=["atomic", "density", "sum"])
+    def test_rho_is_psi_certificate_of_the_majorant(self, mu):
+        unsound = 0
+        for seq in SPLIT_SEQUENCES:
+            psi = PsiEvaluator.from_sequence(seq)
+            for majorant in (PowerTailMeasure(4.0, 1.0),
+                             PowerTailMeasure(4.0, 0.5)):
+                rho = rho_certificate(seq, mu, majorant, psi)
+                nu = psi_certificate(seq, majorant, psi)
+                assert rho.assumptions[0].ok
+                assert (rho.value, rho.flags) == (nu.value, nu.flags)
+                unsound += TAIL_UNSOUND_FLAG in rho.flags
+        assert unsound >= 1
+
 class TestCertificatesExactForm:
     """psi^2 = sum_ij w_i w_j x^(l_i + l_j) with w = 1/d, and Psi = psi'(x^1/4)
     psi(x^1/4) is a sum of the powers (l_i + l_j - 1)/4 with weights
