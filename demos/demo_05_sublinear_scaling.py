@@ -27,12 +27,13 @@ print(f"  power fit: mu(J_eps) ~ {rep.power_fit.coefficient:.4f} * "
 
 print("\n=== op_norm / sqrt(c) across four decades of scaling ===")
 for c in (1e-2, 1e-1, 1.0, 1e1, 1e2):
-    # one problem holds A, B and the modulus report of this measure
+    # one problem holds A and the modulus report of this measure; its
+    # truncated sequence holds B
     problem = EmbeddingProblem(seq, ScaledMeasure(c, base), 20)
     norm = analyze(problem, q_set=(2.0,)).op_norm
     s_norm = problem.modulus.sublinear_norm
-    dominated = bool(np.all(problem.gram
-                            <= s_norm * problem.lebesgue * (1.0 + 1e-12)))
+    b = problem.truncated.lebesgue_gram
+    dominated = bool(np.all(problem.gram <= s_norm * b * (1.0 + 1e-12)))
     print(f"  c = {c:7.2f}: op = {norm:10.6f}, op/sqrt(c) = "
           f"{norm / math.sqrt(c):.8f}, entrywise A <= ||mu||_S B: {dominated}")
 

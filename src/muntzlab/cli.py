@@ -88,8 +88,18 @@ def _block(name: str, defaults: dict):
     return read
 
 
+def _certificate_kind(kind):
+    """``kind`` when ``cmd_analyze`` dispatches it: an unknown kind is
+    refused before any work."""
+    if kind not in _CERTIFICATES:
+        raise InvalidParameterError(f"unknown certificate kind {kind!r}")
+    return kind
+
+
 _BLOCKS = {"rho": {"C": 1.0, "alpha": 1.0},
            "compact_support": {"b": 0.5, "b_prime": 0.75, "k": 1}}
+_CERTIFICATES = ("psi", "rho", "sublinear", "compact_support",
+                 "hilbert_schmidt")
 _CONFIG_FIELDS = ("sequence", "measure", "N", "q_set", "certificates",
                   "m_list", *_BLOCKS, "seed")
 
@@ -100,7 +110,6 @@ _CONFIG_FIELDS = ("sequence", "measure", "N", "q_set", "certificates",
 
 def cmd_analyze(args) -> int:
     from . import spectral
-    from .geometry import PsiEvaluator
     from .measures import PowerTailMeasure, measure_from_config
     from .reporting import write_csv, write_json
     from .sequences import (config_object, real_number, sequence_from_config,
@@ -115,7 +124,7 @@ def cmd_analyze(args) -> int:
     q_set = tuple(_field(config, "q_set", _array(real_number), [0.5, 1.0, 2.0]))
     m_list = _field(config, "m_list", _array(whole_number, allow_null=True),
                     None)
-    wanted = _field(config, "certificates", _array(lambda kind: kind),
+    wanted = _field(config, "certificates", _array(_certificate_kind),
                     ["psi", "sublinear"])
     # a block is read (and echoed, defaults included) when given or used
     blocks = {name: _field(config, name, _block(name, defaults), {})
@@ -127,26 +136,23 @@ def cmd_analyze(args) -> int:
     report = spectral.analyze(problem, q_set=q_set)
 
     sub = problem.truncated
-    psi = PsiEvaluator.from_sequence(sub)
     certificates = []
     hypothesis_violated = False
     for kind in wanted:
         try:
             if kind == "psi":
-                cert = spectral.psi_certificate(sub, mu, psi)
+                cert = spectral.psi_certificate(sub, mu)
             elif kind == "rho":
                 rho = blocks["rho"]
                 cert = spectral.rho_certificate(
-                    sub, mu, PowerTailMeasure(rho["C"], rho["alpha"]), psi)
+                    sub, mu, PowerTailMeasure(rho["C"], rho["alpha"]))
             elif kind == "sublinear":
                 cert = spectral.sublinear_embedding_bound(problem)
             elif kind == "compact_support":
                 cert = spectral.compact_support_certificate(
-                    sub, mu, **blocks["compact_support"], psi=psi)
-            elif kind == "hilbert_schmidt":
-                cert = spectral.hilbert_schmidt_certificate(sub, mu, psi)
-            else:
-                raise InvalidParameterError(f"unknown certificate kind {kind!r}")
+                    sub, mu, **blocks["compact_support"])
+            else:  # hilbert_schmidt
+                cert = spectral.hilbert_schmidt_certificate(sub, mu)
         except SublinearEstimateError as exc:
             hypothesis_violated = True
             certificates.append({"kind": kind, "value": "inf",
@@ -159,7 +165,7 @@ def cmd_analyze(args) -> int:
 
     essential = None
     if m_list:
-        essential = spectral.essential_norm_trend(seq, mu, n, m_list)
+        essential = spectral.essential_norm_trend(sub, mu, n, m_list)
 
     wall = time.perf_counter() - started
     payload = {

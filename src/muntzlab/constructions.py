@@ -152,7 +152,7 @@ class _Build:
 def _last_three_spectra(problem: EmbeddingProblem):
     """(k, singular values) at k = max(2, n - 2)..n, leading blocks at n."""
     sizes = range(max(2, problem.n - 2), problem.n + 1)
-    return zip(sizes, _truncated_spectra(problem, problem.whitener, sizes))
+    return zip(sizes, _truncated_spectra(problem, sizes))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Lebesgue-space geometry of the monomial system.
 
-Gram matrices of the monomials, the distances d_n from each monomial to the
-span of the others, the majorant function psi built from them, and the two
-classical Muntz polynomial inequality checkers.
+The Lebesgue Gramian B, the inverse W = L^-1 of its Cholesky factor, the
+distances d_n from each monomial to the span of the others, the majorant
+function psi built from them, and the two classical Muntz polynomial
+inequality checkers.  A :class:`LambdaSequence` keeps its B, W and psi.
 
 The distances use the closed Cauchy-system product formula
 
@@ -23,7 +24,7 @@ skipping the terms that underflow.  A single point is a one-lane call.
 :meth:`PsiEvaluator.log_majorant` builds log psi, or log Psi of the
 Hilbert-Schmidt majorant Psi(x) = psi'(x^(1/4)) psi(x^(1/4)), on top of it;
 the certificate integrals, the tail-unsound widths and :func:`big_psi` all
-read Psi from there.
+read Psi from there, each tail-unsound width in one call.
 
 Truncation caveat: the d_n computed from N exponents are >= the distances of
 the infinite system, so the truncated psi is a LOWER estimate of the full
@@ -39,8 +40,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
-from .errors import InvalidParameterError, UndefinedRatioError
+from .errors import (IllConditionedBasisError, InvalidParameterError,
+                     UndefinedRatioError)
 from .polynomials import MuntzPolynomial
 from .sequences import LambdaSequence
 
@@ -48,20 +51,9 @@ PSI_TAIL_RTOL = 1e-12
 PSI_K_MAX = 4
 EXP_FLOOR = -746.0     # exp(x) is exactly 0 in double below this
 _BOUND_TOL = 1e-9      # relative slack of pointwise_bound_check
-_BISECTION_LEVELS = 5  # levels of the t* bisection tree per evaluation
-
-
-def _bisection_probes(lo: int, hi: int, levels: int) -> list[int]:
-    """The midpoints (lo + hi) // 2 that a bisection of the open bracket
-    (lo, hi) can visit in its next ``levels`` steps, level by level."""
-    probes, brackets = [], [(lo, hi)]
-    for _ in range(levels):
-        inner = [(a, b) for a, b in brackets if b - a > 1]
-        mids = [(a + b) // 2 for a, b in inner]
-        probes += mids
-        brackets = [half for (a, b), m in zip(inner, mids)
-                    for half in ((a, m), (m, b))]
-    return probes
+# log x at the t* probes x = 1 - 2^-j, j = 0..1074 (2^0 taken as 1 - 1e-16)
+_PROBE_LOG_X = np.array([math.log1p(-min(2.0 ** -j, 1.0 - 1e-16))
+                         for j in range(1075)])
 
 
 def lebesgue_gram(seq: LambdaSequence) -> np.ndarray:
@@ -71,6 +63,33 @@ def lebesgue_gram(seq: LambdaSequence) -> np.ndarray:
     entries = np.sqrt(np.outer(lam, lam)) / (lam[:, None] + lam[None, :] + 1.0)
     entries.setflags(write=False)
     return entries
+
+
+def _cholesky_lower(b: np.ndarray) -> np.ndarray:
+    try:
+        return scipy.linalg.cholesky(b, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise IllConditionedBasisError(
+            "Cholesky of the Lebesgue Gramian failed; the truncated basis is "
+            "numerically dependent in double precision; reduce N.") from exc
+
+
+def _whitener(b: np.ndarray) -> np.ndarray:
+    """W = L^-1 for B = L L^T, lower triangular and read-only.
+
+    One LAPACK triangular inverse, so that every whitening is a matrix
+    product: OpenBLAS runs a triangular solve on every core even at N = 8,
+    and its helper threads then spin between calls.
+    """
+    w, info = scipy.linalg.lapack.dtrtri(_cholesky_lower(b), lower=1)
+    if info != 0 or not np.all(np.isfinite(w)):
+        raise IllConditionedBasisError(
+            "inverting the Cholesky factor of the Lebesgue Gramian failed; "
+            "the truncated basis is numerically dependent in double "
+            "precision; reduce N.")
+    w = np.tril(w)
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)
@@ -143,8 +162,8 @@ class PsiEvaluator:
     The term of order k is w_n (lambda_n)_k x**(lambda_n - k), with the
     falling factorial (lambda_n)_k; its log weight and sign are tabulated per
     order when the evaluator is built.  Every evaluation goes through
-    :meth:`eval_many`, in the log domain.  The tail-unsound widths t* are
-    bisected once.
+    :meth:`eval_many`, in the log domain.  Each tail-unsound width t* is
+    one evaluation, cached.
     """
 
     lambdas: np.ndarray
@@ -187,28 +206,17 @@ class PsiEvaluator:
         return self._unsound_width(big=True)
 
     def _unsound_width(self, big: bool) -> float:
-        """t* of psi, or of Psi when ``big``, bisected over the probes
-        t = 2^-j, j = 0..1074 (t = 1 taken as 1 - 1e-16): the last-term ratio
-        is monotone in x, so the unsound probes are a final run of j, whose
-        first j gives t* = min(2^(1-j), 1); 0 means sound at every probe.  A
-        probe whose x rounds to 1 (for Psi from t = 2^-1073 on) is unsound.
-        Each :meth:`log_majorant` call evaluates the next ``_BISECTION_LEVELS``
-        levels of the bisection tree at once, so the 11 levels take 3 calls.
+        """t* of psi, or of Psi when ``big``, from one :meth:`log_majorant`
+        call over the probes t = 2^-j, j = 0..1074 (``_PROBE_LOG_X``): the
+        last-term ratio is monotone in x, so the unsound probes are a final
+        run of j, whose first j gives t* = min(2^(1-j), 1); 0 means sound at
+        every probe.  A probe whose x rounds to 1 (for Psi from t = 2^-1073
+        on) is unsound.
         """
-        sound, first_unsound = -1, 1075          # bracket of virtual probes
-        while first_unsound - sound > 1:
-            probes = _bisection_probes(sound, first_unsound, _BISECTION_LEVELS)
-            log_x = [math.log1p(-min(2.0 ** -j, 1.0 - 1e-16)) for j in probes]
-            flags = dict(zip(probes, self.log_majorant(log_x, big)[1].tolist()))
-            for _ in range(_BISECTION_LEVELS):
-                if first_unsound - sound <= 1:
-                    break
-                j = (sound + first_unsound) // 2
-                if flags[j]:
-                    sound = j
-                else:
-                    first_unsound = j
-        return 0.0 if first_unsound == 1075 else min(2.0 ** (1 - first_unsound), 1.0)
+        unsound = ~self.log_majorant(_PROBE_LOG_X, big)[1]
+        if not unsound.any():
+            return 0.0
+        return min(2.0 ** (1 - int(np.argmax(unsound))), 1.0)
 
     def _check_order(self, k: int) -> None:
         if k < 0 or k > PSI_K_MAX:

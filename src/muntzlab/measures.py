@@ -252,14 +252,19 @@ class AtomicMeasure(Measure):
 
 def atomic(atoms) -> AtomicMeasure:
     """Atomic measure from ``[(a_k, c_k), ...]`` pairs in the linear domain,
-    refused where :func:`_atomic_from_log_pairs` refuses their logs."""
+    refused where :func:`_atomic_from_log_pairs` refuses their logs: atoms
+    are stored by their logs, so two positions whose logs round to one
+    double (0.05 and 0.05000000000000001) are refused, by name."""
+    pairs = np.array(atoms, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _atomic_from_log_pairs(np.log(np.array(atoms, dtype=float)))
+        return _atomic_from_log_pairs(np.log(pairs), pairs)
 
 
-def _atomic_from_log_pairs(log_atoms) -> AtomicMeasure:
+def _atomic_from_log_pairs(log_atoms, atoms=None) -> AtomicMeasure:
     """Atomic measure from ``[(log a_k, log c_k), ...]`` pairs: at least one,
-    with distinct positions in (0, 1) and positive weights."""
+    with distinct positions in (0, 1) and positive weights.  A refusal of
+    coinciding positions names two of them, as the linear ``atoms`` the logs
+    were taken of when given."""
     if len(log_atoms) == 0:
         raise InvalidParameterError("atomic measure needs at least one atom")
     log_pos, log_wts = (np.asarray(v, dtype=float) for v in zip(*log_atoms))
@@ -267,8 +272,16 @@ def _atomic_from_log_pairs(log_atoms) -> AtomicMeasure:
         raise InvalidParameterError("atom positions must lie in (0, 1)")
     if not np.all(log_wts > NEG_INF):
         raise InvalidParameterError("atom weights must be positive")
-    if np.unique(log_pos).size != log_pos.size:
-        raise InvalidParameterError("atom positions must be distinct")
+    order = np.argsort(log_pos, kind="stable")
+    ties = np.flatnonzero(np.diff(log_pos[order]) == 0.0)
+    if ties.size:
+        i, j = order[ties[0]:ties[0] + 2]
+        what, named = (("log positions", log_pos) if atoms is None
+                       else ("positions", atoms[:, 0]))
+        raise InvalidParameterError(
+            f"atom positions must be distinct once stored as logs: {what} "
+            f"{float(named[i])!r} and {float(named[j])!r} both store as log "
+            f"{float(log_pos[i])!r}")
     return AtomicMeasure(log_pos, log_wts)
 
 
@@ -392,20 +405,16 @@ class PiecewiseDensityMeasure(Measure):
         return (np.maximum(overlap, 0.0) * self.densities).sum(axis=-1)
 
     def _restricted(self, eps: float) -> "Measure":
-        lo_cut = 1.0 - eps
-        bp = [lo_cut]
-        de = []
-        for lo, hi, h in zip(self.breakpoints[:-1], self.breakpoints[1:],
-                             self.densities):
-            lo2, hi2 = max(lo, lo_cut), hi
-            if hi2 > lo2:
-                if hi2 > bp[-1]:
-                    bp.append(hi2)
-                    de.append(h)
-        if not de or not any(d > 0.0 for d in de):
+        # the pieces ending above 1 - eps, the first one cut there unless it
+        # starts above it
+        keep = self.breakpoints[1:] > 1.0 - eps
+        de = self.densities[keep]
+        if not np.any(de > 0.0):
             # empty restriction: represent as a zero atomic measure
             return AtomicMeasure(np.array([]), np.array([]))
-        return PiecewiseDensityMeasure(np.array(bp), np.array(de))
+        lo = max(1.0 - eps, float(self.breakpoints[:-1][keep][0]))
+        bp = np.append(lo, self.breakpoints[1:][keep])
+        return PiecewiseDensityMeasure(bp, de)
 
     def bounded_density_sup(self) -> float:
         return float(self.densities.max())

@@ -2,13 +2,15 @@
 
 A :class:`LambdaSequence` is always a finite truncation of a conceptually
 infinite sequence; every downstream report carries the truncation length so
-asymptotic statements stay labelled as truncation trends.
+asymptotic statements stay labelled as truncation trends.  It keeps what
+depends on its exponents alone, computed by :mod:`muntzlab.geometry`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +25,9 @@ def _frozen_array(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LambdaSequence:
-    """Strictly increasing positive exponents with an origin tag."""
+    """Strictly increasing positive exponents with an origin tag.  B
+    (``lebesgue_gram``), the inverse W = L^-1 of its lower Cholesky factor
+    (``whitener``) and ``psi`` are computed once, when first read."""
 
     values: np.ndarray
     origin: str = "explicit"
@@ -49,7 +53,24 @@ class LambdaSequence:
     def truncate(self, n: int) -> "LambdaSequence":
         if not 1 <= n <= len(self):
             raise InvalidParameterError(f"truncation {n} outside 1..{len(self)}")
+        if n == len(self):
+            return self
         return LambdaSequence(self.values[:n], origin=self.origin)
+
+    @cached_property
+    def lebesgue_gram(self) -> np.ndarray:
+        from . import geometry
+        return geometry.lebesgue_gram(self)
+
+    @cached_property
+    def whitener(self) -> np.ndarray:
+        from . import geometry
+        return geometry._whitener(self.lebesgue_gram)
+
+    @cached_property
+    def psi(self):
+        from . import geometry
+        return geometry.PsiEvaluator.from_sequence(self)
 
     def to_config(self) -> dict:
         return {"kind": "explicit", "values": [float(v) for v in self.values]}

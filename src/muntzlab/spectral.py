@@ -4,11 +4,11 @@ The embedding i_mu : M^2_Lambda -> L^2(mu), truncated to the span of the
 first N normalized monomials g_n = lambda_n^(1/2) x^lambda_n, has singular
 values equal to the square roots of the generalized eigenvalues of the
 pencil (A, B), where A is the mu-Gramian and B the Lebesgue Gramian of the
-g_n.  The pencil is whitened by the inverse Cholesky factor of B, computed
-once per problem; a failed factorization raises instead of regularizing
-(reduce N).  One :class:`EmbeddingProblem` assembles A and B and inverts the
-factor of B once at N, as read-only arrays its readers share; smaller
-truncations are leading blocks.
+g_n.  The pencil is whitened by the inverse Cholesky factor W of B; a failed
+factorization raises instead of regularizing (reduce N).  B, W and psi depend
+on the exponents alone, so every problem and certificate reads them from the
+truncated :class:`LambdaSequence`.  One :class:`EmbeddingProblem` assembles A
+once at N; smaller truncations are leading blocks.
 
 Certificates are named upper bounds from the majorant function psi, from a
 rho-majorization of the tail modulus, from compact support, and from
@@ -33,9 +33,9 @@ import numpy as np
 import scipy.linalg
 
 from . import quadrature
-from .errors import (IllConditionedBasisError, InvalidParameterError,
-                     NumericalSoundnessError, SublinearEstimateError)
-from .geometry import PSI_K_MAX, PsiEvaluator, lebesgue_gram
+from .errors import (InvalidParameterError, NumericalSoundnessError,
+                     SublinearEstimateError)
+from .geometry import PSI_K_MAX, PsiEvaluator, _whitener
 from .logdomain import log_sum
 from .measures import Measure, modulus_report, rho_hypothesis_violation
 from .sequences import LambdaSequence, classify, whole_number
@@ -49,10 +49,9 @@ DEFAULT_Q_SET = (0.5, 1.0, 2.0)
 @dataclass(frozen=True)
 class EmbeddingProblem:
     """A (sequence, measure, truncation) triple for the p = 2 embedding and
-    its one analysis: the truncated sequence, B (``lebesgue``), the inverse
-    W = L^-1 of its lower Cholesky factor (``whitener``), A (``gram``) and
-    the modulus report of mu, each computed when first read; the arrays are
-    read-only."""
+    its one analysis: the truncated sequence (which keeps B, W and psi), A
+    (``gram``, read-only) and the modulus report of mu, each computed when
+    first read."""
 
     sequence: LambdaSequence
     measure: Measure
@@ -66,14 +65,6 @@ class EmbeddingProblem:
     @cached_property
     def truncated(self) -> LambdaSequence:
         return self.sequence.truncate(self.n)
-
-    @cached_property
-    def lebesgue(self) -> np.ndarray:
-        return lebesgue_gram(self.truncated)
-
-    @cached_property
-    def whitener(self) -> np.ndarray:
-        return _whitener(self.lebesgue)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -158,33 +149,6 @@ def measure_gram(seq: LambdaSequence, mu: Measure) -> np.ndarray:
     return entries
 
 
-def _cholesky_lower(b: np.ndarray) -> np.ndarray:
-    try:
-        return scipy.linalg.cholesky(b, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise IllConditionedBasisError(
-            "Cholesky of the Lebesgue Gramian failed; the truncated basis is "
-            "numerically dependent in double precision; reduce N.") from exc
-
-
-def _whitener(b: np.ndarray) -> np.ndarray:
-    """W = L^-1 for B = L L^T, lower triangular and read-only.
-
-    One LAPACK triangular inverse, so that every whitening is a matrix
-    product: OpenBLAS runs a triangular solve on every core even at N = 8,
-    and its helper threads then spin between calls.
-    """
-    w, info = scipy.linalg.lapack.dtrtri(_cholesky_lower(b), lower=1)
-    if info != 0 or not np.all(np.isfinite(w)):
-        raise IllConditionedBasisError(
-            "inverting the Cholesky factor of the Lebesgue Gramian failed; "
-            "the truncated basis is numerically dependent in double "
-            "precision; reduce N.")
-    w = np.tril(w)
-    w.setflags(write=False)
-    return w
-
-
 def _whiten(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """W A W^T for the whitener W = L^-1 of B = L L^T, symmetrized."""
     m = w @ a @ w.T
@@ -214,12 +178,10 @@ def singular_values(a, b) -> np.ndarray:
     return _pencil_singular_values(_whiten(a, _whitener(b)))
 
 
-def _truncated_spectra(problem: EmbeddingProblem, w: np.ndarray,
-                       sizes) -> list[np.ndarray]:
+def _truncated_spectra(problem: EmbeddingProblem, sizes) -> list[np.ndarray]:
     """Singular values of i_mu at each truncation in ``sizes``, from the
-    problem's assembly at N whitened by ``w``, the inverse Cholesky factor
-    of its Lebesgue Gramian (problems on one truncated sequence share it);
-    ``w`` is lower triangular, so truncation k is the leading block.
+    problem's assembly at N whitened by the truncated sequence's W; W is
+    lower triangular, so truncation k is the leading block.
     Measures with a density part go through the (A, B) pencil.  Purely
     atomic ones go through the K x N factor
     F_{kn} = sqrt(c_k) sqrt(lambda_n) a_k**lambda_n (A = F^T F) as
@@ -228,13 +190,13 @@ def _truncated_spectra(problem: EmbeddingProblem, w: np.ndarray,
     """
     flat = problem.measure.flattened()
     if flat.has_density:
-        m = _whiten(problem.gram, w)
+        m = _whiten(problem.gram, problem.truncated.whitener)
         return [_pencil_singular_values(m[:k, :k]) for k in sizes]
     lam = problem.truncated.values
     log_f = (0.5 * flat.log_weights[:, None]
              + 0.5 * np.log(lam)[None, :]
              + np.outer(flat.log_positions, lam))
-    x = np.exp(log_f) @ w.T
+    x = np.exp(log_f) @ problem.truncated.whitener.T
     spectra = []
     for k in sizes:
         svals = scipy.linalg.svd(x[:, :k], compute_uv=False)
@@ -277,7 +239,7 @@ def analyze(problem: EmbeddingProblem, q_set=DEFAULT_Q_SET) -> SpectralReport:
     diagnostics (truncations n/4, n/2, n, read as leading blocks)."""
     n = problem.n
     sizes = sorted({max(1, n // 4), max(1, n // 2), n})
-    spectra = _truncated_spectra(problem, problem.whitener, sizes)
+    spectra = _truncated_spectra(problem, sizes)
     trend = tuple(TrendPoint(n=k, op_norm=float(svals[0]),
                              schatten=_schatten_table(svals, q_set))
                   for k, svals in zip(sizes, spectra))
@@ -295,7 +257,8 @@ def essential_norm_trend(seq: LambdaSequence, mu: Measure, n: int,
     """Norms of the tail-restricted embeddings i_{mu'_m}.
 
     The essential norm is their limit in m; only this trend is reported,
-    never an extrapolated value.  The restricted problems share one whitener.
+    never an extrapolated value.  The restricted problems share the
+    whitener of ``seq.truncate(n)``, which is ``seq`` when n = len(seq).
     """
     try:
         whole = [whole_number(m) for m in m_list]
@@ -305,12 +268,11 @@ def essential_norm_trend(seq: LambdaSequence, mu: Measure, n: int,
     if not valid:
         raise InvalidParameterError(
             f"m_list {m_list} must be increasing integers >= 2")
-    problem = EmbeddingProblem(seq, mu, n)
+    sub = seq.truncate(n)
     out = []
     for m in whole:
-        tail = EmbeddingProblem(problem.truncated,
-                                mu.restricted_to_tail(1.0 / m), n)
-        svals, = _truncated_spectra(tail, problem.whitener, (n,))
+        tail = EmbeddingProblem(sub, mu.restricted_to_tail(1.0 / m), n)
+        svals, = _truncated_spectra(tail, (n,))
         out.append((m, float(svals[0])))
     return out
 
@@ -389,8 +351,7 @@ def _majorant_certificate(kind: str, nu: Measure, psi: PsiEvaluator,
                        assumptions=assumptions, flags=flags, params=params)
 
 
-def psi_certificate(seq: LambdaSequence, mu: Measure,
-                    psi: PsiEvaluator | None = None) -> Certificate:
+def psi_certificate(seq: LambdaSequence, mu: Measure) -> Certificate:
     """Upper bound ||i_mu|| <= ||psi||_{L^2(mu)} at this truncation.
 
     The truncated psi is a lower estimate of the infinite majorant, so the
@@ -400,14 +361,13 @@ def psi_certificate(seq: LambdaSequence, mu: Measure,
     truncated one and is flagged ``psi-tail-unsound``: it may under-estimate
     the infinite-sequence certificate.
     """
-    psi = PsiEvaluator.from_sequence(seq) if psi is None else psi
     return _majorant_certificate(
-        "psi", mu, psi, {"n_seq": psi.n_seq},
+        "psi", mu, seq.psi, {"n_seq": len(seq)},
         integrable=("psi-square-integrable", "integral = {:.6g}"))
 
 
-def rho_certificate(seq: LambdaSequence, mu: Measure, majorant: Measure,
-                    psi: PsiEvaluator | None = None) -> Certificate:
+def rho_certificate(seq: LambdaSequence, mu: Measure,
+                    majorant: Measure) -> Certificate:
     """Upper bound from a tail majorant: value = (integral_0^1 psi(x)^2
     rho'(1-x) dx)^(1/2), valid when mu(J_eps) <= rho(eps) on the eps-grid
     and where each atom of mu enters J_eps.
@@ -417,7 +377,6 @@ def rho_certificate(seq: LambdaSequence, mu: Measure, majorant: Measure,
     value and the flags are those of the psi certificate of nu.  A violated
     hypothesis gives +inf.
     """
-    psi = PsiEvaluator.from_sequence(seq) if psi is None else psi
     bad = rho_hypothesis_violation(mu, majorant)
     assumptions = (AssumptionCheck(
         "mu(J_eps) <= rho(eps)", bad is None,
@@ -427,19 +386,17 @@ def rho_certificate(seq: LambdaSequence, mu: Measure, majorant: Measure,
     if bad is not None:
         return Certificate(kind="rho", value=math.inf, assumptions=assumptions,
                            flags=(PSI_TRUNCATION_FLAG,), params=params)
-    return _majorant_certificate("rho", majorant, psi, params,
+    return _majorant_certificate("rho", majorant, seq.psi, params,
                                  assumptions=assumptions)
 
 
 def compact_support_certificate(seq: LambdaSequence, mu: Measure, b: float,
-                                b_prime: float, k: int,
-                                psi: PsiEvaluator | None = None) -> Certificate:
+                                b_prime: float, k: int) -> Certificate:
     """Schatten bound for compactly supported measures:
 
     ||i_mu||_{2/k} <= 2^(-k/2) b'^(-1/2) psi^(k)(b') psi(b/b') sqrt(||mu||),
     requiring supp mu inside [0, b] and b < b' < 1.
     """
-    psi = PsiEvaluator.from_sequence(seq) if psi is None else psi
     if not 0.0 < b < b_prime < 1.0:
         raise InvalidParameterError("need 0 < b < b' < 1")
     if not 1 <= k <= PSI_K_MAX:
@@ -453,14 +410,13 @@ def compact_support_certificate(seq: LambdaSequence, mu: Measure, b: float,
                            assumptions=tuple(assumptions),
                            flags=(PSI_TRUNCATION_FLAG,),
                            params={"b": b, "b_prime": b_prime, "k": k})
-    deriv = psi.eval(b_prime, k)
-    plain = psi.eval(b / b_prime, 0)
+    deriv, plain = seq.psi.eval(b_prime, k), seq.psi.eval(b / b_prime, 0)
     value = (2.0 ** (-0.5 * k) / math.sqrt(b_prime)
              * deriv.value * plain.value * math.sqrt(mu.total_mass))
     flags = [PSI_TRUNCATION_FLAG]
     if not (deriv.tail_sound and plain.tail_sound):
         flags.append(TAIL_UNSOUND_FLAG)
-    if psi.n_seq <= k:
+    if len(seq) <= k:
         # psi^(k) of a truncation with too few terms can vanish identically
         flags.append("derivative-order-exceeds-truncation")
     return Certificate(kind=f"compact_support_{k}", value=value,
@@ -469,8 +425,7 @@ def compact_support_certificate(seq: LambdaSequence, mu: Measure, b: float,
                                "schatten_index": 2.0 / k})
 
 
-def hilbert_schmidt_certificate(seq: LambdaSequence, mu: Measure,
-                                psi: PsiEvaluator | None = None) -> Certificate:
+def hilbert_schmidt_certificate(seq: LambdaSequence, mu: Measure) -> Certificate:
     """Finiteness of integral Psi^2 dmu implies i_mu is Hilbert-Schmidt.
 
     The theorem's constant is unspecified, so the certificate asserts only
@@ -478,7 +433,6 @@ def hilbert_schmidt_certificate(seq: LambdaSequence, mu: Measure,
     numeric S_2 bound.  Also reports the dyadic-root partition masses
     b_0 = 0, b_1 = 1/2, b_{j+1} = sqrt(b_j).
     """
-    psi = PsiEvaluator.from_sequence(seq) if psi is None else psi
     # edges up to the first within 1e-12 of 1, at most 64 partitions
     edges = [0.0, 0.5]
     while len(edges) <= 64 and 1.0 - edges[-1] > 1e-12:
@@ -487,7 +441,7 @@ def hilbert_schmidt_certificate(seq: LambdaSequence, mu: Measure,
     masses = np.append(mu.total_mass, above[:-1]) - above
     partitions = list(zip(edges[:-1], edges[1:], masses.tolist()))
     return _majorant_certificate(
-        "hilbert_schmidt_psi", mu, psi, {"partition_masses": partitions},
+        "hilbert_schmidt_psi", mu, seq.psi, {"partition_masses": partitions},
         big=True, integrable=("Psi-square-integrable", "integral {:.6g}"),
         flags=("finiteness-only-no-numeric-s2-bound",))
 
@@ -514,7 +468,7 @@ def sublinear_embedding_bound(problem: EmbeddingProblem) -> Certificate:
     if not (lacunary_ok and math.isfinite(s_norm)):
         return Certificate(kind="sublinear", value=math.inf,
                            assumptions=tuple(assumptions))
-    a, b = problem.gram, problem.lebesgue
+    a, b = problem.gram, problem.truncated.lebesgue_gram
     gap = a - s_norm * b
     tol = 1e-12 * (1.0 + s_norm * np.abs(b))
     if np.any(gap > tol):

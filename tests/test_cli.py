@@ -219,11 +219,12 @@ class TestOneAnalysis:
     def test_assembles_factors_and_bisects_once(self, tmp_path, monkeypatch):
         # the geometric sequence (2, ratio 2) at N 32 on PowerTail(1, 2, 0.3),
         # all five certificates and the essential-norm trend
-        from muntzlab import spectral
+        from muntzlab import geometry, spectral
         from muntzlab.geometry import PsiEvaluator
 
         calls = {"measure_gram": [], "modulus_report": 0, "lebesgue_gram": 0,
-                 "cholesky": 0, "dtrtri": 0, "width": []}
+                 "cholesky": 0, "dtrtri": 0, "psi": 0, "width": [],
+                 "log_majorant": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -234,16 +235,29 @@ class TestOneAnalysis:
         measure_gram = spectral.measure_gram
         monkeypatch.setattr(spectral, "measure_gram", lambda seq, mu: (
             calls["measure_gram"].append(mu) or measure_gram(seq, mu)))
-        for name, attr in (("modulus_report", "modulus_report"),
-                           ("lebesgue_gram", "lebesgue_gram"),
+        monkeypatch.setattr(spectral, "modulus_report",
+                            counted("modulus_report", spectral.modulus_report))
+        for name, attr in (("lebesgue_gram", "lebesgue_gram"),
                            ("cholesky", "_cholesky_lower")):
-            monkeypatch.setattr(spectral, attr,
-                                counted(name, getattr(spectral, attr)))
+            monkeypatch.setattr(geometry, attr,
+                                counted(name, getattr(geometry, attr)))
         monkeypatch.setattr(scipy.linalg.lapack, "dtrtri",
                             counted("dtrtri", scipy.linalg.lapack.dtrtri))
+        monkeypatch.setattr(PsiEvaluator, "from_sequence", classmethod(
+            counted("psi", PsiEvaluator.from_sequence.__func__)))
         width = PsiEvaluator._unsound_width
-        monkeypatch.setattr(PsiEvaluator, "_unsound_width", lambda self, big: (
-            calls["width"].append(big) or width(self, big)))
+        log_majorant = PsiEvaluator.log_majorant
+
+        def counted_width(self, big):
+            # the log_majorant calls one width makes
+            before = calls["log_majorant"]
+            value = width(self, big)
+            calls["width"].append((big, calls["log_majorant"] - before))
+            return value
+
+        monkeypatch.setattr(PsiEvaluator, "_unsound_width", counted_width)
+        monkeypatch.setattr(PsiEvaluator, "log_majorant",
+                            counted("log_majorant", log_majorant))
 
         m_list = [2, 8, 32, 128]
         cfg = write_config(tmp_path, {
@@ -263,11 +277,52 @@ class TestOneAnalysis:
         assert sum(m is mu for m in calls["measure_gram"]) == 1
         assert len(calls["measure_gram"]) == 1 + len(m_list)
         assert calls["modulus_report"] == 1
-        assert sorted(calls["width"]) == [False, True]
-        # one factor and one inverse per problem: the CLI's, and the one
-        # essential_norm_trend(seq, mu, n, m_list) builds for itself
-        assert calls["lebesgue_gram"] <= 2 and calls["cholesky"] <= 2
-        assert calls["dtrtri"] == calls["cholesky"]
+        # each width t* is one evaluation
+        assert sorted(calls["width"]) == [(False, 1), (True, 1)]
+        # B, its factor, the inverse and psi once: the truncated sequence
+        # keeps them for every certificate and trend point
+        assert calls["lebesgue_gram"] == calls["cholesky"] == 1
+        assert calls["dtrtri"] == calls["psi"] == 1
+
+    def test_n_override_factors_once(self, tmp_path, monkeypatch):
+        # --n truncates the config's sequence; the trend reads that
+        # truncation, so B is still factored once
+        from muntzlab import geometry
+
+        calls = []
+        cholesky = geometry._cholesky_lower
+        monkeypatch.setattr(geometry, "_cholesky_lower",
+                            lambda b: calls.append(b.shape) or cholesky(b))
+        cfg = write_config(tmp_path, {
+            "sequence": {"kind": "geometric", "lambda1": 2.0, "ratio": 2.0,
+                         "count": 16},
+            "measure": {"kind": "powertail", "C": 1.0, "alpha": 2.0},
+            "certificates": ["psi", "sublinear"], "m_list": [2, 4]})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path),
+                     "--n", "10"]) == 0
+        assert calls == [(10, 10)]
+
+    @pytest.mark.parametrize("certificates", [
+        ["psi", "hilbert_schmidt", "bogus"], ["bogus"], ["psi", 3]])
+    def test_unknown_certificate_refused_before_any_work(
+            self, tmp_path, monkeypatch, capsys, certificates):
+        from muntzlab import spectral
+
+        def refused(*args, **kwargs):
+            raise AssertionError("analysis ran")
+
+        monkeypatch.setattr(spectral, "analyze", refused)
+        cfg = write_config(tmp_path, {
+            "sequence": {"kind": "geometric", "lambda1": 2.0, "ratio": 2.0,
+                         "count": 24},
+            "measure": {"kind": "powertail", "C": 1.0, "alpha": 2.0},
+            "certificates": certificates})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: unknown certificate kind {certificates[-1]!r}"]
+        assert not any(out.iterdir())
 
     def test_no_triangular_solve(self, tmp_path, monkeypatch):
         # every whitening is a product with the cached inverse factor

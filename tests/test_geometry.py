@@ -11,7 +11,6 @@ from muntzlab import (InvalidParameterError, MuntzPolynomial, PsiEvaluator,
                       make_geometric, make_power,
                       pointwise_bound_check, psi_a_eval, random_unit,
                       scaled_distance)
-from muntzlab import geometry
 from muntzlab.geometry import EXP_FLOOR, PSI_K_MAX, PSI_TAIL_RTOL
 from muntzlab.highprec import distance_oracle
 
@@ -277,8 +276,8 @@ class TestPsi:
 
 
 def _one_probe_width(psi, big):
-    """t* bisected one probe per log_majorant call, the evaluation order the
-    blocked bisection replaced."""
+    """t* bisected one probe per log_majorant call: an oracle of the width
+    read from one evaluation over every probe."""
     sound, first_unsound = -1, 1075
     while first_unsound - sound > 1:
         j = (sound + first_unsound) // 2
@@ -312,18 +311,10 @@ class TestBlockedBisection:
             width = psi._unsound_width(big)
             monkeypatch.setattr(PsiEvaluator, "log_majorant", log_majorant)
             assert width == expected
-            # 11 bisection levels, 5 per call, at most 31 probes per call
-            assert len(calls) <= 3 and max(calls) <= 31
+            # one call over all 1075 probes
+            assert calls == [1075]
             widths.add(expected)
         assert len(widths) >= 4
-
-    def test_probes_are_the_bisection_subtree(self):
-        probes = geometry._bisection_probes(-1, 1075, 5)
-        assert len(probes) == len(set(probes)) == 31
-        assert probes[:3] == [537, 268, 806]
-        # a narrow bracket has no more probes than interior points
-        assert geometry._bisection_probes(3, 6, 5) == [4, 5]
-        assert geometry._bisection_probes(3, 4, 5) == []
 
 
 # The evaluator before the shared kernel, kept as its oracle: term logs and

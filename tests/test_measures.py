@@ -276,6 +276,37 @@ class TestRestrict:
         with pytest.raises(InvalidParameterError):
             restrict_tail(lebesgue(), 1)
 
+    @pytest.mark.parametrize("breakpoints, densities", [
+        ([0.7, 0.9], [1.0]),
+        ([0.6, 0.8, 0.95], [2.0, 0.5]),
+        ([0.0, 0.5, 1.0], [1.0, 3.0]),
+        ([0.2, 0.4, 0.55, 1.0], [1.0, 0.0, 2.0])],
+        ids=["one-piece-above-cut", "two-pieces-above-cut", "from-zero",
+             "zero-piece"])
+    def test_piecewise_mass_is_tail_mass(self, breakpoints, densities):
+        # a support starting above 1 - eps is not stretched down to it
+        mu = PiecewiseDensityMeasure(np.array(breakpoints), np.array(densities))
+        for eps in (1.0, 0.75, 0.5, 0.45, 0.3, 0.1, 0.02):
+            tail = mu.restricted_to_tail(eps)
+            assert tail.total_mass == pytest.approx(mu.tail_mass(eps),
+                                                    rel=1e-14, abs=0.0)
+            if tail.total_mass > 0.0:
+                assert tail.breakpoints[0] == max(1.0 - eps, breakpoints[0])
+
+    def test_piecewise_mass_is_tail_mass_random(self):
+        rng = np.random.default_rng(19)
+        for _ in range(400):
+            k = int(rng.integers(1, 5))
+            edges = np.unique(rng.uniform(0.0, 1.0, k + 1))
+            densities = rng.uniform(0.0, 3.0, edges.size - 1)
+            densities[rng.random(densities.size) < 0.2] = 0.0
+            if edges.size < 2 or not np.any(densities > 0.0):
+                continue
+            mu = PiecewiseDensityMeasure(edges, densities)
+            eps = float(rng.uniform(1e-3, 1.0))
+            assert mu.restricted_to_tail(eps).total_mass == pytest.approx(
+                mu.tail_mass(eps), rel=1e-12, abs=1e-300)
+
 
 class TestModulus:
     def test_lebesgue(self):
@@ -451,6 +482,20 @@ class TestValidation:
     def test_positive_weights(self):
         with pytest.raises(InvalidParameterError):
             atomic([(0.5, 0.0)])
+
+    def test_positions_coinciding_as_logs_refused_by_name(self):
+        # distinct doubles whose logs round to one double: atoms are stored
+        # by their logs, so the pair is refused and named
+        a, b = 0.05, 0.05000000000000001
+        assert a != b and math.log(a) == math.log(b)
+        with pytest.raises(InvalidParameterError,
+                           match=r"distinct once stored as logs: positions "
+                                 r"0\.05 and 0\.05000000000000001"):
+            atomic([(0.3, 1.0), (a, 2.0), (b, 1.0)])
+        with pytest.raises(InvalidParameterError,
+                           match=r"log positions -0\.1 and -0\.1"):
+            measure_from_config({"kind": "atomic",
+                                 "log_atoms": [[-0.1, 0.0], [-0.1, 1.0]]})
 
     def test_powertail_params(self):
         with pytest.raises(InvalidParameterError):

@@ -35,8 +35,9 @@ def simple_measures(draw):
     kind = draw(st.integers(min_value=0, max_value=2))
     if kind == 0:
         size = draw(st.integers(min_value=1, max_value=3))
+        # atoms are stored by their logs, so positions are distinct there
         pos = draw(st.lists(st.floats(min_value=0.05, max_value=0.95),
-                            min_size=size, max_size=size, unique=True))
+                            min_size=size, max_size=size, unique_by=math.log))
         wts = draw(st.lists(st.floats(min_value=0.1, max_value=2.0),
                             min_size=size, max_size=size))
         return atomic(list(zip(pos, wts)))
@@ -56,7 +57,7 @@ def config_measures(draw, depth=2):
     kind = draw(st.sampled_from(kinds + (["scaled", "sum"] if depth else [])))
     if kind == "linear":
         pos = draw(st.lists(st.floats(1e-3, 1.0 - 1e-9), min_size=1,
-                            max_size=4, unique=True))
+                            max_size=4, unique_by=math.log))
         wts = draw(st.lists(st.floats(1e-6, 1e3), min_size=len(pos),
                             max_size=len(pos)))
         return atomic(list(zip(pos, wts)))

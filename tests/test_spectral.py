@@ -61,16 +61,19 @@ class TestEmbeddingProblem:
     def test_members_computed_once_and_read_only(self):
         problem = EmbeddingProblem(make_geometric(2.0, 2.0, 8),
                                    PowerTailMeasure(1.0, 2.0), 6)
-        for name in ("gram", "lebesgue", "whitener"):
-            entries = getattr(problem, name)
-            assert entries is getattr(problem, name)
+        sub = problem.truncated
+        for owner, name in ((problem, "gram"), (sub, "lebesgue_gram"),
+                            (sub, "whitener")):
+            entries = getattr(owner, name)
+            assert entries is getattr(owner, name)
             assert entries.shape == (6, 6)
             with pytest.raises(ValueError):
                 entries[0, 0] = 1.0
         assert problem.modulus is problem.modulus
-        w = problem.whitener
+        assert sub.psi is sub.psi and sub.psi.n_seq == 6
+        w = sub.whitener
         assert np.array_equal(w, np.tril(w))
-        np.testing.assert_allclose(w @ problem.lebesgue @ w.T, np.eye(6),
+        np.testing.assert_allclose(w @ sub.lebesgue_gram @ w.T, np.eye(6),
                                    rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("mu", [
@@ -81,7 +84,7 @@ class TestEmbeddingProblem:
         # oracle: the pencil whitened by two triangular solves with the
         # Cholesky factor, resp. the atomic factor F as svd(F L^-T)
         problem = EmbeddingProblem(make_geometric(2.0, 2.0, 10), mu, 10)
-        low = scipy.linalg.cholesky(problem.lebesgue, lower=True)
+        low = scipy.linalg.cholesky(problem.truncated.lebesgue_gram, lower=True)
         flat = mu.flattened()
         if flat.has_density:
             x = scipy.linalg.solve_triangular(low, problem.gram, lower=True)
@@ -101,6 +104,49 @@ class TestEmbeddingProblem:
         for gram in (measure_gram(seq, lebesgue()), lebesgue_gram(seq)):
             with pytest.raises(ValueError):
                 gram[1, 0] = 0.0
+
+
+class TestOneGeometryPerTruncation:
+    def test_full_truncation_is_the_sequence(self):
+        seq = make_geometric(2.0, 2.0, 8)
+        assert seq.truncate(8) is seq
+        assert len(seq.truncate(6)) == 6 and seq.truncate(6) is not seq
+        assert EmbeddingProblem(seq, lebesgue(), 8).truncated is seq
+
+    def test_benchmark_atomic_op_factors_once(self, monkeypatch):
+        # analyze, the essential-norm trend and the psi certificate on one
+        # full-length sequence, in the atomic benchmark op's call sequence
+        from muntzlab import geometry
+        from muntzlab.measures import atomic_from_logs
+
+        calls = {"lebesgue_gram": 0, "cholesky": 0, "dtrtri": 0, "psi": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, attr in (("lebesgue_gram", "lebesgue_gram"),
+                           ("cholesky", "_cholesky_lower")):
+            monkeypatch.setattr(geometry, attr,
+                                counted(name, getattr(geometry, attr)))
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri",
+                            counted("dtrtri", scipy.linalg.lapack.dtrtri))
+        monkeypatch.setattr(PsiEvaluator, "from_sequence", classmethod(
+            counted("psi", PsiEvaluator.from_sequence.__func__)))
+
+        n = 12
+        seq = make_geometric(2.0, 1.5, n)
+        mu = atomic_from_logs(np.log([0.5, 0.9, 0.99, 0.999]),
+                              np.log([1.0, 0.5, 0.25, 0.125]))
+        report = analyze(EmbeddingProblem(seq, mu, n), q_set=(0.5, 1.0, 2.0))
+        trend = essential_norm_trend(seq, mu, n, [2, 8, 32])
+        cert = psi_certificate(seq, mu)
+        assert calls == {"lebesgue_gram": 1, "cholesky": 1, "dtrtri": 1,
+                         "psi": 1}
+        assert all(v <= report.op_norm * (1.0 + 1e-12) for _, v in trend)
+        assert cert.value >= report.op_norm * (1.0 - 1e-12)
 
 
 class TestSingularValues:
@@ -261,6 +307,22 @@ class TestEssentialNorm:
         values = [v for _, v in trend]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("mu", [
+        PiecewiseDensityMeasure(np.array([0.7, 0.9]), np.array([1.0])),
+        PiecewiseDensityMeasure(np.array([0.3, 0.6, 0.95]),
+                                np.array([2.0, 0.5])),
+        PowerTailMeasure(1.0, 2.0, x0=0.6),
+        SumMeasure((PiecewiseDensityMeasure(np.array([0.55, 0.8]),
+                                            np.array([3.0])),
+                    point_mass(0.9, 0.5)))],
+        ids=["piecewise-above-cut", "piecewise", "powertail-x0", "sum"])
+    def test_trend_below_op_norm(self, mu):
+        # mu'_m <= mu, so no point of the trend exceeds the op norm
+        seq = make_geometric(1.0, 2.0, 12)
+        op = analyze(EmbeddingProblem(seq, mu, 12)).op_norm
+        trend = essential_norm_trend(seq, mu, 12, [2, 3, 4, 8])
+        assert all(v <= op * (1.0 + 1e-12) for _, v in trend)
+
     def test_m_list_validation(self):
         seq = make_explicit([1.0])
         with pytest.raises(InvalidParameterError):
@@ -387,8 +449,8 @@ def _squared_majorant_logs(psi, log_x, big):
 
 
 def _scan_tail_width(psi, big):
-    """The dyadic scan the bisection replaced: the first unsound probe
-    t = 2^-j from j = 0 on (t = 1 taken as 1 - 1e-16)."""
+    """The dyadic scan, one one-point evaluation per probe: the first
+    unsound probe t = 2^-j from j = 0 on (t = 1 taken as 1 - 1e-16)."""
     t = 1.0
     for _ in range(1080):
         probe = min(t, 1.0 - 1e-16)
@@ -440,9 +502,10 @@ class TestPsiTail:
             width = psi.big_unsound_width if big else psi.unsound_width
             assert width == expected
             monkeypatch.setattr(PsiEvaluator, "eval_many", eval_many)
-            # 11 bisection levels over the 1075 probes, 5 levels per call;
-            # two evaluations per big call
-            assert len(calls) <= 3 * (2 if big else 1)
+            # one evaluation over the 1075 probes; two (orders 1 and 0)
+            # for Psi
+            assert len(calls) == (2 if big else 1)
+            assert all(np.size(log_x) == 1075 for log_x in calls)
             widths.add(expected)
         assert len(widths) >= 4
 
@@ -529,10 +592,10 @@ class TestUnsoundPartFromTotal:
     @pytest.mark.parametrize("name", sorted(SPLIT_MEASURES))
     def test_certificate_flags_match(self, name):
         for seq in SPLIT_SEQUENCES[::2]:
-            psi = PsiEvaluator.from_sequence(seq)
+            psi = seq.psi
             mu = SPLIT_MEASURES[name]()
-            for cert, big in ((psi_certificate(seq, mu, psi), False),
-                              (hilbert_schmidt_certificate(seq, mu, psi), True)):
+            for cert, big in ((psi_certificate(seq, mu), False),
+                              (hilbert_schmidt_certificate(seq, mu), True)):
                 _, ref_sound = _old_psi_squared_integral(mu, psi, big)
                 assert ("psi-tail-unsound" not in cert.flags) == ref_sound
 
@@ -546,9 +609,9 @@ class TestAtomsInOneCall:
         mu = atomic(list(zip(1.0 - 10.0 ** -u, rng.uniform(0.1, 2.0, u.size))))
         verdicts = []
         for seq in SPLIT_SEQUENCES:
-            psi = PsiEvaluator.from_sequence(seq)
-            for cert, big in ((psi_certificate(seq, mu, psi), False),
-                              (hilbert_schmidt_certificate(seq, mu, psi), True)):
+            psi = seq.psi
+            for cert, big in ((psi_certificate(seq, mu), False),
+                              (hilbert_schmidt_certificate(seq, mu), True)):
                 ref, ref_sound = _old_psi_squared_integral(mu, psi, big)
                 assert cert.value == pytest.approx(ref if big else math.sqrt(ref),
                                                    rel=1e-13)
@@ -619,10 +682,10 @@ class TestRhoOnPsiIntegral:
         at most UNSOUND_CONTRIBUTION_RTOL of the integral."""
         flag_kept = flag_dropped = violated = 0
         for seq in SPLIT_SEQUENCES + [make_explicit([1.0])]:
-            psi = PsiEvaluator.from_sequence(seq)
+            psi = seq.psi
             for name, (make_mu, c, alpha) in RHO_CASES.items():
                 mu, majorant = make_mu(), PowerTailMeasure(c, alpha)
-                cert = rho_certificate(seq, mu, majorant, psi)
+                cert = rho_certificate(seq, mu, majorant)
                 value, assumptions, flags = _old_rho_certificate(seq, mu, c, alpha)
                 assert cert.value == value
                 assert cert.assumptions == assumptions
@@ -652,9 +715,8 @@ class TestRhoOnPsiIntegral:
                              ids=repr)
     def test_self_majorant_is_psi_certificate(self, mu):
         for seq in SPLIT_SEQUENCES:
-            psi = PsiEvaluator.from_sequence(seq)
-            rho = rho_certificate(seq, mu, mu, psi)
-            plain = psi_certificate(seq, mu, psi)
+            rho = rho_certificate(seq, mu, mu)
+            plain = psi_certificate(seq, mu)
             assert rho.assumptions[0].ok
             assert (rho.value, rho.flags) == (plain.value, plain.flags)
 
@@ -667,11 +729,10 @@ class TestRhoOnPsiIntegral:
     def test_rho_is_psi_certificate_of_the_majorant(self, mu):
         unsound = 0
         for seq in SPLIT_SEQUENCES:
-            psi = PsiEvaluator.from_sequence(seq)
             for majorant in (PowerTailMeasure(4.0, 1.0),
                              PowerTailMeasure(4.0, 0.5)):
-                rho = rho_certificate(seq, mu, majorant, psi)
-                nu = psi_certificate(seq, majorant, psi)
+                rho = rho_certificate(seq, mu, majorant)
+                nu = psi_certificate(seq, majorant)
                 assert rho.assumptions[0].ok
                 assert (rho.value, rho.flags) == (nu.value, nu.flags)
                 unsound += TAIL_UNSOUND_FLAG in rho.flags
@@ -692,9 +753,9 @@ class TestCertificatesExactForm:
     def test_psi(self, kind, lambda1, ratio, n):
         make_mu, moment = EXACT_MOMENTS[kind]
         seq = make_geometric(lambda1, ratio, n)
-        psi = PsiEvaluator.from_sequence(seq)
+        psi = seq.psi
         exact = _exact_squared_norm(np.exp(psi.log_inv_d), psi.lambdas, moment)
-        value = psi_certificate(seq, make_mu(), psi).value
+        value = psi_certificate(seq, make_mu()).value
         assert value ** 2 == pytest.approx(exact, rel=1e-9)
 
     @pytest.mark.parametrize("kind", sorted(EXACT_MOMENTS))
@@ -703,12 +764,12 @@ class TestCertificatesExactForm:
     def test_hilbert_schmidt(self, kind, ratio, n):
         make_mu, moment = EXACT_MOMENTS[kind]
         seq = make_geometric(2.0, ratio, n)
-        psi = PsiEvaluator.from_sequence(seq)
+        psi = seq.psi
         w, lam = np.exp(psi.log_inv_d), psi.lambdas
         exact = _exact_squared_norm(np.outer(w * lam, w).ravel(),
                                     0.25 * (lam[:, None] + lam[None, :] - 1.0).ravel(),
                                     moment)
-        value = hilbert_schmidt_certificate(seq, make_mu(), psi).value
+        value = hilbert_schmidt_certificate(seq, make_mu()).value
         assert value == pytest.approx(exact, rel=1e-9)
 
 
