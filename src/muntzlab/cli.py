@@ -131,6 +131,13 @@ def cmd_analyze(args) -> int:
               if config.get(name) is not None or name in wanted else None
               for name, defaults in _BLOCKS.items()}
     seed = _field(config, "seed", whole_number, 0)
+    # refused here, by the checks the work itself makes, before any work
+    if m_list:
+        spectral.tail_orders(m_list)
+    if blocks["compact_support"] is not None:
+        spectral.check_compact_support(**blocks["compact_support"])
+    rho = blocks["rho"]
+    majorant = None if rho is None else PowerTailMeasure(rho["C"], rho["alpha"])
 
     started = time.perf_counter()
     report = spectral.analyze(problem, q_set=q_set)
@@ -143,9 +150,7 @@ def cmd_analyze(args) -> int:
             if kind == "psi":
                 cert = spectral.psi_certificate(sub, mu)
             elif kind == "rho":
-                rho = blocks["rho"]
-                cert = spectral.rho_certificate(
-                    sub, mu, PowerTailMeasure(rho["C"], rho["alpha"]))
+                cert = spectral.rho_certificate(sub, mu, majorant)
             elif kind == "sublinear":
                 cert = spectral.sublinear_embedding_bound(problem)
             elif kind == "compact_support":

@@ -2,7 +2,8 @@
 interpolation inequality as a per-function check.
 
 Density integrals run on one fixed :class:`~muntzlab.quadrature.QuadraturePlan`
-per measure.  For the polynomials of one exponent set the basis
+per measure, the one it keeps (:attr:`~muntzlab.measures.Measure.plan`; the
+Lebesgue one is shared).  For the polynomials of one exponent set the basis
 ``x**lambda_k`` at the plan's nodes is computed once, so the integrals of
 ``|f|^p`` for many coefficient rows are weighted sums over one array.  For
 non-even p, ``|f|^p`` has kinks at the zeros of f.  Every root of a row in
@@ -34,7 +35,7 @@ from . import quadrature
 from .errors import InvalidParameterError
 from .logdomain import log_sum
 from .measures import Measure, lebesgue
-from .polynomials import MuntzPolynomial, random_unit
+from .polynomials import MuntzPolynomial, powers, random_unit
 from .sequences import LambdaSequence
 
 # rounding allowance per unit of the integral, added to the quadrature error
@@ -124,15 +125,16 @@ def _row_roots(coeffs, lambdas) -> list[np.ndarray]:
 
 class _PowerIntegrals:
     """Integrals of ``|f|^p`` against one measure for polynomials on one
-    exponent set: the plan and the basis at its nodes are built once."""
+    exponent set: the measure's plan, and the basis at its nodes built
+    once."""
 
     def __init__(self, mu: Measure, lambdas):
         flat = mu.flattened()
         self.lam = np.asarray(lambdas, dtype=float)
         self.log_weights = flat.log_weights
-        self.atom_basis = np.exp(np.outer(self.lam, flat.log_positions))
-        self.plan = quadrature.QuadraturePlan.from_pieces(flat.pieces)
-        self.basis = np.exp(np.outer(self.lam, _log_x(self.plan.nodes.ravel())))
+        self.atom_basis = powers(self.lam, flat.log_positions)
+        self.plan = mu.plan
+        self.basis = powers(self.lam, _log_x(self.plan.nodes.ravel()))
 
     def norms(self, coeffs, p: float, roots) -> list[LpNormEstimate]:
         """``||f||_{L^p(mu)}`` for every row of the 2-D ``coeffs``, whose
@@ -188,7 +190,7 @@ class _PowerIntegrals:
     # -- per-row refinement ---------------------------------------------------
 
     def _eval(self, c_row, t) -> np.ndarray:
-        basis = np.exp(np.outer(self.lam, _log_x(np.atleast_1d(t))))
+        basis = powers(self.lam, _log_x(np.ravel(t)))
         return _combine(c_row[None, :], basis)[0]
 
     def _split_cell(self, c_row, p, cell, cuts) -> tuple[float, float]:

@@ -14,7 +14,9 @@ it can differ from 1.0), safe for ``s`` up to ~1e12, and array-valued
 tail masses ``mu(J_eps)`` (:meth:`Measure.tail_mass`).  Generic integrals
 against user functions run on one fixed
 :class:`~muntzlab.quadrature.QuadraturePlan` built from the flattened
-measure's density pieces, in the tail variable ``t = 1 - x``.
+measure's density pieces, in the tail variable ``t = 1 - x``; the measure
+keeps it (:attr:`Measure.plan`), and :func:`lebesgue` returns one shared
+instance, so its plan is built once per process.
 
 A tail majorant rho of the paper (``mu(J_eps) <= rho(eps)``) is itself a
 measure: ``nu = rho'(1-x) dx`` has ``nu(J_eps) = rho(eps)``, and the power
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import betaincc, betaln
@@ -118,6 +121,11 @@ class Measure:
         self._flatten_into(flat, 0.0)
         flat.freeze()
         return flat
+
+    @cached_property
+    def plan(self) -> quadrature.QuadraturePlan:
+        """The quadrature plan of the density pieces, built when first read."""
+        return quadrature.QuadraturePlan.from_pieces(self.flattened().pieces)
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -444,8 +452,12 @@ class PiecewiseDensityMeasure(Measure):
 
 
 def lebesgue() -> PiecewiseDensityMeasure:
-    """Lebesgue measure on [0, 1]."""
-    return PiecewiseDensityMeasure(np.array([0.0, 1.0]), np.array([1.0]))
+    """Lebesgue measure on [0, 1]: one shared instance, so its plan, the
+    denominator of every L^p ratio, is built once per process."""
+    return _LEBESGUE
+
+
+_LEBESGUE = PiecewiseDensityMeasure(np.array([0.0, 1.0]), np.array([1.0]))
 
 
 @dataclass(frozen=True)
@@ -649,8 +661,7 @@ def integrate_against(mu: Measure, g) -> tuple[float, float]:
         pos = np.exp(flat.log_positions)
         wts = np.exp(flat.log_weights)
         total += float(np.dot(wts, np.asarray(g(pos), dtype=float)))
-    plan = quadrature.QuadraturePlan.from_pieces(flat.pieces)
-    value, err, _ = plan.integrate(lambda t: g(1.0 - t))
+    value, err, _ = mu.plan.integrate(lambda t: g(1.0 - t))
     return total + value, err
 
 

@@ -1,10 +1,11 @@
 """Muntz polynomials sum_k alpha_k x**(lambda_k) and their norm estimates.
 
-Evaluation goes through exp(lambda * log x), so powers with huge exponents
-underflow gracefully instead of losing the base to rounding.  Sup norms are
-grid estimates (Chebyshev-spaced points plus dyadic refinement toward 1,
-where Muntz polynomials concentrate) and are flagged as estimates: they feed
-inequality checkers, never certificates.
+Evaluation goes through exp(lambda * log x) (:func:`powers`), so powers with
+huge exponents underflow gracefully instead of losing the base to rounding.
+Sup norms are grid estimates (Chebyshev-spaced points plus dyadic refinement
+toward 1, where Muntz polynomials concentrate) and are flagged as estimates:
+they feed inequality checkers, never certificates.  The sequence keeps its
+power tables over the grid, so a sup norm is one product.
 """
 
 from __future__ import annotations
@@ -35,6 +36,30 @@ SUP_GRID = np.unique(np.concatenate([
 SUP_GRID.setflags(write=False)
 
 
+def log_points(x) -> np.ndarray:
+    """log x over x in [0, 1], flattened to 1-D, -inf at x = 0."""
+    xv = np.ravel(np.asarray(x, dtype=float))
+    with np.errstate(divide="ignore"):
+        return np.where(xv > 0.0, np.log(xv), -np.inf)
+
+
+def powers(exponents, log_x) -> np.ndarray:
+    """``x**e`` for every exponent (rows) and point (columns), as
+    ``exp(e * log x)`` built in place: underflow gives 0, and at x = 0 the
+    power is 0 for e > 0, 1 for e == 0 and +inf for e < 0."""
+    exponents = np.asarray(exponents, dtype=float)
+    with np.errstate(invalid="ignore"):
+        out = np.multiply.outer(exponents, np.asarray(log_x, dtype=float))
+    out[exponents == 0.0] = 0.0                      # 0 * -inf at x = 0
+    return np.exp(out, out=out)
+
+
+def derivative_grid(lambda1: float) -> np.ndarray:
+    """The points of SUP_GRID where f' is finite: x = 0 is left out when
+    lambda_1 < 1, where the first term's derivative diverges."""
+    return SUP_GRID[1:] if lambda1 < 1.0 else SUP_GRID
+
+
 @dataclass(frozen=True)
 class MuntzPolynomial:
     """Coefficients alpha_k on the exponents of a LambdaSequence."""
@@ -60,44 +85,34 @@ class MuntzPolynomial:
 
     def __call__(self, x):
         """Evaluate at x in [0, 1] (scalar or array)."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        with np.errstate(divide="ignore"):
-            log_x = np.where(xv > 0.0, np.log(xv), -np.inf)
-        out = self.eval_at_log(log_x)
-        return float(out[0]) if scalar else out
+        out = self.eval_at_log(log_points(x))
+        return float(out[0]) if np.ndim(x) == 0 else out
 
     def eval_at_log(self, log_x) -> np.ndarray:
         """Evaluate from log x values (log x <= 0)."""
-        log_x = np.atleast_1d(np.asarray(log_x, dtype=float))
-        powers = np.exp(np.outer(self.lambdas, log_x))   # underflow -> 0
-        return self.coefficients @ powers
+        return self.coefficients @ powers(self.lambdas, np.ravel(log_x))
 
     def derivative(self, x):
-        """f'(x) = sum alpha_k lambda_k x**(lambda_k - 1) for x in (0, 1]."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        with np.errstate(divide="ignore"):
-            log_x = np.where(xv > 0.0, np.log(xv), -np.inf)
-        lam = self.lambdas
-        # exponent lambda_k - 1: at x = 0 the term vanishes for lambda_k > 1,
-        # is the constant alpha_k*lambda_k for lambda_k == 1, diverges otherwise
-        with np.errstate(invalid="ignore"):
-            log_terms = np.outer(lam - 1.0, log_x)
-        log_terms[np.isnan(log_terms)] = 0.0             # 0 * -inf at exact hits
-        out = (self.coefficients * lam) @ np.exp(log_terms)
-        return float(out[0]) if scalar else out
+        """f'(x) = sum alpha_k lambda_k x**(lambda_k - 1) for x in [0, 1].
+
+        At x = 0 a term with lambda_k < 1 diverges, unless alpha_k = 0: the
+        powers of zero terms are zeroed, so they add 0 rather than 0 * inf.
+        """
+        weights = self.coefficients * self.lambdas
+        table = powers(self.lambdas - 1.0, log_points(x))
+        table[weights == 0.0] = 0.0
+        out = weights @ table
+        return float(out[0]) if np.ndim(x) == 0 else out
 
     def sup_norm(self) -> SupNormEstimate:
-        vals = np.abs(self(SUP_GRID))
+        vals = np.abs(self.coefficients @ self.sequence.sup_powers)
         k = int(np.argmax(vals))
         return SupNormEstimate(value=float(vals[k]), argmax=float(SUP_GRID[k]))
 
     def derivative_sup_norm(self) -> SupNormEstimate:
-        grid = SUP_GRID[SUP_GRID > 0.0] if self.lambdas[0] < 1.0 else SUP_GRID
-        vals = np.abs(self.derivative(grid))
+        grid = derivative_grid(self.lambdas[0])
+        vals = np.abs((self.coefficients * self.lambdas)
+                      @ self.sequence.sup_derivative_powers)
         k = int(np.argmax(vals))
         return SupNormEstimate(value=float(vals[k]), argmax=float(grid[k]))
 

@@ -7,7 +7,8 @@ scales as small as ``1/lambda_max``.  They are computed in ``t`` on cells
 graded dyadically toward ``t = 0``, with a fixed Gauss-Legendre rule per
 cell.
 
-:class:`QuadraturePlan` fixes those cells once per set of density pieces:
+:class:`QuadraturePlan` fixes those cells once per set of density pieces, and
+a measure keeps the plan of its own pieces:
 each cell carries a coarse rule and the two-half rule, ``|fine - coarse|``
 is its error estimate, and the densities are folded into the weights when
 the plan is built, so integrands of many functions are weighted sums over
@@ -266,9 +267,11 @@ class QuadraturePlan:
 
     Built once from pieces ``(t_lo, t_hi, h)`` and independent of the
     integrand: ``nodes`` and ``weights`` are ``cell_rule`` arrays whose
-    weights already include ``h``.  ``edge_cell`` marks the innermost cells at
-    ``t = 0`` and ``t = 1``, whose whole value is counted as their error
-    (it bounds the error of integrands that are merely integrable there).
+    weights already include ``h``.  The arrays are read-only, as a measure
+    shares its plan (:attr:`~muntzlab.measures.Measure.plan`) among its
+    integrals.  ``edge_cell`` marks the innermost cells at ``t = 0`` and
+    ``t = 1``, whose whole value is counted as their error (it bounds the
+    error of integrands that are merely integrable there).
     """
 
     lo: np.ndarray
@@ -311,6 +314,8 @@ class QuadraturePlan:
         for k, h in enumerate(densities):
             on = piece == k
             weights[on] *= np.asarray(h(nodes[on]), dtype=float)
+        for arr in (lo, hi, nodes, weights, piece, edge):
+            arr.setflags(write=False)
         return cls(lo=lo, hi=hi, nodes=nodes, weights=weights, piece=piece,
                    edge_cell=edge, densities=tuple(densities))
 

@@ -3,7 +3,8 @@
 A :class:`LambdaSequence` is always a finite truncation of a conceptually
 infinite sequence; every downstream report carries the truncation length so
 asymptotic statements stay labelled as truncation trends.  It keeps what
-depends on its exponents alone, computed by :mod:`muntzlab.geometry`.
+depends on its exponents alone, computed by :mod:`muntzlab.geometry` and
+:mod:`muntzlab.polynomials`.
 """
 
 from __future__ import annotations
@@ -17,17 +18,22 @@ import numpy as np
 from .errors import InvalidParameterError, QuasilacunarityNotWitnessedError
 
 
-def _frozen_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _frozen_array(values) -> np.ndarray:
+    return _read_only(np.array(values, dtype=float))
 
 
 @dataclass(frozen=True)
 class LambdaSequence:
     """Strictly increasing positive exponents with an origin tag.  B
     (``lebesgue_gram``), the inverse W = L^-1 of its lower Cholesky factor
-    (``whitener``) and ``psi`` are computed once, when first read."""
+    (``whitener``), ``psi`` and the read-only sup-grid tables of the powers
+    ``x**lambda_k`` (``sup_powers``) and ``x**(lambda_k - 1)``
+    (``sup_derivative_powers``) are computed once, when first read."""
 
     values: np.ndarray
     origin: str = "explicit"
@@ -71,6 +77,17 @@ class LambdaSequence:
     def psi(self):
         from . import geometry
         return geometry.PsiEvaluator.from_sequence(self)
+
+    @cached_property
+    def sup_powers(self) -> np.ndarray:
+        from . import polynomials as poly
+        return _read_only(poly.powers(self.values, poly.log_points(poly.SUP_GRID)))
+
+    @cached_property
+    def sup_derivative_powers(self) -> np.ndarray:
+        from . import polynomials as poly
+        grid = poly.derivative_grid(self.values[0])
+        return _read_only(poly.powers(self.values - 1.0, poly.log_points(grid)))
 
     def to_config(self) -> dict:
         return {"kind": "explicit", "values": [float(v) for v in self.values]}

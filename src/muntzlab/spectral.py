@@ -252,14 +252,8 @@ def analyze(problem: EmbeddingProblem, q_set=DEFAULT_Q_SET) -> SpectralReport:
                           n=n)
 
 
-def essential_norm_trend(seq: LambdaSequence, mu: Measure, n: int,
-                         m_list) -> list[tuple[int, float]]:
-    """Norms of the tail-restricted embeddings i_{mu'_m}.
-
-    The essential norm is their limit in m; only this trend is reported,
-    never an extrapolated value.  The restricted problems share the
-    whitener of ``seq.truncate(n)``, which is ``seq`` when n = len(seq).
-    """
+def tail_orders(m_list) -> list[int]:
+    """``m_list`` as ints, refused unless they are increasing integers >= 2."""
     try:
         whole = [whole_number(m) for m in m_list]
         valid = all(m >= 2 for m in whole) and sorted(whole) == whole
@@ -268,6 +262,18 @@ def essential_norm_trend(seq: LambdaSequence, mu: Measure, n: int,
     if not valid:
         raise InvalidParameterError(
             f"m_list {m_list} must be increasing integers >= 2")
+    return whole
+
+
+def essential_norm_trend(seq: LambdaSequence, mu: Measure, n: int,
+                         m_list) -> list[tuple[int, float]]:
+    """Norms of the tail-restricted embeddings i_{mu'_m}.
+
+    The essential norm is their limit in m; only this trend is reported,
+    never an extrapolated value.  The restricted problems share the
+    whitener of ``seq.truncate(n)``, which is ``seq`` when n = len(seq).
+    """
+    whole = tail_orders(m_list)
     sub = seq.truncate(n)
     out = []
     for m in whole:
@@ -390,6 +396,15 @@ def rho_certificate(seq: LambdaSequence, mu: Measure,
                                  assumptions=assumptions)
 
 
+def check_compact_support(b: float, b_prime: float, k: int) -> None:
+    """Refuse compact-support parameters outside 0 < b < b' < 1 and
+    1 <= k <= PSI_K_MAX."""
+    if not 0.0 < b < b_prime < 1.0:
+        raise InvalidParameterError("need 0 < b < b' < 1")
+    if not 1 <= k <= PSI_K_MAX:
+        raise InvalidParameterError(f"k must lie in 1..{PSI_K_MAX}")
+
+
 def compact_support_certificate(seq: LambdaSequence, mu: Measure, b: float,
                                 b_prime: float, k: int) -> Certificate:
     """Schatten bound for compactly supported measures:
@@ -397,10 +412,7 @@ def compact_support_certificate(seq: LambdaSequence, mu: Measure, b: float,
     ||i_mu||_{2/k} <= 2^(-k/2) b'^(-1/2) psi^(k)(b') psi(b/b') sqrt(||mu||),
     requiring supp mu inside [0, b] and b < b' < 1.
     """
-    if not 0.0 < b < b_prime < 1.0:
-        raise InvalidParameterError("need 0 < b < b' < 1")
-    if not 1 <= k <= PSI_K_MAX:
-        raise InvalidParameterError(f"k must lie in 1..{PSI_K_MAX}")
+    check_compact_support(b, b_prime, k)
     leak = mu.mass_above(b)
     assumptions = [AssumptionCheck(
         "supp mu inside [0, b]", leak == 0.0,

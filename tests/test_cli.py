@@ -302,6 +302,42 @@ class TestOneAnalysis:
                      "--n", "10"]) == 0
         assert calls == [(10, 10)]
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"certificates": ["psi", "hilbert_schmidt"], "m_list": [8, 2]},
+         "m_list [8, 2] must be increasing integers >= 2"),
+        ({"certificates": ["psi", "rho", "sublinear", "compact_support"],
+          "compact_support": {"b": 0.9, "b_prime": 0.5}}, "need 0 < b < b' < 1"),
+        ({"certificates": ["psi", "rho", "sublinear", "compact_support"],
+          "compact_support": {"k": 7}}, "k must lie in 1..4"),
+        ({"certificates": ["psi", "rho"], "rho": {"C": -1.0}},
+         "power tail coefficient must be positive and finite"),
+        # a block that is given is read, and checked, even when unused
+        ({"certificates": ["psi"], "compact_support": {"k": 0}},
+         "k must lie in 1..4"),
+    ])
+    def test_bad_value_refused_before_any_work(
+            self, tmp_path, monkeypatch, capsys, overrides, message):
+        from muntzlab import spectral
+
+        def refused(*args, **kwargs):
+            raise AssertionError("analysis ran")
+
+        for name in ("analyze", "psi_certificate", "rho_certificate",
+                     "sublinear_embedding_bound", "compact_support_certificate",
+                     "hilbert_schmidt_certificate", "essential_norm_trend"):
+            monkeypatch.setattr(spectral, name, refused)
+        cfg = write_config(tmp_path, {
+            "sequence": {"kind": "geometric", "lambda1": 2.0, "ratio": 2.0,
+                         "count": 24},
+            "measure": {"kind": "powertail", "C": 1.0, "alpha": 2.0},
+            **overrides})
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {message}"]
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("certificates", [
         ["psi", "hilbert_schmidt", "bogus"], ["bogus"], ["psi", 3]])
     def test_unknown_certificate_refused_before_any_work(

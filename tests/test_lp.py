@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from muntzlab import lp, quadrature
+from muntzlab import lp, quadrature, suites
 from muntzlab import (EmbeddingProblem, InvalidParameterError, MuntzPolynomial,
                       PiecewiseDensityMeasure, PowerTailMeasure, ScaledMeasure,
                       analyze, atomic, certified_embedding_constant,
@@ -437,3 +437,52 @@ class TestRootIsolation:
         for k, v in zip(piece[clear], sign[clear]):
             assert seen.setdefault(k, v) == v
         assert all(seen[k] == -seen[k + 1] for k in seen if k + 1 in seen)
+
+
+class TestOnePlanPerMeasure:
+    @staticmethod
+    def _count_plans(monkeypatch):
+        calls = []
+        build = quadrature.QuadraturePlan.from_pieces.__func__
+        monkeypatch.setattr(quadrature.QuadraturePlan, "from_pieces", classmethod(
+            lambda cls, pieces: calls.append(len(pieces)) or build(cls, pieces)))
+        return calls
+
+    def test_interpolation_suite_builds_each_plan_once(self, monkeypatch):
+        # the suite behind ``check interpolation --instances 2``: nine checks
+        # on three measures, each with a Lebesgue denominator
+        calls = self._count_plans(monkeypatch)
+        assert suites.interpolation_suite(samples=2, seed=20240902).ok
+        assert len(calls) <= 3
+
+    def test_inequality_suite_builds_each_plan_once(self, monkeypatch):
+        # ``check inequalities --instances 4``: per instance one random
+        # measure and its majorant, each integrated once
+        calls = self._count_plans(monkeypatch)
+        assert suites.inequality_suite(instances=4, seed=20240901).ok
+        assert len(calls) <= 2 * 4
+
+    def test_lebesgue_shared_and_plan_read_only(self):
+        assert lebesgue() is lebesgue()
+        plan = lebesgue().plan
+        assert lebesgue().plan is plan
+        for name in ("lo", "hi", "nodes", "weights", "piece", "edge_cell"):
+            with pytest.raises(ValueError):
+                getattr(plan, name)[0] = 0
+
+    def test_repeated_norms_identical(self):
+        seq = make_geometric(0.7, 1.8, 5)
+        f = MuntzPolynomial(seq, np.random.default_rng(5).standard_normal(5))
+        makers = (
+            lambda: PiecewiseDensityMeasure(np.array([0.0, 1.0]), np.array([1.0])),
+            lambda: PiecewiseDensityMeasure(np.array([0.0, 0.5, 1.0]),
+                                            np.array([0.5, 2.0])),
+            lambda: PowerTailMeasure(1.0, 2.0, 0.3),
+            lambda: ScaledMeasure(2.0, lebesgue()))
+        for make in makers:
+            mu = make()
+            for p in (1.0, 4.0 / 3.0, 3.0):
+                first = lp_norm(f, p, mu)
+                assert lp_norm(f, p, mu) == first        # on the kept plan
+                assert lp_norm(f, p, make()) == first    # on a plan built anew
+        assert lp_norm(f, 3.0, lebesgue()) == lp_norm(f, 3.0, makers[0]())
