@@ -17,14 +17,16 @@ in :mod:`muntzlab.highprec` for cross-validation.
 
 psi and its derivatives are signed sums of terms given by their logs.
 :class:`PsiEvaluator` tabulates the log weights and signs of every order
-once, and :meth:`PsiEvaluator.eval_many` is its one evaluation: over an
-array of log x it returns log |psi^(k)|, the sign and the tail flag, each
-lane of terms scaled by its largest term and exponentiated in place,
-skipping the terms that underflow.  A single point is a one-lane call.
-:meth:`PsiEvaluator.log_majorant` builds log psi, or log Psi of the
-Hilbert-Schmidt majorant Psi(x) = psi'(x^(1/4)) psi(x^(1/4)), on top of it;
-the certificate integrals, the tail-unsound widths and :func:`big_psi` all
-read Psi from there, each tail-unsound width in one call.
+once, and one kernel builds the terms of one order over an array of log x,
+each lane scaled by its largest term and exponentiated in place, skipping
+the terms that underflow.  :meth:`PsiEvaluator.eval_many` sums it into
+log |psi^(k)|, the sign and the tail flag; a single point is a one-lane
+call.  :meth:`PsiEvaluator.log_majorant` gives log psi, or log Psi of the
+Hilbert-Schmidt majorant Psi(x) = psi'(y) psi(y), y = x^(1/4): an order-1
+term is the order-0 term times lambda_n / y, so psi(y) and psi'(y) are two
+sums over one array of order-0 terms.  The certificate integrals, the
+tail-unsound widths and :func:`big_psi` all read Psi from there, each
+tail-unsound width in one call.
 
 Truncation caveat: the d_n computed from N exponents are >= the distances of
 the infinite system, so the truncated psi is a LOWER estimate of the full
@@ -146,6 +148,13 @@ def scaled_distance(table: DistanceTable | LambdaSequence, a: float, n: int) -> 
     return math.exp((lam + 0.5) * math.log(a) + table.log_d[n - 1])
 
 
+def _tail_sound(last: np.ndarray, log_abs: np.ndarray,
+                log_x: np.ndarray) -> np.ndarray:
+    """Tail-sound lanes: the last term below PSI_TAIL_RTOL of the sum, and
+    x < 1."""
+    return (last <= log_abs + math.log(PSI_TAIL_RTOL)) & (log_x < 0.0)
+
+
 class PsiValue(NamedTuple):
     value: float
     tail_sound: bool     # last included term below PSI_TAIL_RTOL of the sum
@@ -161,9 +170,9 @@ class PsiEvaluator:
 
     The term of order k is w_n (lambda_n)_k x**(lambda_n - k), with the
     falling factorial (lambda_n)_k; its log weight and sign are tabulated per
-    order when the evaluator is built.  Every evaluation goes through
-    :meth:`eval_many`, in the log domain.  Each tail-unsound width t* is
-    one evaluation, cached.
+    order when the evaluator is built.  Every evaluation goes through one
+    kernel, :meth:`_scaled_terms`, in the log domain.  Each tail-unsound
+    width t* is one evaluation, cached.
     """
 
     lambdas: np.ndarray
@@ -222,20 +231,17 @@ class PsiEvaluator:
         if k < 0 or k > PSI_K_MAX:
             raise InvalidParameterError(f"derivative order {k} outside 0..{PSI_K_MAX}")
 
-    def eval_many(self, log_x, k: int = 0
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(log |psi^(k)|, sign, tail_sound) over an array of finite log x <= 0.
+    def _scaled_terms(self, log_x: np.ndarray, k: int
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(terms, m, last): the terms of order k over the lanes log_x, each
+        lane scaled by its largest term log m (0 where that is not finite)
+        and exponentiated in place, so that the lane's sum times exp(m) is
+        psi^(k), and the log of its last term.
 
-        Each lane of terms is scaled by its largest term log m (0 where that
-        is not finite) and exponentiated in place, so psi^(k) = sum * exp(m).
         exp is taken only above EXP_FLOOR, where it is not exactly 0 (an
         underflowing exp costs several normal ones); the logs left below it
-        are then set to 0 by clipping at 0, which no exp value is below.  A
-        point is tail-sound when its last term is below PSI_TAIL_RTOL of the
-        sum and x < 1.
+        are then set to 0 by clipping at 0, which no exp value is below.
         """
-        self._check_order(k)
-        log_x = np.asarray(log_x, dtype=float).ravel()
         term_logs = np.multiply.outer(self._exponents[k], log_x)
         term_logs += self._log_weights[k][:, None]
         m = term_logs.max(axis=0)
@@ -244,25 +250,61 @@ class PsiEvaluator:
         term_logs -= m
         np.exp(term_logs, out=term_logs, where=term_logs > EXP_FLOOR)
         np.maximum(term_logs, 0.0, out=term_logs)
-        sums = np.einsum("i,ij->j", self._signs[k], term_logs)
+        return term_logs, m, last
+
+    def eval_many(self, log_x, k: int = 0
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(log |psi^(k)|, sign, tail_sound) over an array of finite log x <= 0,
+        from one :meth:`_scaled_terms` array."""
+        self._check_order(k)
+        log_x = np.asarray(log_x, dtype=float).ravel()
+        terms, m, last = self._scaled_terms(log_x, k)
+        sums = np.einsum("i,ij->j", self._signs[k], terms)
         with np.errstate(divide="ignore"):
             log_abs = m + np.log(np.abs(sums))
-        sound = (last <= log_abs + math.log(PSI_TAIL_RTOL)) & (log_x < 0.0)
-        return log_abs, np.sign(sums), sound
+        return log_abs, np.sign(sums), _tail_sound(last, log_abs, log_x)
+
+    @cached_property
+    def _one_scale_for_psi_and_derivative(self) -> bool:
+        """Whether the order-0 terms, scaled by their largest, also give
+        psi' to rounding: the order-1 sum sum lambda_n E_n is at least
+        lambda_1 (E = 1 at the largest term), while what the scaling drops
+        or leaves subnormal is below N lambda_N 2^-1022, under 2^-122 of
+        it here.  A lambda_1 of 0 (a hand-built evaluator; a LambdaSequence
+        is positive) fails this: its constant term can hold the scale where
+        psi' underflows."""
+        lam = self.lambdas
+        return bool(lam[0] > 0.0 and math.log2(lam[-1]) - math.log2(lam[0])
+                    + math.log2(lam.size) < 900.0)
 
     def log_majorant(self, log_x, big: bool = False
                      ) -> tuple[np.ndarray, np.ndarray]:
         """(log psi(x), tail_sound) over an array of finite log x <= 0, or
         (log Psi(x), tail_sound) of the Hilbert-Schmidt majorant
-        Psi(x) = psi'(x^(1/4)) psi(x^(1/4)) when ``big``; psi and psi' have
-        positive terms only, so no sign is returned."""
+        Psi(x) = psi'(y) psi(y), y = x^(1/4), when ``big``; psi and psi' have
+        positive terms only, so no sign is returned.
+
+        For Psi, the order-1 term n is the order-0 term times lambda_n / y,
+        so one array of scaled order-0 terms E_n at log y gives both:
+        log psi(y) = m + log sum E_n and log psi'(y) = m - log y +
+        log sum lambda_n E_n, with the last order-1 term read the same way.
+        """
         if not big:
             log_abs, _, sound = self.eval_many(log_x, 0)
             return log_abs, sound
-        quarter = 0.25 * np.asarray(log_x, dtype=float)
-        log_d1, _, sound_d1 = self.eval_many(quarter, 1)
-        log_d0, _, sound_d0 = self.eval_many(quarter, 0)
-        return log_d1 + log_d0, sound_d1 & sound_d0
+        quarter = 0.25 * np.asarray(log_x, dtype=float).ravel()
+        if not self._one_scale_for_psi_and_derivative:
+            log_d1, _, sound_d1 = self.eval_many(quarter, 1)
+            log_d0, _, sound_d0 = self.eval_many(quarter, 0)
+            return log_d1 + log_d0, sound_d1 & sound_d0
+        terms, m, last = self._scaled_terms(quarter, 0)
+        with np.errstate(divide="ignore"):
+            log_d0 = m + np.log(np.einsum("i,ij->j", self._signs[0], terms))
+            log_d1 = m - quarter + np.log(np.einsum("i,ij->j", self.lambdas,
+                                                    terms))
+        last_d1 = last + math.log(self.lambdas[-1]) - quarter
+        return log_d1 + log_d0, (_tail_sound(last_d1, log_d1, quarter)
+                                 & _tail_sound(last, log_d0, quarter))
 
     def eval(self, x: float, k: int = 0) -> PsiValue:
         if not 0.0 <= x < 1.0:

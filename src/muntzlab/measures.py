@@ -8,8 +8,9 @@ measures must satisfy ``mu({1}) = 0``.
 
 Moments ``integral x**s dmu`` are exact closed forms in the log domain for
 every variant (incomplete-Beta form for truncated power tails, whose upper
-tail is evaluated only on the orders where a bound on the lower tail says
-it can differ from 1.0), safe for ``s`` up to ~1e12, and array-valued
+tail 1 - I_x0(s+1, alpha) is evaluated as I_(1-x0)(alpha, s+1), and only on
+the orders where a bound on the lower tail says it can differ from 1.0),
+safe for ``s`` up to ~1e12, and array-valued
 (:meth:`Measure.log_moments`; the scalar queries wrap it), and so are the
 tail masses ``mu(J_eps)`` (:meth:`Measure.tail_mass`).  Generic integrals
 against user functions run on one fixed
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import betaincc, betaln
+from scipy.special import betainc, betaln
 
 from . import quadrature
 from .errors import HypothesisViolationError, InvalidParameterError
@@ -55,6 +56,16 @@ def _log_lower_tail_bound(a, b: float, x0: float, log_beta):
     t**(a-1) * max(1, (1-x0)**(b-1)) on [0, x0]."""
     return (a * math.log(x0) + max(0.0, (b - 1.0) * math.log1p(-x0))
             - np.log(a) - log_beta)
+
+
+def _upper_tail(a, b: float, x0: float, log_beta) -> np.ndarray:
+    """The regularized upper tail 1 - I_x0(a, b) for 0 < x0 < 1, given
+    betaln(a, b), in its symmetric form I_(1-x0)(b, a) (DLMF 8.17.4), which
+    scipy evaluates several times faster; it runs only on the orders where
+    the lower tail can reach e**-44, and is 1.0 elsewhere."""
+    bound = _log_lower_tail_bound(a, b, x0, log_beta)
+    return betainc(b, a, 1.0 - x0, out=np.ones(np.shape(a)),
+                   where=bound >= _LOG_NEGLIGIBLE_LOWER_TAIL)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +344,7 @@ class PowerTailMeasure(Measure):
         log_beta = betaln(a, self.alpha)
         v = math.log(self.coefficient) + math.log(self.alpha) + log_beta
         if self.x0 > 0.0:
-            # betaincc runs only where the upper tail can differ from 1.0
-            bound = _log_lower_tail_bound(a, self.alpha, self.x0, log_beta)
-            tail = betaincc(a, self.alpha, self.x0, out=np.ones(np.shape(a)),
-                            where=bound >= _LOG_NEGLIGIBLE_LOWER_TAIL)
+            tail = _upper_tail(a, self.alpha, self.x0, log_beta)
             with np.errstate(divide="ignore"):
                 v = v + np.log(tail)
         return v

@@ -37,8 +37,12 @@ SUP_GRID.setflags(write=False)
 
 
 def log_points(x) -> np.ndarray:
-    """log x over x in [0, 1], flattened to 1-D, -inf at x = 0."""
+    """log x over x in [0, 1], flattened to 1-D, -inf at x = 0; NaN and x
+    outside [0, 1] are refused."""
     xv = np.ravel(np.asarray(x, dtype=float))
+    # a NaN fails both comparisons
+    if not np.all((xv >= 0.0) & (xv <= 1.0)):
+        raise InvalidParameterError("x must lie in [0, 1]")
     with np.errstate(divide="ignore"):
         return np.where(xv > 0.0, np.log(xv), -np.inf)
 

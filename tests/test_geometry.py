@@ -11,7 +11,8 @@ from muntzlab import (InvalidParameterError, MuntzPolynomial, PsiEvaluator,
                       make_geometric, make_power,
                       pointwise_bound_check, psi_a_eval, random_unit,
                       scaled_distance)
-from muntzlab.geometry import EXP_FLOOR, PSI_K_MAX, PSI_TAIL_RTOL
+from muntzlab.geometry import (_PROBE_LOG_X, EXP_FLOOR, PSI_K_MAX,
+                               PSI_TAIL_RTOL)
 from muntzlab.highprec import distance_oracle
 
 
@@ -459,6 +460,77 @@ class TestPsiKernel:
             psi.eval_many([-0.5], 5)
         with pytest.raises(InvalidParameterError):
             psi.eval_many([-0.5], -1)
+
+
+def _two_order_majorant(psi, log_x):
+    """log Psi and its tail flag from one eval_many call per order, as
+    log_majorant built them before the orders shared one term array."""
+    quarter = 0.25 * np.asarray(log_x, dtype=float)
+    log_d1, _, sound_d1 = psi.eval_many(quarter, 1)
+    log_d0, _, sound_d0 = psi.eval_many(quarter, 0)
+    return log_d1 + log_d0, sound_d1 & sound_d0
+
+
+def _fused_cases():
+    """(evaluator, whether its Psi takes the one-array path): lambda_1 = 0,
+    lambda_1 < 1, N = 1, and ratio 2.3 at N = 32 (lambda_32 = 1.0e12)."""
+    rng = np.random.default_rng(21)
+    zero_first = [PsiEvaluator(lambdas=np.array(lam),
+                               log_inv_d=rng.uniform(-3.0, 8.0, len(lam)))
+                  for lam in ([0.0, 1.0, 2.0, 3.0], [0.0, 10.0, 20.0], [0.0])]
+    return ([(psi, False) for psi in zero_first]
+            + [(make_geometric(0.25, 3.0, 12).psi, True),
+               (make_geometric(0.6, 1.7, 6).psi, True),
+               (make_explicit([0.7]).psi, True),
+               (make_geometric(2.0, 2.0, 1).psi, True),
+               (make_geometric(6.15, 2.3, 32).psi, True)])
+
+
+class TestFusedMajorant:
+    """log Psi from one array of order-0 terms against one eval_many call
+    per order."""
+
+    LOG_X = np.concatenate([
+        _PROBE_LOG_X,
+        -10.0 ** np.random.default_rng(5).uniform(-17.0, math.log10(745.0), 400),
+        np.random.default_rng(6).uniform(-745.0, 0.0, 100)])
+
+    def test_matches_two_orders(self, monkeypatch):
+        scaled_terms = PsiEvaluator._scaled_terms
+        calls = []
+
+        def counted(self, log_x, k):
+            calls.append(k)
+            return scaled_terms(self, log_x, k)
+
+        assert make_geometric(6.15, 2.3, 32).values[-1] == pytest.approx(1e12, rel=0.01)
+        flags = []
+        for psi, fused in _fused_cases():
+            calls.clear()
+            monkeypatch.setattr(PsiEvaluator, "_scaled_terms", counted)
+            got, sound = psi.log_majorant(self.LOG_X, big=True)
+            monkeypatch.setattr(PsiEvaluator, "_scaled_terms", scaled_terms)
+            assert calls == ([0] if fused else [1, 0])
+            ref, ref_sound = _two_order_majorant(psi, self.LOG_X)
+            # relative 1e-13 of log Psi, and of Psi itself where log Psi ~ 0
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
+            np.testing.assert_array_equal(sound, ref_sound)
+            flags.append(sound)
+        # the flags compared are of both kinds
+        flags = np.concatenate(flags)
+        assert flags.any() and not flags.all()
+
+    def test_zero_first_exponent_keeps_its_derivative(self):
+        # lambda = (0, 10, 20) at log x = -400: the constant term holds the
+        # order-0 scale while psi'(y) = 10 w_2 y^9 is e^-900 below it, so one
+        # shared scale would lose psi' (every E_n of a live term underflows)
+        psi = _fused_cases()[1][0]
+        log_x = -400.0
+        got = psi.log_majorant([log_x], big=True)[0][0]
+        y_log = 0.25 * log_x
+        exact = (math.log(10.0) + psi.log_inv_d[1] + 9.0 * y_log
+                 + float(logsumexp(psi.log_inv_d + psi.lambdas * y_log)))
+        assert got == pytest.approx(exact, rel=1e-14)
 
 
 class TestInequalityCheckers:

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scipy.special import betaincc, betaln, logsumexp
+from scipy.special import betainc, betaincc, betaln, logsumexp
 
 from muntzlab import quadrature
 from muntzlab.constructions import build_example1, build_example2
 from muntzlab.measures import (_LOG_NEGLIGIBLE_LOWER_TAIL, AtomicMeasure,
-                               _log_lower_tail_bound, default_epsilon_grid,
+                               _log_lower_tail_bound, _upper_tail,
+                               default_epsilon_grid,
                                integrate_against, rho_hypothesis_violation)
 from muntzlab import (HypothesisViolationError, InvalidParameterError,
                       PiecewiseDensityMeasure, PowerTailMeasure, ScaledMeasure,
@@ -159,17 +160,17 @@ class TestLogMoments:
 
 
 def _closed_form_power_tail(mu, s):
-    """log C + log alpha + betaln(s+1, alpha) + log betaincc(s+1, alpha, x0)
-    on every order, in the order the moment layer adds them."""
+    """log C + log alpha + betaln(s+1, alpha) + log I_(1-x0)(alpha, s+1) on
+    every order, in the order the moment layer adds them."""
     with np.errstate(divide="ignore"):
         return (math.log(mu.coefficient) + math.log(mu.alpha)
                 + betaln(s + 1.0, mu.alpha)
-                + np.log(betaincc(s + 1.0, mu.alpha, mu.x0)))
+                + np.log(betainc(mu.alpha, s + 1.0, 1.0 - mu.x0)))
 
 
 class TestPowerTailSkip:
-    """betaincc runs only on the orders where the lower incomplete-Beta
-    tail can reach 2**-54; everywhere else the upper tail is 1.0 anyway."""
+    """The upper tail runs only on the orders where the lower incomplete-Beta
+    tail can reach 2**-54; everywhere else it is 1.0 anyway."""
 
     def test_bit_identical_to_the_closed_form(self):
         # the low orders of PowerTail(1, 400, 0.9) underflow to -inf
@@ -206,6 +207,56 @@ class TestPowerTailSkip:
         with mp.workdps(50):
             exact = float(mp.log(mp.betainc(a, b, 0, x0, regularized=True)))
         assert bound >= exact - 1e-12 * (1.0 + abs(bound) + abs(log_beta))
+
+
+class TestPowerTailUpperTail:
+    """The upper tail 1 - I_x0(a, alpha), read as I_(1-x0)(alpha, a), on the
+    orders s = a - 1 in [1, 1e6] where it is evaluated (not skipped)."""
+
+    RNG = np.random.default_rng(21)
+    ORDERS = np.concatenate([np.geomspace(1.0, 1e6, 25),
+                             RNG.uniform(1.0, 1e6, 5), RNG.uniform(1.0, 50.0, 10)])
+    X0S = [1.0 - 1.0 / m for m in (2, 8, 32, 128, 1024)] + list(
+        RNG.uniform(0.02, 0.99, 4))
+
+    def _evaluated(self, alpha):
+        """(a, x0, tail) over every x0 and the orders not skipped."""
+        for x0 in self.X0S:
+            a = self.ORDERS + 1.0
+            log_beta = betaln(a, alpha)
+            live = (_log_lower_tail_bound(a, alpha, x0, log_beta)
+                    >= _LOG_NEGLIGIBLE_LOWER_TAIL)
+            tail = _upper_tail(a, alpha, x0, log_beta)
+            yield a[live], x0, tail[live]
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0, 10.0])
+    def test_against_mpmath(self, alpha):
+        # the largest error seen is 1.2e-14, at alpha = 10, x0 = 1 - 1/1024
+        checked = 0
+        for a, x0, tail in self._evaluated(alpha):
+            with mp.workdps(120):
+                width = 1 - mp.mpf(x0)
+                exact = [mp.betainc(alpha, float(ai), 0, width, regularized=True)
+                         for ai in a]
+            for got, want in zip(tail, exact):
+                assert abs(got - want) <= 2e-14 * want
+            checked += a.size
+        assert checked > 150
+
+    @pytest.mark.parametrize("alpha", [148.0, 400.0])
+    def test_large_alpha_against_betaincc(self, alpha):
+        # here both forms carry scipy's own error; the symmetric form keeps
+        # 3e-13 down to 2^-900, and about 9 digits below that, where it
+        # flushes to 0 under about 1e-300 (the log moment reads -inf)
+        deep = 0
+        for a, x0, tail in self._evaluated(alpha):
+            ref = betaincc(a, alpha, x0)
+            normal = ref >= 2.0 ** -900
+            np.testing.assert_allclose(tail[normal], ref[normal], rtol=3e-13)
+            assert np.all(np.abs(tail - ref)[~normal]
+                          <= 1e-9 * ref[~normal] + 2.0 ** -1000)
+            deep += np.count_nonzero(~normal)
+        assert deep > 0
 
 
 class TestTailMass:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from muntzlab import MuntzPolynomial, make_explicit, make_geometric, polynomials, suites
+from muntzlab import (InvalidParameterError, MuntzPolynomial, make_explicit,
+                      make_geometric, polynomials, suites)
 from muntzlab.polynomials import SUP_GRID
 
 
@@ -94,3 +95,28 @@ class TestDerivativeAtZero:
                 old = (coeffs * seq.values) @ _exp_outer(seq.values - 1.0, x)
             finite = np.isfinite(old)
             assert np.array_equal(f.derivative(x)[finite], old[finite])
+
+
+class TestDomain:
+    F = MuntzPolynomial(make_explicit([1.0, 2.0]), np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("x", [np.nan, -0.5, 1.5, -np.inf, np.inf])
+    def test_outside_unit_interval_refused(self, x):
+        # NaN and negative x read as x = 0 before: f(nan) = 0, f'(nan) = 1
+        with pytest.raises(InvalidParameterError):
+            self.F(x)
+        with pytest.raises(InvalidParameterError):
+            self.F.derivative(x)
+        with pytest.raises(InvalidParameterError):
+            self.F(np.array([0.25, x]))
+
+    def test_in_range_values_unchanged(self):
+        rng = np.random.default_rng(12)
+        x = np.concatenate([[0.0, 1.0, 5e-324], rng.uniform(0.0, 1.0, 200)])
+        for seq in _random_sequences():
+            f = MuntzPolynomial(seq, rng.standard_normal(len(seq)))
+            assert np.array_equal(f(x), f.coefficients @ _exp_outer(seq.values, x))
+            for v in x[:8]:
+                assert f(float(v)) == (f.coefficients
+                                       @ _exp_outer(seq.values, np.array([v])))[0]
+                assert f.derivative(float(v)) == f.derivative(np.array([v]))[0]

@@ -483,11 +483,11 @@ class TestPsiTail:
     @pytest.mark.parametrize("big", [False, True])
     def test_bisection_matches_scan(self, big, monkeypatch):
         calls = []
-        eval_many = PsiEvaluator.eval_many
+        scaled_terms = PsiEvaluator._scaled_terms
 
-        def counted(self, log_x, k=0):
+        def counted(self, log_x, k):
             calls.append(log_x)
-            return eval_many(self, log_x, k)
+            return scaled_terms(self, log_x, k)
 
         rng = np.random.default_rng(6)
         widths = set()
@@ -497,14 +497,13 @@ class TestPsiTail:
                                  int(rng.integers(1, 33)))
             psi = PsiEvaluator.from_sequence(seq)
             expected = _scan_tail_width(psi, big)
-            monkeypatch.setattr(PsiEvaluator, "eval_many", counted)
+            monkeypatch.setattr(PsiEvaluator, "_scaled_terms", counted)
             calls.clear()
             width = psi.big_unsound_width if big else psi.unsound_width
             assert width == expected
-            monkeypatch.setattr(PsiEvaluator, "eval_many", eval_many)
-            # one evaluation over the 1075 probes; two (orders 1 and 0)
-            # for Psi
-            assert len(calls) == (2 if big else 1)
+            monkeypatch.setattr(PsiEvaluator, "_scaled_terms", scaled_terms)
+            # one term array over the 1075 probes, for Psi as for psi
+            assert len(calls) == 1
             assert all(np.size(log_x) == 1075 for log_x in calls)
             widths.add(expected)
         assert len(widths) >= 4
@@ -513,14 +512,15 @@ class TestPsiTail:
 
 def _old_psi_squared_integral(mu, psi, big=False):
     """The integral before the unsound part was read from the total's cells:
-    one scalar evaluation per atom, one eval_many call per order, and
-    (0, t*] integrated a second time."""
+    one scalar log_majorant evaluation per atom, and (0, t*] integrated a
+    second time."""
     flat = mu.flattened()
     total = unsound_part = 0.0
     if flat.has_atoms:
         log_terms, unsound_logs = [], []
         for log_a, log_c in zip(flat.log_positions, flat.log_weights):
-            log_sq, snd = _squared_majorant_logs(psi, log_a, big)
+            log_value, sound = psi.log_majorant([log_a], big)
+            log_sq, snd = 2.0 * float(log_value[0]), bool(sound[0])
             log_terms.append(log_c + log_sq)
             if not snd:
                 unsound_logs.append(log_c + log_sq)
@@ -532,11 +532,7 @@ def _old_psi_squared_integral(mu, psi, big=False):
 
         def values(t):
             log_x = np.log1p(-np.asarray(t, dtype=float))
-            if big:
-                log_d1 = psi.eval_many(0.25 * log_x, 1)[0]
-                log_d0 = psi.eval_many(0.25 * log_x, 0)[0]
-                return np.exp(2.0 * (log_d1 + log_d0))
-            return np.exp(2.0 * psi.eval_many(log_x, 0)[0])
+            return np.exp(2.0 * psi.log_majorant(log_x, big)[0])
 
         for t_lo, t_hi, h in flat.pieces:
             def integrand(t, h=h):
