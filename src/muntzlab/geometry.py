@@ -42,7 +42,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (IllConditionedBasisError, InvalidParameterError,
                      UndefinedRatioError)
@@ -69,8 +68,8 @@ def lebesgue_gram(seq: LambdaSequence) -> np.ndarray:
 
 def _cholesky_lower(b: np.ndarray) -> np.ndarray:
     try:
-        return scipy.linalg.cholesky(b, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        return np.linalg.cholesky(b)
+    except np.linalg.LinAlgError as exc:
         raise IllConditionedBasisError(
             "Cholesky of the Lebesgue Gramian failed; the truncated basis is "
             "numerically dependent in double precision; reduce N.") from exc
@@ -79,16 +78,21 @@ def _cholesky_lower(b: np.ndarray) -> np.ndarray:
 def _whitener(b: np.ndarray) -> np.ndarray:
     """W = L^-1 for B = L L^T, lower triangular and read-only.
 
-    One LAPACK triangular inverse, so that every whitening is a matrix
-    product: OpenBLAS runs a triangular solve on every core even at N = 8,
-    and its helper threads then spin between calls.
+    numpy's inverse of the Cholesky factor, its upper triangle cleared,
+    built once per truncation so that every whitening is a matrix product:
+    OpenBLAS runs a triangular solve on every core even at N = 8, and its
+    helper threads then spin between calls.
     """
-    w, info = scipy.linalg.lapack.dtrtri(_cholesky_lower(b), lower=1)
-    if info != 0 or not np.all(np.isfinite(w)):
+    low = _cholesky_lower(b)
+    try:
+        w = np.linalg.inv(low)
+        if not np.all(np.isfinite(w)):
+            raise np.linalg.LinAlgError("non-finite inverse")
+    except np.linalg.LinAlgError as exc:
         raise IllConditionedBasisError(
             "inverting the Cholesky factor of the Lebesgue Gramian failed; "
             "the truncated basis is numerically dependent in double "
-            "precision; reduce N.")
+            "precision; reduce N.") from exc
     w = np.tril(w)
     w.setflags(write=False)
     return w

@@ -35,7 +35,7 @@ from . import quadrature
 from .errors import InvalidParameterError
 from .logdomain import log_sum
 from .measures import Measure, lebesgue
-from .polynomials import MuntzPolynomial, powers, random_unit
+from .polynomials import MuntzPolynomial, _combine, powers, random_unit
 from .sequences import LambdaSequence
 
 # rounding allowance per unit of the integral, added to the quadrature error
@@ -55,15 +55,6 @@ class LpNormEstimate:
     value: float
     quadrature_error: float   # first-order bound on the error of ``value``
     fallback_cells: int = 0   # plan cells re-integrated adaptively
-
-
-def _combine(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Rows ``coeffs @ basis``, accumulated term by term so that each row's
-    values do not depend on the rows evaluated with it."""
-    out = coeffs[:, :1] * basis[0]
-    for k in range(1, basis.shape[0]):
-        out += coeffs[:, k:k + 1] * basis[k]
-    return out
 
 
 def _log_x(t) -> np.ndarray:
@@ -355,21 +346,67 @@ class InterpolationReport:
     records: tuple = ()       # per-sample (index, lhs, rhs) when requested
 
 
+class InterpolationDraws:
+    """The sampled polynomials of interpolation checks: ``samples``
+    unit-sphere draws on ``seq.truncate(n)`` from ``seed``, every other one
+    tilted toward the top exponent.  It isolates their roots once, and
+    computes their ``||f||_{L^p(mu)}`` once per measure and p, when first
+    read, so checks of several measures and t on one draw share that work;
+    it keeps nothing beyond the checks it serves."""
+
+    def __init__(self, seq: LambdaSequence, n: int | None, samples: int,
+                 seed: int):
+        self.seq, self.n, self.samples, self.seed = seq, n, samples, seed
+        self.sub = seq.truncate(len(seq) if n is None else n)
+        rng = np.random.default_rng(seed)
+        self.coeffs = np.array([
+            random_unit(self.sub, rng, bias_last=(i % 2 == 1)).coefficients
+            for i in range(samples)])
+        self.roots = _row_roots(self.coeffs, self.sub.values)
+        # id(mu) -> (mu, its integrals); keeping mu keeps its id its own
+        self._integrals = {}
+        self._norms = {}          # (id(mu), p) -> norms
+
+    def norms(self, mu: Measure, p: float) -> list[float]:
+        """``||f||_{L^p(mu)}`` per draw; a measure is matched by identity."""
+        if id(mu) not in self._integrals:
+            self._integrals[id(mu)] = mu, _PowerIntegrals(mu, self.sub.values)
+        key = id(mu), p
+        if key not in self._norms:
+            on_mu = self._integrals[id(mu)][1]
+            self._norms[key] = [e.value for e in on_mu.norms(self.coeffs, p,
+                                                             self.roots)]
+        return self._norms[key]
+
+    def lebesgue_norms(self, p: float) -> list[float]:
+        """``||f||_p`` on [0, 1] per draw; p = 2 through the exact Gramian,
+        as in :func:`lebesgue_lp_norm`."""
+        if p == 2.0:
+            return _lebesgue_norms(self.coeffs, self.sub.values, p, self.roots)
+        return self.norms(lebesgue(), p)
+
+
 def interpolation_check(seq: LambdaSequence, mu: Measure, p0: float, p1: float,
                         t: float, *, n: int | None = None, samples: int = 100,
-                        seed: int = 0, keep_records: bool = False) -> InterpolationReport:
+                        seed: int = 0, keep_records: bool = False,
+                        draws: InterpolationDraws | None = None) -> InterpolationReport:
     """Per-function interpolation inequality on sampled polynomials:
 
         ||f||_{L^{p_t}(mu)} <= C0^(1-t) C1^t ||f||_{p_t},
 
     with C0, C1 certified upper bounds of the endpoint embedding norms.
     Returns an inconclusive report when no certified constants exist; this is
-    not a failure.
+    not a failure.  ``draws``, made from the same ``seq``, ``n``, ``samples``
+    and ``seed``, lets several checks share one draw's work.
     """
     if not (1.0 <= p0 < p1):
         raise InvalidParameterError("need 1 <= p0 < p1")
     if not 0.0 < t < 1.0:
         raise InvalidParameterError("t must lie in (0, 1)")
+    if draws is not None and (draws.seq is not seq or (
+            draws.n, draws.samples, draws.seed) != (n, samples, seed)):
+        raise InvalidParameterError(
+            "draws were made for another sequence, n, samples or seed")
     p_t = 1.0 / ((1.0 - t) / p0 + t / p1)
     c0 = certified_embedding_constant(mu, p0)
     c1 = certified_embedding_constant(mu, p1)
@@ -378,14 +415,10 @@ def interpolation_check(seq: LambdaSequence, mu: Measure, p0: float, p1: float,
                                    inconclusive=True, violations=(),
                                    max_slack=math.nan, samples=0, seed=seed)
     factor = c0 ** (1.0 - t) * c1 ** t
-    n = len(seq) if n is None else n
-    sub = seq.truncate(n)
-    rng = np.random.default_rng(seed)
-    coeffs = np.array([random_unit(sub, rng, bias_last=(i % 2 == 1)).coefficients
-                       for i in range(samples)])
-    roots = _row_roots(coeffs, sub.values)
-    lhs_all = [e.value for e in _PowerIntegrals(mu, sub.values).norms(coeffs, p_t, roots)]
-    rhs_all = [factor * v for v in _lebesgue_norms(coeffs, sub.values, p_t, roots)]
+    if draws is None:
+        draws = InterpolationDraws(seq, n, samples, seed)
+    lhs_all = draws.norms(mu, p_t)
+    rhs_all = [factor * v for v in draws.lebesgue_norms(p_t)]
     violations = []
     records = []
     max_slack = -math.inf

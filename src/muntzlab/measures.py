@@ -9,8 +9,9 @@ measures must satisfy ``mu({1}) = 0``.
 Moments ``integral x**s dmu`` are exact closed forms in the log domain for
 every variant (incomplete-Beta form for truncated power tails, whose upper
 tail 1 - I_x0(s+1, alpha) is evaluated as I_(1-x0)(alpha, s+1), and only on
-the orders where a bound on the lower tail says it can differ from 1.0),
-safe for ``s`` up to ~1e12, and array-valued
+the orders where a bound on the lower tail says it can differ from 1.0;
+a tail below 2**-900 is re-read from betaincc), safe for ``s`` up to ~1e12,
+and array-valued
 (:meth:`Measure.log_moments`; the scalar queries wrap it), and so are the
 tail masses ``mu(J_eps)`` (:meth:`Measure.tail_mass`).  Generic integrals
 against user functions run on one fixed
@@ -28,6 +29,11 @@ that measure.
 Restrictions produced by :func:`restrict_tail` may carry zero mass (the
 embedding of an empty measure is the zero operator); explicit constructors
 still require positive mass.
+
+Power tails are the only readers of scipy (``scipy.special``'s log-Beta and
+incomplete Beta functions).  It is imported when the first
+:class:`PowerTailMeasure` is constructed, where a config or a majorant is
+read, so a process that builds none never loads scipy.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import betainc, betaln
 
 from . import quadrature
 from .errors import HypothesisViolationError, InvalidParameterError
@@ -48,6 +53,17 @@ _GRID_LEVELS = 40
 # log of a lower incomplete-Beta tail I below which 1 - I rounds to 1.0: e**-44
 # is about 700 times under 2**-54, half an ulp below 1
 _LOG_NEGLIGIBLE_LOWER_TAIL = -44.0
+# below this the symmetric form of the upper tail loses digits, down to a
+# flush to 0 under about 1e-300; such entries are re-read from betaincc
+_SYMMETRIC_TAIL_FLOOR = 2.0 ** -900
+
+
+def _special():
+    """scipy.special, imported on first use; each :class:`PowerTailMeasure`
+    asks for it when constructed, so the import never lands inside a
+    computation."""
+    import scipy.special
+    return scipy.special
 
 
 def _log_lower_tail_bound(a, b: float, x0: float, log_beta):
@@ -62,10 +78,18 @@ def _upper_tail(a, b: float, x0: float, log_beta) -> np.ndarray:
     """The regularized upper tail 1 - I_x0(a, b) for 0 < x0 < 1, given
     betaln(a, b), in its symmetric form I_(1-x0)(b, a) (DLMF 8.17.4), which
     scipy evaluates several times faster; it runs only on the orders where
-    the lower tail can reach e**-44, and is 1.0 elsewhere."""
+    the lower tail can reach e**-44, and is 1.0 elsewhere.  The entries
+    below 2**-900 are re-read from betaincc(a, b, x0), which keeps its
+    digits there (a subnormal result keeps those it can hold)."""
+    special = _special()
     bound = _log_lower_tail_bound(a, b, x0, log_beta)
-    return betainc(b, a, 1.0 - x0, out=np.ones(np.shape(a)),
-                   where=bound >= _LOG_NEGLIGIBLE_LOWER_TAIL)
+    tail = special.betainc(b, a, 1.0 - x0, out=np.ones(np.shape(a)),
+                           where=bound >= _LOG_NEGLIGIBLE_LOWER_TAIL)
+    deep = tail < _SYMMETRIC_TAIL_FLOOR
+    if np.any(deep):
+        tail[deep] = special.betaincc(np.broadcast_to(a, tail.shape)[deep],
+                                      b, x0)
+    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +356,7 @@ class PowerTailMeasure(Measure):
                 "power tail alpha must be positive and finite")
         if not 0.0 <= self.x0 < 1.0:
             raise InvalidParameterError("x0 must lie in [0, 1)")
+        _special()
 
     @property
     def width(self) -> float:
@@ -341,7 +366,7 @@ class PowerTailMeasure(Measure):
         # C*alpha*B(s+1, alpha) times the regularized upper tail at x0, whose
         # underflow to 0 gives a -inf log moment
         a = s + 1.0
-        log_beta = betaln(a, self.alpha)
+        log_beta = _special().betaln(a, self.alpha)
         v = math.log(self.coefficient) + math.log(self.alpha) + log_beta
         if self.x0 > 0.0:
             tail = _upper_tail(a, self.alpha, self.x0, log_beta)

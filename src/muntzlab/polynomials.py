@@ -1,7 +1,9 @@
 """Muntz polynomials sum_k alpha_k x**(lambda_k) and their norm estimates.
 
 Evaluation goes through exp(lambda * log x) (:func:`powers`), so powers with
-huge exponents underflow gracefully instead of losing the base to rounding.
+huge exponents underflow gracefully instead of losing the base to rounding,
+and sums the terms in order (:func:`_combine`), so a point reads the same
+value alone or inside an array.
 Sup norms are grid estimates (Chebyshev-spaced points plus dyadic refinement
 toward 1, where Muntz polynomials concentrate) and are flagged as estimates:
 they feed inequality checkers, never certificates.  The sequence keeps its
@@ -58,6 +60,17 @@ def powers(exponents, log_x) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+def _combine(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``coeffs @ basis`` for a 1-D ``coeffs`` or each row of a 2-D one,
+    accumulated term by term, so that a value depends neither on the rows
+    nor on the points evaluated with it (a BLAS product picks its kernel by
+    shape, and one column can round differently from many)."""
+    out = coeffs[..., :1] * basis[0]
+    for k in range(1, basis.shape[0]):
+        out += coeffs[..., k:k + 1] * basis[k]
+    return out
+
+
 def derivative_grid(lambda1: float) -> np.ndarray:
     """The points of SUP_GRID where f' is finite: x = 0 is left out when
     lambda_1 < 1, where the first term's derivative diverges."""
@@ -94,7 +107,7 @@ class MuntzPolynomial:
 
     def eval_at_log(self, log_x) -> np.ndarray:
         """Evaluate from log x values (log x <= 0)."""
-        return self.coefficients @ powers(self.lambdas, np.ravel(log_x))
+        return _combine(self.coefficients, powers(self.lambdas, np.ravel(log_x)))
 
     def derivative(self, x):
         """f'(x) = sum alpha_k lambda_k x**(lambda_k - 1) for x in [0, 1].
@@ -105,18 +118,18 @@ class MuntzPolynomial:
         weights = self.coefficients * self.lambdas
         table = powers(self.lambdas - 1.0, log_points(x))
         table[weights == 0.0] = 0.0
-        out = weights @ table
+        out = _combine(weights, table)
         return float(out[0]) if np.ndim(x) == 0 else out
 
     def sup_norm(self) -> SupNormEstimate:
-        vals = np.abs(self.coefficients @ self.sequence.sup_powers)
+        vals = np.abs(_combine(self.coefficients, self.sequence.sup_powers))
         k = int(np.argmax(vals))
         return SupNormEstimate(value=float(vals[k]), argmax=float(SUP_GRID[k]))
 
     def derivative_sup_norm(self) -> SupNormEstimate:
         grid = derivative_grid(self.lambdas[0])
-        vals = np.abs((self.coefficients * self.lambdas)
-                      @ self.sequence.sup_derivative_powers)
+        vals = np.abs(_combine(self.coefficients * self.lambdas,
+                               self.sequence.sup_derivative_powers))
         k = int(np.argmax(vals))
         return SupNormEstimate(value=float(vals[k]), argmax=float(grid[k]))
 

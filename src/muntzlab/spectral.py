@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import quadrature
 from .errors import (InvalidParameterError, NumericalSoundnessError,
@@ -159,9 +158,14 @@ def _pencil_singular_values(m: np.ndarray) -> np.ndarray:
     """Square roots of the eigenvalues of a whitened pencil, descending.
 
     Eigenvalues in [EIG_CLAMP_FLOOR, 0) clamp to 0; anything below the floor
-    means broken assembly/quadrature and raises.
+    means broken assembly/quadrature and raises, and so does a non-finite
+    entry, which numpy's eigensolver would not refuse.
     """
-    eigs = scipy.linalg.eigvalsh(m)
+    if not np.all(np.isfinite(m)):
+        raise NumericalSoundnessError(
+            "the whitened pencil has a non-finite entry; the assembly is "
+            "inconsistent")
+    eigs = np.linalg.eigvalsh(m)
     scale = max(1.0, float(eigs.max(initial=0.0)))
     if eigs.min(initial=0.0) < EIG_CLAMP_FLOOR * scale:
         raise NumericalSoundnessError(
@@ -199,7 +203,7 @@ def _truncated_spectra(problem: EmbeddingProblem, sizes) -> list[np.ndarray]:
     x = np.exp(log_f) @ problem.truncated.whitener.T
     spectra = []
     for k in sizes:
-        svals = scipy.linalg.svd(x[:, :k], compute_uv=False)
+        svals = np.linalg.svd(x[:, :k], compute_uv=False)
         spectra.append(np.pad(svals, (0, k - svals.size)))
     return spectra
 
@@ -489,7 +493,7 @@ def sublinear_embedding_bound(problem: EmbeddingProblem) -> Certificate:
             f"entrywise majorization fails at ({i + 1},{j + 1}): "
             f"A={a[i, j]:.6g} > ||mu||_S*B={s_norm * b[i, j]:.6g}; the "
             "sublinear norm was an under-estimate, re-estimate on a finer grid")
-    eigs = scipy.linalg.eigvalsh(b)
+    eigs = np.linalg.eigvalsh(b)
     cond = float(eigs[-1] / eigs[0])
     value = math.sqrt(s_norm * cond)
     flags = () if mod.sup_is_exact else ("sublinear-norm-grid-estimate",)
@@ -514,12 +518,14 @@ def riesz_sequence_check(gram) -> RieszCheck:
     the minimal eigenvalue decides.
     """
     g = np.asarray(gram, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise InvalidParameterError("Gramian entries must be finite")
     if np.max(np.abs(np.diag(g) - 1.0)) > 1e-8:
         raise InvalidParameterError("Gramian must have unit diagonal "
                                     "(normalize the vectors first)")
     off = g - np.diag(np.diag(g))
     offdiag_hs = float(np.sqrt(np.sum(off ** 2)))
-    min_eig = float(scipy.linalg.eigvalsh(g)[0])
+    min_eig = float(np.linalg.eigvalsh(g)[0])
     invertible = offdiag_hs < 1.0 or min_eig > 0.0
     return RieszCheck(offdiag_hs=offdiag_hs, invertible=invertible,
                       min_eigenvalue=min_eig)

@@ -172,6 +172,8 @@ def interpolation_suite(samples: int = 100, seed: int = 20240902,
         ("piecewise", measures.PiecewiseDensityMeasure(
             np.array([0.0, 0.5, 1.0]), np.array([0.5, 2.0]))),
     ]
+    # every check samples the same polynomials, so they share one draw
+    draws = lp.InterpolationDraws(seq, 5, samples, seed)
     violations = []
     checks = 0
     worst = -math.inf
@@ -181,7 +183,8 @@ def interpolation_suite(samples: int = 100, seed: int = 20240902,
             checks += 1
             rep = lp.interpolation_check(seq, mu, 1.0, 2.0, t, n=5,
                                          samples=samples, seed=seed,
-                                         keep_records=keep_records)
+                                         keep_records=keep_records,
+                                         draws=draws)
             if rep.inconclusive:
                 violations.append((name, t, "inconclusive", math.nan))
                 continue

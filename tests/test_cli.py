@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -223,7 +226,7 @@ class TestOneAnalysis:
         from muntzlab.geometry import PsiEvaluator
 
         calls = {"measure_gram": [], "modulus_report": 0, "lebesgue_gram": 0,
-                 "cholesky": 0, "dtrtri": 0, "psi": 0, "width": [],
+                 "cholesky": 0, "inverse": 0, "psi": 0, "width": [],
                  "log_majorant": 0}
 
         def counted(name, fn):
@@ -241,8 +244,8 @@ class TestOneAnalysis:
                            ("cholesky", "_cholesky_lower")):
             monkeypatch.setattr(geometry, attr,
                                 counted(name, getattr(geometry, attr)))
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri",
-                            counted("dtrtri", scipy.linalg.lapack.dtrtri))
+        monkeypatch.setattr(np.linalg, "inv",
+                            counted("inverse", np.linalg.inv))
         monkeypatch.setattr(PsiEvaluator, "from_sequence", classmethod(
             counted("psi", PsiEvaluator.from_sequence.__func__)))
         width = PsiEvaluator._unsound_width
@@ -282,7 +285,7 @@ class TestOneAnalysis:
         # B, its factor, the inverse and psi once: the truncated sequence
         # keeps them for every certificate and trend point
         assert calls["lebesgue_gram"] == calls["cholesky"] == 1
-        assert calls["dtrtri"] == calls["psi"] == 1
+        assert calls["inverse"] == calls["psi"] == 1
 
     def test_n_override_factors_once(self, tmp_path, monkeypatch):
         # --n truncates the config's sequence; the trend reads that
@@ -740,3 +743,33 @@ class TestConstructRefusals:
         assert main(["construct", "1", "--n-max", "3"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: no lambda_2")
+
+
+class TestStartup:
+    def test_scipy_loaded_only_by_a_power_tail(self, tmp_path):
+        # construct, a Lebesgue analysis without a rho block and the
+        # interpolation check run on numpy alone, in a fresh process; the
+        # first PowerTailMeasure imports scipy.special
+        cfg = write_config(tmp_path, {
+            "sequence": {"kind": "geometric", "lambda1": 2.0, "ratio": 2.0,
+                         "count": 8},
+            "measure": {"kind": "lebesgue"}, "m_list": [2, 4]})
+        out = str(tmp_path)
+        script = f"""
+import sys
+from muntzlab.cli import main
+assert main(["construct", "1", "--n-max", "6", "--out", {out!r}]) == 0
+assert main(["analyze", "--config", {cfg!r}, "--out", {out!r}]) in (0, 2)
+assert main(["check", "interpolation", "--instances", "2", "--out", {out!r}]) == 0
+print(sorted(m for m in ("scipy.linalg", "scipy.special") if m in sys.modules))
+from muntzlab.measures import PowerTailMeasure
+PowerTailMeasure(1.0, 2.0)
+print("scipy.special" in sys.modules)
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-2:] == ["[]", "True"]

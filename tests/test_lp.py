@@ -455,6 +455,47 @@ class TestOnePlanPerMeasure:
         assert suites.interpolation_suite(samples=2, seed=20240902).ok
         assert len(calls) <= 3
 
+    def test_interpolation_suite_shares_one_draw(self, monkeypatch):
+        # nine checks on one draw: its roots once, each measure's basis
+        # once (the Lebesgue one also serves every denominator), and one
+        # set of norms per measure and p_t, Lebesgue's 3 p_t included
+        calls = {"roots": 0, "bases": 0, "norms": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(lp, "_row_roots", counted("roots", lp._row_roots))
+        monkeypatch.setattr(lp._PowerIntegrals, "__init__",
+                            counted("bases", lp._PowerIntegrals.__init__))
+        monkeypatch.setattr(lp._PowerIntegrals, "norms",
+                            counted("norms", lp._PowerIntegrals.norms))
+        suite = suites.interpolation_suite(samples=6, keep_records=True)
+        assert calls == {"roots": 1, "bases": 3, "norms": 9}
+        # each check reads as it does alone, bit for bit
+        for name, mu in (("lebesgue", lebesgue()),
+                         ("piecewise", _PLAN_MEASURES["piecewise"])):
+            for t in (0.25, 0.5, 0.75):
+                alone = interpolation_check(
+                    make_geometric(2.0, 2.0, 6), mu, 1.0, 2.0, t, n=5,
+                    samples=6, seed=20240902, keep_records=True)
+                assert suite.details["records"][f"{name}@t={t:g}"] == alone.records
+
+    def test_draws_of_another_run_refused(self):
+        seq = make_geometric(2.0, 2.0, 6)
+        draws = lp.InterpolationDraws(seq, 5, 4, 1)
+        for kwargs in ({"n": 4, "samples": 4, "seed": 1},
+                       {"n": 5, "samples": 3, "seed": 1},
+                       {"n": 5, "samples": 4, "seed": 2}):
+            with pytest.raises(InvalidParameterError):
+                interpolation_check(seq, lebesgue(), 1.0, 2.0, 0.5,
+                                    draws=draws, **kwargs)
+        with pytest.raises(InvalidParameterError):
+            interpolation_check(make_geometric(2.0, 2.0, 6), lebesgue(), 1.0,
+                                2.0, 0.5, n=5, samples=4, seed=1, draws=draws)
+
     def test_inequality_suite_builds_each_plan_once(self, monkeypatch):
         # ``check inequalities --instances 4``: per instance one random
         # measure and its majorant, each integrated once

@@ -161,11 +161,14 @@ class TestLogMoments:
 
 def _closed_form_power_tail(mu, s):
     """log C + log alpha + betaln(s+1, alpha) + log I_(1-x0)(alpha, s+1) on
-    every order, in the order the moment layer adds them."""
+    every order, in the order the moment layer adds them; a tail below
+    2**-900 read from betaincc(s+1, alpha, x0) instead."""
+    tail = betainc(mu.alpha, s + 1.0, 1.0 - mu.x0)
+    deep = tail < 2.0 ** -900
+    tail[deep] = betaincc(s[deep] + 1.0, mu.alpha, mu.x0)
     with np.errstate(divide="ignore"):
         return (math.log(mu.coefficient) + math.log(mu.alpha)
-                + betaln(s + 1.0, mu.alpha)
-                + np.log(betainc(mu.alpha, s + 1.0, 1.0 - mu.x0)))
+                + betaln(s + 1.0, mu.alpha) + np.log(tail))
 
 
 class TestPowerTailSkip:
@@ -210,8 +213,9 @@ class TestPowerTailSkip:
 
 
 class TestPowerTailUpperTail:
-    """The upper tail 1 - I_x0(a, alpha), read as I_(1-x0)(alpha, a), on the
-    orders s = a - 1 in [1, 1e6] where it is evaluated (not skipped)."""
+    """The upper tail 1 - I_x0(a, alpha), read as I_(1-x0)(alpha, a) and
+    below 2**-900 from betaincc(a, alpha, x0), on the orders s = a - 1 in
+    [1, 1e6] where it is evaluated (not skipped)."""
 
     RNG = np.random.default_rng(21)
     ORDERS = np.concatenate([np.geomspace(1.0, 1e6, 25),
@@ -246,17 +250,30 @@ class TestPowerTailUpperTail:
     @pytest.mark.parametrize("alpha", [148.0, 400.0])
     def test_large_alpha_against_betaincc(self, alpha):
         # here both forms carry scipy's own error; the symmetric form keeps
-        # 3e-13 down to 2^-900, and about 9 digits below that, where it
-        # flushes to 0 under about 1e-300 (the log moment reads -inf)
+        # 3e-13 down to 2^-900, and below that the tail is betaincc's own
         deep = 0
         for a, x0, tail in self._evaluated(alpha):
             ref = betaincc(a, alpha, x0)
-            normal = ref >= 2.0 ** -900
-            np.testing.assert_allclose(tail[normal], ref[normal], rtol=3e-13)
-            assert np.all(np.abs(tail - ref)[~normal]
-                          <= 1e-9 * ref[~normal] + 2.0 ** -1000)
-            deep += np.count_nonzero(~normal)
+            below = tail < 2.0 ** -900
+            np.testing.assert_allclose(tail[~below], ref[~below], rtol=3e-13)
+            assert np.array_equal(tail[below], ref[below])
+            deep += np.count_nonzero(below)
         assert deep > 0
+
+    @pytest.mark.parametrize("alpha, x0, a, rtol", [
+        (148.0, 1.0 - 1.0 / 128.0, 10.0, 1e-14),   # 1.6e-298
+        (400.0, 0.875, 34.0, 1e-10)])              # 2.4e-314, subnormal
+    def test_deep_tail_against_mpmath(self, alpha, x0, a, rtol):
+        # the symmetric form alone read the first 2.4e-10 off, and the
+        # second as 0, so that its log moment was -inf
+        tail = _upper_tail(np.array([a]), alpha, x0, betaln(a, alpha))[0]
+        with mp.workdps(60):
+            exact = mp.betainc(alpha, a, 0, 1 - mp.mpf(x0), regularized=True)
+            log_moment = float(mp.log(alpha * mp.beta(a, alpha) * exact))
+        assert abs(tail - exact) <= rtol * exact
+        got = PowerTailMeasure(1.0, alpha, x0).log_moment(a - 1.0)
+        assert math.isfinite(got)
+        assert got == pytest.approx(log_moment, rel=rtol)
 
 
 class TestTailMass:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from muntzlab import (InvalidParameterError, MuntzPolynomial, make_explicit,
                       make_geometric, polynomials, suites)
@@ -15,6 +16,16 @@ def _exp_outer(exponents, x):
         log_terms = np.outer(exponents, log_x)
     log_terms[np.isnan(log_terms)] = 0.0
     return np.exp(log_terms)
+
+
+def _in_order(coefficients, table):
+    """sum_k c_k table[k], the terms added in the order of k, as the
+    evaluation adds them: the sum of one point reads the same alone or
+    inside an array, which a BLAS product does not promise."""
+    out = coefficients[0] * table[0]
+    for c, row in zip(coefficients[1:], table[1:]):
+        out = out + c * row
+    return out
 
 
 def _random_sequences():
@@ -35,13 +46,14 @@ class TestSupNorms:
                 f = MuntzPolynomial(seq, rng.standard_normal(len(seq)))
                 vals = np.abs(f(SUP_GRID))
                 assert np.array_equal(
-                    vals, np.abs(f.coefficients @ _exp_outer(seq.values, SUP_GRID)))
+                    vals, np.abs(_in_order(f.coefficients,
+                                           _exp_outer(seq.values, SUP_GRID))))
                 k = int(np.argmax(vals))
                 assert f.sup_norm() == (vals[k], SUP_GRID[k], True)
                 dvals = np.abs(f.derivative(grid))
-                assert np.array_equal(dvals, np.abs(
-                    (f.coefficients * seq.values)
-                    @ _exp_outer(seq.values - 1.0, grid)))
+                assert np.array_equal(dvals, np.abs(_in_order(
+                    f.coefficients * seq.values,
+                    _exp_outer(seq.values - 1.0, grid))))
                 k = int(np.argmax(dvals))
                 assert f.derivative_sup_norm() == (dvals[k], grid[k], True)
 
@@ -92,7 +104,8 @@ class TestDerivativeAtZero:
             coeffs[rng.uniform(size=len(seq)) < 0.4] = 0.0
             f = MuntzPolynomial(seq, coeffs)
             with np.errstate(invalid="ignore"):
-                old = (coeffs * seq.values) @ _exp_outer(seq.values - 1.0, x)
+                old = _in_order(coeffs * seq.values,
+                                _exp_outer(seq.values - 1.0, x))
             finite = np.isfinite(old)
             assert np.array_equal(f.derivative(x)[finite], old[finite])
 
@@ -115,8 +128,32 @@ class TestDomain:
         x = np.concatenate([[0.0, 1.0, 5e-324], rng.uniform(0.0, 1.0, 200)])
         for seq in _random_sequences():
             f = MuntzPolynomial(seq, rng.standard_normal(len(seq)))
-            assert np.array_equal(f(x), f.coefficients @ _exp_outer(seq.values, x))
+            assert np.array_equal(f(x), _in_order(f.coefficients,
+                                                  _exp_outer(seq.values, x)))
             for v in x[:8]:
-                assert f(float(v)) == (f.coefficients
-                                       @ _exp_outer(seq.values, np.array([v])))[0]
+                assert f(float(v)) == _in_order(
+                    f.coefficients, _exp_outer(seq.values, np.array([v])))[0]
                 assert f.derivative(float(v)) == f.derivative(np.array([v]))[0]
+
+
+class TestBatchIndependence:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 12),
+           points=st.integers(2, 64))
+    def test_scalar_reads_its_array_entry(self, seed, count, points):
+        # a BLAS product rounds one column differently from many, so f(x)
+        # and f(xs)[i] could differ in the last bit
+        rng = np.random.default_rng(seed)
+        first = rng.uniform(0.05, 4.0)
+        seq = make_explicit(first + np.concatenate(
+            [[0.0], np.cumsum(rng.uniform(0.2, 3.0, count - 1))]))
+        f = MuntzPolynomial(seq, rng.standard_normal(count))
+        xs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, points)])
+        values = f(xs)
+        with np.errstate(invalid="ignore"):
+            slopes = f.derivative(xs)
+        for i, x in enumerate(xs.tolist()):
+            assert f(x) == values[i]
+            with np.errstate(invalid="ignore"):
+                slope = f.derivative(x)
+            assert slope == slopes[i] or (np.isnan(slope) and np.isnan(slopes[i]))

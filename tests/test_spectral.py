@@ -6,7 +6,8 @@ import pytest
 import scipy.linalg
 
 from muntzlab import (EmbeddingProblem, IllConditionedBasisError,
-                      InvalidParameterError, PowerTailMeasure, ScaledMeasure,
+                      InvalidParameterError, NumericalSoundnessError,
+                      PowerTailMeasure, ScaledMeasure,
                       SumMeasure, analyze, atomic, compact_support_certificate,
                       essential_norm_trend, hilbert_schmidt_certificate,
                       lebesgue, lebesgue_gram, make_explicit, make_geometric,
@@ -119,7 +120,7 @@ class TestOneGeometryPerTruncation:
         from muntzlab import geometry
         from muntzlab.measures import atomic_from_logs
 
-        calls = {"lebesgue_gram": 0, "cholesky": 0, "dtrtri": 0, "psi": 0}
+        calls = {"lebesgue_gram": 0, "cholesky": 0, "inverse": 0, "psi": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -131,8 +132,8 @@ class TestOneGeometryPerTruncation:
                            ("cholesky", "_cholesky_lower")):
             monkeypatch.setattr(geometry, attr,
                                 counted(name, getattr(geometry, attr)))
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri",
-                            counted("dtrtri", scipy.linalg.lapack.dtrtri))
+        monkeypatch.setattr(np.linalg, "inv",
+                            counted("inverse", np.linalg.inv))
         monkeypatch.setattr(PsiEvaluator, "from_sequence", classmethod(
             counted("psi", PsiEvaluator.from_sequence.__func__)))
 
@@ -143,10 +144,14 @@ class TestOneGeometryPerTruncation:
         report = analyze(EmbeddingProblem(seq, mu, n), q_set=(0.5, 1.0, 2.0))
         trend = essential_norm_trend(seq, mu, n, [2, 8, 32])
         cert = psi_certificate(seq, mu)
-        assert calls == {"lebesgue_gram": 1, "cholesky": 1, "dtrtri": 1,
+        assert calls == {"lebesgue_gram": 1, "cholesky": 1, "inverse": 1,
                          "psi": 1}
         assert all(v <= report.op_norm * (1.0 + 1e-12) for _, v in trend)
         assert cert.value >= report.op_norm * (1.0 - 1e-12)
+
+
+def _singular_inverse(low):
+    raise np.linalg.LinAlgError("Singular matrix")
 
 
 class TestSingularValues:
@@ -170,14 +175,22 @@ class TestSingularValues:
         with pytest.raises(IllConditionedBasisError):
             singular_values(b, b)
 
-    @pytest.mark.parametrize("fill, info", [(np.inf, 0), (1.0, 2)],
-                             ids=["non-finite", "info"])
-    def test_failed_inverse_refused(self, monkeypatch, fill, info):
-        monkeypatch.setattr(scipy.linalg.lapack, "dtrtri",
-                            lambda c, lower: (np.full_like(c, fill), info))
+    # "info": LAPACK reports a zero pivot, which numpy raises as LinAlgError
+    @pytest.mark.parametrize("inverse", [
+        lambda low: np.full_like(low, np.inf), _singular_inverse],
+        ids=["non-finite", "info"])
+    def test_failed_inverse_refused(self, monkeypatch, inverse):
+        monkeypatch.setattr(np.linalg, "inv", inverse)
         b = lebesgue_gram(make_geometric(2.0, 2.0, 4))
         with pytest.raises(IllConditionedBasisError, match="reduce N"):
             singular_values(b, b)
+
+    def test_non_finite_pencil_refused(self):
+        b = lebesgue_gram(make_geometric(2.0, 2.0, 4))
+        a = np.array(b)
+        a[1, 2] = a[2, 1] = math.nan
+        with pytest.raises(NumericalSoundnessError, match="non-finite"):
+            singular_values(a, b)
 
     def test_factored_route_matches_pencil(self):
         # analyze() takes the factored SVD route for atomic measures; the
@@ -824,6 +837,13 @@ class TestRieszCheck:
     def test_requires_unit_diagonal(self):
         with pytest.raises(InvalidParameterError):
             riesz_sequence_check(2.0 * np.eye(3))
+
+    def test_non_finite_refused(self):
+        # numpy's eigvalsh reads [[nan, 0], [0, 1]] as eigenvalues (0, -0)
+        g = np.eye(3)
+        g[0, 1] = g[1, 0] = math.nan
+        with pytest.raises(InvalidParameterError, match="finite"):
+            riesz_sequence_check(g)
 
 
 class TestRestrictionInteraction:
