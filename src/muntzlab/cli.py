@@ -110,7 +110,7 @@ _CONFIG_FIELDS = ("sequence", "measure", "N", "q_set", "certificates",
 
 def cmd_analyze(args) -> int:
     from . import spectral
-    from .measures import PowerTailMeasure, measure_from_config
+    from .measures import measure_from_config
     from .reporting import write_csv, write_json
     from .sequences import (config_object, real_number, sequence_from_config,
                             whole_number)
@@ -137,7 +137,8 @@ def cmd_analyze(args) -> int:
     if blocks["compact_support"] is not None:
         spectral.check_compact_support(**blocks["compact_support"])
     rho = blocks["rho"]
-    majorant = None if rho is None else PowerTailMeasure(rho["C"], rho["alpha"])
+    majorant = None if rho is None else measure_from_config(
+        {"kind": "powertail", "C": rho["C"], "alpha": rho["alpha"]})
 
     started = time.perf_counter()
     report = spectral.analyze(problem, q_set=q_set)

@@ -453,8 +453,8 @@ def hilbert_schmidt_certificate(seq: LambdaSequence, mu: Measure) -> Certificate
     edges = [0.0, 0.5]
     while len(edges) <= 64 and 1.0 - edges[-1] > 1e-12:
         edges.append(math.sqrt(edges[-1]))
-    above = mu.tail_mass(1.0 - np.array(edges[1:]))     # mu([b_{j+1}, 1])
-    masses = np.append(mu.total_mass, above[:-1]) - above
+    tail = mu.tail_mass(1.0 - np.array(edges))          # mu([b_j, 1])
+    masses = tail[:-1] - tail[1:]
     partitions = list(zip(edges[:-1], edges[1:], masses.tolist()))
     return _majorant_certificate(
         "hilbert_schmidt_psi", mu, seq.psi, {"partition_masses": partitions},

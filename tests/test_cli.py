@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -745,31 +746,124 @@ class TestConstructRefusals:
         assert len(err) == 1 and err[0].startswith("error: no lambda_2")
 
 
+def _fresh_process(script: str) -> list[str]:
+    """stdout lines of ``script`` run in a fresh interpreter on this ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
+
+
+def _scipy_imports(tree):
+    """(innermost enclosing function or None, imported name) for every scipy
+    import in ``tree``: ``import``, ``from ... import`` (each name as
+    ``module.name`` too) and ``__import__``/``import_module`` of a literal."""
+    def names(node):
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        if (isinstance(node, ast.Call) and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                in ("__import__", "import_module")):
+            return [node.args[0].value]
+        return []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+            for name in names(child):
+                if name == "scipy" or name.startswith("scipy."):
+                    yield inner, name
+            yield from visit(child, inner)
+    return list(visit(tree, None))
+
+
+_GEOMETRIC_8 = {"kind": "geometric", "lambda1": 2.0, "ratio": 2.0, "count": 8}
+_POWERTAIL = {"kind": "powertail", "C": 0.5, "alpha": 2.0, "x0": 0.25}
+
+
 class TestStartup:
     def test_scipy_loaded_only_by_a_power_tail(self, tmp_path):
-        # construct, a Lebesgue analysis without a rho block and the
-        # interpolation check run on numpy alone, in a fresh process; the
-        # first PowerTailMeasure imports scipy.special
-        cfg = write_config(tmp_path, {
-            "sequence": {"kind": "geometric", "lambda1": 2.0, "ratio": 2.0,
-                         "count": 8},
-            "measure": {"kind": "lebesgue"}, "m_list": [2, 4]})
+        # construct, a Lebesgue analysis without a rho block, both checks,
+        # power-tail masses (nested and restricted too) and the L^p layer on
+        # a power tail run on numpy alone, in a fresh process; the power
+        # tail's first log moment imports scipy.special
+        cfg = write_config(tmp_path, {"sequence": _GEOMETRIC_8,
+                                      "measure": {"kind": "lebesgue"},
+                                      "m_list": [2, 4]})
         out = str(tmp_path)
-        script = f"""
+        lines = _fresh_process(f"""
 import sys
+from muntzlab import lp
 from muntzlab.cli import main
+from muntzlab.measures import (PowerTailMeasure, ScaledMeasure, SumMeasure,
+                               lebesgue)
+from muntzlab.polynomials import MuntzPolynomial
+from muntzlab.sequences import make_geometric
 assert main(["construct", "1", "--n-max", "6", "--out", {out!r}]) == 0
 assert main(["analyze", "--config", {cfg!r}, "--out", {out!r}]) in (0, 2)
+mu = PowerTailMeasure(1.0, 2.0)
+tail = SumMeasure((ScaledMeasure(3.0, PowerTailMeasure(2.0, 0.5, x0=0.6)),
+                   lebesgue()))
+assert min(mu.total_mass, tail.total_mass, tail.mass_above(0.7),
+           tail.restricted_to_tail(0.25).total_mass) > 0.0
+assert main(["check", "inequalities", "--instances", "4", "--out", {out!r}]) == 0
 assert main(["check", "interpolation", "--instances", "2", "--out", {out!r}]) == 0
+seq = make_geometric(1.0, 2.0, 4)
+lp.lp_norm(MuntzPolynomial(seq, [0.5, -0.5, 0.5, -0.5]), 3.0, mu)
+lp.empirical_embedding_constant(seq, mu, 3.0, 2, 3, refine=True, seed=1)
 print(sorted(m for m in ("scipy.linalg", "scipy.special") if m in sys.modules))
-from muntzlab.measures import PowerTailMeasure
-PowerTailMeasure(1.0, 2.0)
+mu.log_moments([1.0])
 print("scipy.special" in sys.modules)
-"""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines()[-2:] == ["[]", "True"]
+""")
+        assert lines[-2:] == ["[]", "True"]
+
+    def test_scipy_imported_only_inside_measures_special(self):
+        # no module of the package imports scipy when it is imported, and
+        # scipy.special is imported in one place, measures._special
+        package = Path(__file__).resolve().parents[1] / "src" / "muntzlab"
+        found = {path.stem: _scipy_imports(ast.parse(path.read_text(), str(path)))
+                 for path in sorted(package.glob("*.py"))}
+        assert ("_special", "scipy.special") in found["measures"]
+        at_import = [(m, name) for m, imports in found.items()
+                     for func, name in imports if func is None]
+        assert at_import == []
+        special = [(m, func) for m, imports in found.items()
+                   for func, name in imports if name.startswith("scipy.special")]
+        assert set(special) == {("measures", "_special")}
+
+    @pytest.mark.parametrize("config, loaded", [
+        ({"measure": {"kind": "lebesgue"}, "rho": {"C": 2.0, "alpha": 1.0}},
+         True),
+        ({"measure": {"kind": "sum", "parts": [
+            {"kind": "lebesgue"},
+            {"kind": "scaled", "c": 2.0, "inner": _POWERTAIL}]}}, True),
+        ({"measure": {"kind": "lebesgue"}}, False)],
+        ids=["rho-block", "nested-powertail", "lebesgue"])
+    def test_config_power_tail_loads_scipy_special_before_analysis(
+            self, tmp_path, config, loaded):
+        # a power tail named by a config, as the measure at any depth or as
+        # the rho majorant, is where the import happens, before
+        # spectral.analyze starts the timed part of the run
+        cfg = write_config(tmp_path, {"sequence": _GEOMETRIC_8, **config})
+        lines = _fresh_process(f"""
+import sys
+from muntzlab import spectral
+from muntzlab.cli import main
+entered = []
+analyze = spectral.analyze
+def spy(*args, **kwargs):
+    entered.append("scipy.special" in sys.modules)
+    return analyze(*args, **kwargs)
+spectral.analyze = spy
+assert main(["analyze", "--config", {cfg!r}, "--out", {str(tmp_path)!r}]) in (0, 2)
+print(entered, "scipy.special" in sys.modules)
+""")
+        assert lines[-1] == f"[{loaded}] {loaded}"

@@ -694,7 +694,7 @@ def _loop_partition_masses(mu):
     b_j, b_next = 0.0, 0.5
     while len(partitions) < 64:
         eps_next = 1.0 - b_next
-        mass = _loop_tail_mass(mu, 1.0 - b_j) if b_j > 0.0 else mu.total_mass
+        mass = _loop_tail_mass(mu, 1.0 - b_j)
         mass -= _loop_tail_mass(mu, eps_next) if eps_next > 0.0 else 0.0
         partitions.append((b_j, b_next, mass))
         if eps_next <= 1e-12:
@@ -778,6 +778,44 @@ class TestArrayTailMass:
         want = _loop_partition_masses(mu)
         assert [p[:2] for p in got] == [p[:2] for p in want]
         _assert_close([p[2] for p in got], [p[2] for p in want])
+
+
+MASS_CASES = {
+    **ORACLE_MEASURES,
+    "powertail-far-x0": PowerTailMeasure(0.3, 2.94, x0=0.999),
+    "nested": ScaledMeasure(3.0, SumMeasure((
+        ScaledMeasure(0.5, PowerTailMeasure(1.0, 1.5, x0=0.2)),
+        SumMeasure((atomic([(0.4, 1.0)]), ORACLE_MEASURES["empty"])),
+        PiecewiseDensityMeasure(np.array([0.5, 0.8]), np.array([2.0]))))),
+    "nested-empty": SumMeasure((ScaledMeasure(2.0, ORACLE_MEASURES["empty"]),
+                                ORACLE_MEASURES["empty"])),
+}
+
+
+@pytest.mark.parametrize("name", MASS_CASES)
+def test_total_mass_is_tail_mass_at_one_and_zeroth_moment(name):
+    mu = MASS_CASES[name]
+    mass = mu.total_mass
+    assert mass == mu.tail_mass(1.0)
+    assert mass == pytest.approx(math.exp(mu.log_moment(0.0)), rel=1e-14,
+                                 abs=0.0)
+    assert (mass == 0.0) == (name in ("empty", "nested-empty"))
+
+
+def test_power_tail_total_mass_against_mpmath():
+    # C*alpha times the integral of (1-x)**(alpha-1) over [x0, 1]; that no
+    # mass loads scipy.special is checked in a fresh process by
+    # test_cli.py's TestStartup
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        c, alpha = rng.uniform(0.01, 100.0), rng.uniform(0.05, 10.0)
+        x0 = float(rng.choice([rng.uniform(1e-12, 0.5),
+                               rng.uniform(0.5, 0.999)]))
+        with mp.workdps(60):
+            want = (mp.mpf(c) * alpha
+                    * mp.betainc(1, alpha, x0, 1, regularized=False))
+        got = PowerTailMeasure(c, alpha, x0=x0).total_mass
+        assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("name", ["atomic", "atomic-near-one", "lebesgue",

@@ -173,8 +173,12 @@ class TestMeasureProperties:
             return
         assert mu.moment(s) <= norm / (s + 1.0) + 1e-12
 
-    @given(mu=config_measures())
+    @given(mu=config_measures(),
+           s=st.lists(st.floats(0.0, 1e8), min_size=1, max_size=4))
     @settings(max_examples=150, deadline=None)
-    def test_config_round_trip_is_lossless(self, mu):
-        back = measure_from_config(json.loads(json.dumps(mu.to_config())))
+    def test_config_round_trip_is_lossless(self, mu, s):
+        config = json.dumps(mu.to_config())
+        back = measure_from_config(json.loads(config))
         assert _numbers(back) == _numbers(mu)
+        assert json.dumps(back.to_config()) == config
+        assert back.log_moments(s).tobytes() == mu.log_moments(s).tobytes()

@@ -434,6 +434,25 @@ class TestCertificates:
         assert masses[1][2] == pytest.approx(math.sqrt(0.5) - 0.5, rel=1e-12)
         assert sum(m for _, _, m in masses) == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("mu, support_lo", [
+        (PowerTailMeasure(1.0, 2.0, x0=0.7), 0.7),
+        (PowerTailMeasure(1.0, 0.5, x0=0.6), 0.6),
+        (PowerTailMeasure(1.5, 1.5, x0=0.75), 0.75),
+        (PowerTailMeasure(0.7, 2.5, x0=0.55), 0.55),
+        (PiecewiseDensityMeasure(np.array([0.6, 0.8, 1.0]),
+                                 np.array([1.0, 3.0])), 0.6),
+        (atomic([(0.55, 1.0), (0.9, 0.5)]), 0.55)])
+    def test_hilbert_schmidt_partition_masses_nonnegative(self, mu, support_lo):
+        # the masses are differences of one tail-mass query, so none is
+        # negative and a partition below the support carries exactly none
+        cert = hilbert_schmidt_certificate(make_explicit([1.0]), mu)
+        masses = cert.params["partition_masses"]
+        assert all(m >= 0.0 for _, _, m in masses)
+        assert all(m == 0.0 for _, hi, m in masses if hi <= support_lo)
+        last = masses[-1][1]
+        assert (sum(m for _, _, m in masses) + mu.tail_mass(1.0 - last)
+                == pytest.approx(mu.total_mass, rel=1e-12))
+
     def test_hilbert_schmidt_powertail_finite_and_s2_converges(self):
         seq = make_geometric(2.0, 2.0, 24)
         mu = PowerTailMeasure(1.0, 3.0)
