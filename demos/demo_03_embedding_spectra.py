@@ -1,16 +1,18 @@
 """Singular values of truncated embeddings and the essential-norm trend.
 
 The embedding into L^2(mu) restricted to the span of the first N normalized
-monomials is a finite matrix pencil: its singular values come from Cholesky
-whitening of the Lebesgue Gramian.  Restricting mu to shrinking neighborhoods
-of 1 tracks the essential norm.
+monomials is a finite matrix pencil: its singular values come from whitening
+by the closed-form inverse Cholesky factor of the Lebesgue Gramian (the
+orthonormal Muntz-Legendre coefficients), with cond(B) reported; a basis
+whose cond(B) * 2^-53 exceeds 1e-6 is refused.  Restricting mu to shrinking
+neighborhoods of 1 tracks the essential norm.
 """
 
 import numpy as np
 
-from muntzlab import (EmbeddingProblem, PowerTailMeasure, analyze, atomic,
-                      essential_norm_trend, lebesgue, make_geometric,
-                      point_mass)
+from muntzlab import (EmbeddingProblem, IllConditionedBasisError,
+                      PowerTailMeasure, analyze, atomic, essential_norm_trend,
+                      lebesgue, make_geometric, point_mass)
 
 seq = make_geometric(2, 2, 16)
 
@@ -21,7 +23,7 @@ for name, mu in [("lebesgue (identity)", lebesgue()),
     rep = analyze(EmbeddingProblem(seq, mu, 16), q_set=(0.5, 1.0, 2.0))
     print(f"\n{name}")
     print(f"  op norm {rep.op_norm:.8f}, rank {rep.rank}, "
-          f"decay fit {rep.decay_rate:.4f}")
+          f"decay fit {rep.decay_rate:.4f}, cond(B) {rep.cond_b:.3g}")
     print(f"  top singular values: "
           f"{np.array2string(rep.singular_values[:6], precision=5)}")
     print(f"  Schatten table: "
@@ -40,3 +42,12 @@ print("\n=== a compactly supported measure: the trend hits exactly zero ===")
 mu2 = atomic([(0.4, 1.0), (0.7, 0.5)])
 for m, v in essential_norm_trend(seq, mu2, 16, [2, 4, 8]):
     print(f"  m = {m:2d}: {v:.6f}")
+
+print("\n=== answered while cond(B) * 2^-53 <= 1e-6, refused beyond ===")
+for ratio in (1.5, 1.3):
+    dense = make_geometric(2, ratio, 22)
+    try:
+        op = analyze(EmbeddingProblem(dense, mu, 22)).op_norm
+        print(f"  ratio {ratio}: cond(B) {dense.cond_b:.3g}, op norm {op:.8f}")
+    except IllConditionedBasisError as exc:
+        print(f"  ratio {ratio}: refused: {exc}")

@@ -23,10 +23,10 @@ class HypothesisViolationError(MuntzLabError):
 
 
 class IllConditionedBasisError(MuntzLabError):
-    """Cholesky factorization of the Lebesgue Gramian failed.
+    """The forward-error estimate cond(B) * 2^-53 of a double-precision
+    spectrum exceeds its stated tolerance (``spectral.FORWARD_ERROR_TOL``).
 
-    The monomial basis is numerically dependent at this truncation; reduce
-    the truncation instead of regularizing silently.
+    Reduce the truncation instead of regularizing silently.
     """
 
 

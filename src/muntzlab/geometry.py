@@ -1,9 +1,9 @@
 """Lebesgue-space geometry of the monomial system.
 
-The Lebesgue Gramian B, the inverse W = L^-1 of its Cholesky factor, the
-distances d_n from each monomial to the span of the others, the majorant
-function psi built from them, and the two classical Muntz polynomial
-inequality checkers.  A :class:`LambdaSequence` keeps its B, W and psi.
+The Lebesgue Gramian B, the inverse W = L^-1 of its Cholesky factor in
+closed form, the distances d_n from each monomial to the span of the others,
+the majorant function psi built from them, and two classical Muntz
+polynomial inequality checkers.  A :class:`LambdaSequence` keeps B, W, psi.
 
 The distances use the closed Cauchy-system product formula
 
@@ -11,9 +11,9 @@ The distances use the closed Cauchy-system product formula
 
 evaluated in the log domain: Gram determinants are catastrophically
 ill-conditioned in fixed precision, while the product is stable and O(N) per
-distance.  All N distances come from one N x N array of log factors, each
-row summed exactly.  A determinant-ratio oracle in extended precision lives
-in :mod:`muntzlab.highprec` for cross-validation.
+distance.  All N distances, and W, come from two N x N arrays of log
+factors.  A determinant-ratio oracle in extended precision lives in
+:mod:`muntzlab.highprec` for cross-validation.
 
 psi and its derivatives are signed sums of terms given by their logs.
 :class:`PsiEvaluator` tabulates the log weights and signs of every order
@@ -43,8 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (IllConditionedBasisError, InvalidParameterError,
-                     UndefinedRatioError)
+from .errors import InvalidParameterError, UndefinedRatioError
 from .polynomials import MuntzPolynomial
 from .sequences import LambdaSequence
 
@@ -66,34 +65,29 @@ def lebesgue_gram(seq: LambdaSequence) -> np.ndarray:
     return entries
 
 
-def _cholesky_lower(b: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(b)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedBasisError(
-            "Cholesky of the Lebesgue Gramian failed; the truncated basis is "
-            "numerically dependent in double precision; reduce N.") from exc
+def _log_factors(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log |lambda_i - lambda_j| (0 on the diagonal) and
+    log(lambda_i + lambda_j + 1), N x N: the factors of d_n and of W."""
+    gaps = np.abs(lam[:, None] - lam[None, :])
+    np.fill_diagonal(gaps, 1.0)
+    return np.log(gaps), np.log(lam[:, None] + lam[None, :] + 1.0)
 
 
-def _whitener(b: np.ndarray) -> np.ndarray:
-    """W = L^-1 for B = L L^T, lower triangular and read-only.
-
-    numpy's inverse of the Cholesky factor, its upper triangle cleared,
-    built once per truncation so that every whitening is a matrix product:
-    OpenBLAS runs a triangular solve on every core even at N = 8, and its
-    helper threads then spin between calls.
-    """
-    low = _cholesky_lower(b)
-    try:
-        w = np.linalg.inv(low)
-        if not np.all(np.isfinite(w)):
-            raise np.linalg.LinAlgError("non-finite inverse")
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedBasisError(
-            "inverting the Cholesky factor of the Lebesgue Gramian failed; "
-            "the truncated basis is numerically dependent in double "
-            "precision; reduce N.") from exc
-    w = np.tril(w)
+def whitener(seq: LambdaSequence) -> np.ndarray:
+    """W = L^-1 for B = L L^T, read-only: row r holds the coefficients of the
+    r-th orthonormal Muntz-Legendre polynomial (Borwein, Erdelyi, Zhang 1994)
+        W_rk = (-1)**(r-k) sqrt(1 + 2 lambda_r) / sqrt(lambda_k)
+               * prod_{j<r} (lambda_k + lambda_j + 1) / prod_{j<=r, j!=k} |lambda_k - lambda_j|
+    for k <= r, whose logs are prefix sums of the log factors, so a
+    truncation's W is the leading block bit for bit.  Overflow reads inf."""
+    lam = seq.values
+    log_gaps, log_sums = _log_factors(lam)
+    log_gaps[:, 1:] -= log_sums[:, :-1]
+    log_w = (0.5 * np.log(2.0 * lam + 1.0)[:, None] - 0.5 * np.log(lam)
+             - np.cumsum(log_gaps, axis=1).T)
+    sign = np.where(np.arange(lam.size) % 2, -1.0, 1.0)
+    with np.errstate(over="ignore"):
+        w = np.tril(np.exp(log_w) * np.outer(sign, sign))
     w.setflags(write=False)
     return w
 
@@ -131,9 +125,8 @@ def distances(seq: LambdaSequence) -> DistanceTable:
     -log(2 lambda_n + 1)/2 on the diagonal; each row is summed exactly.
     """
     lam = seq.values
-    gaps = np.abs(lam[:, None] - lam[None, :])
-    np.fill_diagonal(gaps, 1.0)
-    terms = np.log(gaps) - np.log(lam[:, None] + lam[None, :] + 1.0)
+    log_gaps, log_sums = _log_factors(lam)
+    terms = log_gaps - log_sums
     np.fill_diagonal(terms, -0.5 * np.log(2.0 * lam + 1.0))
     log_d = np.array([math.fsum(row) for row in terms.tolist()])
     log_d.setflags(write=False)

@@ -31,8 +31,8 @@ def _frozen_array(values) -> np.ndarray:
 class LambdaSequence:
     """Strictly increasing positive exponents with an origin tag.  B
     (``lebesgue_gram``), the inverse W = L^-1 of its lower Cholesky factor
-    (``whitener``), ``psi`` and the read-only sup-grid tables of the powers
-    ``x**lambda_k`` (``sup_powers``) and ``x**(lambda_k - 1)``
+    (``whitener``), ``cond_b``, ``psi`` and the read-only sup-grid tables of
+    the powers ``x**lambda_k`` (``sup_powers``) and ``x**(lambda_k - 1)``
     (``sup_derivative_powers``) are computed once, when first read."""
 
     values: np.ndarray
@@ -71,7 +71,16 @@ class LambdaSequence:
     @cached_property
     def whitener(self) -> np.ndarray:
         from . import geometry
-        return geometry._whitener(self.lebesgue_gram)
+        return geometry.whitener(self)
+
+    @cached_property
+    def cond_b(self) -> float:
+        """(sigma_max(W) / sigma_min(W))**2, inf when W overflows."""
+        if not np.all(np.isfinite(self.whitener)):
+            return math.inf
+        s = np.linalg.svd(self.whitener, compute_uv=False)
+        ratio = float(s[0]) / float(s[-1]) if s[-1] > 0.0 else math.inf
+        return ratio * ratio
 
     @cached_property
     def psi(self):

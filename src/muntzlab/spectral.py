@@ -4,11 +4,11 @@ The embedding i_mu : M^2_Lambda -> L^2(mu), truncated to the span of the
 first N normalized monomials g_n = lambda_n^(1/2) x^lambda_n, has singular
 values equal to the square roots of the generalized eigenvalues of the
 pencil (A, B), where A is the mu-Gramian and B the Lebesgue Gramian of the
-g_n.  The pencil is whitened by the inverse Cholesky factor W of B; a failed
-factorization raises instead of regularizing (reduce N).  B, W and psi depend
-on the exponents alone, so every problem and certificate reads them from the
-truncated :class:`LambdaSequence`.  One :class:`EmbeddingProblem` assembles A
-once at N; smaller truncations are leading blocks.
+g_n, whitened by the closed-form inverse Cholesky factor W of B; a spectrum
+whose forward-error estimate cond(B) * 2^-53 exceeds FORWARD_ERROR_TOL is
+refused (reduce N).  B, W, cond(B) and psi depend on the exponents alone, so
+every problem and certificate reads them from the truncated sequence.  One
+:class:`EmbeddingProblem` assembles A once at N; its truncations are blocks.
 
 Certificates are named upper bounds from the majorant function psi, from a
 rho-majorization of the tail modulus, from compact support, and from
@@ -32,14 +32,15 @@ from functools import cached_property
 import numpy as np
 
 from . import quadrature
-from .errors import (InvalidParameterError, NumericalSoundnessError,
-                     SublinearEstimateError)
-from .geometry import PSI_K_MAX, PsiEvaluator, _whitener
+from .errors import (IllConditionedBasisError, InvalidParameterError,
+                     NumericalSoundnessError, SublinearEstimateError)
+from .geometry import PSI_K_MAX, PsiEvaluator
 from .logdomain import log_sum
 from .measures import Measure, modulus_report, rho_hypothesis_violation
 from .sequences import LambdaSequence, classify, whole_number
 
 EIG_CLAMP_FLOOR = -1e-10
+FORWARD_ERROR_TOL = 1e-6  # largest cond(B) * 2^-53 a spectrum is solved at
 PSI_TRUNCATION_FLAG = "psi-truncated-lower-estimate"
 TAIL_UNSOUND_FLAG = "psi-tail-unsound"
 DEFAULT_Q_SET = (0.5, 1.0, 2.0)
@@ -90,6 +91,7 @@ class SpectralReport:
     trend: tuple                        # TrendPoint at n/4, n/2, n
     decay_rate: float                   # lsq geometric decay fit of s_n, nan if rank < 3
     n: int
+    cond_b: float                       # cond(B) of the truncated sequence
 
     @property
     def op_norm(self) -> float:
@@ -176,10 +178,20 @@ def _pencil_singular_values(m: np.ndarray) -> np.ndarray:
     return np.sqrt(eigs)[::-1]
 
 
-def singular_values(a, b) -> np.ndarray:
-    """Singular values of the embedding pencil: sqrt of eigenvalues of
-    B^(-1/2) A B^(-1/2), whitened by the inverse Cholesky factor of B."""
-    return _pencil_singular_values(_whiten(a, _whitener(b)))
+def _checked_whitener(seq: LambdaSequence) -> np.ndarray:
+    """W of ``seq`` for a double spectrum, refused when the forward-error
+    estimate cond(B) * 2^-53 exceeds FORWARD_ERROR_TOL."""
+    if (estimate := seq.cond_b * 2.0 ** -53) > FORWARD_ERROR_TOL:
+        raise IllConditionedBasisError(
+            f"cond(B) = {seq.cond_b:.3g} at N={len(seq)}: forward-error "
+            f"estimate {estimate:.3g} above {FORWARD_ERROR_TOL:g}; reduce N")
+    return seq.whitener
+
+
+def singular_values(a, seq: LambdaSequence) -> np.ndarray:
+    """Singular values of the embedding pencil (A, B) with B the Lebesgue
+    Gramian of ``seq``: sqrt of the eigenvalues of W A W^T."""
+    return _pencil_singular_values(_whiten(a, _checked_whitener(seq)))
 
 
 def _truncated_spectra(problem: EmbeddingProblem, sizes) -> list[np.ndarray]:
@@ -192,15 +204,16 @@ def _truncated_spectra(problem: EmbeddingProblem, sizes) -> list[np.ndarray]:
     svd(F W^T): rank-exact, since the values beyond the atom count are
     structural zeros, not sqrt-amplified eigenvalue noise.
     """
+    w = _checked_whitener(problem.truncated)
     flat = problem.measure.flattened()
     if flat.has_density:
-        m = _whiten(problem.gram, problem.truncated.whitener)
+        m = _whiten(problem.gram, w)
         return [_pencil_singular_values(m[:k, :k]) for k in sizes]
     lam = problem.truncated.values
     log_f = (0.5 * flat.log_weights[:, None]
              + 0.5 * np.log(lam)[None, :]
              + np.outer(flat.log_positions, lam))
-    x = np.exp(log_f) @ problem.truncated.whitener.T
+    x = np.exp(log_f) @ w.T
     spectra = []
     for k in sizes:
         svals = np.linalg.svd(x[:, :k], compute_uv=False)
@@ -253,7 +266,7 @@ def analyze(problem: EmbeddingProblem, q_set=DEFAULT_Q_SET) -> SpectralReport:
                           schatten=trend[-1].schatten,
                           trend=trend,
                           decay_rate=_decay_rate(svals_full),
-                          n=n)
+                          n=n, cond_b=problem.truncated.cond_b)
 
 
 def tail_orders(m_list) -> list[int]:
@@ -493,8 +506,7 @@ def sublinear_embedding_bound(problem: EmbeddingProblem) -> Certificate:
             f"entrywise majorization fails at ({i + 1},{j + 1}): "
             f"A={a[i, j]:.6g} > ||mu||_S*B={s_norm * b[i, j]:.6g}; the "
             "sublinear norm was an under-estimate, re-estimate on a finer grid")
-    eigs = np.linalg.eigvalsh(b)
-    cond = float(eigs[-1] / eigs[0])
+    cond = problem.truncated.cond_b
     value = math.sqrt(s_norm * cond)
     flags = () if mod.sup_is_exact else ("sublinear-norm-grid-estimate",)
     return Certificate(kind="sublinear", value=value,

@@ -113,8 +113,8 @@ class TestAnalyze:
         assert rep1["essential_norm_trend"] == rep2["essential_norm_trend"]
 
     def test_ill_conditioned_basis_exit_one(self, tmp_path, capsys):
-        # cond(B) ~ 1e17: the double Cholesky of the Lebesgue Gramian
-        # refuses, with one error line and no traceback
+        # cond(B) 3.2e17: the forward-error estimate cond(B) * 2^-53 is
+        # beyond its tolerance, refused with one error line and no traceback
         cfg = write_config(tmp_path, {
             "sequence": {"kind": "geometric", "lambda1": 2, "ratio": 1.25,
                          "count": 28},
@@ -123,7 +123,31 @@ class TestAnalyze:
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
-        assert "Cholesky" in err[0] and "reduce N" in err[0]
+        assert "cond(B)" in err[0] and "reduce N" in err[0]
+
+    @pytest.mark.parametrize("sequence", [
+        {"kind": "geometric", "lambda1": 2, "ratio": 1.3, "count": 22},
+        {"kind": "geometric", "lambda1": 2, "ratio": 1.25, "count": 16},
+        {"kind": "geometric", "lambda1": 2, "ratio": 1.25, "count": 22},
+        {"kind": "geometric", "lambda1": 2, "ratio": 1.25, "count": 26},
+        {"kind": "explicit", "values": [1.0, 1.0 + 1e-7, 1.0 + 2e-7]},
+        {"kind": "explicit", "values": [1e-300, 2e-300]}],
+        ids=["1.3-22", "1.25-16", "1.25-22", "1.25-26", "near-equal",
+             "overflowing-w"])
+    def test_refused_by_cond_b(self, tmp_path, capsys, sequence):
+        # cond(B) 3.5e14 to 2.1e17 on the geometric sequences, where a
+        # double op norm is off the 400-bit one by up to 5e-4 even on the
+        # closed-form W; 3.7e30 on the near-equal exponents; inf at 1e-300,
+        # where an entry of W overflows
+        cfg = write_config(tmp_path, {
+            "sequence": sequence,
+            "measure": {"kind": "powertail", "C": 1, "alpha": 2},
+            "certificates": ["psi", "sublinear"], "m_list": [2, 4]})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "cond(B)" in err[0] and "reduce N" in err[0]
+        assert not (tmp_path / "report.json").exists()
 
 
 NAN, INF = float("nan"), float("inf")
@@ -219,6 +243,27 @@ MALFORMED.update({f"unknown-{name}": over
                   for name, over in UNKNOWN_FIELDS.items()})
 
 
+def count_whitening(monkeypatch):
+    """(built, svds): every W ``geometry.whitener`` returns, appended as it
+    is built, and the count of SVDs taken of such a W (cond(B))."""
+    from muntzlab import geometry
+
+    built, svds = [], [0]
+    whitener, svd = geometry.whitener, np.linalg.svd
+
+    def counted_whitener(seq):
+        built.append(whitener(seq))
+        return built[-1]
+
+    def counted_svd(a, *args, **kwargs):
+        svds[0] += any(a is w for w in built)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "whitener", counted_whitener)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return built, svds
+
+
 class TestOneAnalysis:
     def test_assembles_factors_and_bisects_once(self, tmp_path, monkeypatch):
         # the geometric sequence (2, ratio 2) at N 32 on PowerTail(1, 2, 0.3),
@@ -227,7 +272,7 @@ class TestOneAnalysis:
         from muntzlab.geometry import PsiEvaluator
 
         calls = {"measure_gram": [], "modulus_report": 0, "lebesgue_gram": 0,
-                 "cholesky": 0, "inverse": 0, "psi": 0, "width": [],
+                 "psi": 0, "width": [],
                  "log_majorant": 0}
 
         def counted(name, fn):
@@ -241,12 +286,9 @@ class TestOneAnalysis:
             calls["measure_gram"].append(mu) or measure_gram(seq, mu)))
         monkeypatch.setattr(spectral, "modulus_report",
                             counted("modulus_report", spectral.modulus_report))
-        for name, attr in (("lebesgue_gram", "lebesgue_gram"),
-                           ("cholesky", "_cholesky_lower")):
-            monkeypatch.setattr(geometry, attr,
-                                counted(name, getattr(geometry, attr)))
-        monkeypatch.setattr(np.linalg, "inv",
-                            counted("inverse", np.linalg.inv))
+        monkeypatch.setattr(geometry, "lebesgue_gram",
+                            counted("lebesgue_gram", geometry.lebesgue_gram))
+        built, svds = count_whitening(monkeypatch)
         monkeypatch.setattr(PsiEvaluator, "from_sequence", classmethod(
             counted("psi", PsiEvaluator.from_sequence.__func__)))
         width = PsiEvaluator._unsound_width
@@ -283,20 +325,15 @@ class TestOneAnalysis:
         assert calls["modulus_report"] == 1
         # each width t* is one evaluation
         assert sorted(calls["width"]) == [(False, 1), (True, 1)]
-        # B, its factor, the inverse and psi once: the truncated sequence
-        # keeps them for every certificate and trend point
-        assert calls["lebesgue_gram"] == calls["cholesky"] == 1
-        assert calls["inverse"] == calls["psi"] == 1
+        # B (for the sublinear certificate), W, cond(B) and psi once: the
+        # truncated sequence keeps them for every certificate and trend point
+        assert calls["lebesgue_gram"] == len(built) == 1
+        assert svds == [1] and calls["psi"] == 1
 
     def test_n_override_factors_once(self, tmp_path, monkeypatch):
         # --n truncates the config's sequence; the trend reads that
-        # truncation, so B is still factored once
-        from muntzlab import geometry
-
-        calls = []
-        cholesky = geometry._cholesky_lower
-        monkeypatch.setattr(geometry, "_cholesky_lower",
-                            lambda b: calls.append(b.shape) or cholesky(b))
+        # truncation, so W and cond(B) are still built once
+        built, svds = count_whitening(monkeypatch)
         cfg = write_config(tmp_path, {
             "sequence": {"kind": "geometric", "lambda1": 2.0, "ratio": 2.0,
                          "count": 16},
@@ -304,7 +341,7 @@ class TestOneAnalysis:
             "certificates": ["psi", "sublinear"], "m_list": [2, 4]})
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path),
                      "--n", "10"]) == 0
-        assert calls == [(10, 10)]
+        assert [w.shape for w in built] == [(10, 10)] and svds == [1]
 
     @pytest.mark.parametrize("overrides, message", [
         ({"certificates": ["psi", "hilbert_schmidt"], "m_list": [8, 2]},
@@ -785,6 +822,20 @@ def _scipy_imports(tree):
     return list(visit(tree, None))
 
 
+def _numpy_linalg_names(tree):
+    """Every name read from numpy.linalg in ``tree``: the attribute of any
+    ``<module>.linalg`` and the names of ``from numpy.linalg import``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"):
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found.extend(alias.name for alias in node.names)
+    return found
+
+
 _GEOMETRIC_8 = {"kind": "geometric", "lambda1": 2.0, "ratio": 2.0, "count": 8}
 _POWERTAIL = {"kind": "powertail", "C": 0.5, "alpha": 2.0, "x0": 0.25}
 
@@ -838,6 +889,19 @@ print("scipy.special" in sys.modules)
         special = [(m, func) for m, imports in found.items()
                    for func, name in imports if name.startswith("scipy.special")]
         assert set(special) == {("measures", "_special")}
+
+    def test_no_factor_and_invert(self):
+        # W is closed-form: no module of the package factors or inverts B
+        assert sorted(_numpy_linalg_names(ast.parse(
+            "from numpy.linalg import inv\nnp.linalg.cholesky(b)"))) == [
+                "cholesky", "inv"]
+        package = Path(__file__).resolve().parents[1] / "src" / "muntzlab"
+        found = {path.stem: _numpy_linalg_names(ast.parse(path.read_text(),
+                                                           str(path)))
+                 for path in sorted(package.glob("*.py"))}
+        assert "svd" in found["sequences"] and "eigvalsh" in found["spectral"]
+        assert {(m, name) for m, names in found.items() for name in names
+                if name in ("cholesky", "inv")} == set()
 
     @pytest.mark.parametrize("config, loaded", [
         ({"measure": {"kind": "lebesgue"}, "rho": {"C": 2.0, "alpha": 1.0}},

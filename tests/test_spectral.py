@@ -120,7 +120,8 @@ class TestOneGeometryPerTruncation:
         from muntzlab import geometry
         from muntzlab.measures import atomic_from_logs
 
-        calls = {"lebesgue_gram": 0, "cholesky": 0, "inverse": 0, "psi": 0}
+        calls = {"lebesgue_gram": 0, "whitener": 0, "cond_b_svd": 0, "psi": 0}
+        built = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -128,12 +129,18 @@ class TestOneGeometryPerTruncation:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name, attr in (("lebesgue_gram", "lebesgue_gram"),
-                           ("cholesky", "_cholesky_lower")):
-            monkeypatch.setattr(geometry, attr,
-                                counted(name, getattr(geometry, attr)))
-        monkeypatch.setattr(np.linalg, "inv",
-                            counted("inverse", np.linalg.inv))
+        whitener, svd = geometry.whitener, np.linalg.svd
+
+        def counted_svd(a, *args, **kwargs):
+            # cond(B) is the one SVD taken of W itself
+            calls["cond_b_svd"] += any(a is w for w in built)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(geometry, "lebesgue_gram",
+                            counted("lebesgue_gram", geometry.lebesgue_gram))
+        monkeypatch.setattr(geometry, "whitener", counted(
+            "whitener", lambda seq: built.append(whitener(seq)) or built[-1]))
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
         monkeypatch.setattr(PsiEvaluator, "from_sequence", classmethod(
             counted("psi", PsiEvaluator.from_sequence.__func__)))
 
@@ -144,53 +151,112 @@ class TestOneGeometryPerTruncation:
         report = analyze(EmbeddingProblem(seq, mu, n), q_set=(0.5, 1.0, 2.0))
         trend = essential_norm_trend(seq, mu, n, [2, 8, 32])
         cert = psi_certificate(seq, mu)
-        assert calls == {"lebesgue_gram": 1, "cholesky": 1, "inverse": 1,
+        # B is never built: W is closed-form, and no sublinear certificate
+        assert calls == {"lebesgue_gram": 0, "whitener": 1, "cond_b_svd": 1,
                          "psi": 1}
         assert all(v <= report.op_norm * (1.0 + 1e-12) for _, v in trend)
         assert cert.value >= report.op_norm * (1.0 - 1e-12)
 
 
-def _singular_inverse(low):
-    raise np.linalg.LinAlgError("Singular matrix")
+# (lambda_1, ratio, N) of geometric sequences, cond(B) 3.4e5 to 1.1e22
+WHITENER_CASES = [(1.0, 2.0, 32), (2.0, 1.5, 22), (2.0, 1.3, 22),
+                  (2.0, 1.25, 22), (2.0, 1.25, 26), (2.0, 1.25, 30),
+                  (2.0, 1.2, 40)]
+
+
+def _mp_whitener(lam, bits: int) -> np.ndarray:
+    """L^-1 for B = L L^T at ``bits`` bits, from mpmath's Cholesky and a
+    forward substitution, rounded to double."""
+    with mp.workprec(bits):
+        lam = [mp.mpf(float(v)) for v in lam]
+        low = mp.cholesky(mp.matrix([[mp.sqrt(a * b) / (a + b + 1) for b in lam]
+                                     for a in lam]))
+        n = len(lam)
+        w = [[mp.mpf(0)] * n for _ in range(n)]
+        for j in range(n):
+            w[j][j] = 1 / low[j, j]
+            for i in range(j + 1, n):
+                w[i][j] = -mp.fsum(low[i, m] * w[m][j]
+                                   for m in range(j, i)) / low[i, i]
+        return np.array([[float(v) for v in row] for row in w])
+
+
+class TestWhitener:
+    @pytest.mark.parametrize("lambda1, ratio, n", WHITENER_CASES)
+    def test_matches_extended_precision(self, lambda1, ratio, n):
+        # the closed form is entrywise accurate where a double Cholesky of
+        # B is not (or fails): cond(B) up to 1.1e22 here
+        seq = make_geometric(lambda1, ratio, n)
+        want = _mp_whitener(seq.values, 300)
+        assert np.array_equal(seq.whitener == 0.0, want == 0.0)
+        np.testing.assert_allclose(seq.whitener, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seq", [
+        make_geometric(1.0, 2.0, 32), make_geometric(0.5, 1.3, 20),
+        make_power(1.5, 24), make_explicit([0.25, 0.5, 3.0, 3.5, 40.0])],
+        ids=["geometric-2", "geometric-1.3", "power", "explicit"])
+    def test_truncation_is_the_leading_block(self, seq):
+        # row r reads lambda_1..lambda_r only
+        for k in range(1, len(seq) + 1):
+            assert np.array_equal(seq.truncate(k).whitener,
+                                  seq.whitener[:k, :k])
+
+    # 400-bit lambda_max(B) / lambda_min(B) from mpmath's eigsy of B
+    @pytest.mark.parametrize("ratio, cond", [(1.3, 3.50542312283e14),
+                                             (1.25, 6.53794289873e16)])
+    def test_cond_b_matches_extended_precision(self, ratio, cond):
+        seq = make_geometric(2.0, ratio, 22)
+        assert seq.cond_b == pytest.approx(cond, rel=1e-6)
+        cert = sublinear_embedding_bound(
+            EmbeddingProblem(seq, PowerTailMeasure(1.0, 2.0), 22))
+        assert cert.params["cond_b"] == pytest.approx(cond, rel=1e-6)
+
+    def test_report_carries_cond_b(self):
+        # the sequence's cond(B), 3.50072455980e9 at 400 bits, with an
+        # answered forward-error estimate of 3.9e-7
+        problem = EmbeddingProblem(make_geometric(2.0, 1.5, 22),
+                                   PowerTailMeasure(1.0, 2.0), 22)
+        rep = analyze(problem)
+        assert rep.cond_b == problem.truncated.cond_b
+        assert rep.cond_b == pytest.approx(3.50072455980e9, rel=1e-9)
 
 
 class TestSingularValues:
     def test_hand_computed_rank_one(self):
-        s = singular_values(np.array([[0.25]]), np.array([[1 / 3]]))
+        s = singular_values(np.array([[0.25]]), make_explicit([1.0]))
         assert s[0] == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-14)
 
     def test_identity_when_equal(self):
-        b = lebesgue_gram(make_geometric(2.0, 2.0, 8))
-        s = singular_values(b, b)
+        seq = make_geometric(2.0, 2.0, 8)
+        s = singular_values(lebesgue_gram(seq), seq)
         np.testing.assert_allclose(s, 1.0, atol=1e-12)
 
     def test_scaled_measure(self):
-        b = lebesgue_gram(make_geometric(2.0, 2.0, 6))
-        s = singular_values(2.25 * b, b)
+        seq = make_geometric(2.0, 2.0, 6)
+        s = singular_values(2.25 * lebesgue_gram(seq), seq)
         np.testing.assert_allclose(s, 1.5, atol=1e-12)
 
     def test_ill_conditioned_raises(self):
         seq = make_power(2.0, 32)
-        b = lebesgue_gram(seq)
         with pytest.raises(IllConditionedBasisError):
-            singular_values(b, b)
+            singular_values(lebesgue_gram(seq), seq)
 
-    # "info": LAPACK reports a zero pivot, which numpy raises as LinAlgError
-    @pytest.mark.parametrize("inverse", [
-        lambda low: np.full_like(low, np.inf), _singular_inverse],
-        ids=["non-finite", "info"])
-    def test_failed_inverse_refused(self, monkeypatch, inverse):
-        monkeypatch.setattr(np.linalg, "inv", inverse)
-        b = lebesgue_gram(make_geometric(2.0, 2.0, 4))
-        with pytest.raises(IllConditionedBasisError, match="reduce N"):
-            singular_values(b, b)
+    def test_overflowing_whitener_refused(self):
+        # W_21 is about -1e450, beyond the double range: cond(B)
+        # reads inf, with no RuntimeWarning, and the spectrum is refused
+        seq = make_explicit([1e-300, 2e-300])
+        assert not np.all(np.isfinite(seq.whitener))
+        assert seq.cond_b == math.inf
+        with pytest.raises(IllConditionedBasisError,
+                           match=r"cond\(B\) = inf.*reduce N"):
+            singular_values(lebesgue_gram(seq), seq)
 
     def test_non_finite_pencil_refused(self):
-        b = lebesgue_gram(make_geometric(2.0, 2.0, 4))
-        a = np.array(b)
+        seq = make_geometric(2.0, 2.0, 4)
+        a = np.array(lebesgue_gram(seq))
         a[1, 2] = a[2, 1] = math.nan
         with pytest.raises(NumericalSoundnessError, match="non-finite"):
-            singular_values(a, b)
+            singular_values(a, seq)
 
     def test_factored_route_matches_pencil(self):
         # analyze() takes the factored SVD route for atomic measures; the
@@ -198,9 +264,7 @@ class TestSingularValues:
         seq = make_geometric(2.0, 2.0, 10)
         mu = atomic([(0.3, 1.0), (0.55, 0.5), (0.8, 0.25), (0.95, 0.1)])
         via_analyze = analyze(EmbeddingProblem(seq, mu, 10)).singular_values
-        a = measure_gram(seq, mu)
-        b = lebesgue_gram(seq)
-        via_pencil = singular_values(a, b)
+        via_pencil = singular_values(measure_gram(seq, mu), seq)
         np.testing.assert_allclose(via_analyze[:4], via_pencil[:4], rtol=1e-7)
         assert np.all(via_analyze[4:] == 0.0)
 
@@ -267,9 +331,10 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("ratio, n", [(1.5, 24), (2.0, 32), (3.0, 16)])
     def test_trend_matches_standalone(self, ratio, n):
-        # trend points are read as leading blocks of the one factorization
-        # at N; a blocked Cholesky rounds differently from a factorization
-        # at the smaller size, so agreement is close but not bitwise
+        # trend points are read as leading blocks of the one whitening at
+        # N; W is the same leading block, but W A W^T at N sums each entry
+        # over more terms (BLAS blocks them differently), so agreement is
+        # close but not bitwise
         seq = make_geometric(2.0, ratio, n)
         for mu in (PowerTailMeasure(1.0, 2.0),
                    atomic([(0.3, 1.0), (0.55, 0.5), (0.8, 0.25), (0.95, 0.1),
