@@ -60,7 +60,8 @@ def lebesgue_gram(seq: LambdaSequence) -> np.ndarray:
     """Closed-form Lebesgue Gramian of the normalized monomials, read-only:
     entry sqrt(lambda_n lambda_m)/(lambda_n + lambda_m + 1)."""
     lam = seq.values
-    entries = np.sqrt(np.outer(lam, lam)) / (lam[:, None] + lam[None, :] + 1.0)
+    root = np.sqrt(lam)
+    entries = np.outer(root, root) / (lam[:, None] + lam[None, :] + 1.0)
     entries.setflags(write=False)
     return entries
 

@@ -794,10 +794,11 @@ def _fresh_process(script: str) -> list[str]:
     return run.stdout.splitlines()
 
 
-def _scipy_imports(tree):
-    """(innermost enclosing function or None, imported name) for every scipy
-    import in ``tree``: ``import``, ``from ... import`` (each name as
-    ``module.name`` too) and ``__import__``/``import_module`` of a literal."""
+def _imports_of(tree, package):
+    """(innermost enclosing function or None, imported name) for every
+    import of ``package`` in ``tree``: ``import``, ``from ... import`` (each
+    name as ``module.name`` too) and ``__import__``/``import_module`` of a
+    literal."""
     def names(node):
         if isinstance(node, ast.Import):
             return [a.name for a in node.names]
@@ -816,7 +817,7 @@ def _scipy_imports(tree):
             inner = (child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
             for name in names(child):
-                if name == "scipy" or name.startswith("scipy."):
+                if name == package or name.startswith(package + "."):
                     yield inner, name
             yield from visit(child, inner)
     return list(visit(tree, None))
@@ -880,7 +881,8 @@ print("scipy.special" in sys.modules)
         # no module of the package imports scipy when it is imported, and
         # scipy.special is imported in one place, measures._special
         package = Path(__file__).resolve().parents[1] / "src" / "muntzlab"
-        found = {path.stem: _scipy_imports(ast.parse(path.read_text(), str(path)))
+        found = {path.stem: _imports_of(ast.parse(path.read_text(), str(path)),
+                                        "scipy")
                  for path in sorted(package.glob("*.py"))}
         assert ("_special", "scipy.special") in found["measures"]
         at_import = [(m, name) for m, imports in found.items()
@@ -889,6 +891,25 @@ print("scipy.special" in sys.modules)
         special = [(m, func) for m, imports in found.items()
                    for func, name in imports if name.startswith("scipy.special")]
         assert set(special) == {("measures", "_special")}
+
+    def test_no_module_imports_mpmath(self):
+        assert _imports_of(ast.parse("import mpmath as mp\nfrom mpmath import mpf"),
+                           "mpmath") == [(None, "mpmath"), (None, "mpmath"),
+                                         (None, "mpmath.mpf")]
+        package = Path(__file__).resolve().parents[1] / "src" / "muntzlab"
+        assert [(path.stem, imports) for path in sorted(package.glob("*.py"))
+                if (imports := _imports_of(ast.parse(path.read_text(), str(path)),
+                                           "mpmath"))] == []
+
+    def test_distance_oracle_loads_neither_mpmath_nor_scipy(self):
+        lines = _fresh_process("""
+import sys
+import muntzlab, muntzlab.highprec
+print(muntzlab.highprec.distance_oracle([1.0, 2.0], 1) ** -2)
+print(sorted(m for m in ("mpmath", "scipy") if m in sys.modules))
+""")
+        assert float(lines[0]) == pytest.approx(48.0, rel=1e-15)
+        assert lines[1] == "[]"
 
     def test_no_factor_and_invert(self):
         # W is closed-form: no module of the package factors or inverts B

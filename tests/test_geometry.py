@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -40,6 +41,14 @@ class TestGram:
     def test_duplicate_exponents_rejected(self):
         with pytest.raises(InvalidParameterError):
             lebesgue_gram(make_explicit([1.0, 1.0]))
+
+    def test_huge_exponents_do_not_overflow(self):
+        # lambda_n lambda_m overflows past ~1.3e154; sqrt(lambda_n) does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = lebesgue_gram(make_geometric(1e200, 2.0, 8))
+        assert np.isfinite(g).all()
+        np.testing.assert_allclose(np.diag(g), 0.5, rtol=1e-15, atol=0.0)
 
 
 class TestDistances:

@@ -8,11 +8,10 @@ from muntzlab import InvalidParameterError, distances, make_explicit
 from muntzlab.highprec import distance_oracle
 
 
-def _solve_oracle(lams, n, prec_bits=200):
-    """The oracle before the one-factorization rewrite, kept as its
-    reference: the whole Gram as an mp.matrix, (G^-1)_nn from
-    cholesky_solve against e_n, and d_n = (G^-1)_nn^-1/2."""
-    lams = list(lams)
+def _solve_oracle(lams, prec_bits=200):
+    """Every d_n of ``lams`` by an independent mpmath route, kept as the
+    oracle's reference: the whole Gram as an mp.matrix, one mp.inverse, and
+    d_n = (G^-1)_nn^-1/2."""
     with mp.workprec(prec_bits):
         vals = [mp.mpf(float(x)) for x in lams]
         size = len(vals)
@@ -20,10 +19,8 @@ def _solve_oracle(lams, n, prec_bits=200):
         for i in range(size):
             for j in range(size):
                 g[i, j] = 1 / (vals[i] + vals[j] + 1)
-        e = mp.matrix([mp.mpf(1) if i == n - 1 else mp.mpf(0)
-                       for i in range(size)])
-        y = mp.cholesky_solve(g, e)
-        return float(mp.sqrt(1 / y[n - 1]))
+        inv = mp.inverse(g)
+        return [float(mp.sqrt(1 / inv[n, n])) for n in range(size)]
 
 
 def _random_sequences(count=200, seed=2024):
@@ -63,8 +60,7 @@ class TestDistanceOracle:
         near_equal = 0
         for lams, row in zip(SEQUENCES, oracle_rows):
             near_equal += min(np.diff(lams) / lams[:-1]) < 1e-2
-            assert row == [_solve_oracle(lams, n)
-                           for n in range(1, len(lams) + 1)], lams
+            assert row == _solve_oracle(lams), lams
         assert near_equal >= 60
 
     def test_matches_closed_form_distances(self, oracle_rows):
@@ -87,3 +83,35 @@ class TestDistanceOracle:
     def test_equal_exponents_refused(self):
         with pytest.raises(InvalidParameterError, match="positive definite"):
             distance_oracle([1.0, 1.0], 2)
+
+    @pytest.mark.parametrize("lams", [[-0.5, 1.0], [1.0, -2.0], [math.nan, 1.0],
+                                      [1.0, math.inf], [-math.inf, 1.0]],
+                             ids=["minus-half", "below", "nan", "inf", "-inf"])
+    def test_exponent_outside_l2_refused(self, lams):
+        # x^lambda is in L^2[0, 1] only for a finite lambda above -1/2
+        with pytest.raises(InvalidParameterError, match=r"not in L\^2"):
+            distance_oracle(lams, 1)
+
+    @pytest.mark.parametrize("n", [1.5, True, "1", None, math.nan])
+    def test_index_not_whole_refused(self, n):
+        with pytest.raises(InvalidParameterError, match="not a whole number"):
+            distance_oracle([1.0, 2.0], n)
+
+    def test_whole_index_of_any_type(self):
+        want = distance_oracle([1.0, 2.0], 2)
+        assert distance_oracle([1.0, 2.0], 2.0) == want
+        assert distance_oracle([1.0, 2.0], np.int64(2)) == want
+
+    @pytest.mark.parametrize("lams", [[1.0, 1.0 + 1e-9],
+                                      [0.5, 1.0, 1.0 + 1e-8, 3.0]])
+    def test_prec_bits(self, lams):
+        # a near-equal pair is refused at single and double precision, and
+        # 200 bits already give the double that 300 bits give
+        for bits in (24, 53):
+            for n in range(1, len(lams) + 1):
+                with pytest.raises(InvalidParameterError,
+                                   match=f"positive definite at {bits} bits"):
+                    distance_oracle(lams, n, prec_bits=bits)
+        for n in range(1, len(lams) + 1):
+            assert (distance_oracle(lams, n, prec_bits=200)
+                    == distance_oracle(lams, n, prec_bits=300))
