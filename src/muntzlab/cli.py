@@ -251,6 +251,13 @@ def cmd_check(args) -> int:
     from . import suites
     from .reporting import write_json
 
+    # a suite of no draws would pass having checked nothing, and numpy's
+    # generator takes no negative seed
+    for flag, value, low in (("--instances", args.instances, 1),
+                             ("--seed", args.seed, 0)):
+        if value < low:
+            raise InvalidParameterError(
+                f"{flag} must be at least {low}, got {value}")
     started = time.perf_counter()
     if args.suite == "inequalities":
         result = suites.inequality_suite(instances=args.instances,

@@ -38,10 +38,11 @@ still require positive mass.
 Power tails are the only readers of scipy (``scipy.special``'s log-Beta and
 incomplete Beta functions), and only their moments call it: a power tail is
 built, restricted, integrated on its plan and measured without it.  It is
-imported by the first Beta evaluation, or earlier by
-:func:`measure_from_config` for each ``powertail`` it builds, so that a run
-configured with a power tail pays the import where its config is read, not
-inside its first computation.
+imported at the first Beta evaluation and nowhere else, so a run whose
+measures have no power-tail moments never loads scipy: the ``rho``
+majorant is a power tail read only through its tail masses and its plan.
+A run that takes a power tail's moments pays the import inside its first
+computation.
 """
 
 from __future__ import annotations
@@ -67,10 +68,9 @@ _SYMMETRIC_TAIL_FLOOR = 2.0 ** -900
 
 
 def _special():
-    """scipy.special, imported on first use: by a power tail's log moments
-    and upper tail, and by :func:`measure_from_config` for each
-    ``powertail`` it reads, so that a configured run loads it before its
-    computation starts.  The one place in ``muntzlab`` that imports scipy."""
+    """scipy.special, imported at the first Beta evaluation: by a power
+    tail's log moments or upper tail, never when a measure is built or read
+    from a config.  The one place in ``muntzlab`` that imports scipy."""
     import scipy.special
     return scipy.special
 
@@ -744,18 +744,11 @@ def _atomic_from_config(spec: dict) -> AtomicMeasure:
     return atomic([tuple(map(real_number, pair)) for pair in spec["atoms"]])
 
 
-def _power_tail_from_config(spec: dict) -> PowerTailMeasure:
-    # scipy.special is loaded where a run's config names a power tail, so
-    # the import stays before the run's timed work, out of its first moment
-    mu = PowerTailMeasure(real_number(spec["C"]), real_number(spec["alpha"]),
-                          x0=real_number(spec.get("x0", 0.0)))
-    _special()
-    return mu
-
-
 _MEASURE_KINDS = {
     "atomic": (("atoms", "log_atoms"), _atomic_from_config),
-    "powertail": (("C", "alpha", "x0"), _power_tail_from_config),
+    "powertail": (("C", "alpha", "x0"), lambda spec: PowerTailMeasure(
+        real_number(spec["C"]), real_number(spec["alpha"]),
+        x0=real_number(spec.get("x0", 0.0)))),
     "lebesgue": ((), lambda spec: lebesgue()),
     "piecewise": (("breakpoints", "densities"), lambda spec: PiecewiseDensityMeasure(
         np.array([real_number(b) for b in spec["breakpoints"]]),
@@ -773,8 +766,8 @@ def measure_from_config(spec: dict) -> Measure:
     Accepted kinds: ``atomic`` (``atoms`` as linear ``[a, c]`` pairs or
     ``log_atoms`` as ``[log a, log c]`` pairs, not both), ``powertail``,
     ``lebesgue``, ``piecewise``, ``scaled``, ``sum``.  A field the kind does
-    not read is refused, and every number must be a JSON number.  Each
-    ``powertail``, at any depth of ``scaled`` and ``sum``, loads
-    ``scipy.special`` for the Beta functions of its moments.
+    not read is refused, and every number must be a JSON number.  Building
+    a measure imports no scipy, a ``powertail`` included: its first moment
+    does (:func:`_special`).
     """
     return from_config(spec, "measure", _MEASURE_KINDS)

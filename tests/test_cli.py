@@ -679,6 +679,24 @@ class TestCheck:
     def test_certificate_suite(self):
         assert main(["check", "certificates"]) == 0
 
+    @pytest.mark.parametrize("suite", ["inequalities", "interpolation"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-5"], "--seed must be at least 0, got -5"),
+        (["--instances", "0"], "--instances must be at least 1, got 0"),
+        (["--instances", "-1"], "--instances must be at least 1, got -1")],
+        ids=["negative-seed", "no-instances", "negative-instances"])
+    def test_refuses_a_run_that_checks_nothing(self, tmp_path, capsys, suite,
+                                               flags, message):
+        # refused by name before any work: no traceback, no report, no pass
+        assert main(["check", suite, "--instances", "1", *flags,
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("suite", ["inequalities", "interpolation"])
+    def test_smallest_run_accepted(self, suite):
+        assert main(["check", suite, "--instances", "1", "--seed", "0"]) == 0
+
 
 class TestUsage:
     def test_usage_error_exit_one_with_argparse_message(self, capsys):
@@ -843,13 +861,18 @@ _POWERTAIL = {"kind": "powertail", "C": 0.5, "alpha": 2.0, "x0": 0.25}
 
 class TestStartup:
     def test_scipy_loaded_only_by_a_power_tail(self, tmp_path):
-        # construct, a Lebesgue analysis without a rho block, both checks,
-        # power-tail masses (nested and restricted too) and the L^p layer on
-        # a power tail run on numpy alone, in a fresh process; the power
-        # tail's first log moment imports scipy.special
+        # construct, Lebesgue analyses with and without a rho block, both
+        # checks, power-tail masses (nested and restricted too) and the L^p
+        # layer on a power tail run on numpy alone, in a fresh process; the
+        # power tail's first log moment imports scipy.special
         cfg = write_config(tmp_path, {"sequence": _GEOMETRIC_8,
                                       "measure": {"kind": "lebesgue"},
                                       "m_list": [2, 4]})
+        rho_cfg = write_config(tmp_path, {"sequence": _GEOMETRIC_8,
+                                          "measure": {"kind": "lebesgue"},
+                                          "certificates": ["psi", "rho"],
+                                          "rho": {"C": 2.0, "alpha": 1.0}},
+                               name="rho.json")
         out = str(tmp_path)
         lines = _fresh_process(f"""
 import sys
@@ -861,6 +884,7 @@ from muntzlab.polynomials import MuntzPolynomial
 from muntzlab.sequences import make_geometric
 assert main(["construct", "1", "--n-max", "6", "--out", {out!r}]) == 0
 assert main(["analyze", "--config", {cfg!r}, "--out", {out!r}]) in (0, 2)
+assert main(["analyze", "--config", {rho_cfg!r}, "--out", {out!r}]) in (0, 2)
 mu = PowerTailMeasure(1.0, 2.0)
 tail = SumMeasure((ScaledMeasure(3.0, PowerTailMeasure(2.0, 0.5, x0=0.6)),
                    lebesgue()))
@@ -924,20 +948,26 @@ print(sorted(m for m in ("mpmath", "scipy") if m in sys.modules))
         assert {(m, name) for m, names in found.items() for name in names
                 if name in ("cholesky", "inv")} == set()
 
-    @pytest.mark.parametrize("config, loaded", [
-        ({"measure": {"kind": "lebesgue"}, "rho": {"C": 2.0, "alpha": 1.0}},
-         True),
-        ({"measure": {"kind": "sum", "parts": [
+    @pytest.mark.parametrize("measure, loaded", [
+        ({"kind": "lebesgue"}, "[False] False"),
+        ({"kind": "piecewise", "breakpoints": [0.0, 0.5, 1.0],
+          "densities": [0.5, 2.0]}, "[False] False"),
+        ({"kind": "sum", "parts": [
             {"kind": "lebesgue"},
-            {"kind": "scaled", "c": 2.0, "inner": _POWERTAIL}]}}, True),
-        ({"measure": {"kind": "lebesgue"}}, False)],
-        ids=["rho-block", "nested-powertail", "lebesgue"])
-    def test_config_power_tail_loads_scipy_special_before_analysis(
-            self, tmp_path, config, loaded):
-        # a power tail named by a config, as the measure at any depth or as
-        # the rho majorant, is where the import happens, before
-        # spectral.analyze starts the timed part of the run
-        cfg = write_config(tmp_path, {"sequence": _GEOMETRIC_8, **config})
+            {"kind": "scaled", "c": 2.0, "inner": _POWERTAIL}]},
+         "[False] True")],
+        ids=["lebesgue-rho", "piecewise-rho", "nested-powertail"])
+    def test_scipy_special_loaded_only_at_a_beta_evaluation(
+            self, tmp_path, measure, loaded):
+        # the shape of the benchmark's analyze ops: a rho block, every
+        # certificate and an m_list; the rho majorant is a power tail read
+        # only through its tail masses and quadrature plan, so only a power
+        # tail's first moment, inside spectral.analyze, imports scipy.special
+        cfg = write_config(tmp_path, {
+            "sequence": _GEOMETRIC_8, "measure": measure,
+            "certificates": ["psi", "rho", "sublinear", "compact_support",
+                             "hilbert_schmidt"],
+            "rho": {"C": 2.0, "alpha": 1.0}, "m_list": [2, 4]})
         lines = _fresh_process(f"""
 import sys
 from muntzlab import spectral
@@ -951,4 +981,4 @@ spectral.analyze = spy
 assert main(["analyze", "--config", {cfg!r}, "--out", {str(tmp_path)!r}]) in (0, 2)
 print(entered, "scipy.special" in sys.modules)
 """)
-        assert lines[-1] == f"[{loaded}] {loaded}"
+        assert lines[-1] == loaded
