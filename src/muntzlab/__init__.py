@@ -13,7 +13,7 @@ from .errors import (ConstructionBugError, ConstructionError,
                      HypothesisViolationError, IllConditionedBasisError,
                      InvalidParameterError, MuntzLabError,
                      NumericalSoundnessError, QuasilacunarityNotWitnessedError,
-                     SublinearEstimateError, UndefinedRatioError)
+                     UndefinedRatioError)
 from .sequences import (BlockStructure, LacunarityReport, LambdaSequence,
                         classify, find_blocks, make_explicit, make_geometric,
                         make_power, sequence_from_config)

@@ -228,7 +228,7 @@ def build_example1(n_max: int) -> Example1Build:
         rows.append(Example1Row(n=n, lam=lam, log_a=log_a[-1],
                                 log_c=log_c[-1], **ledger))
     return Example1Build(rows=tuple(rows),
-                         sequence=LambdaSequence(np.array(lams), origin="constructed"),
+                         sequence=LambdaSequence(np.array(lams)),
                          measure=atomic_from_logs(log_a, log_c))
 
 
@@ -424,7 +424,7 @@ def build_example2(q: float, r: float, n_max: int,
 
     return Example2Build(
         rows=tuple(rows),
-        sequence=LambdaSequence(np.array(lams), origin="constructed"),
+        sequence=LambdaSequence(np.array(lams)),
         measure=atomic_from_logs(log_a, log_c),
         q=q, r=r, theta=theta, alphas=alphas)
 

@@ -1,7 +1,9 @@
 """Exception hierarchy.
 
 All library errors derive from :class:`MuntzLabError` so callers can
-distinguish them from built-in errors.
+distinguish them from built-in errors.  A certificate whose hypothesis
+fails raises none of them: it records the failed assumption and the value
++inf (``spectral.Certificate``).
 """
 
 
@@ -50,11 +52,6 @@ class ConstructionBugError(MuntzLabError):
         super().__init__(message)
         self.n = n
         self.residual = residual
-
-
-class SublinearEstimateError(MuntzLabError):
-    """Entrywise Gramian majorization failed; the sublinear norm was a grid
-    under-estimate and must be re-estimated on a finer grid."""
 
 
 class UndefinedRatioError(MuntzLabError):

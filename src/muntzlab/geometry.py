@@ -134,10 +134,8 @@ def distances(seq: LambdaSequence) -> DistanceTable:
     return DistanceTable(lambdas=lam, log_d=log_d, n_seq=len(seq))
 
 
-def scaled_distance(table: DistanceTable | LambdaSequence, a: float, n: int) -> float:
+def scaled_distance(table: DistanceTable, a: float, n: int) -> float:
     """d_n(a) = a**(lambda_n + 1/2) * d_n on M^2 over [0, a]; n is 1-based."""
-    if isinstance(table, LambdaSequence):
-        table = distances(table)
     if not 0.0 < a < 1.0:
         raise InvalidParameterError("a must lie in (0, 1)")
     if not 1 <= n <= table.n_seq:

@@ -343,7 +343,7 @@ class InterpolationReport:
     max_slack: float          # max over samples of lhs - rhs (<= 0 when clean)
     samples: int
     seed: int
-    records: tuple = ()       # per-sample (index, lhs, rhs) when requested
+    records: tuple = ()       # per-sample (index, lhs, rhs)
 
 
 class InterpolationDraws:
@@ -388,7 +388,7 @@ class InterpolationDraws:
 
 def interpolation_check(seq: LambdaSequence, mu: Measure, p0: float, p1: float,
                         t: float, *, n: int | None = None, samples: int = 100,
-                        seed: int = 0, keep_records: bool = False,
+                        seed: int = 0,
                         draws: InterpolationDraws | None = None) -> InterpolationReport:
     """Per-function interpolation inequality on sampled polynomials:
 
@@ -419,21 +419,19 @@ def interpolation_check(seq: LambdaSequence, mu: Measure, p0: float, p1: float,
         draws = InterpolationDraws(seq, n, samples, seed)
     lhs_all = draws.norms(mu, p_t)
     rhs_all = [factor * v for v in draws.lebesgue_norms(p_t)]
+    records = tuple(zip(range(len(lhs_all)), lhs_all, rhs_all))
     violations = []
-    records = []
     max_slack = -math.inf
-    for i, (lhs, rhs) in enumerate(zip(lhs_all, rhs_all)):
+    for i, lhs, rhs in records:
         slack = lhs - rhs
         max_slack = max(max_slack, slack)
-        if keep_records:
-            records.append((i, lhs, rhs))
         if slack > _INTERPOLATION_TOL * max(1.0, rhs):
             violations.append(InterpolationViolation(
                 sample=i, lhs=lhs, rhs=rhs, excess=slack))
     return InterpolationReport(p0=p0, p1=p1, t=t, p_t=p_t, c0=c0, c1=c1,
                                inconclusive=False, violations=tuple(violations),
                                max_slack=max_slack, samples=samples, seed=seed,
-                               records=tuple(records))
+                               records=records)
 
 
 def l1_unboundedness_witness(seq: LambdaSequence, mu: Measure) -> list[tuple[int, float]]:

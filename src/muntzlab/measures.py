@@ -390,18 +390,16 @@ class PowerTailMeasure(Measure):
         return PowerTailMeasure(self.coefficient, self.alpha,
                                 x0=max(self.x0, 1.0 - eps))
 
+    # the density and mu(J_eps)/eps peak at x0 (at alpha = 1, width**0 is 1
+    # exactly)
     def bounded_density_sup(self) -> float | None:
         if self.alpha < 1.0:
             return None
-        if self.alpha == 1.0:
-            return self.coefficient
         return self.coefficient * self.alpha * self.width ** (self.alpha - 1.0)
 
     def sublinear_norm_exact(self) -> float | None:
         if self.alpha < 1.0:
             return math.inf          # mu(J_eps)/eps = C eps^(alpha-1) blows up
-        if self.alpha == 1.0:
-            return self.coefficient
         return self.coefficient * self.width ** (self.alpha - 1.0)
 
     def _flatten_into(self, flat: FlatMeasure, log_scale: float) -> None:

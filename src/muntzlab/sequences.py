@@ -29,14 +29,13 @@ def _frozen_array(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LambdaSequence:
-    """Strictly increasing positive exponents with an origin tag.  B
-    (``lebesgue_gram``), the inverse W = L^-1 of its lower Cholesky factor
-    (``whitener``), ``cond_b``, ``psi`` and the read-only sup-grid tables of
-    the powers ``x**lambda_k`` (``sup_powers``) and ``x**(lambda_k - 1)``
+    """Strictly increasing positive exponents.  B (``lebesgue_gram``), the
+    inverse W = L^-1 of its lower Cholesky factor (``whitener``),
+    ``cond_b``, ``psi`` and the read-only sup-grid tables of the powers
+    ``x**lambda_k`` (``sup_powers``) and ``x**(lambda_k - 1)``
     (``sup_derivative_powers``) are computed once, when first read."""
 
     values: np.ndarray
-    origin: str = "explicit"
 
     def __post_init__(self):
         arr = _frozen_array(self.values)
@@ -61,7 +60,7 @@ class LambdaSequence:
             raise InvalidParameterError(f"truncation {n} outside 1..{len(self)}")
         if n == len(self):
             return self
-        return LambdaSequence(self.values[:n], origin=self.origin)
+        return LambdaSequence(self.values[:n])
 
     @cached_property
     def lebesgue_gram(self) -> np.ndarray:
@@ -197,7 +196,7 @@ def make_geometric(lambda1: float, ratio: float, count: int) -> LambdaSequence:
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
     values = lambda1 * ratio ** np.arange(count, dtype=float)
-    return LambdaSequence(values, origin="geometric")
+    return LambdaSequence(values)
 
 
 def make_power(exponent: float, count: int) -> LambdaSequence:
@@ -208,11 +207,11 @@ def make_power(exponent: float, count: int) -> LambdaSequence:
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
     values = np.arange(1, count + 1, dtype=float) ** exponent
-    return LambdaSequence(values, origin="power")
+    return LambdaSequence(values)
 
 
 def make_explicit(values) -> LambdaSequence:
-    return LambdaSequence(values, origin="explicit")
+    return LambdaSequence(values)
 
 
 def classify(seq: LambdaSequence) -> LacunarityReport:

@@ -157,13 +157,11 @@ def inequality_suite(instances: int = 200, seed: int = 20240901) -> SuiteResult:
 _INTERPOLATION_T = (0.25, 0.5, 0.75)
 
 
-def interpolation_suite(samples: int = 100, seed: int = 20240902,
-                        keep_records: bool = False) -> SuiteResult:
+def interpolation_suite(samples: int = 100,
+                        seed: int = 20240902) -> SuiteResult:
     """Interpolation inequality on three measures with certified endpoint
-    constants, p0 = 1, p1 = 2.
-
-    With ``keep_records`` the result carries the per-sample (lhs, rhs)
-    arrays for report export.
+    constants, p0 = 1, p1 = 2.  The result carries the per-sample
+    (index, lhs, rhs) records of every check, keyed ``name@t=..``.
     """
     seq = make_geometric(2.0, 2.0, 6)
     battery = [
@@ -183,18 +181,14 @@ def interpolation_suite(samples: int = 100, seed: int = 20240902,
             checks += 1
             rep = lp.interpolation_check(seq, mu, 1.0, 2.0, t, n=5,
                                          samples=samples, seed=seed,
-                                         keep_records=keep_records,
                                          draws=draws)
             if rep.inconclusive:
                 violations.append((name, t, "inconclusive", math.nan))
                 continue
             worst = max(worst, rep.max_slack)
-            if keep_records:
-                sample_records[f"{name}@t={t:g}"] = rep.records
+            sample_records[f"{name}@t={t:g}"] = rep.records
             for v in rep.violations:
                 violations.append((name, t, v.lhs, v.rhs))
-    details = {"max_slack": worst}
-    if keep_records:
-        details["records"] = sample_records
     return SuiteResult(name="interpolation", checks=checks,
-                       violations=tuple(violations), details=details)
+                       violations=tuple(violations),
+                       details={"max_slack": worst, "records": sample_records})

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -92,6 +93,30 @@ class TestAnalyze:
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 2
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["certificates"][0]["kind"] == "rho"
+
+    def test_failed_majorization_is_a_certificate_exit_two(self, tmp_path,
+                                                          monkeypatch):
+        # an under-estimated ||mu||_S (1/2 for Lebesgue, where A = B) fails
+        # the entrywise majorization, which the report carries like any
+        # other failed assumption
+        from muntzlab import spectral
+        real = spectral.modulus_report
+        monkeypatch.setattr(spectral, "modulus_report", lambda mu:
+                            dataclasses.replace(real(mu), sublinear_norm=0.5))
+        cfg = write_config(tmp_path, {
+            "sequence": {"kind": "geometric", "lambda1": 2, "ratio": 2,
+                         "count": 8},
+            "measure": {"kind": "lebesgue"},
+            "N": 8, "certificates": ["psi", "sublinear"]})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 2
+        psi, sub = json.loads((tmp_path / "report.json").read_text())[
+            "certificates"]
+        assert set(sub) == set(psi) == {"kind", "value", "assumptions",
+                                        "flags", "params"}
+        assert sub["kind"] == "sublinear" and sub["value"] == "inf"
+        assert [(a["name"], a["ok"]) for a in sub["assumptions"]] == [
+            ("Lambda lacunary", True), ("mu sublinear", True),
+            ("A <= ||mu||_S B entrywise", False)]
 
     def test_round_trip_bit_identical(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -676,8 +701,19 @@ class TestCheck:
     def test_inequality_suite(self):
         assert main(["check", "inequalities", "--instances", "20"]) == 0
 
-    def test_certificate_suite(self):
-        assert main(["check", "certificates"]) == 0
+    def test_certificate_suite(self, tmp_path):
+        # a deterministic suite: its report records no seed
+        assert main(["check", "certificates", "--seed", "7",
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "check_certificates.json").read_text())
+        assert "seed" not in payload
+
+    @pytest.mark.parametrize("suite", ["inequalities", "interpolation"])
+    def test_seeded_suite_records_its_seed(self, tmp_path, suite):
+        assert main(["check", suite, "--instances", "1", "--seed", "7",
+                     "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / f"check_{suite}.json").read_text())
+        assert payload["seed"] == 7
 
     @pytest.mark.parametrize("suite", ["inequalities", "interpolation"])
     @pytest.mark.parametrize("flags, message", [

@@ -300,6 +300,14 @@ def _one_probe_width(psi, big):
 
 
 class TestBlockedBisection:
+    def test_sound_at_every_probe_gives_width_zero(self):
+        # psi(x) = x + e^-40 x^2: the last term is below e^-40 < 1e-12 of the
+        # sum at every x in (0, 1), so no probe is tail-unsound
+        psi = PsiEvaluator(lambdas=np.array([1.0, 2.0]),
+                           log_inv_d=np.array([0.0, -40.0]))
+        assert psi.log_majorant(_PROBE_LOG_X)[1].all()
+        assert psi.unsound_width == 0.0 == _one_probe_width(psi, False)
+
     @pytest.mark.parametrize("big", [False, True])
     def test_width_matches_one_probe_bisection(self, big, monkeypatch):
         log_majorant = PsiEvaluator.log_majorant

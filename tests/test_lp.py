@@ -289,7 +289,8 @@ class TestQuadraturePlan:
         seq = make_geometric(2.0, 2.0, 6)
         mu = _PLAN_MEASURES["piecewise"]
         rep = interpolation_check(seq, mu, 1.0, 2.0, 0.5, n=5, samples=70,
-                                  seed=4, keep_records=True)
+                                  seed=4)
+        assert len(rep.records) == 70      # kept without being asked
         rng = np.random.default_rng(4)
         sub = seq.truncate(5)
         for i, lhs, rhs in rep.records:
@@ -472,7 +473,7 @@ class TestOnePlanPerMeasure:
                             counted("bases", lp._PowerIntegrals.__init__))
         monkeypatch.setattr(lp._PowerIntegrals, "norms",
                             counted("norms", lp._PowerIntegrals.norms))
-        suite = suites.interpolation_suite(samples=6, keep_records=True)
+        suite = suites.interpolation_suite(samples=6)
         assert calls == {"roots": 1, "bases": 3, "norms": 9}
         # each check reads as it does alone, bit for bit
         for name, mu in (("lebesgue", lebesgue()),
@@ -480,7 +481,7 @@ class TestOnePlanPerMeasure:
             for t in (0.25, 0.5, 0.75):
                 alone = interpolation_check(
                     make_geometric(2.0, 2.0, 6), mu, 1.0, 2.0, t, n=5,
-                    samples=6, seed=20240902, keep_records=True)
+                    samples=6, seed=20240902)
                 assert suite.details["records"][f"{name}@t={t:g}"] == alone.records
 
     def test_draws_of_another_run_refused(self):

@@ -336,6 +336,15 @@ class TestRestrict:
         tail = restrict_tail(PowerTailMeasure(1.0, 2.0), 10)
         assert tail.total_mass == pytest.approx(0.01)
 
+    def test_scaled_keeps_its_scale(self):
+        # 3 * (2 (1-x) dx) on [3/4, 1): mass 3 * (1/4)^2, and the moment of
+        # order 1 is 3 (1/16 - 2/3 (1/4)^3) = 3 * 5/96
+        tail = ScaledMeasure(3.0, PowerTailMeasure(1.0, 2.0)
+                             ).restricted_to_tail(0.25)
+        assert tail == ScaledMeasure(3.0, PowerTailMeasure(1.0, 2.0, x0=0.75))
+        assert tail.total_mass == pytest.approx(3.0 / 16.0, rel=1e-15)
+        assert tail.moment(1.0) == pytest.approx(15.0 / 96.0, rel=1e-13)
+
     def test_empty_restriction_is_zero_measure(self):
         tail = restrict_tail(atomic([(0.2, 1.0)]), 3)
         assert tail.total_mass == 0.0
@@ -410,6 +419,41 @@ class TestModulus:
     def test_non_sublinear_flagged_infinite(self):
         rep = modulus_report(PowerTailMeasure(1.0, 0.5))
         assert math.isinf(rep.sublinear_norm)
+
+
+class TestDensitySup:
+    """sup of the density h of mu = h dm, None when h is unbounded, against
+    its closed form."""
+
+    def test_power_tail(self):
+        # C alpha (1-x)^(alpha-1) on [x0, 1): unbounded for alpha < 1, the
+        # constant C at alpha = 1, C alpha (1-x0)^(alpha-1) above
+        assert PowerTailMeasure(2.0, 0.5).bounded_density_sup() is None
+        assert PowerTailMeasure(2.0, 1.0, x0=0.3).bounded_density_sup() == 2.0
+        assert PowerTailMeasure(2.0, 3.0, x0=0.5).bounded_density_sup() == \
+            pytest.approx(1.5, rel=1e-15)
+
+    def test_power_tail_sublinear_norm_at_alpha_one(self):
+        # mu(J_eps)/eps = C min(eps, 1-x0)/eps, whose sup C is attained
+        # below eps = 1-x0
+        mu = PowerTailMeasure(2.0, 1.0, x0=0.3)
+        assert mu.sublinear_norm_exact() == 2.0
+        grid = default_epsilon_grid()
+        small = grid[grid <= 0.7]
+        np.testing.assert_allclose(mu.tail_mass(small) / small, 2.0,
+                                   rtol=1e-14)
+
+    def test_sum_adds_the_parts(self):
+        # 1 + 2 * 3 (1-x)^2, largest at x = 0
+        mu = SumMeasure((lebesgue(), ScaledMeasure(2.0, PowerTailMeasure(1.0, 3.0))))
+        assert mu.bounded_density_sup() == pytest.approx(7.0, rel=1e-15)
+
+    @pytest.mark.parametrize("part", [PowerTailMeasure(1.0, 0.5),
+                                      point_mass(0.5)],
+                             ids=["unbounded-density", "atom"])
+    def test_sum_with_a_part_without_a_bounded_density(self, part):
+        assert part.bounded_density_sup() is None
+        assert SumMeasure((lebesgue(), part)).bounded_density_sup() is None
 
 
 class TestLemma42:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -16,7 +17,7 @@ from muntzlab import (EmbeddingProblem, IllConditionedBasisError,
                       rho_certificate, riesz_sequence_check, singular_values,
                       sublinear_embedding_bound)
 from muntzlab.geometry import PsiEvaluator
-from muntzlab import quadrature
+from muntzlab import quadrature, spectral
 from muntzlab.logdomain import log_sum
 from muntzlab.measures import (PiecewiseDensityMeasure, default_epsilon_grid,
                                measure_from_config)
@@ -866,7 +867,35 @@ class TestCertificatesExactForm:
         assert value == pytest.approx(exact, rel=1e-9)
 
 
+MAJORIZATION = "A <= ||mu||_S B entrywise"
+
+
 class TestSublinearBound:
+    def test_majorization_is_a_recorded_assumption(self):
+        cert = sublinear_embedding_bound(
+            EmbeddingProblem(make_geometric(2.0, 2.0, 8), lebesgue(), 8))
+        assert [a.name for a in cert.assumptions] == [
+            "Lambda lacunary", "mu sublinear", MAJORIZATION]
+        assert all(a.ok for a in cert.assumptions) and cert.comparable
+        assert cert.assumptions[-1].detail.startswith("worst entry (")
+
+    def test_under_estimated_norm_fails_the_majorization(self, monkeypatch):
+        # Lebesgue has ||mu||_S = 1 and A = B; read as 1/2, A exceeds
+        # ||mu||_S B most at the largest entry of B, B_88 = 256/513
+        real = spectral.modulus_report
+        monkeypatch.setattr(spectral, "modulus_report", lambda mu:
+                            dataclasses.replace(real(mu), sublinear_norm=0.5))
+        cert = sublinear_embedding_bound(
+            EmbeddingProblem(make_geometric(2.0, 2.0, 8), lebesgue(), 8))
+        assert cert.kind == "sublinear" and cert.value == math.inf
+        assert not cert.comparable
+        assert [(a.name, a.ok) for a in cert.assumptions] == [
+            ("Lambda lacunary", True), ("mu sublinear", True),
+            (MAJORIZATION, False)]
+        assert cert.assumptions[-1].detail == (
+            f"worst entry (8,8): A={256 / 513:.6g}, "
+            f"||mu||_S*B={128 / 513:.6g}")
+
     def test_lebesgue_equality_case(self):
         seq = make_geometric(2.0, 2.0, 16)
         cert = sublinear_embedding_bound(EmbeddingProblem(seq, lebesgue(), 16))
