@@ -286,7 +286,9 @@ class AtomicMeasure(Measure):
         # sup over eps of mu(J_eps)/eps is attained at eps = 1 - a_k, where
         # the atoms k, k+1, ... are in J_eps
         masses = np.exp(self._log_suffix_masses()[:-1])
-        return float(np.max(masses / -np.expm1(self.log_positions), initial=0.0))
+        with np.errstate(over="ignore"):      # a ratio past the double range
+            ratios = masses / -np.expm1(self.log_positions)
+        return float(np.max(ratios, initial=0.0))
 
     def _flatten_into(self, flat: FlatMeasure, log_scale: float) -> None:
         flat.log_positions.extend(self.log_positions)
@@ -628,7 +630,8 @@ def modulus_report(mu: Measure) -> ModulusReport:
     """
     grid = default_epsilon_grid()
     masses = mu.tail_mass(grid)
-    ratios = masses / grid
+    with np.errstate(over="ignore"):          # a ratio past the double range
+        ratios = masses / grid
 
     exact = mu.sublinear_norm_exact()
     if exact is not None:

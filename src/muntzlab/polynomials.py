@@ -31,8 +31,17 @@ class SupNormEstimate(NamedTuple):
     is_estimate: bool = True
 
 
+def sorted_distinct(values) -> np.ndarray:
+    """The distinct values, ascending, as ``np.unique`` gives them, without
+    the import of numpy.ma that ``np.unique`` makes on its first call."""
+    ordered = np.sort(np.ravel(values))
+    keep = np.ones(ordered.size, dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 # Chebyshev-spaced points on [0,1] plus dyadic points accumulating at 1
-SUP_GRID = np.unique(np.concatenate([
+SUP_GRID = sorted_distinct(np.concatenate([
     0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, SUP_GRID_SIZE))),
     1.0 - 2.0 ** -np.arange(1, _NEAR_ONE_LEVELS, dtype=float), [0.0, 1.0]]))
 SUP_GRID.setflags(write=False)

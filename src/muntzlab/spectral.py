@@ -9,6 +9,10 @@ whose forward-error estimate cond(B) * 2^-53 exceeds FORWARD_ERROR_TOL is
 refused (reduce N).  B, W, cond(B) and psi depend on the exponents alone, so
 every problem and certificate reads them from the truncated sequence.  One
 :class:`EmbeddingProblem` assembles A once at N; its truncations are blocks.
+A measure without a density part is read through one whitened factor
+X = F W^T with A = F^T F, one row per atom: a truncation is a block of its
+columns, and a tail restriction mu'_m (the atoms within 1/m of 1) a block of
+its rows, so the essential-norm trend of atoms restricts no measure.
 
 Certificates are named upper bounds from the majorant function psi, from a
 rho-majorization of the tail modulus, from compact support, and from
@@ -38,7 +42,8 @@ from .errors import (IllConditionedBasisError, InvalidParameterError,
                      NumericalSoundnessError)
 from .geometry import PSI_K_MAX, PsiEvaluator
 from .logdomain import log_sum
-from .measures import Measure, modulus_report, rho_hypothesis_violation
+from .measures import (FlatMeasure, Measure, modulus_report,
+                       rho_hypothesis_violation)
 from .sequences import LambdaSequence, classify, whole_number
 
 EIG_CLAMP_FLOOR = -1e-10
@@ -196,30 +201,39 @@ def singular_values(a, seq: LambdaSequence) -> np.ndarray:
     return _pencil_singular_values(_whiten(a, _checked_whitener(seq)))
 
 
+def _whitened_factor(flat: FlatMeasure, seq: LambdaSequence) -> np.ndarray:
+    """X = F W^T for the atoms of ``flat``, with the checked whitener of
+    ``seq`` and the K x N factor F_{kn} = sqrt(c_k) sqrt(lambda_n)
+    a_k**lambda_n, so that A = F^T F and W A W^T = X^T X.  Row k is atom k,
+    so a row block is the embedding of those atoms alone; W is lower
+    triangular, so the column block :k is truncation k."""
+    lam = seq.values
+    log_f = (0.5 * flat.log_weights[:, None]
+             + 0.5 * np.log(lam)[None, :]
+             + np.outer(flat.log_positions, lam))
+    return np.exp(log_f) @ _checked_whitener(seq).T
+
+
 def _truncated_spectra(problem: EmbeddingProblem, sizes) -> list[np.ndarray]:
     """Singular values of i_mu at each truncation in ``sizes``, from the
     problem's assembly at N whitened by the truncated sequence's W; W is
     lower triangular, so truncation k is the leading block.
     Measures with a density part go through the (A, B) pencil.  Purely
-    atomic ones go through the K x N factor
-    F_{kn} = sqrt(c_k) sqrt(lambda_n) a_k**lambda_n (A = F^T F) as
-    svd(F W^T): rank-exact, since the values beyond the atom count are
+    atomic ones go through the column blocks of :func:`_whitened_factor`,
+    as svd(F W^T): rank-exact, since the values beyond the atom count are
     structural zeros, not sqrt-amplified eigenvalue noise.
     """
-    w = _checked_whitener(problem.truncated)
     flat = problem.measure.flattened()
     if flat.has_density:
-        m = _whiten(problem.gram, w)
+        m = _whiten(problem.gram, _checked_whitener(problem.truncated))
         return [_pencil_singular_values(m[:k, :k]) for k in sizes]
-    lam = problem.truncated.values
-    log_f = (0.5 * flat.log_weights[:, None]
-             + 0.5 * np.log(lam)[None, :]
-             + np.outer(flat.log_positions, lam))
-    x = np.exp(log_f) @ w.T
+    x = _whitened_factor(flat, problem.truncated)
     spectra = []
     for k in sizes:
         svals = np.linalg.svd(x[:, :k], compute_uv=False)
-        spectra.append(np.pad(svals, (0, k - svals.size)))
+        padded = np.zeros(k)
+        padded[:svals.size] = svals
+        spectra.append(padded)
     return spectra
 
 
@@ -286,20 +300,32 @@ def tail_orders(m_list) -> list[int]:
 
 def essential_norm_trend(seq: LambdaSequence, mu: Measure, n: int,
                          m_list) -> list[tuple[int, float]]:
-    """Norms of the tail-restricted embeddings i_{mu'_m}.
+    """Norms of the tail-restricted embeddings i_{mu'_m}, mu'_m the
+    restriction of mu to [1 - 1/m, 1], at truncation n.
 
     The essential norm is their limit in m; only this trend is reported,
-    never an extrapolated value.  The restricted problems share the
-    whitener of ``seq.truncate(n)``, which is ``seq`` when n = len(seq).
+    never an extrapolated value.  For a measure without a density part,
+    mu'_m is the atoms with 1 - a_k = -expm1(log a_k) <= 1/m, the rule of
+    :meth:`Measure.restricted_to_tail`, so its norm is the top singular
+    value of those rows of the one :func:`_whitened_factor` of
+    ``seq.truncate(n)`` (0 for no rows).  A measure with a density part
+    solves the pencil of each restricted measure, whitened by that same W.
     """
     whole = tail_orders(m_list)
     sub = seq.truncate(n)
-    out = []
-    for m in whole:
-        tail = EmbeddingProblem(sub, mu.restricted_to_tail(1.0 / m), n)
-        svals, = _truncated_spectra(tail, (n,))
-        out.append((m, float(svals[0])))
-    return out
+    flat = mu.flattened()
+    if flat.has_density:
+        out = []
+        for m in whole:
+            tail = EmbeddingProblem(sub, mu.restricted_to_tail(1.0 / m), n)
+            svals, = _truncated_spectra(tail, (n,))
+            out.append((m, float(svals[0])))
+        return out
+    x = _whitened_factor(flat, sub)
+    entry = -np.expm1(flat.log_positions)
+    return [(m, float(np.linalg.svd(x[entry <= 1.0 / m], compute_uv=False)
+                      .max(initial=0.0)))
+            for m in whole]
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +333,14 @@ def essential_norm_trend(seq: LambdaSequence, mu: Measure, n: int,
 # ---------------------------------------------------------------------------
 
 UNSOUND_CONTRIBUTION_RTOL = 1e-9
+
+
+def _exp_or_inf(log_value: float) -> float:
+    """exp(log_value), +inf beyond the double range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def _psi_squared_integral(mu: Measure, psi: PsiEvaluator,
@@ -332,9 +366,9 @@ def _psi_squared_integral(mu: Measure, psi: PsiEvaluator,
     if flat.has_atoms:
         log_values, sound = psi.log_majorant(flat.log_positions, big)
         log_terms = flat.log_weights + 2.0 * log_values
-        total += math.exp(log_sum(log_terms))
+        total += _exp_or_inf(log_sum(log_terms))
         if not np.all(sound):
-            unsound_part += math.exp(log_sum(log_terms[~sound]))
+            unsound_part += _exp_or_inf(log_sum(log_terms[~sound]))
 
     if flat.has_density:
         t_star = psi.big_unsound_width if big else psi.unsound_width

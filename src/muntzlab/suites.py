@@ -14,7 +14,7 @@ import numpy as np
 from . import geometry, lp, measures, spectral
 from .measures import (Measure, PowerTailMeasure, ScaledMeasure, atomic,
                        lebesgue, point_mass)
-from .polynomials import random_unit
+from .polynomials import random_unit, sorted_distinct
 from .sequences import LambdaSequence, make_explicit, make_geometric
 
 
@@ -93,8 +93,7 @@ def _random_measure(rng) -> Measure:
     kind = rng.integers(0, 3)
     if kind == 0:
         k = int(rng.integers(1, 4))
-        pos = np.sort(rng.uniform(0.05, 0.95, size=k))
-        pos = np.unique(pos)
+        pos = sorted_distinct(rng.uniform(0.05, 0.95, size=k))
         wts = rng.uniform(0.1, 2.0, size=pos.size)
         return atomic(list(zip(pos, wts)))
     if kind == 1:

@@ -118,6 +118,27 @@ class TestAnalyze:
             ("Lambda lacunary", True), ("mu sublinear", True),
             ("A <= ||mu||_S B entrywise", False)]
 
+    @pytest.mark.parametrize("atom, kind, name", [
+        ([0.5, 1e308], "psi", "psi-square-integrable"),
+        ([0.9, 1e300], "hilbert_schmidt", "Psi-square-integrable")],
+        ids=["psi", "hilbert-schmidt"])
+    def test_overflowing_atom_sum_reads_inf_exit_two(self, tmp_path, capsys,
+                                                     atom, kind, name):
+        # the atom sum of psi^2 (Psi^2) c_k is past the double range: the
+        # certificate reads inf and its integrability assumption fails
+        cfg = write_config(tmp_path, {
+            "sequence": {"kind": "geometric", "lambda1": 1, "ratio": 2,
+                         "count": 8},
+            "measure": {"kind": "atomic", "atoms": [atom]},
+            "N": 8, "certificates": [kind]})
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == ""
+        cert, = json.loads((tmp_path / "report.json").read_text())[
+            "certificates"]
+        assert cert["value"] == "inf"
+        assert [(a["name"], a["ok"]) for a in cert["assumptions"]] == [
+            (name, False)]
+
     def test_round_trip_bit_identical(self, tmp_path):
         cfg = write_config(tmp_path, {
             "sequence": {"kind": "geometric", "lambda1": 2, "ratio": 2,
@@ -936,6 +957,30 @@ mu.log_moments([1.0])
 print("scipy.special" in sys.modules)
 """)
         assert lines[-2:] == ["[]", "True"]
+
+    def test_numpy_ma_not_loaded(self, tmp_path):
+        # np.unique imports numpy.ma on its first call; no grid or suite
+        # measure is built with it
+        cfg = write_config(tmp_path, {"sequence": _GEOMETRIC_8,
+                                      "measure": {"kind": "lebesgue"},
+                                      "certificates": ["psi", "rho"],
+                                      "rho": {"C": 2.0, "alpha": 1.0},
+                                      "m_list": [2, 4]})
+        out = str(tmp_path)
+        lines = _fresh_process(f"""
+import sys
+import muntzlab.cli
+from muntzlab.cli import main
+loaded = ["numpy.ma" in sys.modules]
+assert main(["analyze", "--config", {cfg!r}, "--out", {out!r}]) in (0, 2)
+loaded.append("numpy.ma" in sys.modules)
+assert main(["construct", "1", "--n-max", "6", "--out", {out!r}]) == 0
+loaded.append("numpy.ma" in sys.modules)
+assert main(["check", "inequalities", "--instances", "4", "--out", {out!r}]) == 0
+loaded.append("numpy.ma" in sys.modules)
+print(loaded)
+""")
+        assert lines[-1] == "[False, False, False, False]"
 
     def test_scipy_imported_only_inside_measures_special(self):
         # no module of the package imports scipy when it is imported, and

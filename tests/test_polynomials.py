@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from muntzlab import (InvalidParameterError, MuntzPolynomial, make_explicit,
                       make_geometric, polynomials, suites)
-from muntzlab.polynomials import SUP_GRID
+from muntzlab.polynomials import SUP_GRID, sorted_distinct
 
 
 def _exp_outer(exponents, x):
@@ -35,6 +35,25 @@ def _random_sequences():
         for count in (1, 3, 7):
             steps = rng.uniform(0.2, 3.0, size=count - 1)
             yield make_explicit(np.concatenate([[first], first + np.cumsum(steps)]))
+
+
+class TestSortedDistinct:
+    def test_grid_is_np_unique_of_its_points(self):
+        points = np.concatenate([
+            0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi,
+                                            polynomials.SUP_GRID_SIZE))),
+            1.0 - 2.0 ** -np.arange(1, 48, dtype=float), [0.0, 1.0]])
+        assert SUP_GRID.tobytes() == np.unique(points).tobytes()
+        assert SUP_GRID.size < points.size     # the duplicates are dropped
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1e-300, 0.75]),
+                    max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_np_unique(self, values):
+        values = np.array(values, dtype=float)
+        got = sorted_distinct(values)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.unique(values).tobytes()
 
 
 class TestSupNorms:

@@ -19,7 +19,8 @@ from muntzlab import (EmbeddingProblem, IllConditionedBasisError,
 from muntzlab.geometry import PsiEvaluator
 from muntzlab import quadrature, spectral
 from muntzlab.logdomain import log_sum
-from muntzlab.measures import (PiecewiseDensityMeasure, default_epsilon_grid,
+from muntzlab.measures import (Measure, PiecewiseDensityMeasure,
+                               atomic_from_logs, default_epsilon_grid,
                                measure_from_config)
 from muntzlab.spectral import (PSI_TRUNCATION_FLAG, TAIL_UNSOUND_FLAG,
                                UNSOUND_CONTRIBUTION_RTOL, AssumptionCheck,
@@ -421,6 +422,80 @@ class TestEssentialNorm:
         whole = essential_norm_trend(seq, lebesgue(), 8, [2.0, 4.0])
         assert whole == essential_norm_trend(seq, lebesgue(), 8, [2, 4])
         assert all(type(m) is int for m, _ in whole)
+
+
+def _restricted_trend(seq, mu, n, m_list):
+    """The trend through one restricted measure, problem and spectrum per m."""
+    sub = seq.truncate(n)
+    return [(m, analyze(EmbeddingProblem(sub, mu.restricted_to_tail(1.0 / m),
+                                         n)).op_norm)
+            for m in m_list]
+
+
+_ATOMS = atomic([(0.3, 1.0), (0.6, 0.5), (0.85, 2.0), (0.97, 0.25),
+                 (0.995, 1.5)])
+
+
+class TestAtomicTrendFromOneFactor:
+    """An atomic tail mu'_m is a row block of the one whitened factor
+    F W^T; the restricted-measure route is the oracle."""
+
+    @pytest.mark.parametrize("mu, m_list", [
+        (_ATOMS, [2, 4, 8, 16, 64, 256]),
+        (ScaledMeasure(3.0, _ATOMS), [2, 4, 8, 16, 64, 256]),
+        (SumMeasure((atomic([(0.5, 1.0), (0.9, 0.5), (0.999, 2.0)]),
+                     atomic([(0.7, 0.25), (0.95, 1.0)]))), [2, 4, 8, 16, 1000]),
+        (atomic_from_logs(np.log1p(-np.array([1e-7, 3e-7, 1e-3, 0.2])),
+                          np.log([0.5, 1.0, 2.0, 0.75])),
+         [2, 8, 1000, 10 ** 6, 5 * 10 ** 6, 10 ** 7, 2 * 10 ** 7]),
+        (atomic([(0.5, 1.0), (0.75, 2.0)]), [2, 3, 4, 5])],
+        ids=["atomic", "scaled", "sum-of-atomic", "near-one-logs", "boundary"])
+    def test_matches_restricted_route(self, mu, m_list):
+        seq = make_geometric(1.0, 2.0, 14)
+        for n in (7, 14):
+            trend = essential_norm_trend(seq, mu, n, m_list)
+            oracle = _restricted_trend(seq, mu, n, m_list)
+            assert [m for m, _ in trend] == list(m_list)
+            for (_, v), (_, want) in zip(trend, oracle):
+                assert v == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_boundary_atom_enters_at_its_own_m(self):
+        # 1 - 0.75 = 1/4: the atom at 0.75 is in mu'_4 and not in mu'_5
+        seq = make_geometric(1.0, 2.0, 8)
+        trend = dict(essential_norm_trend(seq, point_mass(0.75), 8, [4, 5]))
+        assert trend[4] > 0.0 and trend[5] == 0.0
+
+    def test_empty_tail_is_exactly_zero(self):
+        seq = make_geometric(1.0, 2.0, 8)
+        mu = atomic([(0.2, 1.0), (0.6, 3.0)])
+        trend = essential_norm_trend(seq, mu, 8, [2, 3, 100])
+        assert trend[0][1] > 0.0
+        assert trend[1][1] == 0.0 and trend[2][1] == 0.0
+
+    def test_builds_no_restricted_measure(self, monkeypatch):
+        seq = make_geometric(1.0, 2.0, 10)
+        cases = [_ATOMS, ScaledMeasure(2.0, _ATOMS),
+                 SumMeasure((_ATOMS, point_mass(0.5)))]
+        expected = [_restricted_trend(seq, mu, 10, [2, 8, 64]) for mu in cases]
+
+        def refuse(self, eps):
+            raise AssertionError("an atomic trend restricted a measure")
+        monkeypatch.setattr(Measure, "restricted_to_tail", refuse)
+        for mu, want in zip(cases, expected):
+            got = essential_norm_trend(seq, mu, 10, [2, 8, 64])
+            np.testing.assert_allclose([v for _, v in got],
+                                       [v for _, v in want], rtol=1e-13)
+
+    def test_density_part_keeps_its_pencils_bit_for_bit(self):
+        # a density part keeps one restricted pencil per m; at m = 4 the
+        # density [0.55, 0.8] is cut away and the tail is the atom alone
+        seq = make_geometric(1.0, 2.0, 12)
+        mu = SumMeasure((PiecewiseDensityMeasure(np.array([0.55, 0.8]),
+                                                 np.array([3.0])),
+                         point_mass(0.9, 0.5)))
+        m_list = [2, 3, 4, 8, 16]
+        assert (essential_norm_trend(seq, mu, 12, m_list)
+                == _restricted_trend(seq, mu, 12, m_list))
 
 
 class TestCertificates:
