@@ -18,15 +18,16 @@ factors.  A determinant-ratio oracle in extended precision lives in
 psi and its derivatives are signed sums of terms given by their logs.
 :class:`PsiEvaluator` tabulates the log weights and signs of every order
 once, and one kernel builds the terms of one order over an array of log x,
-each lane scaled by its largest term and exponentiated in place, skipping
-the terms that underflow.  :meth:`PsiEvaluator.eval_many` sums it into
+each lane scaled by its largest term, clipped at e^-700 and exponentiated
+in place by numpy's vector exp.  :meth:`PsiEvaluator.eval_many` sums it into
 log |psi^(k)|, the sign and the tail flag; a single point is a one-lane
 call.  :meth:`PsiEvaluator.log_majorant` gives log psi, or log Psi of the
 Hilbert-Schmidt majorant Psi(x) = psi'(y) psi(y), y = x^(1/4): an order-1
 term is the order-0 term times lambda_n / y, so psi(y) and psi'(y) are two
 sums over one array of order-0 terms.  The certificate integrals, the
 tail-unsound widths and :func:`big_psi` all read Psi from there, each
-tail-unsound width in one call.
+tail-unsound width in two calls of at most 35 probes, and each dyadic
+integral's first two rounds from one evaluation per width and majorant.
 
 Truncation caveat: the d_n computed from N exponents are >= the distances of
 the infinite system, so the truncated psi is a LOWER estimate of the full
@@ -43,17 +44,21 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import quadrature
 from .errors import InvalidParameterError, UndefinedRatioError
 from .polynomials import MuntzPolynomial
 from .sequences import LambdaSequence
 
 PSI_TAIL_RTOL = 1e-12
 PSI_K_MAX = 4
-EXP_FLOOR = -746.0     # exp(x) is exactly 0 in double below this
+_TERM_LOG_FLOOR = -700.0   # scaled term logs are clipped here: e^-700 ~ 2^-1010
 _BOUND_TOL = 1e-9      # relative slack of pointwise_bound_check
 # log x at the t* probes x = 1 - 2^-j, j = 0..1074 (2^0 taken as 1 - 1e-16)
 _PROBE_LOG_X = np.array([math.log1p(-min(2.0 ** -j, 1.0 - 1e-16))
                          for j in range(1075)])
+_PROBE_STRIDE = 32     # the first pass of a t* search reads every 32nd probe
+_COARSE_PROBES = np.append(np.arange(0, _PROBE_LOG_X.size, _PROBE_STRIDE),
+                           _PROBE_LOG_X.size - 1)
 
 
 def lebesgue_gram(seq: LambdaSequence) -> np.ndarray:
@@ -168,7 +173,9 @@ class PsiEvaluator:
     falling factorial (lambda_n)_k; its log weight and sign are tabulated per
     order when the evaluator is built.  Every evaluation goes through one
     kernel, :meth:`_scaled_terms`, in the log domain.  Each tail-unsound
-    width t* is one evaluation, cached.
+    width t* is found in at most two evaluations, cached.  The squared
+    majorants on the first two rounds of a dyadic integral over (0, w] are
+    kept per (w, majorant) (:meth:`refined_head`).
     """
 
     lambdas: np.ndarray
@@ -177,6 +184,9 @@ class PsiEvaluator:
     _exponents: np.ndarray = field(init=False, repr=False, compare=False)
     _log_weights: np.ndarray = field(init=False, repr=False, compare=False)
     _signs: np.ndarray = field(init=False, repr=False, compare=False)
+    # (width, big) -> (nodes t, squared majorant at x = 1 - t)
+    _heads: dict = field(init=False, repr=False, compare=False,
+                         default_factory=dict)
 
     def __post_init__(self):
         lam = self.lambdas
@@ -211,17 +221,27 @@ class PsiEvaluator:
         return self._unsound_width(big=True)
 
     def _unsound_width(self, big: bool) -> float:
-        """t* of psi, or of Psi when ``big``, from one :meth:`log_majorant`
-        call over the probes t = 2^-j, j = 0..1074 (``_PROBE_LOG_X``): the
-        last-term ratio is monotone in x, so the unsound probes are a final
-        run of j, whose first j gives t* = min(2^(1-j), 1); 0 means sound at
-        every probe.  A probe whose x rounds to 1 (for Psi from t = 2^-1073
-        on) is unsound.
+        """t* of psi, or of Psi when ``big``, over the probes t = 2^-j,
+        j = 0..1074 (``_PROBE_LOG_X``): the last-term ratio is monotone in x,
+        so the unsound probes are a final run of j, whose first j gives
+        t* = min(2^(1-j), 1); 0 means sound at every probe.  A probe whose x
+        rounds to 1 (for Psi from t = 2^-1073 on) is unsound.
+
+        Two :meth:`log_majorant` calls bracket that first j: one over every
+        32nd probe and the last, then one over the probes between the last
+        sound one of those and the first unsound one.
         """
-        unsound = ~self.log_majorant(_PROBE_LOG_X, big)[1]
+        unsound = ~self.log_majorant(_PROBE_LOG_X[_COARSE_PROBES], big)[1]
         if not unsound.any():
             return 0.0
-        return min(2.0 ** (1 - int(np.argmax(unsound))), 1.0)
+        first = int(np.argmax(unsound))
+        j = int(_COARSE_PROBES[first])
+        if first:
+            below = np.arange(_COARSE_PROBES[first - 1] + 1, j)
+            run = ~self.log_majorant(_PROBE_LOG_X[below], big)[1]
+            if run.any():
+                j = int(below[np.argmax(run)])
+        return min(2.0 ** (1 - j), 1.0)
 
     def _check_order(self, k: int) -> None:
         if k < 0 or k > PSI_K_MAX:
@@ -234,9 +254,11 @@ class PsiEvaluator:
         and exponentiated in place, so that the lane's sum times exp(m) is
         psi^(k), and the log of its last term.
 
-        exp is taken only above EXP_FLOOR, where it is not exactly 0 (an
-        underflowing exp costs several normal ones); the logs left below it
-        are then set to 0 by clipping at 0, which no exp value is below.
+        The scaled logs are clipped at -700 before exp: e^-700 ~ 2^-1010 is
+        a normal double, and numpy's vector exp is several times slower on
+        the subnormal and zero results below about -708.  A clipped term is
+        at most 2^-1010 of the largest, which is 1, so it is lost to rounding
+        in every sum it enters.
         """
         term_logs = np.multiply.outer(self._exponents[k], log_x)
         term_logs += self._log_weights[k][:, None]
@@ -244,8 +266,8 @@ class PsiEvaluator:
         m = np.where(np.isfinite(m), m, 0.0)
         last = term_logs[-1].copy()
         term_logs -= m
-        np.exp(term_logs, out=term_logs, where=term_logs > EXP_FLOOR)
-        np.maximum(term_logs, 0.0, out=term_logs)
+        np.maximum(term_logs, _TERM_LOG_FLOOR, out=term_logs)
+        np.exp(term_logs, out=term_logs)
         return term_logs, m, last
 
     def eval_many(self, log_x, k: int = 0
@@ -264,9 +286,9 @@ class PsiEvaluator:
     def _one_scale_for_psi_and_derivative(self) -> bool:
         """Whether the order-0 terms, scaled by their largest, also give
         psi' to rounding: the order-1 sum sum lambda_n E_n is at least
-        lambda_1 (E = 1 at the largest term), while what the scaling drops
-        or leaves subnormal is below N lambda_N 2^-1022, under 2^-122 of
-        it here.  A lambda_1 of 0 (a hand-built evaluator; a LambdaSequence
+        lambda_1 (E = 1 at the largest term), while what the clip at
+        2^-1010 adds is below N lambda_N 2^-1010, under 2^-110 of it
+        here.  A lambda_1 of 0 (a hand-built evaluator; a LambdaSequence
         is positive) fails this: its constant term can hold the scale where
         psi' underflows."""
         lam = self.lambdas
@@ -280,14 +302,18 @@ class PsiEvaluator:
         Psi(x) = psi'(y) psi(y), y = x^(1/4), when ``big``; psi and psi' have
         positive terms only, so no sign is returned.
 
-        For Psi, the order-1 term n is the order-0 term times lambda_n / y,
-        so one array of scaled order-0 terms E_n at log y gives both:
-        log psi(y) = m + log sum E_n and log psi'(y) = m - log y +
-        log sum lambda_n E_n, with the last order-1 term read the same way.
+        The order-0 terms are positive and the largest scales to 1, so
+        log psi = m + log sum E_n needs no sign.  For Psi, the order-1 term n
+        is the order-0 term times lambda_n / y, so one array of scaled
+        order-0 terms E_n at log y gives both: log psi(y) = m + log sum E_n
+        and log psi'(y) = m - log y + log sum lambda_n E_n, with the last
+        order-1 term read the same way.
         """
         if not big:
-            log_abs, _, sound = self.eval_many(log_x, 0)
-            return log_abs, sound
+            log_x = np.asarray(log_x, dtype=float).ravel()
+            terms, m, last = self._scaled_terms(log_x, 0)
+            log_abs = m + np.log(terms.sum(axis=0))
+            return log_abs, _tail_sound(last, log_abs, log_x)
         quarter = 0.25 * np.asarray(log_x, dtype=float).ravel()
         if not self._one_scale_for_psi_and_derivative:
             log_d1, _, sound_d1 = self.eval_many(quarter, 1)
@@ -301,6 +327,26 @@ class PsiEvaluator:
         last_d1 = last + math.log(self.lambdas[-1]) - quarter
         return log_d1 + log_d0, (_tail_sound(last_d1, log_d1, quarter)
                                  & _tail_sound(last, log_d0, quarter))
+
+    def squared_majorant(self, t, big: bool = False) -> np.ndarray:
+        """psi(x)^2, or Psi(x)^2 when ``big``, at x = 1 - t over an array of
+        t in (0, 1); a value past the double range reads inf."""
+        log_values = self.log_majorant(np.log1p(-np.asarray(t, dtype=float)),
+                                       big)[0]
+        with np.errstate(over="ignore"):
+            return np.exp(2.0 * log_values)
+
+    def refined_head(self, width: float, big: bool = False
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """(t, squared majorant at t) on the nodes of the first two rounds of
+        :func:`~muntzlab.quadrature.integrate_refined_at_zero` over
+        (0, width], which depend on the width alone: kept per (width, big),
+        so every density piece of that width reads one evaluation."""
+        key = (width, big)
+        if key not in self._heads:
+            t = quadrature.refined_at_zero_nodes(width)
+            self._heads[key] = (t, self.squared_majorant(t, big))
+        return self._heads[key]
 
     def eval(self, x: float, k: int = 0) -> PsiValue:
         if not 0.0 <= x < 1.0:

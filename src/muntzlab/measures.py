@@ -18,8 +18,9 @@ mpmath (alpha 0.6-2.94) is off by up to 1.8e-12 at order 1e3, 4.4e-11 at
 3e4, 1.4e-9 at 1e6 and 4.5e-9 at 2.5e6, and within 5e-15 from 1e8 on.  The
 tail masses ``mu(J_eps)`` (:meth:`Measure.tail_mass`) are closed forms as
 well, array-valued, and need no Beta function, so neither does
-:attr:`Measure.total_mass`, which is ``tail_mass(1.0)``.  Generic integrals
-against user functions run on one fixed
+:attr:`Measure.total_mass`, which is ``tail_mass(1.0)``; a mass past the
+double range reads inf, and :meth:`Measure.log_tail_mass` keeps its log.
+Generic integrals against user functions run on one fixed
 :class:`~muntzlab.quadrature.QuadraturePlan` built from the flattened
 measure's density pieces, in the tail variable ``t = 1 - x``; the measure
 keeps it (:attr:`Measure.plan`), and :func:`lebesgue` returns one shared
@@ -140,6 +141,15 @@ class Measure:
         masses = self._tail_masses(eps_arr)
         return float(masses) if eps_arr.ndim == 0 else masses
 
+    def log_tail_mass(self, eps) -> np.ndarray:
+        """log mu([1-eps, 1]) elementwise over an array of eps in (0, 1]
+        (-inf for no mass): finite where :meth:`tail_mass` is past the double
+        range and reads inf."""
+        eps_arr = np.asarray(eps, dtype=float)
+        if not np.all((eps_arr > 0.0) & (eps_arr <= 1.0)):
+            raise InvalidParameterError("eps must lie in (0, 1]")
+        return self._log_tail_masses(eps_arr)
+
     def mass_above(self, b: float) -> float:
         """mu((b, 1]); zero exactly when the support lies in [0, b]."""
         return self._mass_above(b)
@@ -181,6 +191,10 @@ class Measure:
 
     def _tail_masses(self, eps: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _log_tail_masses(self, eps: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self._tail_masses(eps))
 
     def _mass_above(self, b: float) -> float:
         # mu((b, 1]) = mu(J_{1-b}) for a measure without atoms
@@ -268,15 +282,20 @@ class AtomicMeasure(Measure):
         log a_k >= log1p(-eps) can leave it out when log1p rounds up."""
         return -np.expm1(self.log_positions)
 
-    def _tail_masses(self, eps: np.ndarray) -> np.ndarray:
+    def _log_tail_masses(self, eps: np.ndarray) -> np.ndarray:
         inside = np.searchsorted(self._entry_eps()[::-1], eps, side="right")
-        return np.exp(self._log_suffix_masses()[self.log_positions.size - inside])
+        return self._log_suffix_masses()[self.log_positions.size - inside]
+
+    def _tail_masses(self, eps: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):     # a mass past the double range
+            return np.exp(self._log_tail_masses(eps))
 
     def _mass_above(self, b: float) -> float:
         if b <= 0.0:
             return self.total_mass
         first = np.searchsorted(self.log_positions, math.log(b), side="right")
-        return float(np.exp(self._log_suffix_masses()[first]))
+        with np.errstate(over="ignore"):
+            return float(np.exp(self._log_suffix_masses()[first]))
 
     def _restricted(self, eps: float) -> "AtomicMeasure":
         mask = self._entry_eps() <= eps
@@ -285,8 +304,8 @@ class AtomicMeasure(Measure):
     def sublinear_norm_exact(self) -> float | None:
         # sup over eps of mu(J_eps)/eps is attained at eps = 1 - a_k, where
         # the atoms k, k+1, ... are in J_eps
-        masses = np.exp(self._log_suffix_masses()[:-1])
-        with np.errstate(over="ignore"):      # a ratio past the double range
+        with np.errstate(over="ignore"):      # past the double range
+            masses = np.exp(self._log_suffix_masses()[:-1])
             ratios = masses / -np.expm1(self.log_positions)
         return float(np.max(ratios, initial=0.0))
 
@@ -517,7 +536,11 @@ class ScaledMeasure(Measure):
         return math.log(self.scale) + self.inner._log_moments(s)
 
     def _tail_masses(self, eps: np.ndarray) -> np.ndarray:
-        return self.scale * self.inner._tail_masses(eps)
+        with np.errstate(over="ignore"):
+            return self.scale * self.inner._tail_masses(eps)
+
+    def _log_tail_masses(self, eps: np.ndarray) -> np.ndarray:
+        return math.log(self.scale) + self.inner._log_tail_masses(eps)
 
     def _mass_above(self, b: float) -> float:
         return self.scale * self.inner.mass_above(b)
@@ -556,10 +579,17 @@ class SumMeasure(Measure):
         return log_sum([p._log_moments(s) for p in self.parts], axis=0)
 
     def _tail_masses(self, eps: np.ndarray) -> np.ndarray:
-        return np.sum([p._tail_masses(eps) for p in self.parts], axis=0)
+        with np.errstate(over="ignore"):
+            return np.sum([p._tail_masses(eps) for p in self.parts], axis=0)
+
+    def _log_tail_masses(self, eps: np.ndarray) -> np.ndarray:
+        return log_sum([p._log_tail_masses(eps) for p in self.parts], axis=0)
 
     def _mass_above(self, b: float) -> float:
-        return math.fsum(p.mass_above(b) for p in self.parts)
+        try:
+            return math.fsum(p.mass_above(b) for p in self.parts)
+        except OverflowError:                 # past the double range
+            return math.inf
 
     def _restricted(self, eps: float) -> "SumMeasure":
         return SumMeasure(tuple(p.restricted_to_tail(eps) for p in self.parts))

@@ -30,7 +30,10 @@ depth-first recursion.  :func:`integrate` is the one-interval case;
 Hilbert-Schmidt certificates use, refines its cells toward ``t = 0`` all
 together, to depth 4 each.  It also returns the part of the integral over
 ``(0, cut]`` from the same cells, integrating again, to the same depth, only
-the one cell that straddles ``cut``.
+the one cell that straddles ``cut``.  Its first two rounds, the single rules
+and then both halves of every cell (:func:`refined_at_zero_nodes`), depend
+on the width alone, so a caller may pass the integrand's values there as
+``head``; the integrand is then called from the second adaptive round on.
 """
 
 from __future__ import annotations
@@ -55,43 +58,59 @@ _ROOT_MAX_ITER = 200
 _NODES, _WEIGHTS = leggauss(DEFAULT_ORDER)
 
 
-def _cells(f, lo, hi) -> np.ndarray:
+def _rule_nodes(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on the cells ``[lo_i, hi_i]``, cell after cell,
+    and the cells' half widths."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return (mid[:, None] + half[:, None] * _NODES).ravel(), half
+
+
+def _halves(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Edges of the two halves of every cell ``[lo_i, hi_i]``, in order."""
+    mid = 0.5 * (lo + hi)
+    return np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
+
+
+def _cells(f, lo, hi, values=None) -> np.ndarray:
     """Gauss-Legendre values on the cells ``[lo_i, hi_i]``.
 
     ``f`` sees the nodes of consecutive cells in calls of at most MAX_POINTS
-    points.  Each cell's weighted sum is its own dot product, so a cell's value
-    does not depend on the cells evaluated with it.
+    points, unless ``values`` already holds its values there.  Each cell's
+    weighted sum is its own dot product, so a cell's value does not depend on
+    the cells evaluated with it.
     """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    t = (mid[:, None] + half[:, None] * _NODES).ravel()
-    vals = np.concatenate([np.asarray(f(t[i:i + MAX_POINTS]), dtype=float)
-                           for i in range(0, t.size, MAX_POINTS)])
-    sums = np.fromiter(map(_WEIGHTS.dot, vals.reshape(-1, DEFAULT_ORDER)),
+    t, half = _rule_nodes(lo, hi)
+    if values is None:
+        values = np.concatenate([np.asarray(f(t[i:i + MAX_POINTS]), dtype=float)
+                                 for i in range(0, t.size, MAX_POINTS)])
+    sums = np.fromiter(map(_WEIGHTS.dot, values.reshape(-1, DEFAULT_ORDER)),
                        dtype=float, count=lo.size)
     return half * sums
 
 
-def _adaptive(f, lo, hi, coarse, max_depth: int) -> tuple[np.ndarray, np.ndarray]:
+def _adaptive(f, lo, hi, coarse, max_depth: int,
+              first=None) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive bisection of every interval ``[lo_i, hi_i]`` with its one-rule
     value ``coarse_i``, breadth first: each round evaluates both halves of
-    every open cell in one pass of :func:`_cells`.
+    every open cell in one pass of :func:`_cells`; ``first``, when given,
+    holds the values of ``f`` on the halves of the first round.
 
     A cell is accepted when its two halves sum to within _CELL_REL_TOL of
     its own value, or at ``max_depth``; this depends on the cell alone, so the
-    leaves are those of a depth-first recursion.  Leaf values are summed back
-    up the tree pairwise (left + right), as that recursion returns them.
-    Returns ``(value, error estimate)`` per interval.
+    leaves are those of a depth-first recursion.  An integrand that overflows
+    reads inf there, and the cell's error NaN, so it splits to the cap.
+    Leaf values are summed back up the tree pairwise (left + right), as that
+    recursion returns them.  Returns ``(value, error estimate)`` per interval.
     """
     rounds = []
     depth = 0
     while lo.size:
-        mid = 0.5 * (lo + hi)
-        edges_lo = np.stack([lo, mid], axis=1).ravel()
-        edges_hi = np.stack([mid, hi], axis=1).ravel()
-        halves = _cells(f, edges_lo, edges_hi)
+        edges_lo, edges_hi = _halves(lo, hi)
+        halves = _cells(f, edges_lo, edges_hi, first if depth == 0 else None)
         fine = halves[0::2] + halves[1::2]
-        err = np.abs(fine - coarse)
+        with np.errstate(invalid="ignore"):
+            err = np.abs(fine - coarse)
         split = ~(err <= _CELL_REL_TOL * (np.abs(fine) + 1e-300)) & (depth < max_depth)
         rounds.append((fine, err, split))
         pairs = np.repeat(split, 2)
@@ -119,7 +138,25 @@ def integrate(f, a: float, b: float, *, max_depth: int = 14) -> tuple[float, flo
     return float(value[0]), float(err[0])
 
 
-def integrate_refined_at_zero(f, width: float, *, cut: float = math.inf):
+def _dyadic_cells(width: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)`` of the cells ``[width*2^-(j+1), width*2^-j]``,
+    ``j < DEFAULT_LEVELS``, then the sliver ``(0, width*2^-DEFAULT_LEVELS]``."""
+    hi = width * 2.0 ** -np.arange(DEFAULT_LEVELS + 1.0)
+    return np.append(hi[1:], 0.0), hi
+
+
+def refined_at_zero_nodes(width: float) -> np.ndarray:
+    """The abscissae of the first two rounds of
+    :func:`integrate_refined_at_zero` over ``(0, width]``: the single rules on
+    its cells and the sliver, then both halves of every cell.  They depend on
+    ``width`` alone; the values of an integrand there are its ``head``."""
+    lo, hi = _dyadic_cells(width)
+    return np.concatenate([_rule_nodes(lo, hi)[0],
+                           _rule_nodes(*_halves(lo[:-1], hi[:-1]))[0]])
+
+
+def integrate_refined_at_zero(f, width: float, *, cut: float = math.inf,
+                              head=None):
     """Integrate ``f`` over ``(0, width]`` with dyadic refinement toward 0.
 
     Cells are ``[width*2^-(j+1), width*2^-j]`` for ``j < DEFAULT_LEVELS``,
@@ -128,6 +165,10 @@ def integrate_refined_at_zero(f, width: float, *, cut: float = math.inf):
     contribution bounds the reported error for integrands that are merely
     integrable at 0).  Returns ``(value, error estimate, part)``.
 
+    ``head``, when given, holds the values of ``f`` at
+    :func:`refined_at_zero_nodes` of ``width``, and ``f`` is called only from
+    the second adaptive round on; the result is the same.
+
     ``part`` is the share of the value over ``(0, cut]`` (the value itself
     for the default ``cut``), read from the same cell values: only the one
     cell that straddles ``cut`` is integrated again, by :func:`integrate`
@@ -135,11 +176,13 @@ def integrate_refined_at_zero(f, width: float, *, cut: float = math.inf):
     """
     if width <= 0.0:
         return 0.0, 0.0, 0.0
-    hi = width * 2.0 ** -np.arange(DEFAULT_LEVELS + 1.0)
-    lo = np.append(hi[1:], 0.0)
+    lo, hi = _dyadic_cells(width)
+    split = lo.size * DEFAULT_ORDER
+    rules_at, halves_at = (None, None) if head is None else np.split(head, [split])
     # the dyadic cells and the sliver share the first pass of single rules
-    rules = _cells(f, lo, hi)
-    values, errs = _adaptive(f, lo[:-1], hi[:-1], rules[:-1], REFINE_DEPTH)
+    rules = _cells(f, lo, hi, rules_at)
+    values, errs = _adaptive(f, lo[:-1], hi[:-1], rules[:-1], REFINE_DEPTH,
+                             halves_at)
     total = 0.0
     err = 0.0
     for v, e in zip(values.tolist(), errs.tolist()):    # in order, level by level

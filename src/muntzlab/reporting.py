@@ -2,9 +2,10 @@
 
 Callers hand library objects (dataclasses, arrays, numpy scalars) straight
 to :func:`write_json`, the one place a payload is converted to JSON types,
-once.  JSON is written compact by the C encoder, with floats in Python's
-shortest round-trip representation (all 17 significant digits of a double),
-so reports re-read from disk reproduce the numerics bit-for-bit.  Each
+once; a float array whose entries are all finite converts in one
+``tolist()``.  JSON is written compact by the C encoder, with floats in
+Python's shortest round-trip representation (all 17 significant digits of a
+double), so reports re-read from disk reproduce the numerics bit-for-bit.  Each
 report is rendered to text in full before any file is created, then written
 to a temporary file in the target directory and atomically renamed, so
 error paths never leave partial reports behind.
@@ -36,6 +37,8 @@ def to_jsonable(obj):
     if isinstance(obj, np.generic):
         return to_jsonable(obj.item())
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()       # finite floats are JSON types as they are
         return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name))

@@ -31,9 +31,10 @@ def _frozen_array(values) -> np.ndarray:
 class LambdaSequence:
     """Strictly increasing positive exponents.  B (``lebesgue_gram``), the
     inverse W = L^-1 of its lower Cholesky factor (``whitener``),
-    ``cond_b``, ``psi`` and the read-only sup-grid tables of the powers
-    ``x**lambda_k`` (``sup_powers``) and ``x**(lambda_k - 1)``
-    (``sup_derivative_powers``) are computed once, when first read."""
+    ``cond_b``, ``psi``, the ``upper_triangle`` indices and the read-only
+    sup-grid tables of the powers ``x**lambda_k`` (``sup_powers``) and
+    ``x**(lambda_k - 1)`` (``sup_derivative_powers``) are computed once,
+    when first read."""
 
     values: np.ndarray
 
@@ -80,6 +81,13 @@ class LambdaSequence:
         s = np.linalg.svd(self.whitener, compute_uv=False)
         ratio = float(s[0]) / float(s[-1]) if s[-1] > 0.0 else math.inf
         return ratio * ratio
+
+    @cached_property
+    def upper_triangle(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (rows, cols) of the upper triangle of an N x N array, one
+        pair for every Gramian assembled on this sequence."""
+        rows, cols = np.triu_indices(len(self))
+        return _read_only(rows), _read_only(cols)
 
     @cached_property
     def psi(self):

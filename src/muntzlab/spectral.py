@@ -6,13 +6,17 @@ values equal to the square roots of the generalized eigenvalues of the
 pencil (A, B), where A is the mu-Gramian and B the Lebesgue Gramian of the
 g_n, whitened by the closed-form inverse Cholesky factor W of B; a spectrum
 whose forward-error estimate cond(B) * 2^-53 exceeds FORWARD_ERROR_TOL is
-refused (reduce N).  B, W, cond(B) and psi depend on the exponents alone, so
+refused (reduce N), and so is one whose Gramian or whitened pencil leaves
+the double range, by the measure's mass.  B, W, cond(B) and psi depend on
+the exponents alone, so
 every problem and certificate reads them from the truncated sequence.  One
 :class:`EmbeddingProblem` assembles A once at N; its truncations are blocks.
 A measure without a density part is read through one whitened factor
 X = F W^T with A = F^T F, one row per atom: a truncation is a block of its
 columns, and a tail restriction mu'_m (the atoms within 1/m of 1) a block of
-its rows, so the essential-norm trend of atoms restricts no measure.
+its rows, so the essential-norm trend of atoms restricts no measure; the
+tail pencils of a measure with a density part go through one stacked
+eigensolve.
 
 Certificates are named upper bounds from the majorant function psi, from a
 rho-majorization of the tail modulus, from compact support, and from
@@ -21,7 +25,10 @@ measure nu with nu(J_eps) = rho(eps), so the psi, rho and Hilbert-Schmidt
 certificates are one routine over the integral of psi^2 (or Psi^2) against
 a measure, mu or the majorant.  Both majorants come from one log-domain
 evaluation, :meth:`PsiEvaluator.log_majorant`: the atoms of a measure are
-one log-sum over its values, and a density integrates their exp.  A
+one log-sum over its values, and a density integrates their exp, reading
+the first two dyadic rounds of each width from the evaluator
+(:meth:`PsiEvaluator.refined_head`), so the psi and rho certificates and
+the pieces of one width share them.  A
 certificate is COMPARABLE (usable as a bound at this truncation) only when
 all of its recorded assumptions verified; soundness flags mark
 psi-truncation caveats.  No certificate raises on a failed hypothesis: the
@@ -41,7 +48,7 @@ from . import quadrature
 from .errors import (IllConditionedBasisError, InvalidParameterError,
                      NumericalSoundnessError)
 from .geometry import PSI_K_MAX, PsiEvaluator
-from .logdomain import log_sum
+from .logdomain import log1mexp, log_sum
 from .measures import (FlatMeasure, Measure, modulus_report,
                        rho_hypothesis_violation)
 from .sequences import LambdaSequence, classify, whole_number
@@ -142,17 +149,19 @@ def measure_gram(seq: LambdaSequence, mu: Measure) -> np.ndarray:
     over the whole of ``seq``, read-only.
 
     One array of log moments over the upper triangle (the orders
-    lambda_n + lambda_m are symmetric), mirrored, materialized and then
-    normalized in the linear domain; entries that underflow to zero are
-    permitted.
+    lambda_n + lambda_m are symmetric, indexed by ``seq.upper_triangle``),
+    mirrored, materialized and then normalized in the linear domain; entries
+    that underflow to zero are permitted, and entries past the double range
+    read inf.
     """
     lam = seq.values
     root = np.sqrt(lam)
-    rows, cols = np.triu_indices(lam.size)
+    rows, cols = seq.upper_triangle
     moments = np.empty((lam.size, lam.size))
-    moments[rows, cols] = np.exp(mu.log_moments(lam[rows] + lam[cols]))
-    moments[cols, rows] = moments[rows, cols]
-    entries = np.outer(root, root) * moments
+    with np.errstate(over="ignore"):
+        moments[rows, cols] = np.exp(mu.log_moments(lam[rows] + lam[cols]))
+        moments[cols, rows] = moments[rows, cols]
+        entries = np.outer(root, root) * moments
     entries.setflags(write=False)
     return entries
 
@@ -164,25 +173,45 @@ def _whiten(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _pencil_singular_values(m: np.ndarray) -> np.ndarray:
-    """Square roots of the eigenvalues of a whitened pencil, descending.
+    """Square roots of the eigenvalues of a whitened pencil, descending, or
+    of each pencil of a stack, in one eigensolve.
 
     Eigenvalues in [EIG_CLAMP_FLOOR, 0) clamp to 0; anything below the floor
-    means broken assembly/quadrature and raises, and so does a non-finite
-    entry, which numpy's eigensolver would not refuse.
+    (relative to max(1, the pencil's largest)) means broken
+    assembly/quadrature and raises, and so does a non-finite entry, which
+    numpy's eigensolver would not refuse.
     """
     if not np.all(np.isfinite(m)):
         raise NumericalSoundnessError(
             "the whitened pencil has a non-finite entry; the assembly is "
             "inconsistent")
     eigs = np.linalg.eigvalsh(m)
-    scale = max(1.0, float(eigs.max(initial=0.0)))
-    if eigs.min(initial=0.0) < EIG_CLAMP_FLOOR * scale:
+    floor = np.ravel(EIG_CLAMP_FLOOR
+                     * np.maximum(1.0, eigs.max(axis=-1, initial=0.0)))
+    low = np.ravel(eigs.min(axis=-1, initial=0.0))
+    bad = np.flatnonzero(low < floor)
+    if bad.size:
+        i = bad[0]
         raise NumericalSoundnessError(
-            f"generalized eigenvalue {eigs.min():.3e} below the clamp floor "
-            f"{EIG_CLAMP_FLOOR * scale:.3e}; either the assembly is "
+            f"generalized eigenvalue {low[i]:.3e} below the clamp floor "
+            f"{floor[i]:.3e}; either the assembly is "
             "inconsistent or the basis is too ill-conditioned at this N")
     eigs = np.clip(eigs, 0.0, None)
-    return np.sqrt(eigs)[::-1]
+    return np.sqrt(eigs)[..., ::-1]
+
+
+def _whitened_gram(problem: EmbeddingProblem) -> np.ndarray:
+    """W A W^T of the problem at its N, with the checked whitener.  A
+    measure too heavy for it (the Gramian or its whitening past the double
+    range) is refused by its mass, not read as an inconsistent assembly."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _whiten(problem.gram, _checked_whitener(problem.truncated))
+    if not np.all(np.isfinite(m)):
+        raise NumericalSoundnessError(
+            f"the measure's mass {problem.measure.total_mass:.6g} is beyond "
+            "the double assembly: its whitened pencil has a non-finite "
+            "entry; scale the measure down")
+    return m
 
 
 def _checked_whitener(seq: LambdaSequence) -> np.ndarray:
@@ -225,7 +254,7 @@ def _truncated_spectra(problem: EmbeddingProblem, sizes) -> list[np.ndarray]:
     """
     flat = problem.measure.flattened()
     if flat.has_density:
-        m = _whiten(problem.gram, _checked_whitener(problem.truncated))
+        m = _whitened_gram(problem)
         return [_pencil_singular_values(m[:k, :k]) for k in sizes]
     x = _whitened_factor(flat, problem.truncated)
     spectra = []
@@ -309,18 +338,26 @@ def essential_norm_trend(seq: LambdaSequence, mu: Measure, n: int,
     :meth:`Measure.restricted_to_tail`, so its norm is the top singular
     value of those rows of the one :func:`_whitened_factor` of
     ``seq.truncate(n)`` (0 for no rows).  A measure with a density part
-    solves the pencil of each restricted measure, whitened by that same W.
+    assembles the pencil of each restricted measure, whitened by that same
+    W, and solves them all in one stacked eigensolve; a restriction without
+    a density part keeps the factored route.
     """
     whole = tail_orders(m_list)
     sub = seq.truncate(n)
     flat = mu.flattened()
     if flat.has_density:
-        out = []
+        norms, pencils, at = {}, [], []
         for m in whole:
             tail = EmbeddingProblem(sub, mu.restricted_to_tail(1.0 / m), n)
-            svals, = _truncated_spectra(tail, (n,))
-            out.append((m, float(svals[0])))
-        return out
+            if tail.measure.flattened().has_density:
+                pencils.append(_whitened_gram(tail))
+                at.append(m)
+            else:
+                norms[m] = float(_truncated_spectra(tail, (n,))[0][0])
+        if pencils:
+            tops = _pencil_singular_values(np.stack(pencils))[:, 0]
+            norms.update(zip(at, tops.tolist()))
+        return [(m, norms[m]) for m in whole]
     x = _whitened_factor(flat, sub)
     entry = -np.expm1(flat.log_positions)
     return [(m, float(np.linalg.svd(x[entry <= 1.0 / m], compute_uv=False)
@@ -375,21 +412,26 @@ def _psi_squared_integral(mu: Measure, psi: PsiEvaluator,
         for t_lo, t_hi, h in flat.pieces:
             def integrand(t, h=h):
                 t = np.asarray(t, dtype=float)
-                return np.exp(2.0 * psi.log_majorant(np.log1p(-t), big)[0]) * h(t)
+                return psi.squared_majorant(t, big) * h(t)
             cut = min(t_star, t_hi)
-            if t_lo == 0.0:
-                v, _, u = quadrature.integrate_refined_at_zero(integrand, t_hi,
-                                                               cut=cut)
-            else:
-                v, _ = quadrature.integrate(integrand, t_lo, t_hi)
-                u = 0.0
-                if cut > t_lo:
-                    u, _ = quadrature.integrate(integrand, t_lo, cut)
+            # an integrand past the double range reads inf, and NaN where
+            # the density underflows to 0; either leaves the total non-finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                if t_lo == 0.0:
+                    nodes, squares = psi.refined_head(t_hi, big)
+                    v, _, u = quadrature.integrate_refined_at_zero(
+                        integrand, t_hi, cut=cut, head=squares * h(nodes))
+                else:
+                    v, _ = quadrature.integrate(integrand, t_lo, t_hi)
+                    u = 0.0
+                    if cut > t_lo:
+                        u, _ = quadrature.integrate(integrand, t_lo, cut)
             total += v
             unsound_part += u
 
     if not math.isfinite(total):
         return math.inf, False
+    # a non-finite unsound part (an overflowing majorant) fails this
     sound = unsound_part <= UNSOUND_CONTRIBUTION_RTOL * max(total, 1e-300)
     return total, sound
 
@@ -496,14 +538,24 @@ def hilbert_schmidt_certificate(seq: LambdaSequence, mu: Measure) -> Certificate
     The theorem's constant is unspecified, so the certificate asserts only
     FINITENESS => S_2 membership; the value is the integral itself, never a
     numeric S_2 bound.  Also reports the dyadic-root partition masses
-    b_0 = 0, b_1 = 1/2, b_{j+1} = sqrt(b_j).
+    b_0 = 0, b_1 = 1/2, b_{j+1} = sqrt(b_j), as differences of tail masses;
+    where a tail mass is past the double range, from its log instead, so a
+    mass reads inf only when it is itself past that range.
     """
     # edges up to the first within 1e-12 of 1, at most 64 partitions
     edges = [0.0, 0.5]
     while len(edges) <= 64 and 1.0 - edges[-1] > 1e-12:
         edges.append(math.sqrt(edges[-1]))
-    tail = mu.tail_mass(1.0 - np.array(edges))          # mu([b_j, 1])
-    masses = tail[:-1] - tail[1:]
+    eps = 1.0 - np.array(edges)
+    tail = mu.tail_mass(eps)                            # mu([b_j, 1])
+    with np.errstate(invalid="ignore"):
+        masses = tail[:-1] - tail[1:]
+    past = np.flatnonzero(np.isinf(tail[:-1]))
+    if past.size:
+        log_tail = mu.log_tail_mass(eps)
+        top, rest = log_tail[past], log_tail[past + 1]
+        with np.errstate(over="ignore"):
+            masses[past] = np.exp(top + log1mexp(rest - top))
     partitions = list(zip(edges[:-1], edges[1:], masses.tolist()))
     return _majorant_certificate(
         "hilbert_schmidt_psi", mu, seq.psi, {"partition_masses": partitions},

@@ -310,6 +310,89 @@ def count_whitening(monkeypatch):
     return built, svds
 
 
+_ALL_FIVE = ["psi", "rho", "sublinear", "compact_support", "hilbert_schmidt"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPastTheDoubleRange:
+    """Inputs whose majorant or mass leaves the double range: a report or a
+    refusal by name, and no RuntimeWarning (an error here, as under
+    ``python -W error::RuntimeWarning``)."""
+
+    def _run(self, tmp_path, capsys, sequence, measure, certificates):
+        cfg = write_config(tmp_path, {"sequence": sequence, "measure": measure,
+                                      "certificates": certificates,
+                                      "m_list": [2, 4]})
+        code = main(["analyze", "--config", cfg, "--out", str(tmp_path)])
+        return code, capsys.readouterr().err
+
+    def test_overflowing_majorant_reads_unsound(self, tmp_path, capsys):
+        # lambda_1 = 1e100: Psi^2 overflows on (0, t*], t* ~ 1.1e-100
+        code, err = self._run(
+            tmp_path, capsys,
+            {"kind": "geometric", "lambda1": 1e100, "ratio": 2, "count": 8},
+            {"kind": "lebesgue"}, ["hilbert_schmidt"])
+        assert (code, err) == (0, "")
+        cert, = json.loads((tmp_path / "report.json").read_text())[
+            "certificates"]
+        assert cert["value"] == 0.0
+        assert "psi-tail-unsound" in cert["flags"]
+
+    @pytest.mark.parametrize("measure, masses", [
+        ({"kind": "atomic", "atoms": [[0.5, 1e308], [0.9, 1e308]]},
+         {1: 1e308, 3: 1e308}),
+        ({"kind": "scaled", "c": 1e300,
+          "inner": {"kind": "atomic", "atoms": [[0.5, 1e10]]}},
+         {1: math.inf}),
+        ({"kind": "sum", "parts": [
+            {"kind": "atomic", "atoms": [[0.5, 1e308]]},
+            {"kind": "atomic", "atoms": [[0.7, 1e308]]}]}, {1: math.inf})],
+        ids=["atoms", "scaled", "sum"])
+    def test_huge_atoms_read_their_partition_masses(self, tmp_path, capsys,
+                                                    measure, masses):
+        code, err = self._run(
+            tmp_path, capsys,
+            {"kind": "geometric", "lambda1": 1, "ratio": 2, "count": 8},
+            measure, _ALL_FIVE)
+        assert (code, err) == (2, "")
+        report = json.loads((tmp_path / "report.json").read_text())
+        hs = report["certificates"][-1]
+        got = [m for _, _, m in hs["params"]["partition_masses"]]
+        assert "nan" not in got
+        want = [masses.get(j, 0.0) for j in range(len(got))]
+        assert [float(m) for m in got] == pytest.approx(want, rel=1e-12)
+
+    def test_heavy_density_integrands_read_inf(self, tmp_path, capsys):
+        # Psi^2 times the density 1e300 overflows: the integral reads inf
+        code, err = self._run(
+            tmp_path, capsys,
+            {"kind": "geometric", "lambda1": 1, "ratio": 2, "count": 8},
+            {"kind": "scaled", "c": 1e300, "inner": {"kind": "lebesgue"}},
+            _ALL_FIVE)
+        assert (code, err) == (2, "")
+        hs = json.loads((tmp_path / "report.json").read_text())[
+            "certificates"][-1]
+        assert hs["value"] == "inf"
+        assert [(a["name"], a["ok"]) for a in hs["assumptions"]] == [
+            ("Psi-square-integrable", False)]
+
+    @pytest.mark.parametrize("measure", [
+        {"kind": "sum", "parts": [{"kind": "lebesgue"},
+                                  {"kind": "atomic", "atoms": [[0.5, 1e308]]}]},
+        {"kind": "powertail", "C": 1e308, "alpha": 2.0}],
+        ids=["lebesgue-atom", "powertail"])
+    def test_huge_density_measure_refused_by_mass(self, tmp_path, capsys,
+                                                   measure):
+        code, err = self._run(
+            tmp_path, capsys,
+            {"kind": "geometric", "lambda1": 1, "ratio": 2, "count": 8},
+            measure, _ALL_FIVE)
+        assert code == 1
+        assert err == ("error: the measure's mass 1e+308 is beyond the double "
+                       "assembly: its whitened pencil has a non-finite entry; "
+                       "scale the measure down\n")
+
+
 class TestOneAnalysis:
     def test_assembles_factors_and_bisects_once(self, tmp_path, monkeypatch):
         # the geometric sequence (2, ratio 2) at N 32 on PowerTail(1, 2, 0.3),
@@ -369,8 +452,9 @@ class TestOneAnalysis:
         assert sum(m is mu for m in calls["measure_gram"]) == 1
         assert len(calls["measure_gram"]) == 1 + len(m_list)
         assert calls["modulus_report"] == 1
-        # each width t* is one evaluation
-        assert sorted(calls["width"]) == [(False, 1), (True, 1)]
+        # each width t* is at most two evaluations
+        assert sorted(big for big, _ in calls["width"]) == [False, True]
+        assert all(1 <= count <= 2 for _, count in calls["width"])
         # B (for the sublinear certificate), W, cond(B) and psi once: the
         # truncated sequence keeps them for every certificate and trend point
         assert calls["lebesgue_gram"] == len(built) == 1

@@ -12,9 +12,10 @@ from muntzlab import (InvalidParameterError, MuntzPolynomial, PsiEvaluator,
                       make_geometric, make_power,
                       pointwise_bound_check, psi_a_eval, random_unit,
                       scaled_distance)
-from muntzlab.geometry import (_PROBE_LOG_X, EXP_FLOOR, PSI_K_MAX,
-                               PSI_TAIL_RTOL)
+from muntzlab.geometry import _PROBE_LOG_X, PSI_K_MAX, PSI_TAIL_RTOL
 from muntzlab.highprec import distance_oracle
+
+EXP_FLOOR = -746.0     # exp(x) is exactly 0 in double below this
 
 
 class TestGram:
@@ -329,10 +330,37 @@ class TestBlockedBisection:
             width = psi._unsound_width(big)
             monkeypatch.setattr(PsiEvaluator, "log_majorant", log_majorant)
             assert width == expected
-            # one call over all 1075 probes
-            assert calls == [1075]
+            # at most two calls, over at most 70 of the 1075 probes
+            assert 1 <= len(calls) <= 2 and sum(calls) <= 70
             widths.add(expected)
         assert len(widths) >= 4
+
+    @pytest.mark.parametrize("big", [False, True])
+    def test_width_matches_full_scan(self, big, monkeypatch):
+        # the two bracketing calls against one call over every probe, whose
+        # unsound probes are a final run
+        log_majorant = PsiEvaluator.log_majorant
+        lanes = []
+
+        def counted(self, log_x, big=False):
+            lanes.append(np.size(log_x))
+            return log_majorant(self, log_x, big)
+
+        rng = np.random.default_rng(17)
+        for size in range(1, 41):
+            seq = make_geometric(float(rng.uniform(0.1, 5.0)),
+                                 float(rng.uniform(1.05, 4.0)), size)
+            psi = PsiEvaluator.from_sequence(seq)
+            unsound = ~psi.log_majorant(_PROBE_LOG_X, big)[1]
+            first = int(np.argmax(unsound))
+            assert unsound[first:].all() == unsound.any()
+            full = min(2.0 ** (1 - first), 1.0) if unsound.any() else 0.0
+            lanes.clear()
+            monkeypatch.setattr(PsiEvaluator, "log_majorant", counted)
+            width = psi._unsound_width(big)
+            monkeypatch.setattr(PsiEvaluator, "log_majorant", log_majorant)
+            assert width == full
+            assert len(lanes) <= 2 and sum(lanes) <= 70
 
 
 # The evaluator before the shared kernel, kept as its oracle: term logs and
@@ -548,6 +576,25 @@ class TestFusedMajorant:
         exact = (math.log(10.0) + psi.log_inv_d[1] + 9.0 * y_log
                  + float(logsumexp(psi.log_inv_d + psi.lambdas * y_log)))
         assert got == pytest.approx(exact, rel=1e-14)
+
+
+class TestOneScaleNearGuard:
+    # log2(lambda_N / lambda_1) + log2(N) just below 900, where the terms
+    # clipped at 2^-1010 weigh most in psi', and just above it
+    @pytest.mark.parametrize("lam1, ratio, n, fused", [
+        (1.0, 2.0 ** 28.8, 32, True), (0.5, 2.0 ** 59.0, 16, True),
+        (1.0, 2.0 ** 29.0, 32, False)])
+    def test_matches_two_orders(self, lam1, ratio, n, fused):
+        psi = make_geometric(lam1, ratio, n).psi
+        spread = math.log2(psi.lambdas[-1] / psi.lambdas[0]) + math.log2(n)
+        assert (spread < 900.0) == fused
+        assert psi._one_scale_for_psi_and_derivative == fused
+        log_x = TestFusedMajorant.LOG_X
+        got, sound = psi.log_majorant(log_x, big=True)
+        ref, ref_sound = _two_order_majorant(psi, log_x)
+        # relative 1e-14 of log Psi, and of Psi itself where log Psi ~ 0
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(sound, ref_sound)
 
 
 class TestInequalityCheckers:

@@ -815,6 +815,20 @@ class TestArrayTailMass:
                 assert got[0] == want[0]
                 _assert_close(got[1:], want[1:])
 
+    def test_log_tail_mass(self, name):
+        # the log of the tail mass, to rounding, -inf where there is none
+        mu = ORACLE_MEASURES[name]
+        eps = np.concatenate([default_epsilon_grid(), _at_atoms(mu), [1.0]])
+        with np.errstate(divide="ignore"):
+            want = np.log(mu.tail_mass(eps))
+        got = mu.log_tail_mass(eps)
+        assert np.array_equal(got == -np.inf, want == -np.inf)
+        finite = want > -np.inf
+        np.testing.assert_allclose(np.exp(got[finite] - want[finite]), 1.0,
+                                   rtol=1e-14)
+        with pytest.raises(InvalidParameterError):
+            mu.log_tail_mass(0.0)
+
     def test_partition_masses(self, name):
         mu = ORACLE_MEASURES[name]
         cert = hilbert_schmidt_certificate(make_explicit([2.0]), mu)
@@ -875,3 +889,16 @@ def test_powertail_tail_mass_exact_at_dyadic_eps(name):
     grid = default_epsilon_grid()
     assert mu.tail_mass(grid).tolist() == [_loop_tail_mass(mu, e)
                                            for e in grid.tolist()]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestMassPastTheDoubleRange:
+    @pytest.mark.parametrize("mu, log_total", [
+        (atomic([(0.5, 1e308), (0.9, 1e308)]), math.log(2e300) + math.log(1e8)),
+        (ScaledMeasure(1e300, atomic([(0.5, 1e10)])), math.log(1e300) + math.log(1e10)),
+        (SumMeasure((atomic([(0.5, 1e308)]), atomic([(0.7, 1e308)]))),
+         math.log(2e300) + math.log(1e8))], ids=["atomic", "scaled", "sum"])
+    def test_masses_read_inf_and_their_logs_stay_finite(self, mu, log_total):
+        assert mu.total_mass == math.inf
+        assert mu.mass_above(0.1) == math.inf
+        assert mu.log_tail_mass(1.0) == pytest.approx(log_total, rel=1e-15)

@@ -7,7 +7,8 @@ from muntzlab.measures import PiecewiseDensityMeasure, PowerTailMeasure
 from muntzlab.quadrature import (DEFAULT_LEVELS, DEFAULT_ORDER, FAR_END_LEVELS,
                                  MAX_POINTS, REFINE_DEPTH, QuadraturePlan,
                                  bisect_root, graded_edges, integrate,
-                                 integrate_refined_at_zero)
+                                 integrate_refined_at_zero,
+                                 refined_at_zero_nodes)
 
 
 # The depth-first recursion the breadth-first integrator replaced, kept as its
@@ -134,6 +135,33 @@ class TestRefinedAtZero:
     def test_zero_width(self):
         assert integrate_refined_at_zero(lambda t: t, 0.0) == (0.0, 0.0, 0.0)
 
+
+
+class TestHead:
+    """Values of the integrand on the first two rounds, given as ``head``,
+    give the same result, and the integrand is not called there."""
+
+    @pytest.mark.parametrize("name", sorted(INTEGRANDS))
+    @pytest.mark.parametrize("width, cut", [(1.0, math.inf), (0.7, 2.0 ** -5),
+                                            (1.0, 0.3)])
+    def test_same_result_without_the_head_calls(self, name, width, cut):
+        f = INTEGRANDS[name]
+        nodes = refined_at_zero_nodes(width)
+        # 55 single rules, then both halves of the 54 cells
+        assert nodes.size == (55 + 2 * 54) * DEFAULT_ORDER == 3912
+        plain, plain_sizes = _counted(f)
+        headed, headed_sizes = _counted(f)
+        want = integrate_refined_at_zero(plain, width, cut=cut)
+        got = integrate_refined_at_zero(headed, width, cut=cut,
+                                        head=np.asarray(f(nodes), dtype=float))
+        assert got == want
+        assert sum(headed_sizes) == sum(plain_sizes) - nodes.size
+
+    def test_overflowing_integrand_reads_inf_without_warning(self):
+        with np.errstate(over="ignore"):
+            value, err, part = integrate_refined_at_zero(
+                lambda t: np.exp(1e3 / np.asarray(t)), 1.0, cut=1e-3)
+        assert value == part == math.inf and math.isnan(err)
 
 
 # bounded integrands: the sliver (0, width 2^-54] takes no share at 1e-12

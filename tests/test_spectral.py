@@ -16,7 +16,7 @@ from muntzlab import (EmbeddingProblem, IllConditionedBasisError,
                       psi_certificate, restrict_tail,
                       rho_certificate, riesz_sequence_check, singular_values,
                       sublinear_embedding_bound)
-from muntzlab.geometry import PsiEvaluator
+from muntzlab.geometry import _PROBE_LOG_X, PsiEvaluator
 from muntzlab import quadrature, spectral
 from muntzlab.logdomain import log_sum
 from muntzlab.measures import (Measure, PiecewiseDensityMeasure,
@@ -675,9 +675,10 @@ class TestPsiTail:
             width = psi.big_unsound_width if big else psi.unsound_width
             assert width == expected
             monkeypatch.setattr(PsiEvaluator, "_scaled_terms", scaled_terms)
-            # one term array over the 1075 probes, for Psi as for psi
-            assert len(calls) == 1
-            assert all(np.size(log_x) == 1075 for log_x in calls)
+            # at most two term arrays over at most 70 of the 1075 probes,
+            # for Psi as for psi
+            assert 1 <= len(calls) <= 2
+            assert sum(np.size(log_x) for log_x in calls) <= 70
             widths.add(expected)
         assert len(widths) >= 4
 
@@ -1046,3 +1047,181 @@ class TestRestrictionInteraction:
         norms = [modulus_report(restrict_tail(mu, m)).sublinear_norm
                  for m in (2, 8, 32)]
         assert norms[0] > norms[1] > norms[2]
+
+
+EXP_FLOOR = -746.0     # exp(x) is exactly 0 in double below this
+
+
+class _PreSharingPsi(PsiEvaluator):
+    """The evaluator before the shared rounds, kept as their oracle: exp
+    taken only above EXP_FLOOR with the logs below it set to 0, log psi
+    through the signed sum of eval_many, and t* read from one call over all
+    1075 probes."""
+
+    def _scaled_terms(self, log_x, k):
+        term_logs = np.multiply.outer(self._exponents[k], log_x)
+        term_logs += self._log_weights[k][:, None]
+        m = term_logs.max(axis=0)
+        m = np.where(np.isfinite(m), m, 0.0)
+        last = term_logs[-1].copy()
+        term_logs -= m
+        np.exp(term_logs, out=term_logs, where=term_logs > EXP_FLOOR)
+        np.maximum(term_logs, 0.0, out=term_logs)
+        return term_logs, m, last
+
+    def log_majorant(self, log_x, big=False):
+        if big:
+            return super().log_majorant(log_x, big)
+        log_abs, _, sound = self.eval_many(log_x, 0)
+        return log_abs, sound
+
+    def _unsound_width(self, big):
+        unsound = ~self.log_majorant(_PROBE_LOG_X, big)[1]
+        if not unsound.any():
+            return 0.0
+        return min(2.0 ** (1 - int(np.argmax(unsound))), 1.0)
+
+
+def _pre_sharing_integral(mu, psi, big=False):
+    """_psi_squared_integral before the shared rounds: every piece's
+    integrand evaluated at every node, warnings of an overflowing majorant
+    silenced."""
+    old = _PreSharingPsi(lambdas=psi.lambdas, log_inv_d=psi.log_inv_d)
+    flat = mu.flattened()
+    total = unsound_part = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if flat.has_atoms:
+            log_values, sound = old.log_majorant(flat.log_positions, big)
+            log_terms = flat.log_weights + 2.0 * log_values
+            total += spectral._exp_or_inf(log_sum(log_terms))
+            if not np.all(sound):
+                unsound_part += spectral._exp_or_inf(log_sum(log_terms[~sound]))
+        if flat.has_density:
+            t_star = old.big_unsound_width if big else old.unsound_width
+            for t_lo, t_hi, h in flat.pieces:
+                def integrand(t, h=h):
+                    t = np.asarray(t, dtype=float)
+                    return np.exp(2.0 * old.log_majorant(np.log1p(-t), big)[0]) * h(t)
+                cut = min(t_star, t_hi)
+                if t_lo == 0.0:
+                    v, _, u = quadrature.integrate_refined_at_zero(
+                        integrand, t_hi, cut=cut)
+                else:
+                    v, _ = quadrature.integrate(integrand, t_lo, t_hi)
+                    u = 0.0
+                    if cut > t_lo:
+                        u, _ = quadrature.integrate(integrand, t_lo, cut)
+                total += v
+                unsound_part += u
+    if not math.isfinite(total):
+        return math.inf, False
+    return total, unsound_part <= UNSOUND_CONTRIBUTION_RTOL * max(total, 1e-300)
+
+
+# two density parts of width 1, whose pieces share the first two rounds
+_TWO_WIDTH_ONE = lambda: SumMeasure((ScaledMeasure(0.5, lebesgue()),
+                                     PowerTailMeasure(1.0, 2.0)))
+_HUGE_LAMBDA_SEQUENCES = [make_geometric(lam, 2.0, 8)
+                          for lam in (1e16, 1e100, 1e200)]
+
+
+class TestSharedRounds:
+    """psi^2 and Psi^2 on the first two dyadic rounds are evaluated once per
+    (width, majorant); the pre-sharing path is the oracle."""
+
+    def test_values_and_flags_match_pre_sharing_path(self):
+        measures = {**SPLIT_MEASURES, "two-width-one": _TWO_WIDTH_ONE,
+                    "lebesgue": lebesgue,
+                    # the rho majorants of the CLI (alpha <= 1) and a steeper one
+                    "rho-majorant": lambda: PowerTailMeasure(2.0, 0.7),
+                    "rho-majorant-1": lambda: PowerTailMeasure(1.0, 1.0),
+                    "rho-majorant-steep": lambda: PowerTailMeasure(1.0, 2.5)}
+        verdicts = []
+        for seq in SPLIT_SEQUENCES + _HUGE_LAMBDA_SEQUENCES:
+            for make_mu in measures.values():
+                mu = make_mu()
+                for big in (False, True):
+                    value, sound = _psi_squared_integral(mu, seq.psi, big)
+                    ref, ref_sound = _pre_sharing_integral(mu, seq.psi, big)
+                    assert value == pytest.approx(ref, rel=1e-15, abs=0.0)
+                    assert sound == ref_sound
+                    verdicts.append(sound)
+        assert any(verdicts) and not all(verdicts)
+
+    @staticmethod
+    def _lanes(monkeypatch):
+        """Every log x that log_majorant sees, per call."""
+        seen = []
+        log_majorant = PsiEvaluator.log_majorant
+
+        def counted(self, log_x, big=False):
+            seen.append(np.asarray(log_x, dtype=float).ravel())
+            return log_majorant(self, log_x, big)
+        monkeypatch.setattr(PsiEvaluator, "log_majorant", counted)
+        return seen
+
+    def test_psi_and_rho_read_one_evaluation(self, monkeypatch):
+        seq = make_geometric(1.5, 2.0, 12)
+        fixed = np.log1p(-quadrature.refined_at_zero_nodes(1.0))
+        assert fixed.size == 3912
+        seen = self._lanes(monkeypatch)
+        psi_certificate(seq, lebesgue())
+        rho_certificate(seq, lebesgue(), PowerTailMeasure(1.0, 1.0))
+        lanes = np.concatenate(seen)
+        # each fixed node once, over both certificates
+        assert np.isin(lanes, fixed).sum() == 3912
+        assert seq.psi._heads.keys() == {(1.0, False)}
+
+    def test_two_width_one_parts_read_one_evaluation(self, monkeypatch):
+        seq = make_geometric(1.5, 2.0, 12)
+        fixed = 0.25 * np.log1p(-quadrature.refined_at_zero_nodes(1.0))
+        seen = self._lanes(monkeypatch)
+        hilbert_schmidt_certificate(seq, _TWO_WIDTH_ONE())
+        lanes = 0.25 * np.concatenate(seen)
+        assert np.isin(lanes, fixed).sum() == 3912
+        assert seq.psi._heads.keys() == {(1.0, True)}
+
+
+class TestStackedTailPencils:
+    """The density tails of the trend go through one stacked eigensolve,
+    bit for bit the pencils they were; a tail without a density part keeps
+    the factored route."""
+
+    @pytest.mark.parametrize("mu, m_list, stacked", [
+        (lebesgue(), [2, 3, 4, 8, 16], 5),
+        (PowerTailMeasure(1.0, 2.0, 0.3), [2, 3, 4, 8, 16], 5),
+        (SumMeasure((ScaledMeasure(0.5, lebesgue()), PowerTailMeasure(2.0, 1.5),
+                     point_mass(0.9, 0.5))), [2, 3, 4, 8, 16], 5),
+        # the density [0.55, 0.8] is cut away from m = 5 on
+        (SumMeasure((PiecewiseDensityMeasure(np.array([0.55, 0.8]),
+                                             np.array([3.0])),
+                     point_mass(0.9, 0.5))), [2, 3, 5, 8], 2)],
+        ids=["lebesgue", "powertail", "sum", "atom-only-tails"])
+    def test_matches_restricted_pencils_in_one_eigensolve(
+            self, mu, m_list, stacked, monkeypatch):
+        seq = make_geometric(1.0, 2.0, 12)
+        want = _restricted_trend(seq, mu, 12, m_list)
+        eigvalsh = np.linalg.eigvalsh
+        shapes = []
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert essential_norm_trend(seq, mu, 12, m_list) == want
+        assert shapes == [(stacked, 12, 12)]
+
+
+class TestHugeMass:
+    # a Gramian past the double range: the spectrum and the trend are
+    # refused by the measure's mass
+    @pytest.mark.parametrize("mu", [
+        SumMeasure((lebesgue(), point_mass(0.5, 1e308))),
+        PowerTailMeasure(1e308, 2.0)], ids=["lebesgue-atom", "powertail"])
+    def test_spectrum_refused_by_mass(self, mu):
+        problem = EmbeddingProblem(make_geometric(1.0, 2.0, 8), mu, 8)
+        with pytest.raises(NumericalSoundnessError,
+                           match="mass 1e\\+308 is beyond the double assembly"):
+            analyze(problem)
+        with pytest.raises(NumericalSoundnessError, match="mass"):
+            essential_norm_trend(problem.sequence, mu, 8, [2, 4])
