@@ -3,18 +3,26 @@ interpolation inequality as a per-function check.
 
 Density integrals run on one fixed :class:`~muntzlab.quadrature.QuadraturePlan`
 per measure, the one it keeps (:attr:`~muntzlab.measures.Measure.plan`; the
-Lebesgue one is shared).  For the polynomials of one exponent set the basis
-``x**lambda_k`` at the plan's nodes is computed once, so the integrals of
-``|f|^p`` for many coefficient rows are weighted sums over one array.  For
-non-even p, ``|f|^p`` has kinks at the zeros of f.  Every root of a row in
-``(0, 1)`` is isolated up front by the Rolle chain (:func:`_roots`), once
-for the integrals against every measure, and exactly the cells that hold a
-root are refined for that row alone, each side of a root integrated on cells
-graded toward it.  A cell whose coarse and fine rules still differ by more
-than 1e-12 of the row's total is re-integrated adaptively, split at its
-roots, by :meth:`~muntzlab.quadrature.QuadraturePlan.refine_cell`, and
-counted.  Rows are evaluated independently, so a batched row is
-bit-identical to its single call.  Atoms are exact log-domain sums.
+Lebesgue one is shared).  Integrals against several measures share their
+cells: the plans are merged into their distinct cells, the basis
+``x**lambda_k`` at those nodes is computed once per exponent set, and
+``|f|^p`` once per distinct cell and coefficient row; each measure weights
+its own cells of it, so the integrals of ``|f|^p`` for many rows and
+measures are weighted sums over one array, bit-identical to integrating
+each measure alone.  For non-even p, ``|f|^p`` has kinks at the zeros of f.
+Every root of a row in ``(0, 1)`` is isolated up front by the Rolle chain
+(:func:`~muntzlab.polynomials._roots`; a polynomial keeps its
+:attr:`~muntzlab.polynomials.MuntzPolynomial.roots`), once for the
+integrals against every measure, and exactly the cells that hold a root are
+refined for that row alone, each side of a root integrated on cells graded
+toward it, with ``|f|^p`` there computed once for every measure holding
+the cell.  A cell whose coarse and fine rules still differ by more than
+1e-12 of the row's total is re-integrated adaptively, split at its roots,
+by :meth:`~muntzlab.quadrature.QuadraturePlan.refine_cell`, and counted.
+Rows are evaluated independently, so a batched row is bit-identical to its
+single call.  Atoms are exact log-domain sums.  ``p`` must be finite and at
+least 1, and an integral below the smallest normal double, of an ``f``
+that is nonzero on the support, is refused rather than read as 0.
 
 Empirical embedding constants maximize a ratio over random coefficient
 spheres and are LOWER bounds of the truncated operator norm; the
@@ -35,18 +43,15 @@ from . import quadrature
 from .errors import InvalidParameterError
 from .logdomain import log_sum
 from .measures import Measure, lebesgue
-from .polynomials import MuntzPolynomial, _combine, powers, random_unit
+from .polynomials import (ROUNDING_RTOL, MuntzPolynomial, _combine, _roots,
+                          powers, random_unit)
 from .sequences import LambdaSequence
 
-# rounding allowance per unit of the integral, added to the quadrature error
-# before propagation: pairwise summation of ~1e4 positive terms costs about
-# 14 eps, the node values and powers a few eps each.  The root isolation
-# takes the same allowance per unit of a polynomial's term magnitudes.
-_ROUNDING_RTOL = 64.0 * sys.float_info.epsilon
 _ROW_CHUNK = 64
 _INTERPOLATION_TOL = 1e-9   # slack of a sample before it counts as a violation
 # unit rule that kinked cells are mapped onto, graded toward a root
 _ROOT_NODES, _ROOT_WEIGHTS = quadrature.graded_rule(quadrature.INNER_LEVELS)
+_TINY = sys.float_info.min   # smallest normal double
 
 
 @dataclass(frozen=True)
@@ -57,53 +62,14 @@ class LpNormEstimate:
     fallback_cells: int = 0   # plan cells re-integrated adaptively
 
 
+def _check_p(p: float) -> None:
+    if not (math.isfinite(p) and p >= 1.0):
+        raise InvalidParameterError(f"p must be finite and >= 1, got {p!r}")
+
+
 def _log_x(t) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log1p(-np.asarray(t, dtype=float))
-
-
-def _roots(coeffs, lambdas) -> list[float]:
-    """Every root in (0, 1) of ``f = sum c_k x**lambda_k``, lambda ascending,
-    as ``t = 1 - x`` ascending: the Rolle chain of a Descartes system
-    (Borwein and Erdelyi, *Polynomials and Polynomial Inequalities*, Ch. 3).
-
-    f has at most as many positive roots as its coefficients have sign
-    changes.  Beyond one, the roots of ``(x**-lambda_1 f)'``, one term fewer,
-    cut (0, 1) into pieces where ``h = x**-lambda_1 f`` is monotone, so each
-    holds a root exactly when h changes sign across it.  A critical point
-    where ``|h|`` is within rounding is itself a root: a near-double root is
-    split at, never integrated across.
-    """
-    terms = [(ck, ek) for ck, ek in zip(coeffs, lambdas) if ck != 0.0]
-    changes = sum((a < 0.0) != (b < 0.0) for (a, _), (b, _) in zip(terms, terms[1:]))
-    if changes == 0:
-        return []
-    c0, e0 = terms[0]
-    rest = [(ck, ek - e0) for ck, ek in terms[1:]]
-
-    def h(t):
-        log_x = math.log1p(-t) if t < 1.0 else -math.inf
-        return c0 + sum(ck * math.exp(ek * log_x) for ck, ek in rest)
-
-    def sign(t):
-        """Sign of h(t) below t = 1, 0 within the rounding of its terms."""
-        log_x = math.log1p(-t)
-        size = abs(c0) + sum(abs(ck) * math.exp(ek * log_x) * (1.0 - ek * log_x)
-                             for ck, ek in rest)
-        value = h(t)
-        return 0.0 if abs(value) <= _ROUNDING_RTOL * size else math.copysign(1.0, value)
-
-    critical = [] if changes == 1 else _roots([ck * ek for ck, ek in rest],
-                                              [ek for _, ek in rest])
-    ends = [0.0, *critical, 1.0]
-    signs = [sign(t) for t in ends[:-1]] + [math.copysign(1.0, c0)]   # h(x=0) = c0
-    roots = []
-    for k in range(len(ends) - 1):
-        if k and signs[k] == 0.0:
-            roots.append(ends[k])
-        if signs[k] * signs[k + 1] < 0.0:
-            roots.append(quadrature.bisect_root(h, ends[k], ends[k + 1]))
-    return roots
 
 
 def _row_roots(coeffs, lambdas) -> list[np.ndarray]:
@@ -114,68 +80,119 @@ def _row_roots(coeffs, lambdas) -> list[np.ndarray]:
     return [np.array(_roots(row, lam)) for row in coeffs.tolist()]
 
 
+def _distinct_cells(plans) -> tuple[np.ndarray, list]:
+    """The distinct cells of ``plans`` as node rows, and per plan the index
+    of each of its cells among them, or None where the plan's cells are
+    all of them in order.  Cells are matched by the bytes of their node
+    rows; plans that share one ``nodes`` array match at once."""
+    arrays = []                        # distinct node arrays, by identity
+    for plan in plans:
+        if all(plan.nodes is not a for a in arrays):
+            arrays.append(plan.nodes)
+    if len(arrays) == 1:
+        return arrays[0], [None] * len(plans)
+    index = {}                         # node-row bytes -> distinct cell
+    takes = [np.array([index.setdefault(row.tobytes(), len(index))
+                       for row in nodes], dtype=np.intp) for nodes in arrays]
+    cells = np.empty((len(index), arrays[0].shape[1]))
+    for nodes, take in zip(arrays, takes):
+        cells[take] = nodes
+    in_order = np.arange(len(index))
+    by_array = {id(nodes): None if np.array_equal(take, in_order) else take
+                for nodes, take in zip(arrays, takes)}
+    return cells, [by_array[id(plan.nodes)] for plan in plans]
+
+
 class _PowerIntegrals:
-    """Integrals of ``|f|^p`` against one measure for polynomials on one
-    exponent set: the measure's plan, and the basis at its nodes built
-    once."""
+    """Integrals of ``|f|^p`` against several measures for polynomials on
+    one exponent set.  The measures' plans are merged into their distinct
+    cells, and the basis at those nodes is built once; ``|f|^p`` is computed
+    once per distinct cell and row, and each measure weights its own cells
+    of it.  The ``|f|^p`` of a row on the graded sub-cells of a kinked cell
+    is likewise computed once for every measure that holds the cell."""
 
-    def __init__(self, mu: Measure, lambdas):
-        flat = mu.flattened()
+    def __init__(self, measures, lambdas):
         self.lam = np.asarray(lambdas, dtype=float)
-        self.log_weights = flat.log_weights
-        self.atom_basis = powers(self.lam, flat.log_positions)
-        self.plan = mu.plan
-        self.basis = powers(self.lam, _log_x(self.plan.nodes.ravel()))
+        flats = [mu.flattened() for mu in measures]
+        self.atoms = [(flat.log_weights, powers(self.lam, flat.log_positions))
+                      for flat in flats]
+        self.plans = [mu.plan for mu in measures]
+        self.nodes, self.takes = _distinct_cells(self.plans)
+        self.basis = powers(self.lam, _log_x(self.nodes.ravel()))
 
-    def norms(self, coeffs, p: float, roots) -> list[LpNormEstimate]:
-        """``||f||_{L^p(mu)}`` for every row of the 2-D ``coeffs``, whose
-        roots are ``roots`` (from :func:`_row_roots`)."""
-        out = []
+    @property
+    def has_density(self) -> bool:
+        return self.nodes.size > 0
+
+    def norms(self, coeffs, p: float, roots) -> list[list[LpNormEstimate]]:
+        """``||f||_{L^p(mu)}`` for every measure (outer) and row of the 2-D
+        ``coeffs`` (inner), whose roots are ``roots`` (from
+        :func:`_row_roots`)."""
+        out = [[] for _ in self.plans]
         for start in range(0, coeffs.shape[0], _ROW_CHUNK):
             stop = start + _ROW_CHUNK
-            out += self._norms(coeffs[start:stop], p, roots[start:stop])
+            for per_mu, chunk in zip(out, self._norms(coeffs[start:stop], p,
+                                                      roots[start:stop])):
+                per_mu += chunk
         return out
 
     def _norms(self, coeffs, p, roots):
         rows = coeffs.shape[0]
-        total = np.zeros(rows)
-        err_rows = np.zeros(rows)
-        fallbacks = np.zeros(rows, dtype=int)
-        if self.log_weights.size:
-            vals = np.abs(_combine(coeffs, self.atom_basis))
-            with np.errstate(divide="ignore"):
-                log_terms = self.log_weights + p * np.log(vals + 1e-300)
-            total += np.exp(log_sum(log_terms, axis=-1))
-        plan = self.plan
-        if plan.cells:
-            atoms = total.copy()
-            vals = _combine(coeffs, self.basis).reshape((rows,) + plan.nodes.shape)
-            fine, err = plan.cell_sums(np.abs(vals) ** p)
-            cuts = {}
-            for r, row_roots in enumerate(roots):
-                first = np.searchsorted(row_roots, plan.lo, side="right")
-                stop = np.searchsorted(row_roots, plan.hi, side="left")
-                for c in np.flatnonzero(stop > first):   # cells holding a root
-                    cuts[r, c] = [plan.lo[c], *row_roots[first[c]:stop[c]], plan.hi[c]]
-                    fine[r, c], err[r, c] = self._split_cell(coeffs[r], p, c, cuts[r, c])
-            total = atoms + fine.sum(axis=-1)
-            for r, c in zip(*np.nonzero(plan.loose_cells(err, total))):
-                fine[r, c], err[r, c] = plan.refine_cell(
-                    lambda t, row=coeffs[r]: np.abs(self._eval(row, t)) ** p,
-                    c, cuts.get((r, c)))
-                fallbacks[r] += 1
-                total[r] = atoms[r] + fine[r].sum()
-            err_rows = err.sum(axis=-1)
+        size = powered = None
+        if self.has_density:
+            size = np.abs(_combine(coeffs, self.basis)).reshape(
+                (rows,) + self.nodes.shape)
+            powered = size ** p
+        graded = {}     # (row, cuts) -> |f|^p on a kinked cell's sub-cells
         out = []
-        for r in range(rows):
-            integral = float(total[r])
-            integral_err = float(err_rows[r]) + _ROUNDING_RTOL * integral
-            # first-order propagation through T -> T^(1/p)
-            prop = (integral_err / (p * integral ** (1.0 - 1.0 / p))
-                    if integral > 0.0 else integral_err ** (1.0 / p))
-            out.append(LpNormEstimate(p=p, value=integral ** (1.0 / p),
-                                      quadrature_error=prop,
-                                      fallback_cells=int(fallbacks[r])))
+        for plan, take, (log_weights, atom_basis) in zip(self.plans, self.takes,
+                                                         self.atoms):
+            total = np.zeros(rows)
+            err_rows = np.zeros(rows)
+            fallbacks = np.zeros(rows, dtype=int)
+            atom_vals = None
+            if log_weights.size:
+                atom_vals = np.abs(_combine(coeffs, atom_basis))
+                with np.errstate(divide="ignore"):
+                    log_terms = log_weights + p * np.log(atom_vals + 1e-300)
+                total += np.exp(log_sum(log_terms, axis=-1))
+            if plan.cells:
+                atoms = total.copy()
+                # a C-contiguous copy: the cell sums of a strided view of
+                # several rows can differ in the last bit
+                own = powered if take is None else np.take(powered, take, axis=1)
+                fine, err = plan.cell_sums(own)
+                cuts = {}
+                for r, row_roots in enumerate(roots):
+                    first = np.searchsorted(row_roots, plan.lo, side="right")
+                    stop = np.searchsorted(row_roots, plan.hi, side="left")
+                    for c in np.flatnonzero(stop > first):   # cells holding a root
+                        cuts[r, c] = [plan.lo[c], *row_roots[first[c]:stop[c]],
+                                      plan.hi[c]]
+                        key = r, tuple(cuts[r, c])
+                        if key not in graded:
+                            graded[key] = self._graded(coeffs[r], p, cuts[r, c])
+                        fine[r, c], err[r, c] = _split_cell(plan, c, *graded[key])
+                total = atoms + fine.sum(axis=-1)
+                for r, c in zip(*np.nonzero(plan.loose_cells(err, total))):
+                    fine[r, c], err[r, c] = plan.refine_cell(
+                        lambda t, row=coeffs[r]: np.abs(self._eval(row, t)) ** p,
+                        c, cuts.get((r, c)))
+                    fallbacks[r] += 1
+                    total[r] = atoms[r] + fine[r].sum()
+                err_rows = err.sum(axis=-1)
+            for r in np.flatnonzero(total < _TINY):
+                reached = atom_vals is not None and np.any(atom_vals[r] > 0.0)
+                if plan.cells and not reached:
+                    at_nodes = size[r] if take is None else size[r][take]
+                    reached = np.any((at_nodes > 0.0) & (plan.weights > 0.0))
+                if reached:
+                    raise InvalidParameterError(
+                        f"the integral of |f|^{p!r} is below the smallest "
+                        f"normal double, {_TINY!r}, though f is nonzero on "
+                        "the support; take a smaller p")
+            out.append([_estimate(p, float(total[r]), float(err_rows[r]),
+                                  int(fallbacks[r])) for r in range(rows)])
         return out
 
     # -- per-row refinement ---------------------------------------------------
@@ -184,9 +201,11 @@ class _PowerIntegrals:
         basis = powers(self.lam, _log_x(np.ravel(t)))
         return _combine(c_row[None, :], basis)[0]
 
-    def _split_cell(self, c_row, p, cell, cuts) -> tuple[float, float]:
-        """A kinked cell integrated on sub-cells graded toward each root;
-        a segment between two roots is split at its midpoint."""
+    def _graded(self, c_row, p, cuts):
+        """``(nodes, weights, |f|^p)`` on sub-cells of a kinked cell graded
+        toward each root; a segment between two roots is split at its
+        midpoint.  They depend on the row and ``cuts`` alone, so every
+        measure holding the cell reads them."""
         anchors, spans = [], []
         last = len(cuts) - 2
         for i, (u, v) in enumerate(zip(cuts[:-1], cuts[1:])):
@@ -205,22 +224,36 @@ class _PowerIntegrals:
         nodes = (np.array(anchors)[:, None, None]
                  + spans * _ROOT_NODES).reshape(-1, width)
         weights = (np.abs(spans) * _ROOT_WEIGHTS).reshape(-1, width)
-        h = self.plan.densities[self.plan.piece[cell]]
-        terms = np.abs(self._eval(c_row, nodes.ravel()).reshape(nodes.shape)) ** p \
-            * (weights * np.asarray(h(nodes), dtype=float))
-        fine, err = quadrature.coarse_fine(terms)
-        return float(fine.sum()), float(err.sum())
+        values = np.abs(self._eval(c_row, nodes.ravel()).reshape(nodes.shape)) ** p
+        return nodes, weights, values
 
 
-def _lebesgue_norms(coeffs, lambdas, p: float, roots,
-                    on_lebesgue: _PowerIntegrals | None = None) -> list[float]:
-    """``||f||_p`` on [0, 1] per coefficient row; p = 2 through the exact
+def _split_cell(plan, cell, nodes, weights, values) -> tuple[float, float]:
+    """``(value, error)`` of a kinked cell from ``|f|^p`` on its graded
+    sub-cells (:meth:`_PowerIntegrals._graded`), weighted by the density of
+    the cell's piece."""
+    h = plan.densities[plan.piece[cell]]
+    terms = values * (weights * np.asarray(h(nodes), dtype=float))
+    fine, err = quadrature.coarse_fine(terms)
+    return float(fine.sum()), float(err.sum())
+
+
+def _estimate(p, integral, integral_err, fallbacks) -> LpNormEstimate:
+    """``integral ** (1/p)`` with the error of the integral propagated to
+    first order through ``T -> T^(1/p)``."""
+    # ROUNDING_RTOL per unit of the integral is added before propagation
+    integral_err += ROUNDING_RTOL * integral
+    prop = (integral_err / (p * integral ** (1.0 - 1.0 / p))
+            if integral > 0.0 else integral_err ** (1.0 / p))
+    return LpNormEstimate(p=p, value=integral ** (1.0 / p),
+                          quadrature_error=prop, fallback_cells=fallbacks)
+
+
+def _lebesgue_l2_norms(coeffs, lambdas) -> list[float]:
+    """``||f||_2`` on [0, 1] per coefficient row, through the exact
     Gramian, as in :func:`lebesgue_lp_norm`."""
-    if p == 2.0:
-        seq = LambdaSequence(lambdas)
-        return [MuntzPolynomial(seq, c).l2_norm_lebesgue() for c in coeffs]
-    on_lebesgue = on_lebesgue or _PowerIntegrals(lebesgue(), lambdas)
-    return [e.value for e in on_lebesgue.norms(coeffs, p, roots)]
+    seq = LambdaSequence(lambdas)
+    return [MuntzPolynomial(seq, c).l2_norm_lebesgue() for c in coeffs]
 
 
 def lp_norms(seq: LambdaSequence, coefficients, p: float,
@@ -228,20 +261,23 @@ def lp_norms(seq: LambdaSequence, coefficients, p: float,
     """||f||_{L^p(mu)} for every row of ``coefficients`` on the exponents of
     ``seq``, on one quadrature plan and basis; row i equals
     ``lp_norm(MuntzPolynomial(seq, coefficients[i]), p, mu)`` bit for bit."""
-    if p < 1.0:
-        raise InvalidParameterError("p must be >= 1")
+    _check_p(p)
     coeffs = np.atleast_2d(np.asarray(coefficients, dtype=float))
     if coeffs.ndim != 2 or coeffs.shape[1] != len(seq):
         raise InvalidParameterError(
             "coefficient rows must match the sequence length")
-    on_mu = _PowerIntegrals(mu, seq.values)
-    roots = _row_roots(coeffs, seq.values) if on_mu.plan.cells else []
-    return on_mu.norms(coeffs, p, roots)
+    on_mu = _PowerIntegrals([mu], seq.values)
+    roots = _row_roots(coeffs, seq.values) if on_mu.has_density else []
+    return on_mu.norms(coeffs, p, roots)[0]
 
 
 def lp_norm(f: MuntzPolynomial, p: float, mu: Measure) -> LpNormEstimate:
-    """||f||_{L^p(mu)}: exact for atomic mu, quadrature for densities."""
-    return lp_norms(f.sequence, f.coefficients, p, mu)[0]
+    """||f||_{L^p(mu)}: exact for atomic mu, quadrature for densities; the
+    roots are the ones ``f`` keeps."""
+    _check_p(p)
+    on_mu = _PowerIntegrals([mu], f.lambdas)
+    roots = [f.roots] if on_mu.has_density else []
+    return on_mu.norms(f.coefficients[None, :], p, roots)[0][0]
 
 
 def lebesgue_lp_norm(f: MuntzPolynomial, p: float) -> LpNormEstimate:
@@ -260,21 +296,24 @@ def empirical_embedding_constant(seq: LambdaSequence, mu: Measure, p: float,
 
     Half the draws are biased toward the top exponent (near-1 probes).  With
     ``refine``, projected coordinate ascent (50 iterations, step halving)
-    polishes the best sample.
+    polishes the best sample.  For p != 2 the numerator and the Lebesgue
+    denominator are integrated together, on their shared cells.
     """
     if samples < 1:
         raise InvalidParameterError("need at least one sample")
-    if p < 1.0:
-        raise InvalidParameterError("p must be >= 1")
+    _check_p(p)
     sub = seq.truncate(n)
     rng = np.random.default_rng(seed)
-    on_mu = _PowerIntegrals(mu, sub.values)
-    on_lebesgue = None if p == 2.0 else _PowerIntegrals(lebesgue(), sub.values)
+    exact_denominator = p == 2.0
+    integrals = _PowerIntegrals([mu] if exact_denominator else [mu, lebesgue()],
+                                sub.values)
 
     def ratios(coeffs) -> list[float]:
-        roots = _row_roots(coeffs, sub.values) if on_mu.plan.cells or on_lebesgue else []
-        num = [e.value for e in on_mu.norms(coeffs, p, roots)]
-        denom = _lebesgue_norms(coeffs, sub.values, p, roots, on_lebesgue)
+        roots = _row_roots(coeffs, sub.values) if integrals.has_density else []
+        norms = integrals.norms(coeffs, p, roots)
+        num = [e.value for e in norms[0]]
+        denom = (_lebesgue_l2_norms(coeffs, sub.values) if exact_denominator
+                 else [e.value for e in norms[1]])
         return [0.0 if d == 0.0 else v / d for v, d in zip(num, denom)]
 
     # the draws are independent of the ratios, so they are evaluated as one
@@ -314,8 +353,7 @@ def certified_embedding_constant(mu: Measure, p: float) -> float | None:
     """A certified upper bound for ||i^p_mu|| when mu = h dm with bounded h:
     the constant (ess sup h)**(1/p).  None when no certificate is available
     (e.g. atomic measures)."""
-    if p < 1.0:
-        raise InvalidParameterError("p must be >= 1")
+    _check_p(p)
     sup = mu.bounded_density_sup()
     if sup is None:
         return None
@@ -350,12 +388,15 @@ class InterpolationDraws:
     """The sampled polynomials of interpolation checks: ``samples``
     unit-sphere draws on ``seq.truncate(n)`` from ``seed``, every other one
     tilted toward the top exponent.  It isolates their roots once, and
-    computes their ``||f||_{L^p(mu)}`` once per measure and p, when first
-    read, so checks of several measures and t on one draw share that work;
-    it keeps nothing beyond the checks it serves."""
+    computes their ``||f||_{L^p(mu)}`` when first read: at one p, for every
+    measure in ``measures`` (the ones its checks will read, Lebesgue's
+    denominators included) in one evaluation on their shared cells, so
+    checks of several measures and t on one draw share that work.  A measure
+    outside ``measures`` joins them when first read.  It keeps nothing
+    beyond the checks it serves."""
 
     def __init__(self, seq: LambdaSequence, n: int | None, samples: int,
-                 seed: int):
+                 seed: int, measures=()):
         self.seq, self.n, self.samples, self.seed = seq, n, samples, seed
         self.sub = seq.truncate(len(seq) if n is None else n)
         rng = np.random.default_rng(seed)
@@ -363,26 +404,34 @@ class InterpolationDraws:
             random_unit(self.sub, rng, bias_last=(i % 2 == 1)).coefficients
             for i in range(samples)])
         self.roots = _row_roots(self.coeffs, self.sub.values)
-        # id(mu) -> (mu, its integrals); keeping mu keeps its id its own
-        self._integrals = {}
+        self._measures = []       # kept, so each id stays its measure's own
+        self._integrals = None    # on every measure in _measures
         self._norms = {}          # (id(mu), p) -> norms
+        for mu in measures:
+            self._join(mu)
+
+    def _join(self, mu: Measure) -> None:
+        if all(mu is not m for m in self._measures):
+            self._measures.append(mu)
+            self._integrals = None
 
     def norms(self, mu: Measure, p: float) -> list[float]:
         """``||f||_{L^p(mu)}`` per draw; a measure is matched by identity."""
-        if id(mu) not in self._integrals:
-            self._integrals[id(mu)] = mu, _PowerIntegrals(mu, self.sub.values)
         key = id(mu), p
         if key not in self._norms:
-            on_mu = self._integrals[id(mu)][1]
-            self._norms[key] = [e.value for e in on_mu.norms(self.coeffs, p,
-                                                             self.roots)]
+            self._join(mu)
+            if self._integrals is None:
+                self._integrals = _PowerIntegrals(self._measures, self.sub.values)
+            every = self._integrals.norms(self.coeffs, p, self.roots)
+            for m, estimates in zip(self._measures, every):
+                self._norms[id(m), p] = [e.value for e in estimates]
         return self._norms[key]
 
     def lebesgue_norms(self, p: float) -> list[float]:
         """``||f||_p`` on [0, 1] per draw; p = 2 through the exact Gramian,
         as in :func:`lebesgue_lp_norm`."""
         if p == 2.0:
-            return _lebesgue_norms(self.coeffs, self.sub.values, p, self.roots)
+            return _lebesgue_l2_norms(self.coeffs, self.sub.values)
         return self.norms(lebesgue(), p)
 
 
@@ -416,7 +465,7 @@ def interpolation_check(seq: LambdaSequence, mu: Measure, p0: float, p1: float,
                                    max_slack=math.nan, samples=0, seed=seed)
     factor = c0 ** (1.0 - t) * c1 ** t
     if draws is None:
-        draws = InterpolationDraws(seq, n, samples, seed)
+        draws = InterpolationDraws(seq, n, samples, seed, (mu, lebesgue()))
     lhs_all = draws.norms(mu, p_t)
     rhs_all = [factor * v for v in draws.lebesgue_norms(p_t)]
     records = tuple(zip(range(len(lhs_all)), lhs_all, rhs_all))

@@ -15,16 +15,18 @@ a tail below 2**-900 is re-read from betaincc), finite for ``s`` up to
 (:meth:`Measure.log_moments`; the scalar queries wrap it).  A power tail's
 log moment is no more exact than scipy's ``betaln``, which against 200-bit
 mpmath (alpha 0.6-2.94) is off by up to 1.8e-12 at order 1e3, 4.4e-11 at
-3e4, 1.4e-9 at 1e6 and 4.5e-9 at 2.5e6, and within 5e-15 from 1e8 on.  The
-tail masses ``mu(J_eps)`` (:meth:`Measure.tail_mass`) are closed forms as
-well, array-valued, and need no Beta function, so neither does
+3e4, 1.4e-9 at 1e6 and 4.5e-9 at 2.5e6, and within 5e-15 from 1e8 on; that
+band holds for alpha up to about 3 only (3.7e-7 at alpha 148, 1.2e-6 at
+alpha 400).  The tail masses ``mu(J_eps)`` (:meth:`Measure.tail_mass`) are
+closed forms as well, array-valued, and need no Beta function, so neither does
 :attr:`Measure.total_mass`, which is ``tail_mass(1.0)``; a mass past the
 double range reads inf, and :meth:`Measure.log_tail_mass` keeps its log.
 Generic integrals against user functions run on one fixed
 :class:`~muntzlab.quadrature.QuadraturePlan` built from the flattened
 measure's density pieces, in the tail variable ``t = 1 - x``; the measure
 keeps it (:attr:`Measure.plan`), and :func:`lebesgue` returns one shared
-instance, so its plan is built once per process.
+instance, so its plan is built once per process.  Plans of one piece
+layout share their cells and nodes, and each keeps its own weights.
 
 A tail majorant rho of the paper (``mu(J_eps) <= rho(eps)``) is itself a
 measure: ``nu = rho'(1-x) dx`` has ``nu(J_eps) = rho(eps)``, and the power

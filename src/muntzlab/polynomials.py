@@ -7,22 +7,32 @@ value alone or inside an array.
 Sup norms are grid estimates (Chebyshev-spaced points plus dyadic refinement
 toward 1, where Muntz polynomials concentrate) and are flagged as estimates:
 they feed inequality checkers, never certificates.  The sequence keeps its
-power tables over the grid, so a sup norm is one product.
+power tables over the grid, so a sup norm is one product.  The roots in
+(0, 1) are isolated by the Rolle chain (:func:`_roots`), and a polynomial
+keeps them (:attr:`MuntzPolynomial.roots`), as its L^p norms against
+every measure read them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from . import quadrature
 from .errors import InvalidParameterError
 from .sequences import LambdaSequence
 
 SUP_GRID_SIZE = 2 ** 14 + 1
 _NEAR_ONE_LEVELS = 48
+# rounding allowance per unit of a sum's term magnitudes: pairwise summation
+# of ~1e4 positive terms costs about 14 eps, the values and powers a few eps
+# each.  The root isolation takes it per unit of a polynomial's terms.
+ROUNDING_RTOL = 64.0 * sys.float_info.epsilon
 
 
 class SupNormEstimate(NamedTuple):
@@ -80,6 +90,50 @@ def _combine(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return out
 
 
+def _roots(coeffs, lambdas) -> list[float]:
+    """Every root in (0, 1) of ``f = sum c_k x**lambda_k``, lambda ascending,
+    as ``t = 1 - x`` ascending: the Rolle chain of a Descartes system
+    (Borwein and Erdelyi, *Polynomials and Polynomial Inequalities*, Ch. 3).
+
+    f has at most as many positive roots as its coefficients have sign
+    changes.  Beyond one, the roots of ``(x**-lambda_1 f)'``, one term fewer,
+    cut (0, 1) into pieces where ``h = x**-lambda_1 f`` is monotone, so each
+    holds a root exactly when h changes sign across it.  A critical point
+    where ``|h|`` is within rounding is itself a root: a near-double root is
+    split at, never integrated across.
+    """
+    terms = [(ck, ek) for ck, ek in zip(coeffs, lambdas) if ck != 0.0]
+    changes = sum((a < 0.0) != (b < 0.0) for (a, _), (b, _) in zip(terms, terms[1:]))
+    if changes == 0:
+        return []
+    c0, e0 = terms[0]
+    rest = [(ck, ek - e0) for ck, ek in terms[1:]]
+
+    def h(t):
+        log_x = math.log1p(-t) if t < 1.0 else -math.inf
+        return c0 + sum(ck * math.exp(ek * log_x) for ck, ek in rest)
+
+    def sign(t):
+        """Sign of h(t) below t = 1, 0 within the rounding of its terms."""
+        log_x = math.log1p(-t)
+        size = abs(c0) + sum(abs(ck) * math.exp(ek * log_x) * (1.0 - ek * log_x)
+                             for ck, ek in rest)
+        value = h(t)
+        return 0.0 if abs(value) <= ROUNDING_RTOL * size else math.copysign(1.0, value)
+
+    critical = [] if changes == 1 else _roots([ck * ek for ck, ek in rest],
+                                              [ek for _, ek in rest])
+    ends = [0.0, *critical, 1.0]
+    signs = [sign(t) for t in ends[:-1]] + [math.copysign(1.0, c0)]   # h(x=0) = c0
+    roots = []
+    for k in range(len(ends) - 1):
+        if k and signs[k] == 0.0:
+            roots.append(ends[k])
+        if signs[k] * signs[k + 1] < 0.0:
+            roots.append(quadrature.bisect_root(h, ends[k], ends[k + 1]))
+    return roots
+
+
 def derivative_grid(lambda1: float) -> np.ndarray:
     """The points of SUP_GRID where f' is finite: x = 0 is left out when
     lambda_1 < 1, where the first term's derivative diverges."""
@@ -104,6 +158,15 @@ class MuntzPolynomial:
     @property
     def lambdas(self) -> np.ndarray:
         return self.sequence.values
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Every root in (0, 1) as ``t = 1 - x`` ascending (:func:`_roots`),
+        isolated when first read and kept, read-only."""
+        roots = np.array(_roots(self.coefficients.tolist(),
+                                self.lambdas.tolist()))
+        roots.setflags(write=False)
+        return roots
 
     @property
     def is_zero(self) -> bool:

@@ -12,9 +12,13 @@ a measure keeps the plan of its own pieces:
 each cell carries a coarse rule and the two-half rule, ``|fine - coarse|``
 is its error estimate, and the densities are folded into the weights when
 the plan is built, so integrands of many functions are weighted sums over
-one shared node array.  Pieces reaching ``x = 0`` (``t = 1``) are graded
-toward that end as well, so integrands like ``x**0.5`` converge there; every
-node lies strictly inside its piece.  Cells whose estimate stays above
+one shared node array.  The cells depend only on the pieces' ends, and a
+small memo keeps them, so plans of one piece layout share their ``nodes``
+(Lebesgue measure, its scalings and the power tails at x0 = 0), and plans
+of different layouts share most of their cells, which :mod:`~muntzlab.lp`
+evaluates once for all of them.  Pieces reaching ``x = 0`` (``t = 1``) are
+graded toward that end as well, so integrands like ``x**0.5`` converge
+there; every node lies strictly inside its piece.  Cells whose estimate stays above
 tolerance are re-integrated adaptively by :meth:`QuadraturePlan.refine_cell`.
 A plan knows nothing of kinks: :mod:`~muntzlab.lp` isolates the roots of each
 polynomial (the kinks of ``|f|^p``) with :func:`bisect_root`, splits the
@@ -38,6 +42,7 @@ on the width alone, so a caller may pass the integrand's values there as
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -304,6 +309,40 @@ def coarse_fine(terms):
     return fine, np.abs(fine - coarse)
 
 
+@functools.lru_cache(maxsize=8)
+def _plan_cells(ends: tuple) -> tuple:
+    """``(lo, hi, nodes, rule weights, piece, edge marks)`` of the cells of
+    :meth:`QuadraturePlan.from_pieces` for pieces spanning ``ends``, one
+    ``(t_lo, t_hi)`` each.  They depend on the ends alone, so a small memo
+    keeps them, read-only, for every plan of that layout: Lebesgue measure,
+    its scalings and the power tails at x0 = 0 share one ``nodes`` array."""
+    los, his, piece, edge = ([] for _ in range(4))
+    for k, (t_lo, t_hi) in enumerate(ends):
+        at_zero, at_one = t_lo == 0.0, t_hi >= 1.0
+        edges = graded_edges(t_lo, t_hi,
+                             DEFAULT_LEVELS if at_zero else INNER_LEVELS,
+                             FAR_END_LEVELS if at_one else 0)
+        mark = np.zeros(edges.size - 1, dtype=bool)
+        mark[0] = at_zero
+        mark[-1] |= at_one
+        los.append(edges[:-1])
+        his.append(edges[1:])
+        piece.append(np.full(edges.size - 1, k))
+        edge.append(mark)
+    lo, hi, piece, edge = (
+        np.concatenate(a) if a else np.zeros(0, dtype=dt)
+        for a, dt in ((los, float), (his, float), (piece, int), (edge, bool)))
+    nodes, weights = cell_rule(lo, hi)
+    # an outer node of the innermost cell at t = 1 of a narrow piece can
+    # round onto t = 1 (x = 0); keep every node strictly inside its piece
+    bounds = np.array(ends, dtype=float).reshape(-1, 2)[piece]
+    nodes = np.clip(nodes, np.nextafter(bounds[:, :1], np.inf),
+                    np.nextafter(bounds[:, 1:], -np.inf))
+    for arr in (lo, hi, nodes, weights, piece, edge):
+        arr.setflags(write=False)
+    return lo, hi, nodes, weights, piece, edge
+
+
 @dataclass(frozen=True)
 class QuadraturePlan:
     """Fixed composite Gauss-Legendre rule in ``t`` over density pieces.
@@ -330,37 +369,19 @@ class QuadraturePlan:
         """Cells per piece: graded toward ``t = 0`` over DEFAULT_LEVELS levels
         when the piece reaches it and over INNER_LEVELS toward an interior
         lower edge; also toward ``t = 1`` over FAR_END_LEVELS when it reaches
-        ``x = 0``."""
-        los, his, piece, edge, densities = ([] for _ in range(5))
-        for k, (t_lo, t_hi, h) in enumerate(pieces):
-            at_zero, at_one = t_lo == 0.0, t_hi >= 1.0
-            edges = graded_edges(t_lo, t_hi,
-                                 DEFAULT_LEVELS if at_zero else INNER_LEVELS,
-                                 FAR_END_LEVELS if at_one else 0)
-            mark = np.zeros(edges.size - 1, dtype=bool)
-            mark[0] = at_zero
-            mark[-1] |= at_one
-            los.append(edges[:-1])
-            his.append(edges[1:])
-            piece.append(np.full(edges.size - 1, k))
-            edge.append(mark)
-            densities.append(h)
-        lo, hi, piece, edge = (
-            np.concatenate(a) if a else np.zeros(0, dtype=dt)
-            for a, dt in ((los, float), (his, float), (piece, int), (edge, bool)))
-        nodes, weights = cell_rule(lo, hi)
-        # an outer node of the innermost cell at t = 1 of a narrow piece can
-        # round onto t = 1 (x = 0); keep every node strictly inside its piece
-        ends = np.array([p[:2] for p in pieces], dtype=float).reshape(-1, 2)[piece]
-        nodes = np.clip(nodes, np.nextafter(ends[:, :1], np.inf),
-                        np.nextafter(ends[:, 1:], -np.inf))
+        ``x = 0``.  The cells come from :func:`_plan_cells`, so plans of one
+        piece layout share their ``nodes``; each folds its own densities
+        into a copy of the rule weights."""
+        lo, hi, nodes, rule, piece, edge = _plan_cells(
+            tuple((float(t_lo), float(t_hi)) for t_lo, t_hi, _ in pieces))
+        densities = tuple(h for _, _, h in pieces)
+        weights = rule.copy()
         for k, h in enumerate(densities):
             on = piece == k
             weights[on] *= np.asarray(h(nodes[on]), dtype=float)
-        for arr in (lo, hi, nodes, weights, piece, edge):
-            arr.setflags(write=False)
+        weights.setflags(write=False)
         return cls(lo=lo, hi=hi, nodes=nodes, weights=weights, piece=piece,
-                   edge_cell=edge, densities=tuple(densities))
+                   edge_cell=edge, densities=densities)
 
     @property
     def cells(self) -> int:

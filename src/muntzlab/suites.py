@@ -169,8 +169,10 @@ def interpolation_suite(samples: int = 100,
         ("piecewise", measures.PiecewiseDensityMeasure(
             np.array([0.0, 0.5, 1.0]), np.array([0.5, 2.0]))),
     ]
-    # every check samples the same polynomials, so they share one draw
-    draws = lp.InterpolationDraws(seq, 5, samples, seed)
+    # every check samples the same polynomials, so they share one draw, and
+    # at each p_t the norms against every measure come from one evaluation
+    draws = lp.InterpolationDraws(seq, 5, samples, seed,
+                                  [mu for _, mu in battery])
     violations = []
     checks = 0
     worst = -math.inf

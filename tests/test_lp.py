@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from muntzlab import lp, quadrature, suites
+from muntzlab import lp, polynomials, quadrature, suites
 from muntzlab import (EmbeddingProblem, InvalidParameterError, MuntzPolynomial,
                       PiecewiseDensityMeasure, PowerTailMeasure, ScaledMeasure,
                       analyze, atomic, certified_embedding_constant,
@@ -66,6 +66,33 @@ class TestLpNorm:
         with pytest.raises(InvalidParameterError):
             lp_norm(f, 0.5, lebesgue())
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_p_refused(self, p):
+        # these read NaN, -inf or 1.0 before, with no error
+        seq = make_geometric(1.0, 2.0, 3)
+        f = MuntzPolynomial(seq, np.array([0.6, -0.8, 0.3]))
+        calls = (lambda: lp_norm(f, p, lebesgue()),
+                 lambda: lp_norms(seq, f.coefficients, p, lebesgue()),
+                 lambda: empirical_embedding_constant(seq, lebesgue(), p, 3, 2),
+                 lambda: certified_embedding_constant(lebesgue(), p))
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match="p must be finite"):
+                call()
+
+    def test_underflowed_integral_refused(self):
+        # sup |f| is about 0.1204, so its |f|^400 is below the double range
+        # everywhere; the integral read 0.0 with error 0.0
+        f = MuntzPolynomial(make_geometric(1.0, 2.0, 3),
+                            np.array([0.6, -0.8, 0.3]))
+        with pytest.raises(InvalidParameterError, match="smallest normal double"):
+            lp_norm(f, 400.0, lebesgue())
+        with pytest.raises(InvalidParameterError, match="smallest normal double"):
+            lp_norm(f, 2000.0, point_mass(0.5))
+        assert lp_norm(f, 100.0, lebesgue()).value == 0.11751906776147264
+        # the zero polynomial integrates to 0 without refusal
+        zero = MuntzPolynomial(f.sequence, np.zeros(3))
+        assert lp_norm(zero, 400.0, lebesgue()).value == 0.0
+
 
 class TestEmpiricalConstant:
     def test_lebesgue_is_one(self):
@@ -101,6 +128,22 @@ class TestEmpiricalConstant:
         a = empirical_embedding_constant(seq, mu, 2.0, 6, 6, seed=11)
         b = empirical_embedding_constant(seq, mu, 2.0, 6, 6, seed=11)
         assert a == b
+
+    @pytest.mark.parametrize("lambda1, ratio, mu, p, samples, seed, value", [
+        (1.6741917011734277, 2.6097262389314233, ScaledMeasure(2.0, lebesgue()),
+         3.461802864665033, 4, 137728402, 1.2216803227488464),
+        (1.657919148340712, 2.965544513047262,
+         PiecewiseDensityMeasure(np.array([0.0, 0.5, 1.0]), np.array([0.5, 2.0])),
+         1.1918756268810937, 3, 1305256646, 1.7837612372879637),
+        (0.923673773921662, 2.2164669427681574, PowerTailMeasure(1.0, 2.0),
+         3.05478137874481, 4, 1517364233, 1.0369391485995034),
+    ])
+    def test_pinned_values(self, lambda1, ratio, mu, p, samples, seed, value):
+        # three benchmark instances, numerator and Lebesgue denominator
+        # integrated together; the values of their separate integration
+        seq = make_geometric(lambda1, ratio, 2)
+        assert repr(empirical_embedding_constant(
+            seq, mu, p, 2, samples, refine=True, seed=seed)) == repr(value)
 
 
 class TestCertifiedConstants:
@@ -457,9 +500,9 @@ class TestOnePlanPerMeasure:
         assert len(calls) <= 3
 
     def test_interpolation_suite_shares_one_draw(self, monkeypatch):
-        # nine checks on one draw: its roots once, each measure's basis
-        # once (the Lebesgue one also serves every denominator), and one
-        # set of norms per measure and p_t, Lebesgue's 3 p_t included
+        # nine checks on one draw: its roots once, one basis on the three
+        # measures' shared cells (Lebesgue's also serve every denominator),
+        # and at each of the 3 p_t one evaluation for every measure
         calls = {"roots": 0, "bases": 0, "norms": 0}
 
         def counted(name, fn):
@@ -474,7 +517,7 @@ class TestOnePlanPerMeasure:
         monkeypatch.setattr(lp._PowerIntegrals, "norms",
                             counted("norms", lp._PowerIntegrals.norms))
         suite = suites.interpolation_suite(samples=6)
-        assert calls == {"roots": 1, "bases": 3, "norms": 9}
+        assert calls == {"roots": 1, "bases": 1, "norms": 3}
         # each check reads as it does alone, bit for bit
         for name, mu in (("lebesgue", lebesgue()),
                          ("piecewise", _PLAN_MEASURES["piecewise"])):
@@ -528,3 +571,71 @@ class TestOnePlanPerMeasure:
                 assert lp_norm(f, p, mu) == first        # on the kept plan
                 assert lp_norm(f, p, make()) == first    # on a plan built anew
         assert lp_norm(f, 3.0, lebesgue()) == lp_norm(f, 3.0, makers[0]())
+
+
+_JOINT_MEASURES = (
+    lebesgue(),
+    ScaledMeasure(2.0, lebesgue()),
+    PiecewiseDensityMeasure(np.array([0.0, 0.5, 1.0]), np.array([0.5, 2.0])),
+    PowerTailMeasure(1.0, 2.0),
+)
+
+
+def _rows_with_roots(seq, count):
+    rng = np.random.default_rng(31)
+    rows = []
+    while len(rows) < count:
+        row = rng.standard_normal(len(seq))
+        if MuntzPolynomial(seq, row).roots.size:
+            rows.append(row)
+    return np.array(rows)
+
+
+class TestSharedCells:
+    @pytest.mark.parametrize("rows", [1, 2, 4, 64])
+    def test_joint_norms_equal_one_measure_norms(self, rows):
+        # the piecewise plan shares most of its cells with the other three,
+        # which share one node array: each measure reads its own cells of
+        # one |f|^p, bit for bit as if integrated alone
+        seq = make_geometric(0.7, 1.8, 5)
+        coeffs = _rows_with_roots(seq, rows)
+        roots = lp._row_roots(coeffs, seq.values)
+        joint = lp._PowerIntegrals(_JOINT_MEASURES, seq.values)
+        assert joint.nodes.shape[0] < sum(mu.plan.cells for mu in _JOINT_MEASURES)
+        for p in (1.0, 4.0 / 3.0, 3.0):
+            together = joint.norms(coeffs, p, roots)
+            for mu, estimates in zip(_JOINT_MEASURES, together):
+                assert estimates == lp_norms(seq, coeffs, p, mu)
+                assert estimates[-1] == lp_norm(
+                    MuntzPolynomial(seq, coeffs[-1]), p, mu)
+
+    def test_one_piece_layout_shares_nodes(self):
+        scaled = ScaledMeasure(2.0, lebesgue())
+        tail = PowerTailMeasure(1.0, 2.0)
+        flat = PiecewiseDensityMeasure(np.array([0.0, 1.0]), np.array([3.0]))
+        assert scaled.plan.nodes is tail.plan.nodes is flat.plan.nodes
+        np.testing.assert_array_equal(scaled.plan.weights,
+                                      2.0 * lebesgue().plan.weights)
+        np.testing.assert_array_equal(flat.plan.weights,
+                                      3.0 * lebesgue().plan.weights)
+        assert not np.array_equal(tail.plan.weights, scaled.plan.weights)
+
+    def test_layout_memo_is_bounded(self):
+        bound = quadrature._plan_cells.cache_info().maxsize
+        for k in range(50):
+            mid = 0.1 + 0.8 * k / 50
+            PiecewiseDensityMeasure(np.array([0.0, mid, 1.0]),
+                                    np.array([1.0, 2.0])).plan
+        assert quadrature._plan_cells.cache_info().currsize <= bound <= 8
+
+    def test_lp_norm_reads_the_kept_roots(self, monkeypatch):
+        seq = make_geometric(0.7, 1.8, 5)
+        f = MuntzPolynomial(seq, _rows_with_roots(seq, 1)[0])
+        assert f.roots is f.roots
+        calls = []
+        for module, name in ((polynomials, "_roots"), (lp, "_row_roots")):
+            monkeypatch.setattr(module, name, lambda *args, fn=getattr(
+                module, name): calls.append(1) or fn(*args))
+        for mu in _JOINT_MEASURES:
+            lp_norm(f, 3.0, mu)
+        assert calls == []
