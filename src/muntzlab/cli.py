@@ -100,7 +100,7 @@ _BLOCKS = {"rho": {"C": 1.0, "alpha": 1.0},
 _CERTIFICATES = ("psi", "rho", "sublinear", "compact_support",
                  "hilbert_schmidt")
 _CONFIG_FIELDS = ("sequence", "measure", "N", "q_set", "certificates",
-                  "m_list", *_BLOCKS, "seed")
+                  "m_list", *_BLOCKS)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +117,10 @@ def cmd_analyze(args) -> int:
     config = config_object(_load_config(args.config), "config", _CONFIG_FIELDS)
     seq = sequence_from_config(_require(config, "sequence"))
     mu = measure_from_config(_require(config, "measure"))
-    n = args.n if args.n is not None else _field(config, "N", whole_number,
-                                                 len(seq))
+    # a malformed N is refused even when --n overrides it
+    n = _field(config, "N", whole_number, len(seq))
+    if args.n is not None:
+        n = args.n
     problem = spectral.EmbeddingProblem(seq, mu, n)
     q_set = tuple(_field(config, "q_set", _array(real_number), [0.5, 1.0, 2.0]))
     m_list = _field(config, "m_list", _array(whole_number, allow_null=True),
@@ -129,7 +131,6 @@ def cmd_analyze(args) -> int:
     blocks = {name: _field(config, name, _block(name, defaults), {})
               if config.get(name) is not None or name in wanted else None
               for name, defaults in _BLOCKS.items()}
-    seed = _field(config, "seed", whole_number, 0)
     # refused here, by the checks the work itself makes, before any work
     if m_list:
         spectral.tail_orders(m_list)
@@ -166,8 +167,7 @@ def cmd_analyze(args) -> int:
         "config": {"sequence": seq.to_config(), "measure": mu.to_config(),
                    "N": n, "q_set": list(q_set),
                    "certificates": wanted,
-                   "m_list": config.get("m_list"), **blocks,
-                   "seed": seed},
+                   "m_list": config.get("m_list"), **blocks},
         "spectral": report,
         "modulus": problem.modulus,
         "certificates": certificates,

@@ -36,7 +36,6 @@ majorant; consumers of psi carry this flag.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -115,13 +114,10 @@ class DistanceTable:
         return -self.log_d / self.lambdas
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "lambda_n", "d_n", "gamma_n"])
-            for n, (lam, d, g) in enumerate(zip(self.lambdas, self.d,
-                                                self.gamma), start=1):
-                writer.writerow([n, repr(float(lam)), repr(float(d)),
-                                 repr(float(g))])
+        from .reporting import write_csv
+        write_csv(path, ["n", "lambda_n", "d_n", "gamma_n"],
+                  zip(range(1, len(self.lambdas) + 1), self.lambdas, self.d,
+                      self.gamma))
 
 
 def distances(seq: LambdaSequence) -> DistanceTable:

@@ -29,6 +29,9 @@ spheres and are LOWER bounds of the truncated operator norm; the
 interpolation check therefore only ever multiplies *certified* upper bounds
 for the endpoint constants (bounded-density measures and their scalings),
 and reports inconclusive when no certified constant exists.
+:func:`interpolation_checks` runs the checks of several measures and t on
+one draw, with all their norms at one p_t from one evaluation;
+:func:`interpolation_check` is its one-measure, one-t case.
 """
 
 from __future__ import annotations
@@ -256,6 +259,14 @@ def _lebesgue_l2_norms(coeffs, lambdas) -> list[float]:
     return [MuntzPolynomial(seq, c).l2_norm_lebesgue() for c in coeffs]
 
 
+def _unit_draws(sub: LambdaSequence, samples: int, seed: int) -> np.ndarray:
+    """``samples`` unit-sphere coefficient rows on ``sub`` from ``seed``,
+    every other one tilted toward the top exponent."""
+    rng = np.random.default_rng(seed)
+    return np.array([random_unit(sub, rng, bias_last=(i % 2 == 1)).coefficients
+                     for i in range(samples)])
+
+
 def lp_norms(seq: LambdaSequence, coefficients, p: float,
              mu: Measure) -> list[LpNormEstimate]:
     """||f||_{L^p(mu)} for every row of ``coefficients`` on the exponents of
@@ -303,7 +314,6 @@ def empirical_embedding_constant(seq: LambdaSequence, mu: Measure, p: float,
         raise InvalidParameterError("need at least one sample")
     _check_p(p)
     sub = seq.truncate(n)
-    rng = np.random.default_rng(seed)
     exact_denominator = p == 2.0
     integrals = _PowerIntegrals([mu] if exact_denominator else [mu, lebesgue()],
                                 sub.values)
@@ -318,8 +328,7 @@ def empirical_embedding_constant(seq: LambdaSequence, mu: Measure, p: float,
 
     # the draws are independent of the ratios, so they are evaluated as one
     # batch; the first maximum wins, as in a sequential scan
-    draws = np.array([random_unit(sub, rng, bias_last=(i % 2 == 1)).coefficients
-                      for i in range(samples)])
+    draws = _unit_draws(sub, samples, seed)
     best = -math.inf
     best_coeffs = None
     for coeffs, r in zip(draws, ratios(draws)):
@@ -384,103 +393,84 @@ class InterpolationReport:
     records: tuple = ()       # per-sample (index, lhs, rhs)
 
 
-class InterpolationDraws:
-    """The sampled polynomials of interpolation checks: ``samples``
-    unit-sphere draws on ``seq.truncate(n)`` from ``seed``, every other one
-    tilted toward the top exponent.  It isolates their roots once, and
-    computes their ``||f||_{L^p(mu)}`` when first read: at one p, for every
-    measure in ``measures`` (the ones its checks will read, Lebesgue's
-    denominators included) in one evaluation on their shared cells, so
-    checks of several measures and t on one draw share that work.  A measure
-    outside ``measures`` joins them when first read.  It keeps nothing
-    beyond the checks it serves."""
-
-    def __init__(self, seq: LambdaSequence, n: int | None, samples: int,
-                 seed: int, measures=()):
-        self.seq, self.n, self.samples, self.seed = seq, n, samples, seed
-        self.sub = seq.truncate(len(seq) if n is None else n)
-        rng = np.random.default_rng(seed)
-        self.coeffs = np.array([
-            random_unit(self.sub, rng, bias_last=(i % 2 == 1)).coefficients
-            for i in range(samples)])
-        self.roots = _row_roots(self.coeffs, self.sub.values)
-        self._measures = []       # kept, so each id stays its measure's own
-        self._integrals = None    # on every measure in _measures
-        self._norms = {}          # (id(mu), p) -> norms
-        for mu in measures:
-            self._join(mu)
-
-    def _join(self, mu: Measure) -> None:
-        if all(mu is not m for m in self._measures):
-            self._measures.append(mu)
-            self._integrals = None
-
-    def norms(self, mu: Measure, p: float) -> list[float]:
-        """``||f||_{L^p(mu)}`` per draw; a measure is matched by identity."""
-        key = id(mu), p
-        if key not in self._norms:
-            self._join(mu)
-            if self._integrals is None:
-                self._integrals = _PowerIntegrals(self._measures, self.sub.values)
-            every = self._integrals.norms(self.coeffs, p, self.roots)
-            for m, estimates in zip(self._measures, every):
-                self._norms[id(m), p] = [e.value for e in estimates]
-        return self._norms[key]
-
-    def lebesgue_norms(self, p: float) -> list[float]:
-        """``||f||_p`` on [0, 1] per draw; p = 2 through the exact Gramian,
-        as in :func:`lebesgue_lp_norm`."""
-        if p == 2.0:
-            return _lebesgue_l2_norms(self.coeffs, self.sub.values)
-        return self.norms(lebesgue(), p)
-
-
-def interpolation_check(seq: LambdaSequence, mu: Measure, p0: float, p1: float,
-                        t: float, *, n: int | None = None, samples: int = 100,
-                        seed: int = 0,
-                        draws: InterpolationDraws | None = None) -> InterpolationReport:
+def interpolation_checks(seq: LambdaSequence, measures, p0: float, p1: float,
+                         ts, *, n: int | None = None, samples: int = 100,
+                         seed: int = 0) -> list[list[InterpolationReport]]:
     """Per-function interpolation inequality on sampled polynomials:
 
         ||f||_{L^{p_t}(mu)} <= C0^(1-t) C1^t ||f||_{p_t},
 
-    with C0, C1 certified upper bounds of the endpoint embedding norms.
-    Returns an inconclusive report when no certified constants exist; this is
-    not a failure.  ``draws``, made from the same ``seq``, ``n``, ``samples``
-    and ``seed``, lets several checks share one draw's work.
+    for every measure of ``measures`` (outer list) and every t of ``ts``
+    (inner list), with C0, C1 certified upper bounds of the endpoint
+    embedding norms.  A measure without certified constants gets an
+    inconclusive report; this is not a failure.  Every check reads one draw
+    of ``samples`` unit-sphere polynomials on ``seq.truncate(n)`` from
+    ``seed``, every other one tilted toward the top exponent, whose roots
+    are isolated once.  At each p_t the norms against every certified
+    measure and Lebesgue's denominators come from one evaluation on their
+    shared cells; measures are matched by identity.  Nothing is drawn when
+    no measure has certified constants.
     """
     if not (1.0 <= p0 < p1):
         raise InvalidParameterError("need 1 <= p0 < p1")
-    if not 0.0 < t < 1.0:
+    measures, ts = list(measures), list(ts)
+    if not all(0.0 < t < 1.0 for t in ts):
         raise InvalidParameterError("t must lie in (0, 1)")
-    if draws is not None and (draws.seq is not seq or (
-            draws.n, draws.samples, draws.seed) != (n, samples, seed)):
-        raise InvalidParameterError(
-            "draws were made for another sequence, n, samples or seed")
-    p_t = 1.0 / ((1.0 - t) / p0 + t / p1)
-    c0 = certified_embedding_constant(mu, p0)
-    c1 = certified_embedding_constant(mu, p1)
-    if c0 is None or c1 is None:
-        return InterpolationReport(p0=p0, p1=p1, t=t, p_t=p_t, c0=c0, c1=c1,
-                                   inconclusive=True, violations=(),
-                                   max_slack=math.nan, samples=0, seed=seed)
-    factor = c0 ** (1.0 - t) * c1 ** t
-    if draws is None:
-        draws = InterpolationDraws(seq, n, samples, seed, (mu, lebesgue()))
-    lhs_all = draws.norms(mu, p_t)
-    rhs_all = [factor * v for v in draws.lebesgue_norms(p_t)]
-    records = tuple(zip(range(len(lhs_all)), lhs_all, rhs_all))
-    violations = []
-    max_slack = -math.inf
-    for i, lhs, rhs in records:
-        slack = lhs - rhs
-        max_slack = max(max_slack, slack)
-        if slack > _INTERPOLATION_TOL * max(1.0, rhs):
-            violations.append(InterpolationViolation(
-                sample=i, lhs=lhs, rhs=rhs, excess=slack))
-    return InterpolationReport(p0=p0, p1=p1, t=t, p_t=p_t, c0=c0, c1=c1,
-                               inconclusive=False, violations=tuple(violations),
-                               max_slack=max_slack, samples=samples, seed=seed,
-                               records=records)
+    p_ts = [1.0 / ((1.0 - t) / p0 + t / p1) for t in ts]
+    constants = [(certified_embedding_constant(mu, p0),
+                  certified_embedding_constant(mu, p1)) for mu in measures]
+    certified = [mu for mu, (c0, c1) in zip(measures, constants)
+                 if c0 is not None and c1 is not None]
+    lhs = {}                 # (id(mu), p_t) -> ||f||_{L^p_t(mu)} per draw
+    rhs = {}                 # p_t -> ||f||_{p_t} per draw
+    if certified:
+        joined = []          # each certified measure once, then Lebesgue
+        for mu in [*certified, lebesgue()]:
+            if all(mu is not m for m in joined):
+                joined.append(mu)
+        sub = seq.truncate(len(seq) if n is None else n)
+        coeffs = _unit_draws(sub, samples, seed)
+        roots = _row_roots(coeffs, sub.values)
+        integrals = _PowerIntegrals(joined, sub.values)
+        for p_t in dict.fromkeys(p_ts):
+            every = integrals.norms(coeffs, p_t, roots)
+            for mu, estimates in zip(joined, every):
+                lhs[id(mu), p_t] = [e.value for e in estimates]
+            # p_t = 2 through the exact Gramian, as in lebesgue_lp_norm
+            rhs[p_t] = (_lebesgue_l2_norms(coeffs, sub.values) if p_t == 2.0
+                        else lhs[id(lebesgue()), p_t])
+
+    def report(mu, c0, c1, t, p_t) -> InterpolationReport:
+        if c0 is None or c1 is None:
+            return InterpolationReport(
+                p0=p0, p1=p1, t=t, p_t=p_t, c0=c0, c1=c1, inconclusive=True,
+                violations=(), max_slack=math.nan, samples=0, seed=seed)
+        factor = c0 ** (1.0 - t) * c1 ** t
+        records = tuple(zip(range(samples), lhs[id(mu), p_t],
+                            [factor * v for v in rhs[p_t]]))
+        violations = []
+        max_slack = -math.inf
+        for i, left, right in records:
+            slack = left - right
+            max_slack = max(max_slack, slack)
+            if slack > _INTERPOLATION_TOL * max(1.0, right):
+                violations.append(InterpolationViolation(
+                    sample=i, lhs=left, rhs=right, excess=slack))
+        return InterpolationReport(
+            p0=p0, p1=p1, t=t, p_t=p_t, c0=c0, c1=c1, inconclusive=False,
+            violations=tuple(violations), max_slack=max_slack,
+            samples=samples, seed=seed, records=records)
+
+    return [[report(mu, c0, c1, t, p_t) for t, p_t in zip(ts, p_ts)]
+            for mu, (c0, c1) in zip(measures, constants)]
+
+
+def interpolation_check(seq: LambdaSequence, mu: Measure, p0: float, p1: float,
+                        t: float, *, n: int | None = None, samples: int = 100,
+                        seed: int = 0) -> InterpolationReport:
+    """:func:`interpolation_checks` of one measure at one t."""
+    return interpolation_checks(seq, [mu], p0, p1, [t], n=n, samples=samples,
+                                seed=seed)[0][0]
 
 
 def l1_unboundedness_witness(seq: LambdaSequence, mu: Measure) -> list[tuple[int, float]]:

@@ -475,6 +475,12 @@ class PiecewiseDensityMeasure(Measure):
                                                     1.0 - eps[..., None])
         return (np.maximum(overlap, 0.0) * self.densities).sum(axis=-1)
 
+    def _mass_above(self, b: float) -> float:
+        # each piece's overlap with (b, 1] in x: mu(J_{1-b}) would read
+        # 1 - (1 - b), which rounds below b for some b < 1/2
+        overlap = self.breakpoints[1:] - np.maximum(self.breakpoints[:-1], b)
+        return float((np.maximum(overlap, 0.0) * self.densities).sum())
+
     def _restricted(self, eps: float) -> "Measure":
         # the pieces ending above 1 - eps, the first one cut there unless it
         # starts above it

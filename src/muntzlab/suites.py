@@ -169,27 +169,25 @@ def interpolation_suite(samples: int = 100,
         ("piecewise", measures.PiecewiseDensityMeasure(
             np.array([0.0, 0.5, 1.0]), np.array([0.5, 2.0]))),
     ]
-    # every check samples the same polynomials, so they share one draw, and
-    # at each p_t the norms against every measure come from one evaluation
-    draws = lp.InterpolationDraws(seq, 5, samples, seed,
-                                  [mu for _, mu in battery])
+    # every check samples the same polynomials: one draw, and at each p_t
+    # the norms against every measure from one evaluation
+    reports = lp.interpolation_checks(seq, [mu for _, mu in battery], 1.0, 2.0,
+                                      _INTERPOLATION_T, n=5, samples=samples,
+                                      seed=seed)
     violations = []
     checks = 0
     worst = -math.inf
     sample_records = {}
-    for name, mu in battery:
-        for t in _INTERPOLATION_T:
+    for (name, _), row in zip(battery, reports):
+        for rep in row:
             checks += 1
-            rep = lp.interpolation_check(seq, mu, 1.0, 2.0, t, n=5,
-                                         samples=samples, seed=seed,
-                                         draws=draws)
             if rep.inconclusive:
-                violations.append((name, t, "inconclusive", math.nan))
+                violations.append((name, rep.t, "inconclusive", math.nan))
                 continue
             worst = max(worst, rep.max_slack)
-            sample_records[f"{name}@t={t:g}"] = rep.records
+            sample_records[f"{name}@t={rep.t:g}"] = rep.records
             for v in rep.violations:
-                violations.append((name, t, v.lhs, v.rhs))
+                violations.append((name, rep.t, v.lhs, v.rhs))
     return SuiteResult(name="interpolation", checks=checks,
                        violations=tuple(violations),
                        details={"max_slack": worst, "records": sample_records})

@@ -271,13 +271,14 @@ MALFORMED = {
                                           "atoms": [["0.5", "1"]]}},
     "compact-support-b-numeric-string": {"certificates": ["compact_support"],
                                          "compact_support": {"b": "0.5"}},
-    "seed-string": {"seed": "1"},
+    "seed-string": {"seed": "1"},      # analyze reads no seed
 }
 # a misspelt or unread field, and the field the error must name
 UNKNOWN_FIELDS = {
     "m-list": {"m-list": [2, 4]},
     "certificate": {"certificate": ["rho"]},
     "Q_set": {"Q_set": [1.0]},
+    "seed": {"seed": 0},
     "xo": {"measure": {"kind": "powertail", "C": 1, "alpha": 2, "xo": 0.5}},
     "Cc": {"certificates": ["rho"], "rho": {"Cc": 5}},
     "bb": {"certificates": ["compact_support"], "compact_support": {"bb": 0.2}},
@@ -622,6 +623,17 @@ class TestMalformedConfig:
         assert err == [f"error: truncation {n} outside 1..1"]
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("override", [[], ["--n", "1"]])
+    @pytest.mark.parametrize("bad", ["abc", 0.5, True])
+    def test_malformed_truncation_refused_under_override(self, tmp_path, capsys,
+                                                         bad, override):
+        cfg = write_config(tmp_path, dict(RANK_ONE, N=bad))
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path),
+                     *override]) == 1
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert err.startswith("error:") and "'N'" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_rho_block_reaches_the_certificate(self, tmp_path):
         cfg = write_config(tmp_path, dict(RANK_ONE, certificates=["rho"],
                                           rho={"C": 2.0, "alpha": 0.5}))
@@ -695,7 +707,7 @@ class TestEchoReruns:
         config = json.loads((tmp_path / "report.json").read_text())["config"]
         assert config["rho"] == {"C": 1.0, "alpha": 1.0}
         assert config["compact_support"] == {"b": 0.5, "b_prime": 0.75, "k": 1}
-        assert config["m_list"] is None and config["seed"] == 0
+        assert config["m_list"] is None and "seed" not in config
 
 
 class TestNoTracebackFromReadmeConfig:
@@ -851,7 +863,7 @@ class TestUsage:
         assert "--config" in capsys.readouterr().err
 
     def test_analyze_has_no_seed_option(self, tmp_path, capsys):
-        # the report echoes the config's seed; a --seed flag would be ignored
+        # analyze draws nothing, so it takes no seed
         cfg = write_config(tmp_path, RANK_ONE)
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path),
                      "--seed", "3"]) == 1

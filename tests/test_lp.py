@@ -11,9 +11,9 @@ from muntzlab import (EmbeddingProblem, InvalidParameterError, MuntzPolynomial,
                       PiecewiseDensityMeasure, PowerTailMeasure, ScaledMeasure,
                       analyze, atomic, certified_embedding_constant,
                       empirical_embedding_constant, interpolation_check,
-                      l1_unboundedness_witness, lebesgue, lebesgue_lp_norm,
-                      lp_norm, lp_norms, make_explicit, make_geometric,
-                      point_mass, random_unit)
+                      interpolation_checks, l1_unboundedness_witness, lebesgue,
+                      lebesgue_lp_norm, lp_norm, lp_norms, make_explicit,
+                      make_geometric, point_mass, random_unit)
 
 
 class TestLpNorm:
@@ -483,6 +483,66 @@ class TestRootIsolation:
         assert all(seen[k] == -seen[k + 1] for k in seen if k + 1 in seen)
 
 
+class TestInterpolationChecks:
+    SEQ = make_geometric(2.0, 2.0, 6)
+    ATOM = point_mass(0.5)
+    SCALED = ScaledMeasure(2.0, lebesgue())
+    # Lebesgue absent, present, and listed twice, each with an atomic
+    # measure that has no certified constants
+    BATTERIES = {
+        "no-lebesgue": [SCALED, ATOM, _PLAN_MEASURES["piecewise"]],
+        "lebesgue": [lebesgue(), ATOM, _PLAN_MEASURES["powertail"], SCALED],
+        "lebesgue-twice": [lebesgue(), SCALED, lebesgue(), ATOM],
+    }
+
+    @staticmethod
+    def _forbid_drawing(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew samples")
+        monkeypatch.setattr(lp, "_unit_draws", refuse)
+        monkeypatch.setattr(lp._PowerIntegrals, "__init__", refuse)
+
+    @pytest.mark.parametrize("name", sorted(BATTERIES))
+    @pytest.mark.parametrize("p0, p1, ts", [
+        (1.0, 2.0, (0.25, 0.5, 0.75)),
+        (1.0, 3.0, (0.75, 0.3, 0.75)),      # p_t = 2 at t = 0.75, listed twice
+    ])
+    def test_each_report_equals_the_check_alone(self, name, p0, p1, ts):
+        battery = self.BATTERIES[name]
+        reports = interpolation_checks(self.SEQ, battery, p0, p1, ts, n=5,
+                                       samples=9, seed=11)
+        assert len(reports) == len(battery)
+        for mu, row in zip(battery, reports):
+            assert len(row) == len(ts)
+            for t, rep in zip(ts, row):
+                alone = interpolation_check(self.SEQ, mu, p0, p1, t, n=5,
+                                            samples=9, seed=11)
+                assert rep.inconclusive == (mu is self.ATOM)
+                # repr compares every float bit for bit, NaN included
+                assert repr(rep) == repr(alone)
+
+    @pytest.mark.parametrize("p0, p1, ts", [
+        (1.0, 2.0, (0.5, 1.0)), (1.0, 2.0, (0.0, 0.5)),
+        (1.0, 2.0, (0.25, math.nan)), (2.0, 2.0, (0.5,)), (2.0, 1.0, (0.5,)),
+    ])
+    def test_bad_parameters_refused_before_drawing(self, monkeypatch, p0, p1,
+                                                   ts):
+        self._forbid_drawing(monkeypatch)
+        with pytest.raises(InvalidParameterError):
+            interpolation_checks(self.SEQ, [lebesgue()], p0, p1, ts, n=5,
+                                 samples=4)
+
+    def test_nothing_drawn_without_certified_constants(self, monkeypatch):
+        self._forbid_drawing(monkeypatch)
+        reports = interpolation_checks(
+            self.SEQ, [self.ATOM, atomic([(0.3, 1.0), (0.9, 2.0)])], 1.0, 2.0,
+            (0.25, 0.5), n=5, samples=4)
+        assert [[rep.inconclusive for rep in row] for row in reports] \
+            == [[True, True], [True, True]]
+        assert all(rep.samples == 0 and rep.records == ()
+                   for row in reports for rep in row)
+
+
 class TestOnePlanPerMeasure:
     @staticmethod
     def _count_plans(monkeypatch):
@@ -526,19 +586,6 @@ class TestOnePlanPerMeasure:
                     make_geometric(2.0, 2.0, 6), mu, 1.0, 2.0, t, n=5,
                     samples=6, seed=20240902)
                 assert suite.details["records"][f"{name}@t={t:g}"] == alone.records
-
-    def test_draws_of_another_run_refused(self):
-        seq = make_geometric(2.0, 2.0, 6)
-        draws = lp.InterpolationDraws(seq, 5, 4, 1)
-        for kwargs in ({"n": 4, "samples": 4, "seed": 1},
-                       {"n": 5, "samples": 3, "seed": 1},
-                       {"n": 5, "samples": 4, "seed": 2}):
-            with pytest.raises(InvalidParameterError):
-                interpolation_check(seq, lebesgue(), 1.0, 2.0, 0.5,
-                                    draws=draws, **kwargs)
-        with pytest.raises(InvalidParameterError):
-            interpolation_check(make_geometric(2.0, 2.0, 6), lebesgue(), 1.0,
-                                2.0, 0.5, n=5, samples=4, seed=1, draws=draws)
 
     def test_inequality_suite_builds_each_plan_once(self, monkeypatch):
         # ``check inequalities --instances 4``: per instance one random

@@ -555,6 +555,22 @@ class TestCertificates:
                                            0.5, 0.75, 1)
         assert not cert.comparable
 
+    def test_compact_support_holds_when_density_ends_at_b(self):
+        # below b = 1/2, 1 - (1 - b) can round below b; a density ending at
+        # b must still show no mass above it, bare or wrapped
+        seq = make_explicit([1.0, 2.0])
+        rng = np.random.default_rng(20)
+        for b in rng.uniform(0.01, 0.5, 300):
+            bare = PiecewiseDensityMeasure(np.array([0.0, 0.5 * b, b]),
+                                           np.array([1.0, 3.0]))
+            for mu in (bare, ScaledMeasure(2.5, bare),
+                       SumMeasure((bare, point_mass(0.5 * b)))):
+                assert mu.mass_above(b) == 0.0
+                cert = compact_support_certificate(seq, mu, b, 0.75, 1)
+                assert all(a.ok for a in cert.assumptions), b
+                assert math.isfinite(cert.value)
+            assert bare.mass_above(0.75 * b) == pytest.approx(0.75 * b)
+
     def test_compact_support_dominates_schatten(self):
         seq = make_geometric(2.0, 2.0, 20)
         mu = ScaledMeasure(1.0, atomic([(0.2, 0.5), (0.35, 0.3), (0.5, 0.2)]))
