@@ -70,6 +70,11 @@ def _check_p(p: float) -> None:
         raise InvalidParameterError(f"p must be finite and >= 1, got {p!r}")
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise InvalidParameterError(f"need at least one sample, got {samples!r}")
+
+
 def _log_x(t) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log1p(-np.asarray(t, dtype=float))
@@ -310,8 +315,7 @@ def empirical_embedding_constant(seq: LambdaSequence, mu: Measure, p: float,
     polishes the best sample.  For p != 2 the numerator and the Lebesgue
     denominator are integrated together, on their shared cells.
     """
-    if samples < 1:
-        raise InvalidParameterError("need at least one sample")
+    _check_samples(samples)
     _check_p(p)
     sub = seq.truncate(n)
     exact_denominator = p == 2.0
@@ -411,6 +415,7 @@ def interpolation_checks(seq: LambdaSequence, measures, p0: float, p1: float,
     shared cells; measures are matched by identity.  Nothing is drawn when
     no measure has certified constants.
     """
+    _check_samples(samples)
     if not (1.0 <= p0 < p1):
         raise InvalidParameterError("need 1 <= p0 < p1")
     measures, ts = list(measures), list(ts)

@@ -234,6 +234,14 @@ class FlatMeasure:
         return len(self.pieces) > 0
 
 
+def entry_eps(log_positions) -> np.ndarray:
+    """e_k = 1 - a_k = -expm1(log a_k), the eps at which the atom at a_k
+    enters J_eps; descending where the positions ascend.  Membership is
+    decided in eps space (e_k <= eps), so the atom lies in J_{e_k}; comparing
+    log a_k >= log1p(-eps) can leave it out when log1p rounds up."""
+    return -np.expm1(log_positions)
+
+
 @dataclass(frozen=True)
 class AtomicMeasure(Measure):
     """sum_k c_k * delta_{a_k} with log a_k < 0 (all atoms strictly inside (0,1))."""
@@ -277,15 +285,9 @@ class AtomicMeasure(Measure):
         return np.append(np.logaddexp.accumulate(self.log_weights[::-1])[::-1],
                          NEG_INF)
 
-    def _entry_eps(self) -> np.ndarray:
-        """e_k = 1 - a_k = -expm1(log a_k), the eps at which atom k enters
-        J_eps; descending, as the positions ascend.  Membership is decided
-        in eps space (e_k <= eps), so atom k lies in J_{e_k}; comparing
-        log a_k >= log1p(-eps) can leave it out when log1p rounds up."""
-        return -np.expm1(self.log_positions)
-
     def _log_tail_masses(self, eps: np.ndarray) -> np.ndarray:
-        inside = np.searchsorted(self._entry_eps()[::-1], eps, side="right")
+        inside = np.searchsorted(entry_eps(self.log_positions)[::-1], eps,
+                                 side="right")
         return self._log_suffix_masses()[self.log_positions.size - inside]
 
     def _tail_masses(self, eps: np.ndarray) -> np.ndarray:
@@ -300,7 +302,7 @@ class AtomicMeasure(Measure):
             return float(np.exp(self._log_suffix_masses()[first]))
 
     def _restricted(self, eps: float) -> "AtomicMeasure":
-        mask = self._entry_eps() <= eps
+        mask = entry_eps(self.log_positions) <= eps
         return AtomicMeasure(self.log_positions[mask], self.log_weights[mask])
 
     def sublinear_norm_exact(self) -> float | None:
@@ -308,7 +310,7 @@ class AtomicMeasure(Measure):
         # the atoms k, k+1, ... are in J_eps
         with np.errstate(over="ignore"):      # past the double range
             masses = np.exp(self._log_suffix_masses()[:-1])
-            ratios = masses / -np.expm1(self.log_positions)
+            ratios = masses / entry_eps(self.log_positions)
         return float(np.max(ratios, initial=0.0))
 
     def _flatten_into(self, flat: FlatMeasure, log_scale: float) -> None:
@@ -572,6 +574,14 @@ class ScaledMeasure(Measure):
                 "inner": self.inner.to_config()}
 
 
+def _fsum_or_inf(values) -> float:
+    """``math.fsum`` of non-negative values, inf past the double range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class SumMeasure(Measure):
     """mu_1 + ... + mu_k."""
@@ -594,19 +604,14 @@ class SumMeasure(Measure):
         return log_sum([p._log_tail_masses(eps) for p in self.parts], axis=0)
 
     def _mass_above(self, b: float) -> float:
-        try:
-            return math.fsum(p.mass_above(b) for p in self.parts)
-        except OverflowError:                 # past the double range
-            return math.inf
+        return _fsum_or_inf(p.mass_above(b) for p in self.parts)
 
     def _restricted(self, eps: float) -> "SumMeasure":
         return SumMeasure(tuple(p.restricted_to_tail(eps) for p in self.parts))
 
     def bounded_density_sup(self) -> float | None:
         sups = [p.bounded_density_sup() for p in self.parts]
-        if any(s is None for s in sups):
-            return None
-        return math.fsum(sups)
+        return None if None in sups else _fsum_or_inf(sups)
 
     def _flatten_into(self, flat: FlatMeasure, log_scale: float) -> None:
         for p in self.parts:
@@ -705,10 +710,10 @@ def rho_hypothesis_violation(mu: Measure, majorant: Measure
     None when it holds at every eps checked.
 
     The eps checked are :func:`default_epsilon_grid` and, for every atom a_k
-    of mu, eps = 1 - a_k = -expm1(log a_k), where the atom enters J_eps and
+    of mu, its :func:`entry_eps`, where the atom enters J_eps and
     mu(J_eps)/rho(eps) peaks.
     """
-    at_atoms = -np.expm1(np.asarray(mu.flattened().log_positions, dtype=float))
+    at_atoms = entry_eps(mu.flattened().log_positions)
     eps = np.sort(np.concatenate((default_epsilon_grid(), at_atoms)))[::-1]
     bound = majorant.tail_mass(eps)
     mass = mu.tail_mass(eps)

@@ -28,8 +28,8 @@ The adaptive routines bisect a cell until its rule agrees with the sum over
 its two halves.  They run breadth first over many intervals at once: each
 round evaluates the halves of every open cell in one integrand call (split
 at MAX_POINTS points), and a cell's accept test depends on that cell alone,
-so the leaves, the number of abscissae and the values are those of a
-depth-first recursion.  :func:`integrate` is the one-interval case;
+so the leaves and the abscissae are those of a depth-first recursion.
+:func:`integrate` is the one-interval case;
 :func:`integrate_refined_at_zero`, the dyadic scheme the psi, rho and
 Hilbert-Schmidt certificates use, refines its cells toward ``t = 0`` all
 together, to depth 4 each.  It also returns the part of the integral over
@@ -105,10 +105,11 @@ def _adaptive(f, lo, hi, coarse, max_depth: int,
     its own value, or at ``max_depth``; this depends on the cell alone, so the
     leaves are those of a depth-first recursion.  An integrand that overflows
     reads inf there, and the cell's error NaN, so it splits to the cap.
-    Leaf values are summed back up the tree pairwise (left + right), as that
-    recursion returns them.  Returns ``(value, error estimate)`` per interval.
+    Each accepted cell adds its value and error to its interval's totals.
+    Returns ``(value, error estimate)`` per interval.
     """
-    rounds = []
+    value, error = np.zeros(lo.size), np.zeros(lo.size)
+    owner = np.arange(lo.size)
     depth = 0
     while lo.size:
         edges_lo, edges_hi = _halves(lo, hi)
@@ -117,16 +118,13 @@ def _adaptive(f, lo, hi, coarse, max_depth: int,
         with np.errstate(invalid="ignore"):
             err = np.abs(fine - coarse)
         split = ~(err <= _CELL_REL_TOL * (np.abs(fine) + 1e-300)) & (depth < max_depth)
-        rounds.append((fine, err, split))
+        np.add.at(value, owner[~split], fine[~split])
+        np.add.at(error, owner[~split], err[~split])
         pairs = np.repeat(split, 2)
         lo, hi, coarse = edges_lo[pairs], edges_hi[pairs], halves[pairs]
+        owner = np.repeat(owner[split], 2)
         depth += 1
-    value = err = np.zeros(0)
-    for fine, cell_err, split in reversed(rounds):
-        fine[split] = value[0::2] + value[1::2]
-        cell_err[split] = err[0::2] + err[1::2]
-        value, err = fine, cell_err
-    return value, err
+    return value, error
 
 
 def integrate(f, a: float, b: float, *, max_depth: int = 14) -> tuple[float, float]:
@@ -144,10 +142,10 @@ def integrate(f, a: float, b: float, *, max_depth: int = 14) -> tuple[float, flo
 
 
 def _dyadic_cells(width: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(lo, hi)`` of the cells ``[width*2^-(j+1), width*2^-j]``,
-    ``j < DEFAULT_LEVELS``, then the sliver ``(0, width*2^-DEFAULT_LEVELS]``."""
-    hi = width * 2.0 ** -np.arange(DEFAULT_LEVELS + 1.0)
-    return np.append(hi[1:], 0.0), hi
+    """``(lo, hi)`` of the :func:`graded_edges` cells of ``(0, width]`` toward
+    0, widest first; the last is the sliver ``(0, width*2^-DEFAULT_LEVELS]``."""
+    edges = graded_edges(0.0, width, DEFAULT_LEVELS)[::-1]
+    return edges[1:], edges[:-1]
 
 
 def refined_at_zero_nodes(width: float) -> np.ndarray:
@@ -188,22 +186,13 @@ def integrate_refined_at_zero(f, width: float, *, cut: float = math.inf,
     rules = _cells(f, lo, hi, rules_at)
     values, errs = _adaptive(f, lo[:-1], hi[:-1], rules[:-1], REFINE_DEPTH,
                              halves_at)
-    total = 0.0
-    err = 0.0
-    for v, e in zip(values.tolist(), errs.tolist()):    # in order, level by level
-        total += v
-        err += e
-    sliver = float(rules[-1])
-    part = total + sliver if cut >= width else 0.0
-    if 0.0 < cut < width:
-        straddling = np.flatnonzero((lo < cut) & (cut < hi))    # at most one
-        if straddling.size:
-            part = integrate(f, float(lo[straddling[0]]), cut,
-                             max_depth=REFINE_DEPTH)[0]
-        # then the cells wholly below cut, level by level, the sliver last
-        for v in np.append(values, sliver)[hi <= cut].tolist():
-            part += v
-    return total + sliver, err + abs(sliver), part
+    cells = np.append(values, rules[-1])      # the sliver last
+    part = float(cells[hi <= cut].sum())
+    straddling = np.flatnonzero((lo < cut) & (cut < hi))    # at most one
+    if straddling.size:
+        part += integrate(f, float(lo[straddling[0]]), cut,
+                          max_depth=REFINE_DEPTH)[0]
+    return float(cells.sum()), float(errs.sum()) + abs(float(rules[-1])), part
 
 
 def bisect_root(f, lo: float, hi: float) -> float:

@@ -49,7 +49,7 @@ from .errors import (IllConditionedBasisError, InvalidParameterError,
                      NumericalSoundnessError)
 from .geometry import PSI_K_MAX, PsiEvaluator
 from .logdomain import log1mexp, log_sum
-from .measures import (FlatMeasure, Measure, modulus_report,
+from .measures import (FlatMeasure, Measure, entry_eps, modulus_report,
                        rho_hypothesis_violation)
 from .sequences import LambdaSequence, classify, whole_number
 
@@ -334,9 +334,9 @@ def essential_norm_trend(seq: LambdaSequence, mu: Measure, n: int,
 
     The essential norm is their limit in m; only this trend is reported,
     never an extrapolated value.  For a measure without a density part,
-    mu'_m is the atoms with 1 - a_k = -expm1(log a_k) <= 1/m, the rule of
-    :meth:`Measure.restricted_to_tail`, so its norm is the top singular
-    value of those rows of the one :func:`_whitened_factor` of
+    mu'_m is the atoms whose :func:`~muntzlab.measures.entry_eps` is at most
+    1/m, the rule of :meth:`Measure.restricted_to_tail`, so its norm is the
+    top singular value of those rows of the one :func:`_whitened_factor` of
     ``seq.truncate(n)`` (0 for no rows).  A measure with a density part
     assembles the pencil of each restricted measure, whitened by that same
     W, and solves them all in one stacked eigensolve; a restriction without
@@ -359,7 +359,7 @@ def essential_norm_trend(seq: LambdaSequence, mu: Measure, n: int,
             norms.update(zip(at, tops.tolist()))
         return [(m, norms[m]) for m in whole]
     x = _whitened_factor(flat, sub)
-    entry = -np.expm1(flat.log_positions)
+    entry = entry_eps(flat.log_positions)
     return [(m, float(np.linalg.svd(x[entry <= 1.0 / m], compute_uv=False)
                       .max(initial=0.0)))
             for m in whole]

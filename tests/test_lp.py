@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from muntzlab import lp, polynomials, quadrature, suites
 from muntzlab import (EmbeddingProblem, InvalidParameterError, MuntzPolynomial,
                       PiecewiseDensityMeasure, PowerTailMeasure, ScaledMeasure,
-                      analyze, atomic, certified_embedding_constant,
+                      SumMeasure, analyze, atomic, certified_embedding_constant,
                       empirical_embedding_constant, interpolation_check,
                       interpolation_checks, l1_unboundedness_witness, lebesgue,
                       lebesgue_lp_norm, lp_norm, lp_norms, make_explicit,
@@ -161,6 +161,16 @@ class TestCertifiedConstants:
 
     def test_atomic_has_none(self):
         assert certified_embedding_constant(point_mass(0.5), 2.0) is None
+
+    def test_sum_past_the_double_range(self):
+        # a sup past the largest double reads inf: a certified constant that
+        # bounds nothing, so the check finds no violation rather than raise
+        part = PiecewiseDensityMeasure([0.0, 1.0], [1e308])
+        mu = SumMeasure((part, part))
+        assert certified_embedding_constant(mu, 2.0) == math.inf
+        rep = interpolation_check(make_geometric(2.0, 2.0, 6), mu, 1.0, 2.0,
+                                  0.5, n=5, samples=4)
+        assert rep.violations == ()
 
     def test_certified_dominates_empirical(self):
         seq = make_geometric(2.0, 2.0, 6)
@@ -531,6 +541,24 @@ class TestInterpolationChecks:
         with pytest.raises(InvalidParameterError):
             interpolation_checks(self.SEQ, [lebesgue()], p0, p1, ts, n=5,
                                  samples=4)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_refused_before_drawing(self, monkeypatch, samples):
+        # a check of no polynomial is not a clean pass, with or without a
+        # certified measure
+        self._forbid_drawing(monkeypatch)
+        calls = [
+            lambda: interpolation_check(self.SEQ, lebesgue(), 1.0, 2.0, 0.5,
+                                        n=5, samples=samples),
+            lambda: interpolation_checks(self.SEQ, [self.ATOM], 1.0, 2.0,
+                                         (0.5,), n=5, samples=samples),
+            lambda: suites.interpolation_suite(samples=samples),
+            lambda: empirical_embedding_constant(self.SEQ, lebesgue(), 2.0, 5,
+                                                 samples),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match="one sample"):
+                call()
 
     def test_nothing_drawn_without_certified_constants(self, monkeypatch):
         self._forbid_drawing(monkeypatch)

@@ -455,6 +455,15 @@ class TestDensitySup:
         assert part.bounded_density_sup() is None
         assert SumMeasure((lebesgue(), part)).bounded_density_sup() is None
 
+    def test_sum_past_the_double_range_reads_inf(self):
+        # the parts' sups and masses sum past the largest double: inf, as for
+        # a scaling, not math.fsum's OverflowError
+        part = PiecewiseDensityMeasure([0.0, 1.0], [1e308])
+        mu = SumMeasure((part, part))
+        assert mu.bounded_density_sup() == math.inf
+        assert mu.mass_above(0.0) == math.inf
+        assert ScaledMeasure(2.0, part).bounded_density_sup() == math.inf
+
 
 class TestLemma42:
     def test_increasing_integrand_bound(self):

@@ -9,6 +9,7 @@ from muntzlab.quadrature import (DEFAULT_LEVELS, DEFAULT_ORDER, FAR_END_LEVELS,
                                  bisect_root, graded_edges, integrate,
                                  integrate_refined_at_zero,
                                  refined_at_zero_nodes)
+from muntzlab.quadrature import _adaptive, _cells, _dyadic_cells
 
 
 # The depth-first recursion the breadth-first integrator replaced, kept as its
@@ -117,6 +118,24 @@ class TestBreadthFirstMatchesRecursion:
         assert max(sizes) <= MAX_POINTS
         # every cell down to depth 14 was opened: 2^15 - 1 cells of 48 points
         assert sum(sizes) == DEFAULT_ORDER + 2 * DEFAULT_ORDER * (2 ** 15 - 1)
+
+
+class TestAcceptedLeaves:
+    """Each accepted cell adds to the totals of its own interval, so an
+    interval bisected together with others gets what it gets alone."""
+
+    # a cell at 0, one ending on the kink of "kink", one holding it, wide ones
+    LO = np.array([0.0, 2.0 ** -20, 0.1, 0.3, 0.4, 1.0])
+    HI = np.array([2.0 ** -20, 0.1, 1.0 / 3.0, 0.4, 1.0, math.pi])
+
+    @pytest.mark.parametrize("name", sorted(INTEGRANDS))
+    @pytest.mark.parametrize("max_depth", [REFINE_DEPTH, 14])
+    def test_each_interval_as_alone(self, name, max_depth):
+        f, lo, hi = INTEGRANDS[name], self.LO, self.HI
+        value, err = _adaptive(f, lo, hi, _cells(f, lo, hi), max_depth)
+        for i in range(lo.size):
+            alone = integrate(f, lo[i], hi[i], max_depth=max_depth)
+            assert (float(value[i]), float(err[i])) == alone
 
 
 class TestRefinedAtZero:
@@ -286,6 +305,14 @@ class TestGradedEdges:
         np.testing.assert_array_equal(graded_edges(1.0, 3.0, 0, 1),
                                       [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(graded_edges(1.0, 3.0), [1.0, 3.0])
+
+    @pytest.mark.parametrize("width", [1.0, 0.7, math.pi, 2.0 ** -5, 1e-300])
+    def test_dyadic_cells_are_graded_edges(self, width):
+        # width 2^-j, widest first, then the sliver (0, width 2^-54]
+        hi = width * 2.0 ** -np.arange(DEFAULT_LEVELS + 1.0)
+        lo, got_hi = _dyadic_cells(width)
+        assert np.array_equal(got_hi, hi)
+        assert np.array_equal(lo, np.append(hi[1:], 0.0))
 
 
 class TestQuadraturePlan:
